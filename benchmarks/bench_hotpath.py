@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks for the compiled command-stream engine.
 
-Three cells, each timing the same workload on the fast host (compiled
-streams + chunked replay) and the reference host (per-instruction
-interpretation):
+Each cell times the same workload on the fast host (compiled streams +
+chunked replay) and the reference host (per-instruction interpretation):
 
 * ``hammer_loop``   -- TRR-attached double-sided RowHammer loop, the
   workload the chunked ``on_act_stream`` path was built for.  The
@@ -13,6 +12,9 @@ interpretation):
 * ``gauntlet_cell`` -- one attack-gauntlet cell (synchronized attack
   under sampling TRR) with ``DramBenderHost.default_compile_streams``
   toggled, i.e. the end-to-end attack_surface hot path.
+* ``prac_gauntlet_cell`` -- the same toggle on sync-simra16 under
+  PRAC-PO-WC: compiled streams replayed in segments split where a
+  back-off can fire, against per-command interpretation.
 * ``hcfirst_batch`` / ``comra_sweep`` -- the batched multi-victim probe
   engine (``measure_many_*``) against the scalar per-victim session
   loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
@@ -138,17 +140,18 @@ def bench_hcfirst_search(smoke: bool, repeats: int) -> dict:
             "params": {"repeats": n_repeats}}
 
 
-def bench_gauntlet_cell(smoke: bool, repeats: int) -> dict:
+def _gauntlet_cell(
+    attack: str, mitigation: str, smoke: bool, repeats: int
+) -> dict:
     module = make_module(CONFIG)
-    specs = {spec.name: spec for spec in synthesize_attacks(module)}
-    spec = specs.get("sync-comra") or next(iter(specs.values()))
+    spec = {spec.name: spec for spec in synthesize_attacks(module)}[attack]
     act_budget = spec.acts_per_round * (4 if smoke else 16)
 
     def run(fast: bool) -> None:
         previous = DramBenderHost.default_compile_streams
         DramBenderHost.default_compile_streams = fast
         try:
-            run_cell(CONFIG, spec, "sampling-trr", act_budget,
+            run_cell(CONFIG, spec, mitigation, act_budget,
                      stop_after_first_flip=False)
         finally:
             DramBenderHost.default_compile_streams = previous
@@ -156,7 +159,16 @@ def bench_gauntlet_cell(smoke: bool, repeats: int) -> dict:
     fast_s = _timeit(lambda: run(True), repeats)
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
     return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
-            "params": {"attack": spec.name, "act_budget": act_budget}}
+            "params": {"attack": spec.name, "mitigation": mitigation,
+                       "act_budget": act_budget}}
+
+
+def bench_gauntlet_cell(smoke: bool, repeats: int) -> dict:
+    return _gauntlet_cell("sync-comra", "sampling-trr", smoke, repeats)
+
+
+def bench_prac_gauntlet_cell(smoke: bool, repeats: int) -> dict:
+    return _gauntlet_cell("sync-simra16", "prac-po-wc", smoke, repeats)
 
 
 def bench_population_scan(smoke: bool, repeats: int) -> dict:
@@ -362,6 +374,7 @@ BENCHES = {
     "hammer_loop": bench_hammer_loop,
     "hcfirst_search": bench_hcfirst_search,
     "gauntlet_cell": bench_gauntlet_cell,
+    "prac_gauntlet_cell": bench_prac_gauntlet_cell,
     "population_scan": bench_population_scan,
     "fig25_mix_sweep": bench_fig25_mix_sweep,
     "pud_reliability": bench_pud_reliability,
@@ -407,7 +420,7 @@ def main(argv=None) -> int:
     for name in names:
         cell = BENCHES[name](args.smoke, args.repeats)
         results["benchmarks"][name] = cell
-        print(f"{name:16s} fast {cell['fast_s']*1e3:9.1f} ms   "
+        print(f"{name:18s} fast {cell['fast_s']*1e3:9.1f} ms   "
               f"ref {cell['ref_s']*1e3:9.1f} ms   "
               f"speedup {cell['speedup']:7.1f}x")
         if cell.get("stages_s"):
@@ -415,13 +428,13 @@ def main(argv=None) -> int:
                 f"{key} {value*1e3:.1f}ms"
                 for key, value in cell["stages_s"].items()
             )
-            print(f"{'':16s} stages: {split}")
+            print(f"{'':18s} stages: {split}")
         probe_paths = cell.get("obs", {}).get("counters", {}).get("probe.probes")
         if probe_paths:
             split = "  ".join(
                 f"{labels} {count}" for labels, count in probe_paths.items()
             )
-            print(f"{'':16s} probes: {split}")
+            print(f"{'':18s} probes: {split}")
         if name == "hammer_loop" and cell["speedup"] < HAMMER_LOOP_FLOOR:
             failures.append(
                 f"hammer_loop: speedup {cell['speedup']:.1f}x is below the "

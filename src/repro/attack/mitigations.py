@@ -61,12 +61,12 @@ class PracHook:
     instead of waiting for the next REF, because a PuD attacker can cross
     the RDT many times within one tREFI.
 
-    Deliberately *not* stream-capable (no ``on_act_stream``): the back-off
-    must fire at the exact event where a counter crosses the RDT, so
-    aggregating a whole ACT stretch into one batched call would move the
-    targeted refreshes in time and change what the attack flips.  The
-    host's compiled-chunked path detects the missing method and falls back
-    to unrolled execution for PRAC cells.
+    The back-off must fire at the exact event where a counter crosses the
+    RDT, so the host's compiled-chunked path replays a PRAC stretch in
+    segments: multi-period runs only where :meth:`quiet_periods` proves no
+    counter can reach the RDT, single periods wherever a crossing is
+    possible.  The bound works on the per-period increments the host
+    learns with :meth:`period_increments`.
     """
 
     def __init__(
@@ -107,6 +107,31 @@ class PracHook:
     def on_act(self, bank: int, row: int, now_ns: float) -> None:
         # counting happens on events, where the true row group is visible
         self.acts_seen += 1
+
+    def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
+        self.acts_seen += len(rows) * int(times)
+
+    def period_increments(self, bank: int, run_period) -> Optional[dict[int, int]]:
+        """Counter increments ``run_period()`` makes on ``bank``, or None
+        when a served RFM hides them."""
+        return self.counters(bank).increments(run_period)
+
+    def quiet_periods(self, bank: int, increments: dict[int, int]) -> int:
+        """Periods that can run before any counter could reach the RDT.
+
+        ``increments`` are one period's per-row counter increments.  A run
+        of ``n`` periods also emits the session the bank held back from
+        the previous period, worth at most one more period, so ``n + 1``
+        periods must keep every counter below the RDT.  The bound is only
+        valid while that held-back session has ``times == 1``; after a
+        multi-period run the host replays one single period first.
+        """
+        counters = self.counters(bank)
+        headroom = self.config.rdt - 1
+        return min(
+            (headroom - counters.counter(row)) // increment
+            for row, increment in increments.items()
+        ) - 1
 
     def on_ref(self, bank: int, now_ns: float) -> list[int]:
         self.refs_seen += 1

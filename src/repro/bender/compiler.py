@@ -77,16 +77,10 @@ class RunStep:
 
 @dataclass
 class ChunkStep:
-    """Execute ``count`` repetitions of ``stream`` as a scaled chunk.
-
-    ``instructions`` keeps the covered program slice so the host can fall
-    back to interpretation when the attached hook cannot take a batched
-    ACT stream (e.g. PRAC back-off must fire mid-window).
-    """
+    """Execute ``count`` repetitions of ``stream`` as a scaled chunk."""
 
     stream: CompiledStream
     count: int
-    instructions: tuple
 
 
 PlanStep = Union[RunStep, ChunkStep, Loop]
@@ -230,7 +224,7 @@ def _plan_run(
             misses += 1
             continue
         flush_raw()
-        steps.append(ChunkStep(stream, k, tuple(run[pos : pos + p * k])))
+        steps.append(ChunkStep(stream, k))
         pos += p * k
         misses = 0
     raw.extend(run[pos:])

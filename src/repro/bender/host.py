@@ -29,9 +29,13 @@ Three execution paths (see DESIGN.md, "Execution engine"):
   the ACT sequence, so per-ACT callbacks are suppressed during the two
   passes and the hook receives one batched
   ``on_act_stream(bank, rows, times)`` that reproduces the exact buffer
-  state sequential ``on_act`` calls would have left.  Hooks without
-  ``on_act_stream`` (e.g. PRAC, whose back-off fires mid-stretch) fall
-  back to the unrolled path automatically.
+  state sequential ``on_act`` calls would have left.  A hook that can act
+  mid-stretch (PRAC back-off) exposes a quiet-period bound, and the
+  stretch is replayed in segments: multi-period runs where no counter
+  can reach the RDT, single periods where a crossing is possible, so
+  every back-off fires at the same event and ``t_close_ns`` as unrolled.
+  The bound keeps two one-period margins, both for the session the bank
+  holds back one command (see ``DramBenderHost._run_periods``).
 """
 
 from __future__ import annotations
@@ -204,21 +208,48 @@ class DramBenderHost:
             if cls is RunStep:
                 self._execute(step.instructions, result)
             elif cls is ChunkStep:
-                self._execute_chunk(step, result)
+                self.obs.inc("host.chunks", path="stream")
+                self._run_periods(step.stream, step.count)
             else:  # Loop
                 self._execute_loop(step, result)
 
-    def _execute_chunk(self, step: ChunkStep, result: ProgramResult) -> None:
-        stream = step.stream
+    def _run_periods(self, stream: CompiledStream, count: int) -> None:
+        """Replay ``count`` periods of ``stream``, split where a hook can act.
+
+        Without a quiet-period bound on the hook this is one
+        :meth:`_run_stream` call.  With one (PRAC), the first period runs
+        alone; the second, also alone, teaches the hook one period's
+        counter increments (its held-back predecessor is a whole period of
+        this stream with ``times == 1``).  From then on each multi-period
+        run stays within the hook's bound, whose own margin covers the
+        held-back predecessor, and is followed by one single period, which
+        emits the run's last session (held back with ``times = n - 1``)
+        before the bound is consulted again.  Where the bound allows fewer
+        than two periods, single periods run until the back-off fires at
+        its exact event.
+        """
         bank = self.module.bank(stream.bank)
-        trr = bank.trr
-        if trr is not None and not hasattr(trr, "on_act_stream"):
-            # hook needs per-command visibility (e.g. PRAC back-off)
-            self.obs.inc("host.chunks", path="unrolled")
-            self._execute(step.instructions, result)
+        hook = bank.trr
+        quiet_periods = getattr(hook, "quiet_periods", None)
+        if quiet_periods is None:
+            self._run_stream(bank, stream, count)
             return
-        self.obs.inc("host.chunks", path="stream")
-        self._run_stream(bank, stream, step.count)
+        self._run_stream(bank, stream, 1)
+        done = 1
+        increments = None
+        while done < count:
+            if increments is None:
+                increments = hook.period_increments(
+                    stream.bank, lambda: self._run_stream(bank, stream, 1)
+                )
+                done += 1
+                continue
+            n = max(1, min(count - done, quiet_periods(stream.bank, increments)))
+            self._run_stream(bank, stream, n)
+            done += n
+            if n > 1 and done < count:
+                self._run_stream(bank, stream, 1)
+                done += 1
 
     def _run_stream(self, bank, stream: CompiledStream, count: int) -> None:
         """Warm-up pass + one pass scaled by ``count - 1``; exact clocking.
@@ -320,12 +351,9 @@ class DramBenderHost:
         if self.scale_loops and self.compile_streams:
             stream = self._loop_stream(loop)
             if stream is not None:
-                bank = self.module.bank(stream.bank)
-                trr = bank.trr
-                if trr is None or hasattr(trr, "on_act_stream"):
-                    self.obs.inc("host.loops", path="stream")
-                    self._run_stream(bank, stream, loop.count)
-                    return
+                self.obs.inc("host.loops", path="stream")
+                self._run_periods(stream, loop.count)
+                return
         self.obs.inc("host.loops", path="unrolled")
         for _ in range(loop.count):
             self._execute(loop.body, result)

@@ -40,11 +40,18 @@ class TrrHook(Protocol):
     Hooks may optionally define ``on_event(bank, event, times)``; the bank
     then feeds them every completed
     :class:`~repro.dram.commands.ActivationEvent`, exposing the actual
-    activated row group (which the command bus hides for SiMRA).
+    activated row group (which the command bus hides for SiMRA).  Hooks
+    that can act between REFs (PRAC back-off) also define
+    ``period_increments`` and ``quiet_periods``, which the host uses to
+    split a compiled stream where such an action can fire.
     """
 
     def on_act(self, bank: int, row: int, now_ns: float) -> None:
         """Observe an ACT command (the sampler sees only command traffic)."""
+
+    def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
+        """Observe ``times`` repetitions of the ACT sequence ``rows`` at once,
+        exactly as that many sequential :meth:`on_act` calls would."""
 
     def on_ref(self, bank: int, now_ns: float) -> list[int]:
         """Observe a REF; return aggressor rows whose victims to refresh."""

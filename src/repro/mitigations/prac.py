@@ -166,12 +166,14 @@ class PracCounters:
     def record(self, rows: Sequence[int], op: OpClass, times: int = 1) -> float:
         """Account ``times`` repetitions of one operation touching ``rows``.
 
-        Returns the extra bank-blocking latency of the counter update
-        (zero for parallel organizations; one update's worth -- the
-        repetitions share the already-open counter word).
+        Returns the extra bank-blocking latency of the counter updates
+        (zero for parallel organizations), ``times`` updates' worth: the
+        totals equal ``times`` separate calls exactly, because the sums
+        are integer-valued.
         """
         config = self.config
-        weight = config.weight_for(op) * max(1, int(times))
+        reps = max(1, int(times))
+        weight = config.weight_for(op) * reps
         counters = self._counters
         get = counters.get
         initial = self._initial
@@ -185,11 +187,31 @@ class PracCounters:
             counters[row] = value
             if value > hottest:
                 hottest, hottest_row = value, row
-        self.stats["updates"] += len(rows)
+        self.stats["updates"] += len(rows) * reps
         if hottest >= config.rdt and self._pending_backoff is None:
             self._pending_backoff = BackOffEvent(self.bank, hottest_row, hottest)
             self.stats["backoffs"] += 1
-        return config.update_latency_ns(len(rows))
+        return config.update_latency_ns(len(rows)) * reps
+
+    def increments(self, run) -> Optional[dict[int, int]]:
+        """Per-row counter increments made while ``run()`` executes.
+
+        None when an RFM served meanwhile reset counters, which hides the
+        increments.
+        """
+        before = dict(self._counters)
+        rfms = self.stats["rfms"]
+        run()
+        if self.stats["rfms"] != rfms:
+            return None
+        out: dict[int, int] = {}
+        for row, value in self._counters.items():
+            old = before.get(row)
+            if old is None:
+                old = self._initial(row)
+            if value != old:
+                out[row] = value - old
+        return out
 
     def record_act(self, row: int) -> None:
         """Single-row ACT fast path for the memory-system hot loop.

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.attack import run_cell, run_gauntlet, synthesize_attacks
+from repro.bender.host import DramBenderHost
 from repro.core.scale import ExperimentScale
 from repro.dram.vendors import make_module
 
 SMOKE_BUDGET = ExperimentScale.smoke().attack_acts
+#: enough for a RowHammer aggressor to cross PRAC-WC's RDT of 4096
+PRAC_BUDGET = 9_000
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,26 @@ class TestHarness:
             ("sync-comra", "none"),
             ("sync-comra", "sampling-trr"),
         }
+
+    @pytest.mark.parametrize(
+        "mitigation", ["prac-po-naive", "prac-po-wc", "prac-ao-wc"]
+    )
+    def test_prac_cells_match_unrolled_host(
+        self, hynix_specs, mitigation, monkeypatch
+    ):
+        """PRAC cells replay on compiled streams, split at back-offs; the
+        reported row must equal the per-command interpreter's."""
+        for spec in hynix_specs.values():
+            rows = []
+            for compile_streams in (True, False):
+                monkeypatch.setattr(
+                    DramBenderHost, "default_compile_streams", compile_streams
+                )
+                rows.append(
+                    run_cell("hynix-a-8gb", spec, mitigation, PRAC_BUDGET).to_row()
+                )
+            assert rows[0] == rows[1], spec.name
+            assert rows[0]["rfms"] > 0, spec.name
 
     def test_unknown_names_fail_loudly(self):
         with pytest.raises(KeyError):

@@ -47,10 +47,53 @@ class TestPracHook:
         assert hook.counters(0).counter(group[0]) < 4096
 
     def test_times_multiplier_scales_weight(self):
+        """The host's scaled replay delivers one ``times=5`` event where
+        unrolled execution delivers five; every accounted total agrees."""
         module = make_module("hynix-a-8gb")
         hook = PracHook(module, PracConfig.po_weighted())
         hook.on_event(0, _event(ActivationEvent.Kind.COMRA_PAIR, (10, 12)), times=5.0)
         assert hook.counters(0).counter(10) == 5 * 10  # 5 x WEIGHT_COMRA
+
+        group = tuple(range(224, 240))
+        for config in (PracConfig.po_weighted(), PracConfig.ao_weighted()):
+            scaled = PracHook(module, config)
+            scaled.on_event(0, _event(ActivationEvent.Kind.SIMRA, group), times=5)
+            repeated = PracHook(module, config)
+            for _ in range(5):
+                repeated.on_event(0, _event(ActivationEvent.Kind.SIMRA, group))
+            for row in group:
+                assert (
+                    scaled.counters(0).counter(row)
+                    == repeated.counters(0).counter(row)
+                )
+            assert scaled.counters(0).stats["updates"] == 5 * len(group)
+            assert scaled.counters(0).stats == repeated.counters(0).stats
+            assert scaled.stats == repeated.stats
+        # AO serializes 15 counter updates per op at tRC each
+        assert scaled.stats["stall_ns"] == 5 * 15 * 48.0
+
+    def test_quiet_periods_bound(self):
+        module = make_module("hynix-a-8gb")
+        hook = PracHook(module, PracConfig.po_naive())  # RDT 20
+        hook.on_event(0, _event(ActivationEvent.Kind.SINGLE, (7,)), times=5)
+        # counter 5, +3 per period: (19 - 5) // 3 = 4 periods reach 17,
+        # less one for the held-back session
+        assert hook.quiet_periods(0, {7: 3}) == 3
+        # one period can carry row 8 from 0 to the RDT: not even one is quiet
+        assert hook.quiet_periods(0, {7: 3, 8: 20}) == -1
+
+    def test_period_increments_hidden_by_rfm(self):
+        module = make_module("hynix-a-8gb")
+        hook = PracHook(module, PracConfig.po_naive())
+        single = _event(ActivationEvent.Kind.SINGLE, (7,))
+        increments = hook.period_increments(
+            0, lambda: hook.on_event(0, single, times=3)
+        )
+        assert increments == {7: 3}
+        # the 20th activation crosses the RDT and resets the counter
+        assert hook.period_increments(
+            0, lambda: hook.on_event(0, single, times=17)
+        ) is None
 
     def test_ao_sequential_updates_cost_latency(self):
         module = make_module("hynix-a-8gb")

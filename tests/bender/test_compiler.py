@@ -133,7 +133,8 @@ class TestBuildPlan:
         covered = 0
         for step in plan:
             if isinstance(step, ChunkStep):
-                covered += len(step.instructions)
+                # chunked runs are NOP-free, so every command is an op
+                covered += len(step.stream.op_list) * step.count
             elif isinstance(step, RunStep):
                 covered += len(step.instructions)
             else:

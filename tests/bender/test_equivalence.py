@@ -6,7 +6,8 @@ pure per-instruction interpretation) and once on the default fast host.
 Victim bytes must be byte-identical, flip sets identical, TRR stats
 (including ``targeted_refreshes``, which depends on bit-exact sampler
 buffer state at every capable REF) identical, and the clock must land on
-the same nanosecond.
+the same nanosecond.  Every targeted refresh (TRR at a REF, PRAC back-off
+mid-stream) must hit the same rows at the same timestamp.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core import patterns
 from repro.disturbance import Mechanism
 from repro.dram import make_module
 from repro.mitigations.prac import PracConfig
+from repro.obs import Obs
 from repro.trr import SamplingTrr
 
 CONFIG = "hynix-a-8gb"
@@ -37,8 +39,18 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
     module = make_module(CONFIG)
     hook = hook_factory(module) if hook_factory else None
     module.attach_trr(hook)
+    bank = module.banks[0]
+    refreshes = []
+    refresh = bank.targeted_refresh
+
+    def logged_refresh(aggressors, now_ns):
+        refreshes.append((tuple(aggressors), now_ns))
+        refresh(aggressors, now_ns)
+
+    bank.targeted_refresh = logged_refresh
+    obs = Obs()
     host = DramBenderHost(
-        module, scale_loops=fast, compile_streams=fast
+        module, scale_loops=fast, compile_streams=fast, obs=obs
     )
     rows, expected = setup_rows(module)
     host.write_rows(0, {module.to_logical(r): d for r, d in rows.items()})
@@ -50,8 +62,11 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
         "data": read_back,
         "flips": _flip_bits(read_back, expected),
         "trr": dict(hook.stats) if hook is not None else None,
-        "bank": dict(module.banks[0].stats),
+        "bank": dict(bank.stats),
+        "refreshes": refreshes,
         "now_ns": host.now_ns,
+        "chunks": obs.by_label("host.chunks", "path"),
+        "loops": obs.by_label("host.loops", "path"),
     }
 
 
@@ -59,6 +74,7 @@ def _assert_equivalent(fast, ref):
     assert fast["now_ns"] == ref["now_ns"]
     assert fast["trr"] == ref["trr"]
     assert fast["bank"] == ref["bank"]
+    assert fast["refreshes"] == ref["refreshes"]
     assert fast["flips"] == ref["flips"]
     for row in ref["data"]:
         assert (fast["data"][row] == ref["data"][row]).all()
@@ -81,6 +97,12 @@ def _compare(program_factory, setup_rows, victims, hook_factory, rounds=1):
     fast = _execute(program_factory, setup_rows, victims, hook_factory, True, rounds)
     ref = _execute(program_factory, setup_rows, victims, hook_factory, False, rounds)
     _assert_equivalent(fast, ref)
+    if hook_factory in PRAC_HOOKS.values():
+        # back-offs fired, and the fast host never fell back to interpreting
+        assert fast["trr"]["rfms"] > 0
+        assert fast["chunks"].get("stream", 0) + fast["loops"].get("stream", 0) > 0
+        assert "unrolled" not in fast["chunks"]
+        assert "unrolled" not in fast["loops"]
     return fast
 
 
@@ -88,7 +110,39 @@ SAMPLING = lambda module: SamplingTrr(seed=0)  # noqa: E731
 WEIGHTED = lambda module: WeightedSamplingTrr(seed=0)  # noqa: E731
 
 
-@pytest.mark.parametrize("hook_factory", [None, SAMPLING], ids=["no-trr", "trr"])
+def _prac(config):
+    # warm counters reach the RDT within a short program
+    return lambda module: PracHook(module, config(), warm_start=True)
+
+
+PRAC_HOOKS = {
+    "prac-po-naive": _prac(PracConfig.po_naive),
+    "prac-po-wc": _prac(PracConfig.po_weighted),
+    "prac-ao-wc": _prac(PracConfig.ao_weighted),
+}
+#: PRAC refreshes the victims before HC_first, so PRAC cases hammer only
+#: this long: far enough to serve RFMs, short enough for the reference
+PRAC_HAMMERS = 6000
+
+
+def _hammers(oracle, hook_factory):
+    """Past HC_first so the comparison covers real flips (PRAC: capped)."""
+    count = int(oracle * 1.25)
+    if hook_factory in PRAC_HOOKS.values():
+        return min(count, PRAC_HAMMERS)
+    return count
+
+
+def _assert_flips(fast, hook_factory):
+    if hook_factory not in PRAC_HOOKS.values():
+        assert fast["flips"]  # the comparison must cover real bitflips
+
+
+@pytest.mark.parametrize(
+    "hook_factory",
+    [None, SAMPLING, *PRAC_HOOKS.values()],
+    ids=["no-trr", "trr", *PRAC_HOOKS],
+)
 class TestLoopBodies:
     """Classical RowHammer / RowPress / CoMRA / SiMRA loop programs."""
 
@@ -96,14 +150,14 @@ class TestLoopBodies:
         oracle = make_module(CONFIG).model.reference_hcfirst(
             0, VICTIM, Mechanism.ROWHAMMER
         )
-        count = int(oracle * 1.25)
+        count = _hammers(oracle, hook_factory)
         fast = _compare(
             lambda m: patterns.double_sided_rowhammer(m, VICTIM, count),
             _hammer_setup((-1, 1)),
             (VICTIM,),
             hook_factory,
         )
-        assert fast["flips"]  # the comparison must cover real bitflips
+        _assert_flips(fast, hook_factory)
 
     def test_rowpress(self, hook_factory):
         _compare(
@@ -130,7 +184,7 @@ class TestLoopBodies:
         pair = patterns.simra_pair_for(module, block_base, 4)
         victim = pair.sandwiched_victims()[0]
         oracle = module.model.reference_hcfirst(0, victim, Mechanism.SIMRA)
-        count = int(oracle * 1.25)
+        count = _hammers(oracle, hook_factory)
         fast = _compare(
             lambda m: patterns.simra_hammer(m, pair, count),
             _hammer_setup(
@@ -140,7 +194,7 @@ class TestLoopBodies:
             hook_factory,
         )
         assert fast["bank"]["simra_ops"] > 0
-        assert fast["flips"]
+        _assert_flips(fast, hook_factory)
 
 
 class TestFlatTrrPrograms:
@@ -208,18 +262,34 @@ class TestFlatTrrPrograms:
         )
         assert fast["trr"]["targeted_refreshes"] > 0
 
-    def test_prac_falls_back_to_unrolled(self):
-        """PRAC has no ``on_act_stream``; both sides must interpret, and
-        the fast host's fallback must not change a single stat."""
-        hook = lambda m: PracHook(m, PracConfig.po_naive())  # noqa: E731
-        fast = _compare(
-            lambda m: patterns.n_sided_trr_pattern(
+    @pytest.mark.parametrize("pattern", ["n-sided", "comra", "simra"])
+    @pytest.mark.parametrize("mitigation", PRAC_HOOKS)
+    def test_prac(self, mitigation, pattern):
+        """§8.2 PRAC over the same patterns: chunked windows replay in
+        segments, and every back-off lands where unrolled puts it."""
+        if pattern == "n-sided":
+            program = lambda m: patterns.n_sided_trr_pattern(  # noqa: E731
                 m, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
                 windows=2, dummy_windows=1,
-            ),
-            _hammer_setup((-1, 1, 30)),
-            (VICTIM,),
-            hook,
-            rounds=4,
-        )
-        assert fast["trr"]["acts_seen"] > 0
+            )
+            setup, victims = _hammer_setup((-1, 1, 30)), (VICTIM,)
+        elif pattern == "comra":
+            program = lambda m: patterns.comra_trr_pattern(  # noqa: E731
+                m, VICTIM, VICTIM + 30, dummy_windows=1
+            )
+            setup, victims = _hammer_setup((-1, 1, 30)), (VICTIM,)
+        else:
+            pair = patterns.simra_pair_for(
+                make_module(CONFIG), (VICTIM // 32) * 32, 4
+            )
+            victim = pair.sandwiched_victims()[0]
+            program = lambda m: patterns.simra_trr_pattern(  # noqa: E731
+                m, pair, victim + 40, dummy_windows=1
+            )
+            setup = _hammer_setup(
+                tuple(r - victim for r in pair.group) + (40,), (victim,), victim
+            )
+            victims = (victim,)
+        fast = _compare(program, setup, victims, PRAC_HOOKS[mitigation], rounds=6)
+        assert fast["chunks"]["stream"] > 0
+
