@@ -52,10 +52,9 @@ def test_sentinels_pin_minima_without_shifting_average(benchmark):
         module = make_module("hynix-a-8gb")
         session = CharacterizationSession(module, ExperimentScale.small())
         values = [
-            m.hc_first for m in (
-                session.measure_rowhammer_ds(v)
-                for v in session.candidate_victims()
-            ) if m.found
+            m.hc_first
+            for m in session.measure_rowhammer_ds(session.candidate_victims())
+            if m.found
         ]
         return values
 

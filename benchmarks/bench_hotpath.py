@@ -16,8 +16,8 @@ chunked replay) and the reference host (per-instruction interpretation):
   PRAC-PO-WC: compiled streams replayed in segments split where a
   back-off can fire, against per-command interpretation.
 * ``hcfirst_batch`` / ``comra_sweep`` -- the batched multi-victim probe
-  engine (``measure_many_*``) against the scalar per-victim session
-  loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
+  engine (one ``measure_*`` call over the victim list) against the
+  scalar per-victim session loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
   condition sweep respectively.
 
 Usage::
@@ -71,14 +71,13 @@ HAMMER_LOOP_FLOOR = 10.0
 
 #: acceptance floor on the batched multi-victim sweep.  The original goal
 #: was 5x, but that is unreachable without pessimizing the scalar
-#: reference; the damage-ledger rework and the compiled flat-probe
-#: replay kernel (DESIGN.md §12) land the honest measured ratio at
-#: ~2.6-2.8x at default scale.  The fast-side floor is per-unit
-#: translation plus the flip-realization epilogue, which only
-#: cross-unit vectorization of heterogeneous programs could amortize.
-#: The floor leaves headroom for slower CI hardware; DESIGN.md §11-12
-#: have the stage-by-stage cost breakdown (also emitted per run as the
-#: cell's ``stages_s`` field).
+#: reference; trace capture plus per-probe replay over the damage ledger
+#: (DESIGN.md §11-12) land the honest measured ratio at ~2.6-2.8x at
+#: default scale.  The fast side is bounded by per-unit translation and
+#: the interpreted per-op replay, which only cross-unit vectorization of
+#: the replay's ops could amortize.  The floor leaves headroom for
+#: slower CI hardware; DESIGN.md §11-12 have the stage-by-stage cost
+#: breakdown (also emitted per run as the cell's ``stages_s`` field).
 HCFIRST_BATCH_FLOOR = 1.8
 
 #: --check fails when a cell's speedup falls below baseline/REGRESSION_FACTOR
@@ -273,15 +272,15 @@ def bench_pud_reliability(smoke: bool, repeats: int) -> dict:
 def bench_hcfirst_batch(smoke: bool, repeats: int) -> dict:
     """Batched multi-victim HC_first sweep vs the scalar per-victim loop.
 
-    ``measure_many_rowhammer_ds`` over every candidate victim against the
+    ``measure_rowhammer_ds`` over every candidate victim against the
     same sweep with ``batch_probes=False`` (the exact scalar path, not a
     pessimized stand-in).  The scalar side is dominated by per-ACT
-    interpretation, which the compiled flat-probe kernel replaces with a
-    straight-line float program over ledger columns; the residue bounding
-    the ratio is per-unit translation plus the flip-realization epilogue.
-    The cell reports the fast side's per-stage split (``stages_s``, from
-    ``session.probe_stage_s``) -- see DESIGN.md §11-12 for the measured
-    breakdown.
+    interpretation, which trace replay replaces with direct re-application
+    of each probe's resolved deposit plans; the residue bounding the
+    ratio is per-unit translation plus the per-op replay itself.  The
+    cell reports the fast side's per-stage split (``stages_s``, from the
+    ``probe.stage.*`` timers of its obs snapshot) -- see DESIGN.md §11-12
+    for the measured breakdown.
     """
     from repro.core import CharacterizationSession, ExperimentScale
 
@@ -290,36 +289,38 @@ def bench_hcfirst_batch(smoke: bool, repeats: int) -> dict:
     # too little batch parallelism to measure anything meaningful
     scale = ExperimentScale.default()
 
-    def run(batched: bool) -> tuple[dict, dict]:
+    def run(batched: bool) -> dict:
         # the fast side is timed WITH a live obs registry attached -- the
         # acceptance bar is that enabled metrics cost <=2% on this cell
         obs = Obs() if batched else None
         session = CharacterizationSession(make_module(CONFIG), scale, obs=obs)
         session.batch_probes = batched
-        if batched:
-            session.probe_stage_s = {}
         victims = session.candidate_victims()
         if batched:
-            session.measure_many_rowhammer_ds(victims)
-            return session.probe_stage_s, obs.snapshot()
+            session.measure_rowhammer_ds(victims)
+            return obs.snapshot()
         for v in victims:
-            session.measure_rowhammer_ds(v)
-        return {}, {}
+            session.measure_rowhammer_ds([v])
+        return {}
 
     # hand-rolled best-of so the reported stage split and obs snapshot
     # come from the same iteration as the reported wall time
     fast_s = float("inf")
-    stages: dict = {}
     snapshot: dict = {}
     for _ in range(repeats):
         start = time.perf_counter()
-        run_stages, run_obs = run(True)
+        run_obs = run(True)
         elapsed = time.perf_counter() - start
         if elapsed < fast_s:
             fast_s = elapsed
-            stages = run_stages
             snapshot = run_obs
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
+    prefix = "probe.stage."
+    stages = {
+        name[len(prefix):]: timer["total_s"]
+        for name, timer in snapshot["timers"].items()
+        if name.startswith(prefix)
+    }
     engine_s = sum(stages.values())
     return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
             "stages_s": {
@@ -333,9 +334,9 @@ def bench_hcfirst_batch(smoke: bool, repeats: int) -> dict:
 def bench_comra_sweep(smoke: bool, repeats: int) -> dict:
     """A fig09-style CoMRA condition sweep, batched vs scalar.
 
-    Each PRE-to-ACT delay is one ``measure_many_comra_ds`` call on the
-    fast side and a per-victim ``measure_comra_ds`` loop on the reference
-    side -- the experiment-loop shape comra.py runs after the migration.
+    Each PRE-to-ACT delay is one ``measure_comra_ds`` call over the
+    victim list on the fast side and a per-victim loop of one-victim
+    calls on the reference side -- the experiment-loop shape comra.py runs after the migration.
     """
     from repro.core import CharacterizationSession, ExperimentScale
 
@@ -355,11 +356,11 @@ def bench_comra_sweep(smoke: bool, repeats: int) -> dict:
         for delay in delays:
             if batched:
                 out.extend(
-                    session.measure_many_comra_ds(victims, pre_to_act_ns=delay)
+                    session.measure_comra_ds(victims, pre_to_act_ns=delay)
                 )
             else:
                 out.extend(
-                    session.measure_comra_ds(v, pre_to_act_ns=delay)
+                    session.measure_comra_ds([v], pre_to_act_ns=delay)[0]
                     for v in victims
                 )
         return out

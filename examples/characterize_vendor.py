@@ -26,9 +26,8 @@ def main() -> None:
 
         # data-pattern sweep (Fig. 5)
         by_pattern = defaultdict(list)
-        for victim in victims:
-            for pattern in ALL_PATTERNS:
-                m = session.measure_comra_ds(victim, pattern=pattern)
+        for pattern in ALL_PATTERNS:
+            for m in session.measure_comra_ds(victims, pattern=pattern):
                 if m.found:
                     by_pattern[pattern.value].append(m.hc_first)
         print("  CoMRA HC_first by aggressor pattern (mean):")
@@ -43,8 +42,7 @@ def main() -> None:
         for temperature in (50.0, 80.0):
             session.set_temperature(temperature)
             values = [
-                m.hc_first for m in (session.measure_comra_ds(v) for v in victims)
-                if m.found
+                m.hc_first for m in session.measure_comra_ds(victims) if m.found
             ]
             print(f"    {temperature:.0f} degC: {np.mean(values):>10.0f}")
         session.set_temperature(80.0)

@@ -23,9 +23,12 @@ def main() -> None:
 
     victims = session.candidate_victims()[:5]
     print(f"{'victim':>8} {'region':>18} {'RowHammer':>10} {'CoMRA':>10} {'gain':>7}")
-    for victim in victims:
-        rowhammer = session.measure_rowhammer_ds(victim)
-        comra = session.measure_comra_ds(victim)
+    # each call measures the whole victim list in one batch
+    for victim, rowhammer, comra in zip(
+        victims,
+        session.measure_rowhammer_ds(victims),
+        session.measure_comra_ds(victims),
+    ):
         if not (rowhammer.found and comra.found):
             continue
         gain = rowhammer.hc_first / comra.hc_first
@@ -36,8 +39,9 @@ def main() -> None:
 
     print("\nSiMRA (simultaneous 4-row activation), double-sided groups:")
     best = None
-    for pair in session.sample_simra_pairs(4)[:4]:
-        for measurement in session.measure_simra_ds(pair, max_victims=1):
+    pairs = session.sample_simra_pairs(4)[:4]
+    for pair, group in zip(pairs, session.measure_simra_ds(pairs, max_victims=1)):
+        for measurement in group:
             if measurement.found:
                 print(
                     f"  group {pair.group}: victim {measurement.victim} "

@@ -11,9 +11,9 @@ Quick start::
 
     module = make_module("hynix-a-8gb")
     session = CharacterizationSession(module, ExperimentScale.small())
-    victim = session.candidate_victims()[0]
-    print(session.measure_rowhammer_ds(victim))
-    print(session.measure_comra_ds(victim))
+    victims = session.candidate_victims()[:3]
+    print(session.measure_rowhammer_ds(victims))
+    print(session.measure_comra_ds(victims))
 """
 
 from .core import (

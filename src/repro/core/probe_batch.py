@@ -78,7 +78,7 @@ from ..bender.compiler import CompiledStream, compile_stream
 from ..bender.host import write_data_at_ns, write_stride_ns
 from ..bender.program import Act, Instruction, Loop, Rd, Ref, Wr
 from ..disturbance.ledger import N_POOLS
-from ..disturbance.model import SYNERGY_HIT_WINDOW, classify_pattern
+from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
 from ..dram.errors import DramError
@@ -275,10 +275,6 @@ class _Trace:
     #: the prologue refreshes their version guard in place instead of
     #: letting each take a guard miss (and a pattern lookup) per probe
     prologue_meta: list = field(default_factory=list)
-    #: straight-line ledger program compiled from the prologue + hammer
-    #: segments (:class:`_FlatProbe`); None = not compiled yet, False =
-    #: ineligible (copy ops, unbounded touch escalation, ...)
-    flat: object = None
 
 
 def _prologue_meta(bank, unit: "_BatchedUnit", segments, epilogue) -> list:
@@ -377,292 +373,6 @@ def _shift_plan_key(key: tuple, delta: int, pattern) -> tuple:
         r + delta for r in key[2]
     )
     return (key[0], key[1], target, key[3], pattern, shifted_tk)
-
-
-class _FlatProbe:
-    """Straight-line ledger program for one trace's prologue + segments.
-
-    ``_replay_probe_fast`` interprets the trace op-by-op: every probe
-    re-walks the same restores and deposit plans, re-deciding the same
-    synergy windows and re-summing the same touch guards.  All of that
-    is structurally constant across probes of one shape -- the only live
-    inputs are the probe count (through the scaled pass's
-    ``times = count - 1`` damage multiplier) and the hit/side ordinals
-    carried in from earlier probes.  The compiler symbolically executes
-    the prologue and hammer segments once and emits the *final* effect
-    per (slot, pool) as a short op stream; replay runs the streams and
-    writes the int bookkeeping in closed form, then hands the epilogue
-    (victim read-back, flip realization) to the interpreter unchanged.
-
-    Bit-identity: every float is produced by the same arithmetic ops in
-    the same order as the interpreter would execute them -- const terms
-    are folded at compile time with the identical add sequence, linear
-    terms recompute ``inc * (times / penalty)`` per application (with
-    ``penalty = 1.0`` for synergetic hits; ``x / 1.0 == x`` exactly),
-    and a slot wipe zeroes all :data:`N_POOLS` pools, which equals the
-    reference's order-only wipe because a pool absent from
-    ``pool_order`` is always exactly ``0.0``.
-
-    Synergy decisions whose "other side" ordinal predates the probe are
-    *carried*: they are resolved at replay time from the live
-    ``hits``/``side`` arrays (read before the closed-form finals are
-    applied, so they observe probe-start state exactly like the
-    interpreter's first applications would).
-
-    Replay preconditions (checked before any mutation; a miss returns
-    None and the caller falls back to the interpreter, which self-heals
-    versions and guards):
-
-    - ``count >= 2`` (the compile assumes warm + scaled passes run),
-    - no pending held-back session on the bank,
-    - every segment event entry's plan object and data version are the
-      ones the program was compiled against,
-    - every prologue row has a recorded close (steady write shape) and
-      snapshot-consistent data version,
-    - every mid-trace touch stays below the damage guard, via the
-      conservative bound ``const + coef * (count - 1) < 0.995``.
-    """
-
-    __slots__ = (
-        "entries", "prologue_rows", "touch_checks", "wiped_assigns",
-        "rmw_ops", "orders_replace", "orders_append", "wiped_slots",
-        "hit_finals", "touch_times", "preset_of",
-        "stats_const_items", "stats_linear_items",
-    )
-
-
-def _compile_flat(trace: _Trace, unit, timing) -> Optional["_FlatProbe"]:
-    """Symbolically execute ``trace``'s prologue + segments into a
-    :class:`_FlatProbe`, or None when an op defeats static analysis
-    (copy ops, touches of never-wiped rows, count-dependent retention
-    gaps, SiMRA entries without plans)."""
-    t_rp = timing.tRP
-    t_wr_at = write_data_at_ns(timing)
-    stride = write_stride_ns(timing)
-
-    entries: list = []
-    seen_entries: set = set()
-    hit_delta: dict = {}
-    side_rel: dict = {}
-    pools: dict = {}        # slot -> {pool: [stream elements]} post-wipe
-    pool_first: dict = {}   # slot -> first-use pool order post-wipe
-    wiped: set = set()
-    touch_checks: list = []
-    touch_times: dict = {}  # zip segment index -> {row: (scaled?, off)}
-    last_restore_rel: dict = {}  # row -> (const_ns, per-count_ns)
-
-    def wipe(slot: int) -> None:
-        pools[slot] = {}
-        pool_first[slot] = []
-        wiped.add(slot)
-
-    def sim_apply(plan: list, times: Optional[float]) -> None:
-        # ``times`` literal, or None for the scaled pass's ``count - 1``
-        for slot, side, p_dom, p_oth, inc_dom, inc_oth, pen in plan:
-            n = hit_delta.get(slot, 0) + 1
-            hit_delta[slot] = n
-            sr = side_rel.get(slot)
-            if sr is None:
-                sr = side_rel[slot] = [None, None]
-            carried = None
-            syn = True
-            if side is None:
-                sr[0] = n
-                sr[1] = n
-            else:
-                if side < 0:
-                    other = sr[1]
-                    sr[0] = n
-                    other_abs = slot + slot + 1
-                else:
-                    other = sr[0]
-                    sr[1] = n
-                    other_abs = slot + slot
-                if other is None:
-                    carried = (n, other_abs)
-                else:
-                    syn = n - other <= SYNERGY_HIT_WINDOW
-            slot_pools = pools.get(slot)
-            if slot_pools is None:
-                slot_pools = pools[slot] = {}
-                pool_first[slot] = []
-            first = pool_first[slot]
-            for pool, inc in ((p_dom, inc_dom), (p_oth, inc_oth)):
-                st = slot_pools.get(pool)
-                if st is None:
-                    st = slot_pools[pool] = []
-                if pool not in first:
-                    first.append(pool)
-                if times is None:
-                    if carried is not None:
-                        st.append((3, inc, pen, slot, carried[0], carried[1]))
-                    elif syn:
-                        st.append((1, inc, 1.0))
-                    else:
-                        st.append((1, inc, pen))
-                else:
-                    if carried is not None:
-                        st.append((2, inc * times, inc * (times / pen),
-                                   slot, carried[0], carried[1]))
-                    elif syn:
-                        st.append((0, inc * times))
-                    else:
-                        st.append((0, inc * (times / pen)))
-
-    snap_rows: set = set(unit.snapshot.rows)
-    image_patterns = unit.image_patterns
-    images = unit.snapshot.images
-    preset_of: dict = {}
-
-    def sim_ops(ops: list, bc: float, bk: float, si: int, scaled: bool) -> bool:
-        for op in ops:
-            tag = op[0]
-            if tag == "event":
-                entry = op[1]
-                if entry.plan is None:
-                    return False
-                if id(entry) not in seen_entries:
-                    seen_entries.add(id(entry))
-                    row0 = entry.row0
-                    # an entry whose pattern matches its row's snapshot
-                    # image stays valid across a prologue image restore
-                    # (the restore refreshes its version guard); other
-                    # entries pin the replay to an unchanged version
-                    image_ok = False
-                    if row0 in snap_rows:
-                        pat = image_patterns.get(row0)
-                        if pat is None and row0 not in image_patterns:
-                            pat = classify_pattern(images[row0])
-                            image_patterns[row0] = pat
-                        image_ok = entry.pattern == pat
-                        if image_ok:
-                            preset_of.setdefault(row0, []).append(entry)
-                    entries.append((entry, entry.plan, image_ok))
-                sim_apply(entry.plan, None if entry.scaled else entry.times)
-            elif tag == "touch":
-                row, off, slot, retention = op[1], op[2], op[3], op[4]
-                # only rows wiped earlier in the trace: their guard sum
-                # has no carried component, so the bound below is exact
-                if slot not in wiped:
-                    return False
-                lr = last_restore_rel.get(row)
-                if lr is None:
-                    return False
-                tc = bc + off
-                if bk - lr[1] != 0.0 or tc - lr[0] > 0.98 * retention:
-                    return False
-                cst = 0.0
-                coef = 0.0
-                for st in pools[slot].values():
-                    for el in st:
-                        kind = el[0]
-                        if kind == 0:
-                            cst += el[1]
-                        elif kind == 2:
-                            cst += el[1] if el[1] >= el[2] else el[2]
-                        elif el[2] >= 1.0:
-                            coef += el[1]
-                        else:
-                            coef += el[1] / el[2]
-                touch_checks.append((cst, coef))
-                wipe(slot)
-                last_restore_rel[row] = (tc, bk)
-                touch_times.setdefault(si, {})[row] = (scaled, off)
-            else:
-                return False
-        return True
-
-    # prologue: write events interleaved one row late, steady entries
-    # only (a replay precondition pins every row into last_close)
-    prologue_rows: list = []
-    c = 0.0
-    pending = None
-    for (row, slot, _preset), pair in zip(trace.prologue_meta, trace.prologue):
-        if pending is not None:
-            sim_apply(pending.plan, pending.times)
-        pending = pair[0]
-        if pending.plan is None:
-            return None
-        prologue_rows.append(row)
-        last_restore_rel[row] = (c + t_wr_at, 0.0)
-        wipe(slot)
-        c += stride
-    if pending is not None:
-        sim_apply(pending.plan, pending.times)
-
-    k = 0.0
-    for si, ((stream, fixed), (warm_ops, scaled_ops)) in enumerate(
-        zip(unit.loops, trace.segments)
-    ):
-        if fixed is not None and fixed <= 0:
-            continue
-        duration = stream.duration_ns
-        if not sim_ops(warm_ops, c, k, si, False):
-            return None
-        if fixed is None or fixed > 1:
-            if not sim_ops(scaled_ops, c + duration, k, si, True):
-                return None
-        if fixed is None:
-            k += duration
-        else:
-            c += duration * fixed
-
-    wiped_assigns: list = []
-    rmw_ops: list = []
-    for slot, slot_pools in pools.items():
-        base = slot * N_POOLS
-        if slot in wiped:
-            # a wipe zeroes the whole slot row (pools outside pool_order
-            # are already exactly 0.0), so every pool gets an assign;
-            # the leading const adds fold into the assigned value with
-            # the interpreter's own add sequence
-            for pool in range(N_POOLS):
-                st = slot_pools.get(pool, ())
-                prefix = 0.0
-                j = 0
-                while j < len(st) and st[j][0] == 0:
-                    prefix = prefix + st[j][1]
-                    j += 1
-                wiped_assigns.append((base + pool, prefix, tuple(st[j:])))
-        else:
-            for pool, st in slot_pools.items():
-                rmw_ops.append((base + pool, tuple(st)))
-
-    flat = _FlatProbe()
-    flat.entries = tuple(entries)
-    flat.prologue_rows = tuple(prologue_rows)
-    flat.touch_checks = tuple(touch_checks)
-    flat.wiped_assigns = tuple(wiped_assigns)
-    flat.rmw_ops = tuple(rmw_ops)
-    flat.orders_replace = tuple(
-        (slot, tuple(pool_first[slot])) for slot in pools if slot in wiped
-    )
-    flat.orders_append = tuple(
-        (slot, tuple(pool_first[slot]))
-        for slot in pools
-        if slot not in wiped and pool_first[slot]
-    )
-    flat.wiped_slots = tuple(wiped)
-    flat.hit_finals = tuple(
-        (
-            slot,
-            n,
-            tuple(
-                (slot + slot + s, rel)
-                for s, rel in enumerate(side_rel.get(slot, ()))
-                if rel is not None
-            ),
-        )
-        for slot, n in hit_delta.items()
-    )
-    flat.touch_times = {
-        si: tuple((row, sf, off) for row, (sf, off) in rows.items())
-        for si, rows in touch_times.items()
-    }
-    flat.preset_of = {row: tuple(es) for row, es in preset_of.items()}
-    flat.stats_const_items = tuple(trace.stats_const.items())
-    flat.stats_linear_items = tuple(trace.stats_linear.items())
-    return flat
 
 
 def _shape_signature(
@@ -974,21 +684,17 @@ class BatchedSearchEngine:
         max_hammers: int = DEFAULT_MAX_HAMMERS,
         convergence: float = CONVERGENCE,
         initial_guess: int = 1024,
-        stage_s: Optional[dict] = None,
         obs=None,
     ) -> None:
         if not setups:
             raise ValueError("no probe setups")
-        #: per-stage wall-time accumulator (seconds), or None to skip the
-        #: clock reads; keys: translate / capture / replay_snapshot /
-        #: replay_kernel (see :func:`run_batched_searches`)
-        self.stage_s = stage_s
         #: metrics registry; the default no-op registry keeps the probe
         #: loop overhead at one empty method call per probe
         self.obs = obs if obs is not None else NULL_OBS
-        #: why the last flat replay attempt bailed (set by
-        #: :meth:`_replay_probe_flat` before each ``return None``)
-        self._flat_miss: Optional[str] = None
+        #: per-stage wall time in seconds (capture / translate /
+        #: replay_snapshot / replay_kernel), accumulated only when the
+        #: registry records; None skips the clock reads entirely
+        self.stages: Optional[dict] = {} if self.obs.enabled else None
         module = setups[0].module
         bank_index = setups[0].bank
         for setup in setups:
@@ -1208,70 +914,48 @@ class BatchedSearchEngine:
         assert unit is not None
         bank = self.bank
         obs = self.obs
-        if unit.fast_allowed:
-            sig = _shape_signature(unit.loops, count)
-            trace = unit.traces.get(sig)
-            if trace is not None:
-                if trace.temperature_c == bank.temperature_c:
-                    flat = trace.flat
-                    if flat is None:
-                        flat = _compile_flat(trace, unit, self.module.timing)
-                        trace.flat = flat if flat is not None else False
-                    if flat:
-                        result = self._replay_probe_flat(
-                            i, count, trace, flat
-                        )
-                        if result is not None:
-                            obs.inc("probe.probes", path="flat")
-                            return result
-                        obs.inc("probe.probes", path="interp",
-                                reason=self._flat_miss or "unknown")
-                    else:
-                        obs.inc("probe.probes", path="interp",
-                                reason="flat_uncompilable")
-                    return self._replay_probe_fast(i, count, trace)
-                unit.traces.clear()
-            donor = self._donor[i]
-            if donor is not None:
-                r, delta, pi = donor
-                donor_unit = self.units[r]
-                donor_trace = (
-                    donor_unit.traces.get(sig)
-                    if donor_unit is not None and donor_unit.fast_allowed
-                    else None
-                )
-                if (
-                    donor_trace is not None
-                    and donor_trace.temperature_c == bank.temperature_c
-                ):
-                    timers = self.stage_s
-                    if timers is None:
-                        trace = self._translate_trace(
-                            donor_trace, delta, unit, pi
-                        )
-                    else:
-                        t0 = perf_counter()
-                        trace = self._translate_trace(
-                            donor_trace, delta, unit, pi
-                        )
-                        timers["translate"] = (
-                            timers.get("translate", 0.0) + perf_counter() - t0
-                        )
-                    unit.traces[sig] = trace
-                    obs.inc("probe.probes", path="interp", reason="translated")
-                    return self._replay_probe_fast(i, count, trace)
-            obs.inc("probe.probes", path="capture")
-            timers = self.stage_s
-            if timers is None:
-                return self._capture_probe(i, count, sig)
-            t0 = perf_counter()
-            result = self._capture_probe(i, count, sig)
-            timers["capture"] = (
-                timers.get("capture", 0.0) + perf_counter() - t0
+        if not unit.fast_allowed:
+            obs.inc("probe.probes", path="slow")
+            return self._replay_probe(i, count)
+        stages = self.stages
+        sig = _shape_signature(unit.loops, count)
+        trace = unit.traces.get(sig)
+        if trace is not None and trace.temperature_c != bank.temperature_c:
+            unit.traces.clear()
+            trace = None
+        donor = self._donor[i] if trace is None else None
+        if donor is not None:
+            r, delta, pi = donor
+            donor_unit = self.units[r]
+            donor_trace = (
+                donor_unit.traces.get(sig)
+                if donor_unit is not None and donor_unit.fast_allowed
+                else None
             )
+            if (
+                donor_trace is not None
+                and donor_trace.temperature_c == bank.temperature_c
+            ):
+                t0 = perf_counter() if stages is not None else 0.0
+                trace = self._translate_trace(donor_trace, delta, unit, pi)
+                if stages is not None:
+                    self._charge_stage("translate", t0)
+                unit.traces[sig] = trace
+        if trace is None:
+            obs.inc("probe.probes", path="capture")
+            t0 = perf_counter() if stages is not None else 0.0
+            result = self._capture_probe(i, count, sig)
+            if stages is not None:
+                self._charge_stage("capture", t0)
             return result
-        obs.inc("probe.probes", path="slow")
-        return self._replay_probe(i, count)
+        obs.inc("probe.probes", path="interp")
+        return self._replay_probe_fast(i, count, trace)
+
+    def _charge_stage(self, key: str, t0: float) -> float:
+        """Add the time since ``t0`` to stage ``key``; returns the clock."""
+        now = perf_counter()
+        self.stages[key] = self.stages.get(key, 0.0) + now - t0
+        return now
 
     def _replay_probe(self, i: int, count: int, capture=None) -> ProbeResult:
         unit = self.units[i]
@@ -1768,251 +1452,6 @@ class BatchedSearchEngine:
             entry.version = version
         bank.model._apply_plan(entry.plan, times)
 
-    def _replay_probe_flat(
-        self, i: int, count: int, trace: _Trace, flat: _FlatProbe
-    ) -> Optional[ProbeResult]:
-        """Replay a probe through its compiled ledger program.
-
-        Bit-identical to :meth:`_replay_probe_fast` on the same trace by
-        construction (see :class:`_FlatProbe`); returns None when a
-        replay precondition misses -- recording which guard missed in
-        ``self._flat_miss`` -- in which case the caller runs the
-        interpreter (which self-heals the guards for the next probe).
-        """
-        if count < 2:
-            self._flat_miss = "count_lt_2"
-            return None
-        bank = self.bank
-        if bank._pending is not None:
-            self._flat_miss = "pending_session"
-            return None
-        unit = self.units[i]
-        assert unit is not None
-        bank_versions = bank._data_version
-        dv_get = bank_versions.get
-        snapshot = unit.snapshot
-        versions = snapshot.versions
-        last_close = bank._last_close
-        need = None
-        for row in flat.prologue_rows:
-            if row not in last_close:
-                self._flat_miss = "no_recorded_close"
-                return None
-            if dv_get(row, 0) != versions.get(row):
-                if need is None:
-                    need = [row]
-                else:
-                    need.append(row)
-        for e, p, image_ok in flat.entries:
-            if e.plan is not p:
-                # a pattern move re-resolved this entry's plan after the
-                # compile; drop the program and recompile next probe
-                trace.flat = None
-                self._flat_miss = "plan_moved"
-                return None
-            if need is not None and e.row0 in need:
-                # the prologue image restore below revalidates it
-                if not image_ok:
-                    self._flat_miss = "version_guard"
-                    return None
-            elif dv_get(e.row0, 0) != e.version:
-                self._flat_miss = "version_guard"
-                return None
-        t = count - 1.0
-        for cst, coef in flat.touch_checks:
-            if cst + coef * t >= 0.995:
-                self._flat_miss = "touch_guard"
-                return None
-        timers = self.stage_s
-        t_stage = perf_counter() if timers is not None else 0.0
-        if need is not None:
-            # the interpreter prologue's restore branch: put the image
-            # back and refresh the version guards of image-patterned
-            # entries (other entries re-guard through _fast_event)
-            images = snapshot.images
-            preset_of = flat.preset_of
-            for row in need:
-                bank._row_data(row)[:] = images[row]
-                bank._bump_version(row)
-                version = bank_versions[row]
-                versions[row] = version
-                for entry in preset_of.get(row, ()):
-                    entry.version = version
-        model = bank.model
-        led = model.ledger
-        dmg = led.dmg
-        hits_mv = led.hits_mv
-        side_mv = led.side_mv
-        # float program: carried synergy decisions read the pre-probe
-        # hits/side ordinals, so they run before the int finals below
-        for idx, x, rest in flat.wiped_assigns:
-            for el in rest:
-                kind = el[0]
-                if kind == 1:
-                    x = x + el[1] * (t / el[2])
-                elif kind == 0:
-                    x = x + el[1]
-                elif kind == 2:
-                    x = x + (
-                        el[1]
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    )
-                else:
-                    x = x + el[1] * (t / (
-                        1.0
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    ))
-            dmg[idx] = x
-        for idx, st in flat.rmw_ops:
-            x = dmg[idx]
-            for el in st:
-                kind = el[0]
-                if kind == 1:
-                    x = x + el[1] * (t / el[2])
-                elif kind == 0:
-                    x = x + el[1]
-                elif kind == 2:
-                    x = x + (
-                        el[1]
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    )
-                else:
-                    x = x + el[1] * (t / (
-                        1.0
-                        if hits_mv[el[3]] + el[4] - side_mv[el[5]]
-                        <= SYNERGY_HIT_WINDOW
-                        else el[2]
-                    ))
-            dmg[idx] = x
-        pool_order = led.pool_order
-        for slot, pl in flat.orders_replace:
-            order = pool_order[slot]
-            if order:
-                order.clear()
-            if pl:
-                order.extend(pl)
-        for slot, pl in flat.orders_append:
-            order = pool_order[slot]
-            for p in pl:
-                if p not in order:
-                    order.append(p)
-        flips_mv = led.flips_mv
-        flipped = led.flipped
-        for slot in flat.wiped_slots:
-            s2 = slot + slot
-            flips_mv[s2] = 0
-            flips_mv[s2 + 1] = 0
-            cells = flipped[slot]
-            if cells:
-                cells.clear()
-        for slot, n, sides in flat.hit_finals:
-            h0 = hits_mv[slot]
-            hits_mv[slot] = h0 + n
-            for ai, rel in sides:
-                side_mv[ai] = h0 + rel
-        # time bookkeeping, with the interpreter's exact float sequences
-        timing = self.module.timing
-        t_rp = timing.tRP
-        t_wr_at = write_data_at_ns(timing)
-        stride = write_stride_ns(timing)
-        last_restore = bank._last_restore
-        frac = bank._frac
-        tt = self.clock
-        for row in flat.prologue_rows:
-            last_restore[row] = tt + t_wr_at
-            frac.discard(row)
-            last_close[row] = tt + stride
-            tt += stride
-        victim = unit.victim
-        victim_version = (
-            dv_get(victim, 0) if trace.flips_by_version else None
-        )
-        touch_times = flat.touch_times
-        for si, (stream, fixed) in enumerate(unit.loops):
-            loop_count = count if fixed is None else fixed
-            if loop_count <= 0:
-                continue
-            rows = touch_times.get(si)
-            if rows is not None:
-                duration = stream.duration_ns
-                scaled_base = tt + duration
-                for row, sf, off in rows:
-                    last_restore[row] = (scaled_base if sf else tt) + off
-            tt = tt + stream.duration_ns * loop_count
-        # epilogue: the interpreter's op loop verbatim (victim flush and
-        # read-back can realize flips, which the program cannot express)
-        apply_plan = model._apply_plan
-        fast_event = self._fast_event
-        restore_full = bank._restore_row
-        for op in trace.epilogue:
-            tag = op[0]
-            if tag == "event":
-                entry = op[1]
-                times = t if entry.scaled else entry.times
-                if dv_get(entry.row0, 0) == entry.version:
-                    apply_plan(entry.plan, times)
-                else:
-                    fast_event(entry, times)
-            elif tag == "touch":
-                row = op[1]
-                tcur = tt + op[2]
-                last = last_restore.get(row)
-                if last is not None and tcur - last > op[4]:
-                    restore_full(row, tcur)
-                    continue
-                slot = op[3]
-                order = pool_order[slot]
-                if order:
-                    pool_base = slot * N_POOLS
-                    total = 0.0
-                    for pool in order:
-                        total += dmg[pool_base + pool]
-                    if total >= 0.999:
-                        restore_full(row, tcur)
-                        continue
-                    for pool in order:
-                        dmg[pool_base + pool] = 0.0
-                    order.clear()
-                s2 = slot + slot
-                flips_mv[s2] = 0
-                flips_mv[s2 + 1] = 0
-                cells = flipped[slot]
-                if cells:
-                    cells.clear()
-                last_restore[row] = tcur
-            else:  # copy
-                bank._row_data(op[2])[:] = bank._row_data(op[1])
-                bank._bump_version(op[2])
-        if (
-            victim_version is not None
-            and dv_get(victim, 0) == victim_version
-        ):
-            flips = 0
-        else:
-            flips = count_flips(bank._row_data(victim), unit.expected)
-        t_close = tt + t_rp + timing.tRAS
-        last_close[victim] = t_close
-        bank._last_pre_ns = t_close
-        stats = bank.stats
-        for key, value in flat.stats_const_items:
-            stats[key] += value
-        for key, value in flat.stats_linear_items:
-            stats[key] += value * (count - 1)
-        self.clock = t_close
-        if timers is not None:
-            timers["replay_kernel"] = (
-                timers.get("replay_kernel", 0.0) + perf_counter() - t_stage
-            )
-        return ProbeResult(
-            count, flips, (victim,) if flips else ()
-        )
-
     def _replay_probe_fast(
         self, i: int, count: int, trace: _Trace
     ) -> ProbeResult:
@@ -2024,8 +1463,8 @@ class BatchedSearchEngine:
         bank = self.bank
         model = bank.model
         timing = self.module.timing
-        timers = self.stage_s
-        t_stage = perf_counter() if timers is not None else 0.0
+        stages = self.stages
+        t_stage = perf_counter() if stages is not None else 0.0
         T = self.clock
         if bank._pending is not None:
             # a scalar-fallback neighbor probe left a session held back
@@ -2081,12 +1520,8 @@ class BatchedSearchEngine:
             t += stride
         if pending_entry is not None:
             apply_plan(pending_entry.plan, pending_entry.times)
-        if timers is not None:
-            now = perf_counter()
-            timers["replay_snapshot"] = (
-                timers.get("replay_snapshot", 0.0) + now - t_stage
-            )
-            t_stage = now
+        if stages is not None:
+            t_stage = self._charge_stage("replay_snapshot", t_stage)
         victim = unit.victim
         # after the restore pass the victim's data equals its snapshot
         # image; if no later op moves its version, the read-back below is
@@ -2178,10 +1613,8 @@ class BatchedSearchEngine:
             for key, value in trace.stats_linear.items():
                 stats[key] += value * (count - 1)
         self.clock = t_close
-        if timers is not None:
-            timers["replay_kernel"] = (
-                timers.get("replay_kernel", 0.0) + perf_counter() - t_stage
-            )
+        if stages is not None:
+            self._charge_stage("replay_kernel", t_stage)
         return ProbeResult(
             count, flips, (victim,) if flips else ()
         )
@@ -2254,7 +1687,6 @@ def run_batched_searches(
     max_hammers: int = DEFAULT_MAX_HAMMERS,
     convergence: float = CONVERGENCE,
     initial_guess: int = 1024,
-    stage_s: Optional[dict] = None,
     obs=None,
 ) -> list[HcFirstResult]:
     """Run many single-victim HC_first searches with fused batched probes.
@@ -2264,40 +1696,29 @@ def run_batched_searches(
     order; setups that cannot take the fused path run the scalar search in
     their component slot.
 
-    ``stage_s`` (when a dict) accumulates per-stage wall time in
-    seconds under the keys ``capture`` (tap-instrumented probes through
-    the command pipeline), ``translate`` (trace translation onto shifted
-    units), ``replay_snapshot`` (fast-replay prologue: snapshot restore
-    and ledger bookkeeping) and ``replay_kernel`` (fast-replay hammer
-    segments and epilogue: fault-model plan application, touches, flip
-    realization).  None -- the default -- skips the clock reads entirely.
-
-    ``obs`` (a :class:`repro.obs.Obs`) additionally records the planner's
-    per-unit dispositions (``probe.units{disposition=...}``), the probe
-    path taken per probe (``probe.probes{path=...}``) and the per-stage
-    wall time as ``probe.stage.<key>`` timers; an enabled registry turns
-    the stage clock on even when the caller passed no ``stage_s``.
+    ``obs`` (a :class:`repro.obs.Obs`) records the planner's per-unit
+    dispositions (``probe.units{disposition=...}``), the probe path taken
+    per probe (``probe.probes{path=capture|interp|slow}``) and the
+    per-stage wall time as ``probe.stage.<key>`` timers: ``capture``
+    (tap-instrumented probes through the command pipeline), ``translate``
+    (trace translation onto shifted units), ``replay_snapshot`` (trace
+    replay prologue: snapshot restore and ledger bookkeeping) and
+    ``replay_kernel`` (trace replay hammer segments and epilogue:
+    fault-model plan application, touches, flip realization).  The
+    default no-op registry skips the clock reads entirely.
     """
     if not setups:
         return []
     obs = obs if obs is not None else NULL_OBS
-    stages = stage_s
-    if obs.enabled and stages is None:
-        stages = {}
-    before = dict(stages) if (obs.enabled and stages is not None) else None
     engine = BatchedSearchEngine(
         setups,
         repeats=repeats,
         max_hammers=max_hammers,
         convergence=convergence,
         initial_guess=initial_guess,
-        stage_s=stages,
         obs=obs,
     )
     results = engine.run()
-    if before is not None:
-        for key, value in stages.items():
-            delta = value - before.get(key, 0.0)
-            if delta > 0.0:
-                obs.observe_s(f"probe.stage.{key}", delta)
+    for key, seconds in (engine.stages or {}).items():
+        obs.observe_s(f"probe.stage.{key}", seconds)
     return results

@@ -6,13 +6,14 @@ exposes HC_first measurement primitives for every access pattern in the
 paper.  Experiments (:mod:`repro.experiments`) are thin sweeps over these
 primitives.
 
-Every ``measure_*`` primitive has a ``measure_many_*`` batched variant
-that accepts the whole victim list of a sweep at once and advances all
-of the HC_first searches together through
-:func:`repro.core.probe_batch.run_batched_searches`.  The batched
-variants are bit-identical to looping the scalar primitive (enforced by
-``tests/core/test_probe_batch.py``); they exist purely to amortize probe
-replays across victims.
+Every ``measure_*`` primitive takes a list (victims, aggressors, row
+pairs or SiMRA groups) and returns one result per entry; a single victim
+is a batch of one, e.g. ``session.measure_rowhammer_ds([v])[0]``.  When a
+call carries more than one HC_first search, the searches advance
+together through :func:`repro.core.probe_batch.run_batched_searches`,
+bit-identical to running them one by one (enforced by
+``tests/core/test_probe_batch.py``); the engine exists purely to
+amortize probe replays across victims.
 """
 
 from __future__ import annotations
@@ -61,12 +62,8 @@ class CombinedResult:
 
 @dataclass
 class _ProbeRequest:
-    """One scalar measurement call, reified so many can run batched.
-
-    A request is exactly the argument tuple `_measure` used to receive;
-    ``measure_many_*`` builds one request per scalar call and hands the
-    whole list to the batched engine instead of searching serially.
-    """
+    """One list entry of a ``measure_*`` call: its victims, aggressors,
+    program and data pattern, reified so a whole list can run batched."""
 
     victims: tuple
     aggressors: tuple
@@ -79,9 +76,10 @@ class _ProbeRequest:
 class CharacterizationSession:
     """Measurement primitives for one module."""
 
-    #: route ``measure_many_*`` through the batched probe engine; False
-    #: falls back to the scalar per-victim loop (bit-identical results,
-    #: used by the equivalence suite and for debugging)
+    #: route multi-search ``measure_*`` calls through the batched probe
+    #: engine; False falls back to the scalar per-victim loop
+    #: (bit-identical results, used by the equivalence suite and for
+    #: debugging)
     batch_probes: bool = True
 
     def __init__(
@@ -98,21 +96,9 @@ class CharacterizationSession:
         #: dispositions, per-probe path counters, stage timers); the
         #: default no-op registry records nothing
         self.obs = obs if obs is not None else NULL_OBS
-        #: set to a dict to accumulate the batched engine's per-stage wall
-        #: times across ``measure_many_*`` calls (see
-        #: :func:`repro.core.probe_batch.run_batched_searches`); None skips
-        #: the instrumentation.  Deliberately an *instance* attribute: a
-        #: stage dict must never be shared across sessions, or timings
-        #: bleed between bench cells.
-        self.probe_stage_s: Optional[dict] = None
         self.controller = TemperatureController(module)
         self.controller.hold(80.0)
         self._wcdp_cache: dict[tuple[int, Mechanism], DataPattern] = {}
-
-    def reset_probe_stages(self) -> None:
-        """Zero the stage accumulator in place (keeps dict identity)."""
-        if self.probe_stage_s is not None:
-            self.probe_stage_s.clear()
 
     # ------------------------------------------------------------------
     # Environment
@@ -279,17 +265,17 @@ class CharacterizationSession:
         best_hc = math.inf
         for pattern in ALL_PATTERNS:
             if mechanism is Mechanism.COMRA:
-                m = self.measure_comra_ds(victim, pattern=pattern)
+                m = self.measure_comra_ds([victim], pattern=pattern)[0]
             elif mechanism is Mechanism.SIMRA:
                 pair = self._pair_sandwiching(victim)
                 if pair is None:
                     continue
-                results = self.measure_simra_ds(pair, pattern=pattern,
-                                                victims=(victim,))
-                m = results[0] if results else None
+                m = self.measure_simra_ds(
+                    [pair], pattern=pattern, victims=[(victim,)]
+                )[0][0]
             else:
-                m = self.measure_rowhammer_ds(victim, pattern=pattern)
-            if m is not None and m.found and m.hc_first < best_hc:
+                m = self.measure_rowhammer_ds([victim], pattern=pattern)[0]
+            if m.found and m.hc_first < best_hc:
                 best_hc = m.hc_first
                 best_pattern = pattern
         return best_pattern
@@ -323,36 +309,44 @@ class CharacterizationSession:
             params=dict(request.params),
         )
 
+    def _prefetch(
+        self, victims: list[int], pattern: Optional[DataPattern],
+        mechanism: Mechanism,
+    ) -> None:
+        """Resolve a victim batch's WCDPs in one pass when they are needed;
+        a single victim resolves lazily through :meth:`wcdp`."""
+        if pattern is None and len(victims) > 1:
+            self.prefetch_wcdp(victims, mechanism)
+
     def _measure_requests(
-        self, requests: Sequence[_ProbeRequest], batched: bool = False
+        self, requests: Sequence[Optional[_ProbeRequest]]
     ) -> list[list[Measurement]]:
         """Run requests and group the Measurements back per request.
 
-        ``batched=True`` routes the flattened (request, victim) searches
-        through the batched probe engine; the scalar loop is kept for
-        single requests, ``batch_probes=False``, and measured-WCDP mode
+        A None request (nothing measurable) yields an empty group.  The
+        flattened (request, victim) searches go through the batched probe
+        engine when there is more than one; the scalar search serves a
+        single search, ``batch_probes=False`` and measured-WCDP mode
         (where pattern resolution itself recurses into measurements).
         """
         flat = [
             (index, victim)
             for index, request in enumerate(requests)
+            if request is not None
             for victim in request.victims
         ]
         setups = [
             self._setup_for(requests[index], victim) for index, victim in flat
         ]
-        use_engine = (
-            batched
-            and self.batch_probes
+        if (
+            self.batch_probes
             and self.scale.wcdp_mode == "oracle"
             and len(setups) > 1
-        )
-        if use_engine:
+        ):
             outcomes = run_batched_searches(
                 setups,
                 repeats=self.scale.repeats,
                 max_hammers=self.scale.max_hammers,
-                stage_s=self.probe_stage_s,
                 obs=self.obs,
             )
         else:
@@ -368,21 +362,6 @@ class CharacterizationSession:
         for (index, victim), outcome in zip(flat, outcomes):
             results[index].append(self._wrap(requests[index], victim, outcome))
         return results
-
-    def _measure(
-        self,
-        victims: Sequence[int],
-        aggressors: Sequence[int],
-        program_factory,
-        mechanism: Mechanism,
-        pattern: DataPattern,
-        **params,
-    ) -> list[Measurement]:
-        request = _ProbeRequest(
-            tuple(victims), tuple(aggressors), program_factory,
-            mechanism, pattern, params,
-        )
-        return self._measure_requests([request])[0]
 
     # -- RowHammer / RowPress -------------------------------------------
     def _rowhammer_ds_request(
@@ -406,27 +385,17 @@ class CharacterizationSession:
 
     def measure_rowhammer_ds(
         self,
-        victim: int,
-        pattern: Optional[DataPattern] = None,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
-    ) -> Measurement:
-        request = self._rowhammer_ds_request(victim, pattern, t_agg_on_ns)
-        return self._measure_requests([request])[0][0]
-
-    def measure_many_rowhammer_ds(
-        self,
         victims: Sequence[int],
         pattern: Optional[DataPattern] = None,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
     ) -> list[Measurement]:
-        """Batched :meth:`measure_rowhammer_ds` over a victim list."""
+        """Double-sided RowHammer: one Measurement per victim."""
         victims = list(victims)
-        if pattern is None:
-            self.prefetch_wcdp(victims, Mechanism.ROWHAMMER)
+        self._prefetch(victims, pattern, Mechanism.ROWHAMMER)
         requests = [
             self._rowhammer_ds_request(v, pattern, t_agg_on_ns) for v in victims
         ]
-        return [g[0] for g in self._measure_requests(requests, batched=True)]
+        return [g[0] for g in self._measure_requests(requests)]
 
     def _rowhammer_ss_request(
         self,
@@ -451,26 +420,15 @@ class CharacterizationSession:
 
     def measure_rowhammer_ss(
         self,
-        aggressor: int,
-        pattern: Optional[DataPattern] = None,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
-    ) -> list[Measurement]:
-        """Single-sided RowHammer; measures each adjacent victim."""
-        request = self._rowhammer_ss_request(aggressor, pattern, t_agg_on_ns)
-        return self._measure_requests([request])[0]
-
-    def measure_many_rowhammer_ss(
-        self,
         aggressors: Sequence[int],
         pattern: Optional[DataPattern] = None,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_rowhammer_ss` over an aggressor list."""
-        requests = [
+        """Single-sided RowHammer; per aggressor, each adjacent victim."""
+        return self._measure_requests([
             self._rowhammer_ss_request(a, pattern, t_agg_on_ns)
             for a in aggressors
-        ]
-        return self._measure_requests(requests, batched=True)
+        ])
 
     def _far_ds_request(
         self,
@@ -493,22 +451,14 @@ class CharacterizationSession:
 
     def measure_far_ds_rowhammer(
         self,
-        row_a: int,
-        row_b: int,
-        pattern: Optional[DataPattern] = None,
-    ) -> list[Measurement]:
-        """Fig. 7's control: two distant aggressors at nominal timing."""
-        request = self._far_ds_request(row_a, row_b, pattern)
-        return self._measure_requests([request])[0]
-
-    def measure_many_far_ds_rowhammer(
-        self,
         row_pairs: Sequence[tuple[int, int]],
         pattern: Optional[DataPattern] = None,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_far_ds_rowhammer` over (row_a, row_b) pairs."""
-        requests = [self._far_ds_request(a, b, pattern) for a, b in row_pairs]
-        return self._measure_requests(requests, batched=True)
+        """Fig. 7's control: two distant aggressors at nominal timing, per
+        (row_a, row_b) pair the victims adjacent to ``row_a``."""
+        return self._measure_requests([
+            self._far_ds_request(a, b, pattern) for a, b in row_pairs
+        ])
 
     # -- CoMRA ------------------------------------------------------------
     def _comra_ds_request(
@@ -537,34 +487,20 @@ class CharacterizationSession:
 
     def measure_comra_ds(
         self,
-        victim: int,
-        pattern: Optional[DataPattern] = None,
-        pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
-        reverse: bool = False,
-    ) -> Measurement:
-        request = self._comra_ds_request(
-            victim, pattern, pre_to_act_ns, t_agg_on_ns, reverse
-        )
-        return self._measure_requests([request])[0][0]
-
-    def measure_many_comra_ds(
-        self,
         victims: Sequence[int],
         pattern: Optional[DataPattern] = None,
         pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
         reverse: bool = False,
     ) -> list[Measurement]:
-        """Batched :meth:`measure_comra_ds` over a victim list."""
+        """Double-sided CoMRA: one Measurement per victim."""
         victims = list(victims)
-        if pattern is None:
-            self.prefetch_wcdp(victims, Mechanism.COMRA)
+        self._prefetch(victims, pattern, Mechanism.COMRA)
         requests = [
             self._comra_ds_request(v, pattern, pre_to_act_ns, t_agg_on_ns, reverse)
             for v in victims
         ]
-        return [g[0] for g in self._measure_requests(requests, batched=True)]
+        return [g[0] for g in self._measure_requests(requests)]
 
     def _comra_ss_request(
         self,
@@ -594,23 +530,12 @@ class CharacterizationSession:
 
     def measure_comra_ss(
         self,
-        src: int,
-        dst: int,
-        pattern: Optional[DataPattern] = None,
-        pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
-        victims: Optional[Sequence[int]] = None,
-    ) -> list[Measurement]:
-        request = self._comra_ss_request(src, dst, pattern, pre_to_act_ns, victims)
-        return self._measure_requests([request])[0]
-
-    def measure_many_comra_ss(
-        self,
         row_pairs: Sequence[tuple[int, int]],
         pattern: Optional[DataPattern] = None,
         pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
         victims: Optional[Sequence[Optional[Sequence[int]]]] = None,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_comra_ss` over (src, dst) pairs.
+        """Single-sided CoMRA over (src, dst) pairs.
 
         ``victims`` optionally pins the measured victims per pair (parallel
         to ``row_pairs``; None entries fall back to ``src``'s neighbors).
@@ -618,11 +543,10 @@ class CharacterizationSession:
         row_pairs = list(row_pairs)
         if victims is None:
             victims = [None] * len(row_pairs)
-        requests = [
+        return self._measure_requests([
             self._comra_ss_request(src, dst, pattern, pre_to_act_ns, chosen)
             for (src, dst), chosen in zip(row_pairs, victims)
-        ]
-        return self._measure_requests(requests, batched=True)
+        ])
 
     # -- SiMRA ------------------------------------------------------------
     def _simra_ds_request(
@@ -665,52 +589,31 @@ class CharacterizationSession:
 
     def measure_simra_ds(
         self,
-        pair: patterns.SimraAddressPair,
-        pattern: Optional[DataPattern] = None,
-        victims: Optional[Sequence[int]] = None,
-        act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
-        pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
-        max_victims: int = 3,
-    ) -> list[Measurement]:
-        """Double-sided SiMRA: HC_first of sandwiched victims of a group."""
-        request = self._simra_ds_request(
-            pair, pattern, victims, act_to_pre_ns, pre_to_act_ns,
-            t_agg_on_ns, max_victims,
-        )
-        if request is None:
-            return []
-        return self._measure_requests([request])[0]
-
-    def measure_many_simra_ds(
-        self,
         pairs: Sequence[patterns.SimraAddressPair],
         pattern: Optional[DataPattern] = None,
+        victims: Optional[Sequence[Optional[Sequence[int]]]] = None,
         act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
         pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
         max_victims: int = 3,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_simra_ds` over a group list.
+        """Double-sided SiMRA: HC_first of the sandwiched victims per group.
 
-        Groups with no sandwiched victim yield an empty list in their
-        slot, mirroring the scalar method's return value.
+        ``victims`` optionally pins the measured victims per group
+        (parallel to ``pairs``; None entries take up to ``max_victims`` of
+        the sandwiched rows).  A group with no victim yields an empty list
+        in its slot.
         """
         pairs = list(pairs)
-        requests = []
-        slots: list[Optional[int]] = []
-        for pair in pairs:
-            request = self._simra_ds_request(
-                pair, pattern, None, act_to_pre_ns, pre_to_act_ns,
+        if victims is None:
+            victims = [None] * len(pairs)
+        return self._measure_requests([
+            self._simra_ds_request(
+                pair, pattern, chosen, act_to_pre_ns, pre_to_act_ns,
                 t_agg_on_ns, max_victims,
             )
-            if request is None:
-                slots.append(None)
-            else:
-                slots.append(len(requests))
-                requests.append(request)
-        measured = self._measure_requests(requests, batched=True)
-        return [measured[slot] if slot is not None else [] for slot in slots]
+            for pair, chosen in zip(pairs, victims)
+        ])
 
     def _simra_ss_request(
         self,
@@ -747,43 +650,20 @@ class CharacterizationSession:
 
     def measure_simra_ss(
         self,
-        pair: patterns.SimraAddressPair,
-        pattern: Optional[DataPattern] = None,
-        act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
-        pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
-    ) -> list[Measurement]:
-        """Single-sided SiMRA: victims bordering a contiguous group."""
-        request = self._simra_ss_request(pair, pattern, act_to_pre_ns, pre_to_act_ns)
-        if request is None:
-            return []
-        return self._measure_requests([request])[0]
-
-    def measure_many_simra_ss(
-        self,
         pairs: Sequence[patterns.SimraAddressPair],
         pattern: Optional[DataPattern] = None,
         act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
         pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
     ) -> list[list[Measurement]]:
-        """Batched :meth:`measure_simra_ss` over a group list.
+        """Single-sided SiMRA: per group, the victims bordering it.
 
-        Groups with no measurable edge victim yield an empty list in their
-        slot, mirroring the scalar method's return value.
+        A group with no measurable edge victim yields an empty list in its
+        slot.
         """
-        pairs = list(pairs)
-        requests = []
-        slots: list[Optional[int]] = []
-        for pair in pairs:
-            request = self._simra_ss_request(
-                pair, pattern, act_to_pre_ns, pre_to_act_ns
-            )
-            if request is None:
-                slots.append(None)
-            else:
-                slots.append(len(requests))
-                requests.append(request)
-        measured = self._measure_requests(requests, batched=True)
-        return [measured[slot] if slot is not None else [] for slot in slots]
+        return self._measure_requests([
+            self._simra_ss_request(pair, pattern, act_to_pre_ns, pre_to_act_ns)
+            for pair in pairs
+        ])
 
     # -- §6 combined patterns ----------------------------------------------
     def _pair_sandwiching(
@@ -827,37 +707,21 @@ class CharacterizationSession:
 
     def measure_combined(
         self,
-        victim: int,
-        comra_fraction: float = 0.0,
-        simra_fraction: float = 0.0,
-        pattern: Optional[DataPattern] = None,
-    ) -> Optional[CombinedResult]:
-        """§6 procedure: pre-hammer with CoMRA/SiMRA, finish with RowHammer.
-
-        Returns None when a needed phase has no measurable HC_first.
-        """
-        return self.measure_many_combined(
-            [victim], comra_fraction, simra_fraction, pattern
-        )[0]
-
-    def measure_many_combined(
-        self,
         victims: Sequence[int],
         comra_fraction: float = 0.0,
         simra_fraction: float = 0.0,
         pattern: Optional[DataPattern] = None,
     ) -> list[Optional[CombinedResult]]:
-        """Batched §6 procedure over a victim list.
+        """§6 procedure: pre-hammer with CoMRA/SiMRA, finish with RowHammer.
 
         Stage-decomposed: all RowHammer-alone searches run as one batch,
         then the CoMRA / SiMRA characterization phases over the victims
         that survive each stage's found-guard, then the combined searches.
-        Per-victim outcomes (including the None short-circuits) match the
-        scalar :meth:`measure_combined` loop exactly.
+        A victim's slot is None when a needed phase has no measurable
+        HC_first.
         """
         victims = list(victims)
-        if pattern is None:
-            self.prefetch_wcdp(victims, Mechanism.ROWHAMMER)
+        self._prefetch(victims, pattern, Mechanism.ROWHAMMER)
         resolved = {
             v: pattern or self.wcdp(v, Mechanism.ROWHAMMER) for v in victims
         }
@@ -866,7 +730,7 @@ class CharacterizationSession:
         rh_requests = [
             self._rowhammer_ds_request(v, pattern=resolved[v]) for v in victims
         ]
-        measured = self._measure_requests(rh_requests, batched=True)
+        measured = self._measure_requests(rh_requests)
         rh = {v: group[0] for v, group in zip(victims, measured)}
         alive = [v for v in victims if rh[v].found]
 
@@ -875,7 +739,7 @@ class CharacterizationSession:
             requests = [
                 self._comra_ds_request(v, pattern=resolved[v]) for v in alive
             ]
-            measured = self._measure_requests(requests, batched=True)
+            measured = self._measure_requests(requests)
             survivors = []
             for v, group in zip(alive, measured):
                 if group[0].found:
@@ -900,7 +764,7 @@ class CharacterizationSession:
                 simra_pairs[v] = pair
                 with_pair.append(v)
                 requests.append(request)
-            measured = self._measure_requests(requests, batched=True)
+            measured = self._measure_requests(requests)
             alive = []
             for v, group in zip(with_pair, measured):
                 if group and group[0].found:
@@ -934,7 +798,7 @@ class CharacterizationSession:
                 self._combined_request(v, resolved[v], prefix_instructions)
             )
             final_meta.append((v, fractions))
-        measured = self._measure_requests(final_requests, batched=True)
+        measured = self._measure_requests(final_requests)
         for (v, fractions), group in zip(final_meta, measured):
             outcome = group[0]
             if outcome.found:

@@ -43,7 +43,7 @@ def _run_combined(
         )[:8]
         session.prefetch_wcdp(victims, Mechanism.ROWHAMMER)
         for fraction in FRACTIONS:
-            outcomes = session.measure_many_combined(
+            outcomes = session.measure_combined(
                 victims,
                 comra_fraction=fraction if comra else 0.0,
                 simra_fraction=fraction if simra else 0.0,

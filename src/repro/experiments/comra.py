@@ -43,8 +43,8 @@ def run_fig04(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
         victims = session.candidate_victims()
         session.prefetch_wcdp(victims, Mechanism.ROWHAMMER)
         session.prefetch_wcdp(victims, Mechanism.COMRA)
-        rh_many = session.measure_many_rowhammer_ds(victims)
-        comra_many = session.measure_many_comra_ds(victims)
+        rh_many = session.measure_rowhammer_ds(victims)
+        comra_many = session.measure_comra_ds(victims)
         for rh, comra in zip(rh_many, comra_many):
             if rh.found:
                 per_vendor_rh[session.module.vendor.value].append(rh.hc_first)
@@ -90,7 +90,7 @@ def run_fig05(
         victims = session.candidate_victims()[::2]
         per_pattern: dict[str, list[float]] = defaultdict(list)
         for pattern in ALL_PATTERNS:
-            for m in session.measure_many_comra_ds(victims, pattern=pattern):
+            for m in session.measure_comra_ds(victims, pattern=pattern):
                 if m.found:
                     per_pattern[pattern.value].append(m.hc_first)
         vendor = session.module.vendor.value
@@ -135,7 +135,7 @@ def run_fig06(
         for temperature in temperatures:
             session.set_temperature(temperature)
             values = []
-            for m in session.measure_many_comra_ds(victims):
+            for m in session.measure_comra_ds(victims):
                 if m.found:
                     values.append(m.hc_first)
             if values:
@@ -183,11 +183,11 @@ def run_fig07(
         buckets: dict[str, list[float]] = {"ss-comra": [], "ss-rowhammer": [],
                                            "far-ds-rowhammer": []}
         far_pairs = [(aggressor, aggressor + 40) for aggressor in aggressors]
-        for group in session.measure_many_comra_ss(far_pairs):
+        for group in session.measure_comra_ss(far_pairs):
             buckets["ss-comra"].extend(found_values(group))
-        for group in session.measure_many_rowhammer_ss(aggressors):
+        for group in session.measure_rowhammer_ss(aggressors):
             buckets["ss-rowhammer"].extend(found_values(group))
-        for group in session.measure_many_far_ds_rowhammer(far_pairs):
+        for group in session.measure_far_ds_rowhammer(far_pairs):
             buckets["far-ds-rowhammer"].extend(found_values(group))
         summaries = {}
         for technique, values in buckets.items():
@@ -235,10 +235,10 @@ def run_fig08(
         means: dict[tuple[str, float], float] = {}
         for t_agg_on in t_agg_on_values:
             comra_values = found_values(
-                session.measure_many_comra_ds(victims, t_agg_on_ns=t_agg_on)
+                session.measure_comra_ds(victims, t_agg_on_ns=t_agg_on)
             )
             press_values = found_values(
-                session.measure_many_rowhammer_ds(victims, t_agg_on_ns=t_agg_on)
+                session.measure_rowhammer_ds(victims, t_agg_on_ns=t_agg_on)
             )
             for technique, values in (("comra", comra_values),
                                       ("rowpress", press_values)):
@@ -290,7 +290,7 @@ def run_fig09(
         means = {}
         for delay in delays:
             values = found_values(
-                session.measure_many_comra_ds(victims, pre_to_act_ns=delay)
+                session.measure_comra_ds(victims, pre_to_act_ns=delay)
             )
             if values:
                 summary = DistributionSummary.from_values(values)
@@ -323,8 +323,8 @@ def run_fig10(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     for session in sessions:
         geometry = session.module.geometry
         victims = session.candidate_victims()[::2]
-        forward_many = session.measure_many_comra_ds(victims)
-        backward_many = session.measure_many_comra_ds(victims, reverse=True)
+        forward_many = session.measure_comra_ds(victims)
+        backward_many = session.measure_comra_ds(victims, reverse=True)
         for forward, backward in zip(forward_many, backward_many):
             if forward.found and backward.found:
                 ds_changes.append(
@@ -336,10 +336,10 @@ def run_fig10(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
             and geometry.same_subarray(victim, victim + 40)
         ]
         shared = [list(geometry.neighbors(victim, 1)) for victim in eligible]
-        forward_ss = session.measure_many_comra_ss(
+        forward_ss = session.measure_comra_ss(
             [(victim, victim + 40) for victim in eligible], victims=shared
         )
-        backward_ss = session.measure_many_comra_ss(
+        backward_ss = session.measure_comra_ss(
             [(victim + 40, victim) for victim in eligible], victims=shared
         )
         for f_group, b_group in zip(forward_ss, backward_ss):
@@ -387,7 +387,7 @@ def run_fig11(
         by_region: dict[str, list[float]] = defaultdict(list)
         victims = session.candidate_victims()
         session.prefetch_wcdp(victims, Mechanism.COMRA)
-        for m in session.measure_many_comra_ds(victims):
+        for m in session.measure_comra_ds(victims):
             if m.found:
                 by_region[m.region.value].append(m.hc_first)
         means = {}

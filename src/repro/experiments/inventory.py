@@ -60,8 +60,8 @@ def run_table2(
         rh_values: list[float] = []
         comra_values: list[float] = []
         for victim in session.candidate_victims():
-            rh = session.measure_rowhammer_ds(victim)
-            comra = session.measure_comra_ds(victim)
+            rh = session.measure_rowhammer_ds([victim])[0]
+            comra = session.measure_comra_ds([victim])[0]
             if rh.found:
                 rh_values.append(rh.hc_first)
             if comra.found:
@@ -70,9 +70,9 @@ def run_table2(
         if session.module.supports_simra:
             for count in (2, 4, 8, 16):
                 for pair in session.sample_simra_pairs(count)[:3]:
-                    simra_values.extend(
-                        found_values(session.measure_simra_ds(pair, max_victims=2))
-                    )
+                    simra_values.extend(found_values(
+                        session.measure_simra_ds([pair], max_victims=2)[0]
+                    ))
         row = {
             "config": calibration.config_id,
             "rh_min": min(rh_values) if rh_values else None,

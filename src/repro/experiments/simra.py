@@ -40,11 +40,11 @@ def run_fig13(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
             session.prefetch_wcdp(sandwiched, Mechanism.ROWHAMMER)
             found_ms = [
                 m
-                for group in session.measure_many_simra_ds(pairs, max_victims=2)
+                for group in session.measure_simra_ds(pairs, max_victims=2)
                 for m in group
                 if m.found
             ]
-            rh_many = session.measure_many_rowhammer_ds(
+            rh_many = session.measure_rowhammer_ds(
                 [m.victim for m in found_ms]
             )
             for m, rh in zip(found_ms, rh_many):
@@ -99,7 +99,7 @@ def run_fig14(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
         for session in sessions:
             pairs = session.sample_simra_pairs(count, include_sentinel=False)[:3]
             for pattern in ALL_PATTERNS:
-                for group in session.measure_many_simra_ds(
+                for group in session.measure_simra_ds(
                     pairs, pattern=pattern, max_victims=1
                 ):
                     for m in group:
@@ -142,7 +142,7 @@ def run_fig15(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
             for session in sessions:
                 session.set_temperature(temperature)
                 pairs = session.sample_simra_pairs(count, include_sentinel=False)
-                for group in session.measure_many_simra_ds(
+                for group in session.measure_simra_ds(
                     pairs[:3], max_victims=1
                 ):
                     values.extend(found_values(group))
@@ -199,11 +199,11 @@ def run_fig16(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
                     continue
                 edges.append(base - 1)
                 pairs.append(pair)
-            for edge, group in zip(edges, session.measure_many_simra_ss(pairs)):
+            for edge, group in zip(edges, session.measure_simra_ss(pairs)):
                 per_count[count].extend(
                     m.hc_first for m in group if m.found and m.victim == edge
                 )
-        for base, group in zip(bases, session.measure_many_rowhammer_ss(bases)):
+        for base, group in zip(bases, session.measure_rowhammer_ss(bases)):
             rh_values.extend(
                 m.hc_first for m in group
                 if m.found and m.victim == base - 1
@@ -264,7 +264,7 @@ def run_fig17(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
             values: list[float] = []
             for session in sessions:
                 pairs = session.sample_simra_pairs(count, include_sentinel=False)
-                for group in session.measure_many_simra_ds(
+                for group in session.measure_simra_ds(
                     pairs[:3], t_agg_on_ns=t_agg_on, max_victims=1
                 ):
                     values.extend(found_values(group))
@@ -302,7 +302,7 @@ def run_fig18(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
             values: list[float] = []
             for session in sessions:
                 pairs = session.sample_simra_pairs(count, include_sentinel=False)
-                for group in session.measure_many_simra_ds(
+                for group in session.measure_simra_ds(
                     pairs[:6],
                     act_to_pre_ns=act_to_pre,
                     pre_to_act_ns=pre_to_act,
@@ -347,7 +347,7 @@ def run_fig19(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
         by_region: dict[str, list[float]] = defaultdict(list)
         for session in sessions:
             pairs = session.sample_simra_pairs(count)
-            for group in session.measure_many_simra_ds(pairs, max_victims=2):
+            for group in session.measure_simra_ds(pairs, max_victims=2):
                 for m in group:
                     if m.found:
                         by_region[m.region.value].append(m.hc_first)

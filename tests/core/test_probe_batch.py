@@ -1,7 +1,7 @@
 """Batched probe engine: planner invariants and scalar equivalence.
 
-The tentpole guarantee: every ``measure_many_*`` returns Measurement lists
-identical to the scalar per-victim loop -- the batched engine is purely an
+The tentpole guarantee: every ``measure_*`` list call returns Measurement
+lists identical to the scalar per-victim loop -- the batched engine is purely an
 execution strategy, never a semantic change.  ``batch_probes=False`` forces
 the reference scalar path on an otherwise identical fresh module, so any
 divergence (state bleed across victims, rng-order coupling, snapshot
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import ExperimentScale, make_module
-from repro.core import CharacterizationSession
+from repro.core import CharacterizationSession, patterns
 from repro.core.probe_batch import (
     GUARD_DISTANCE,
     blast_rows,
@@ -20,6 +20,7 @@ from repro.core.probe_batch import (
     plan_batches,
     plan_components,
 )
+from repro.dram.errors import AddressError
 
 CONFIGS = ("hynix-a-8gb", "samsung-b-16gb")
 MODES = ("oracle", "measured")
@@ -39,6 +40,12 @@ def _assert_identical(many, ref):
         assert a == b
         # params is compare=False on the frozen dataclass; check it too
         assert a.params == b.params
+
+
+def _assert_groups_identical(many, ref):
+    assert len(many) == len(ref)
+    for group_a, group_b in zip(many, ref):
+        _assert_identical(group_a, group_b)
 
 
 class TestPlanner:
@@ -82,24 +89,105 @@ class TestCountFlips:
         assert count_flips(data, expected) == 3
 
 
+def _aggressors(session, n=3, span=2):
+    """Candidate rows with ``span`` same-subarray rows on each side, so
+    measured-mode WCDP can hammer either side of their neighbors."""
+    geometry = session.module.geometry
+    rows = [
+        v for v in session.candidate_victims()
+        if v - 2 >= 0 and v + span < geometry.rows_per_bank
+        and geometry.same_subarray(v - 2, v + span)
+    ]
+    return rows[::2][:n]
+
+
+def _far_pairs(session, n=3):
+    """(row, row + 40) aggressor pairs inside one subarray, as fig07 uses."""
+    return [(row, row + 40) for row in _aggressors(session, n, span=40)]
+
+
+def _single_sided_simra_pairs(session, count=2, n=3):
+    """Contiguous SiMRA groups with a same-subarray edge row, as fig16 uses."""
+    geometry = session.module.geometry
+    pairs = []
+    for base in session.simra_blocks():
+        if len(pairs) == n:
+            break
+        if base - 1 < 0 or not geometry.same_subarray(base - 1, base):
+            continue
+        try:
+            pairs.append(patterns.simra_pair_for(
+                session.module, base, count, "single-sided"
+            ))
+        except AddressError:
+            continue
+    return pairs
+
+
 class TestScalarEquivalence:
+    """Each ``measure_*`` list call against a per-entry loop of one-entry
+    calls on a ``batch_probes=False`` session."""
+
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_rowhammer(self, config_id, wcdp_mode):
         batched, scalar = _sessions(config_id, wcdp_mode)
         victims = batched.candidate_victims()[:4]
-        many = batched.measure_many_rowhammer_ds(victims)
-        ref = [scalar.measure_rowhammer_ds(v) for v in victims]
+        many = batched.measure_rowhammer_ds(victims)
+        ref = [scalar.measure_rowhammer_ds([v])[0] for v in victims]
         _assert_identical(many, ref)
+
+    @pytest.mark.parametrize("wcdp_mode", MODES)
+    @pytest.mark.parametrize("config_id", CONFIGS)
+    def test_rowhammer_single_sided(self, config_id, wcdp_mode):
+        batched, scalar = _sessions(config_id, wcdp_mode)
+        aggressors = _aggressors(batched)
+        assert aggressors
+        many = batched.measure_rowhammer_ss(aggressors)
+        ref = [scalar.measure_rowhammer_ss([a])[0] for a in aggressors]
+        _assert_groups_identical(many, ref)
+
+    @pytest.mark.parametrize("wcdp_mode", MODES)
+    @pytest.mark.parametrize("config_id", CONFIGS)
+    def test_far_double_sided_rowhammer(self, config_id, wcdp_mode):
+        batched, scalar = _sessions(config_id, wcdp_mode)
+        pairs = _far_pairs(batched)
+        assert pairs
+        many = batched.measure_far_ds_rowhammer(pairs)
+        ref = [scalar.measure_far_ds_rowhammer([p])[0] for p in pairs]
+        _assert_groups_identical(many, ref)
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_comra(self, config_id, wcdp_mode):
         batched, scalar = _sessions(config_id, wcdp_mode)
         victims = batched.candidate_victims()[:4]
-        many = batched.measure_many_comra_ds(victims)
-        ref = [scalar.measure_comra_ds(v) for v in victims]
+        many = batched.measure_comra_ds(victims)
+        ref = [scalar.measure_comra_ds([v])[0] for v in victims]
         _assert_identical(many, ref)
+
+    @pytest.mark.parametrize("pinned", (False, True))
+    @pytest.mark.parametrize("wcdp_mode", MODES)
+    @pytest.mark.parametrize("config_id", CONFIGS)
+    def test_comra_single_sided(self, config_id, wcdp_mode, pinned):
+        batched, scalar = _sessions(config_id, wcdp_mode)
+        pairs = _far_pairs(batched)
+        assert pairs
+        # pinned: measure only the row below src, as fig11's shared list
+        # does; unpinned: both neighbors of src
+        chosen = [(src - 1,) for src, _dst in pairs] if pinned else None
+        many = batched.measure_comra_ss(pairs, victims=chosen)
+        ref = [
+            scalar.measure_comra_ss(
+                [p], victims=None if chosen is None else [chosen[k]]
+            )[0]
+            for k, p in enumerate(pairs)
+        ]
+        _assert_groups_identical(many, ref)
+        if pinned:
+            assert [[m.victim for m in g] for g in many] == [
+                list(c) for c in chosen
+            ]
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
@@ -108,35 +196,46 @@ class TestScalarEquivalence:
         pairs = batched.sample_simra_pairs(2)[:3]
         if config_id == "hynix-a-8gb":
             assert pairs  # SiMRA-capable: the test must not be vacuous
-        many = batched.measure_many_simra_ds(pairs, max_victims=2)
-        ref = [scalar.measure_simra_ds(p, max_victims=2) for p in pairs]
-        assert len(many) == len(ref)
-        for group_a, group_b in zip(many, ref):
-            _assert_identical(group_a, group_b)
+        many = batched.measure_simra_ds(pairs, max_victims=2)
+        ref = [scalar.measure_simra_ds([p], max_victims=2)[0] for p in pairs]
+        _assert_groups_identical(many, ref)
+
+    @pytest.mark.parametrize("wcdp_mode", MODES)
+    @pytest.mark.parametrize("config_id", CONFIGS)
+    def test_simra_single_sided(self, config_id, wcdp_mode):
+        batched, scalar = _sessions(config_id, wcdp_mode)
+        pairs = _single_sided_simra_pairs(batched)
+        if config_id == "hynix-a-8gb":
+            assert pairs  # SiMRA-capable: the test must not be vacuous
+        many = batched.measure_simra_ss(pairs)
+        ref = [scalar.measure_simra_ss([p])[0] for p in pairs]
+        _assert_groups_identical(many, ref)
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_combined(self, config_id, wcdp_mode):
         batched, scalar = _sessions(config_id, wcdp_mode)
         victims = batched.combined_victims()[:3]
-        many = batched.measure_many_combined(
+        many = batched.measure_combined(
             victims, comra_fraction=0.5, simra_fraction=0.5
         )
         ref = [
-            scalar.measure_combined(v, comra_fraction=0.5, simra_fraction=0.5)
+            scalar.measure_combined(
+                [v], comra_fraction=0.5, simra_fraction=0.5
+            )[0]
             for v in victims
         ]
         assert many == ref
 
-    def test_single_victim_many_equals_scalar(self, hynix_session):
-        victim = hynix_session.candidate_victims()[2]
-        many = hynix_session.measure_many_rowhammer_ds([victim])
-        scalar = hynix_session.measure_rowhammer_ds(victim)
-        _assert_identical(many, [scalar])
+    def test_simra_pinned_victims(self, hynix_session):
+        pair = hynix_session.sample_simra_pairs(2)[0]
+        victim = pair.sandwiched_victims()[-1]
+        group = hynix_session.measure_simra_ds([pair], victims=[(victim,)])[0]
+        assert [m.victim for m in group] == [victim]
 
     def test_many_preserves_input_order(self, hynix_session):
         victims = hynix_session.candidate_victims()[:4]
-        many = hynix_session.measure_many_rowhammer_ds(victims)
+        many = hynix_session.measure_rowhammer_ds(victims)
         assert [m.victim for m in many] == victims
 
 
@@ -162,7 +261,7 @@ class TestFallbackNarrowing:
 
         monkeypatch.setattr(probe_batch, "_walk_rows", boom)
         with pytest.raises(TypeError, match="injected planner bug"):
-            batched.measure_many_rowhammer_ds(victims)
+            batched.measure_rowhammer_ds(victims)
 
     def test_injected_lowering_bug_raises(self, monkeypatch):
         from repro.core import probe_batch
@@ -175,7 +274,7 @@ class TestFallbackNarrowing:
 
         monkeypatch.setattr(probe_batch, "compile_stream", boom)
         with pytest.raises(RuntimeError, match="injected lowering bug"):
-            batched.measure_many_rowhammer_ds(victims)
+            batched.measure_rowhammer_ds(victims)
 
     def test_dram_error_is_a_counted_fallback(self, monkeypatch):
         from repro.core import probe_batch
@@ -195,8 +294,8 @@ class TestFallbackNarrowing:
             raise UnsupportedOperationError("chip family rejects this")
 
         monkeypatch.setattr(probe_batch, "_walk_rows", denied)
-        many = batched.measure_many_rowhammer_ds(victims)
-        ref = [scalar.measure_rowhammer_ds(v) for v in victims]
+        many = batched.measure_rowhammer_ds(victims)
+        ref = [scalar.measure_rowhammer_ds([v])[0] for v in victims]
         # still bit-identical to the scalar loop...
         _assert_identical(many, ref)
         # ...but the degradation is visible: every unit and every scalar

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import make_module
 from repro.core import CharacterizationSession, ExperimentScale
 from repro.disturbance import Mechanism
+from repro.obs import Obs
 
 
 class TestVictimSelection:
@@ -30,16 +32,17 @@ class TestMeasurements:
         oracle = hynix_session.module.model.reference_hcfirst(
             0, victim, Mechanism.ROWHAMMER
         )
-        m = hynix_session.measure_rowhammer_ds(victim)
+        m = hynix_session.measure_rowhammer_ds([victim])[0]
         assert m.found
         assert m.hc_first == pytest.approx(oracle, rel=0.02)
 
     def test_comra_lower_than_rowhammer_generally(self, hynix_session):
         improved = 0
         victims = hynix_session.candidate_victims()[:6]
-        for victim in victims:
-            rh = hynix_session.measure_rowhammer_ds(victim)
-            comra = hynix_session.measure_comra_ds(victim)
+        for rh, comra in zip(
+            hynix_session.measure_rowhammer_ds(victims),
+            hynix_session.measure_comra_ds(victims),
+        ):
             if rh.found and comra.found and comra.hc_first < rh.hc_first:
                 improved += 1
         assert improved >= len(victims) * 0.6
@@ -51,8 +54,8 @@ class TestMeasurements:
         victim = session.candidate_victims()[2]
         measured = session.measure_wcdp(victim, Mechanism.ROWHAMMER)
         oracle = hynix_module.model.worst_case_pattern(0, victim, Mechanism.ROWHAMMER)
-        m_oracle = session.measure_rowhammer_ds(victim, pattern=oracle)
-        m_measured = session.measure_rowhammer_ds(victim, pattern=measured)
+        m_oracle = session.measure_rowhammer_ds([victim], pattern=oracle)[0]
+        m_measured = session.measure_rowhammer_ds([victim], pattern=measured)[0]
         assert m_measured.hc_first <= m_oracle.hc_first * 1.02
 
     def test_wcdp_oracle_result_is_cached(self, hynix_session, monkeypatch):
@@ -80,7 +83,7 @@ class TestMeasurements:
 
     def test_measurement_metadata(self, hynix_session):
         victim = hynix_session.candidate_victims()[2]
-        m = hynix_session.measure_comra_ds(victim)
+        m = hynix_session.measure_comra_ds([victim])[0]
         assert m.mechanism is Mechanism.COMRA
         assert m.vendor == "SK Hynix"
         assert m.params["sided"] == "double"
@@ -90,51 +93,37 @@ class TestCombined:
     def test_combined_reduces_rowhammer_phase(self, hynix_session):
         victims = hynix_session.combined_victims()
         assert victims
-        outcome = hynix_session.measure_combined(victims[0], comra_fraction=0.9)
+        outcome = hynix_session.measure_combined(
+            victims[:1], comra_fraction=0.9
+        )[0]
         assert outcome is not None
         assert outcome.hc_combined <= outcome.hc_rowhammer
         assert outcome.reduction >= 1.0
 
     def test_zero_fractions_match_plain_rowhammer(self, hynix_session):
         victims = hynix_session.combined_victims()
-        outcome = hynix_session.measure_combined(victims[0])
+        outcome = hynix_session.measure_combined(victims[:1])[0]
         assert outcome is not None
         assert outcome.reduction == pytest.approx(1.0, rel=0.05)
 
 
-class TestProbeStageIsolation:
-    """Stage accumulators must not bleed across sessions or resets."""
-
-    def test_stage_dict_is_per_instance(self, hynix_module, small_scale):
-        a = CharacterizationSession(hynix_module, small_scale)
-        b = CharacterizationSession(hynix_module, small_scale)
-        assert a.probe_stage_s is None and b.probe_stage_s is None
-        a.probe_stage_s = {}
-        a.measure_many_rowhammer_ds(a.candidate_victims()[:2])
-        assert a.probe_stage_s  # the batched engine recorded stages
-        # the other session never opted in and must stay untouched
-        assert b.probe_stage_s is None
-
-    def test_measure_many_accumulates_until_reset(self, hynix_session):
-        hynix_session.probe_stage_s = {}
-        victims = hynix_session.candidate_victims()[:2]
-        hynix_session.measure_many_rowhammer_ds(victims)
-        first = dict(hynix_session.probe_stage_s)
-        assert first
-        hynix_session.measure_many_rowhammer_ds(victims)
-        # accumulation across calls is the documented contract...
-        assert all(
-            hynix_session.probe_stage_s[k] >= v for k, v in first.items()
+class TestProbeStageTimers:
+    def test_sessions_do_not_share_stage_timers(self, small_scale):
+        obs_a, obs_b = Obs(), Obs()
+        a = CharacterizationSession(
+            make_module("hynix-a-8gb"), small_scale, obs=obs_a
         )
-        # ...and reset starts a fresh cell without changing dict identity
-        stages = hynix_session.probe_stage_s
-        hynix_session.reset_probe_stages()
-        assert hynix_session.probe_stage_s is stages
-        assert stages == {}
-        hynix_session.measure_many_rowhammer_ds(victims)
-        assert stages  # post-reset measurements land in the same dict
-
-    def test_reset_without_opt_in_is_a_noop(self, hynix_session):
-        assert hynix_session.probe_stage_s is None
-        hynix_session.reset_probe_stages()
-        assert hynix_session.probe_stage_s is None
+        b = CharacterizationSession(
+            make_module("hynix-a-8gb"), small_scale, obs=obs_b
+        )
+        a.measure_rowhammer_ds(a.candidate_victims()[:2])
+        stages = {
+            name for name in obs_a.snapshot()["timers"]
+            if name.startswith("probe.stage.")
+        }
+        assert "probe.stage.replay_kernel" in stages
+        # the other session's registry never saw a probe
+        assert obs_b.snapshot() == {"counters": {}, "timers": {}}
+        b.measure_rowhammer_ds(b.candidate_victims()[:2])
+        assert obs_a.timers["probe.stage.replay_kernel"][1] == 1
+        assert obs_b.timers["probe.stage.replay_kernel"][1] == 1

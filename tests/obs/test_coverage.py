@@ -1,11 +1,11 @@
-"""Compiled-kernel probe coverage at default scale, as a pinned number.
+"""Trace-replay probe coverage at default scale, as a pinned number.
 
-The batched engine's value proposition is that almost every probe runs
-through the compiled flat kernel; before obs existed that coverage was a
-code-reading exercise.  Now it is a counter, so CI pins it: a planner or
-guard regression that silently demotes probes to the interpreted (or
-scalar) path moves these numbers and fails here instead of shipping as
-an invisible slowdown.
+The batched engine's value proposition is that almost every probe
+re-applies a captured trace instead of running the command pipeline;
+before obs existed that coverage was a code-reading exercise.  Now it is
+a counter, so CI pins it: a planner or guard regression that silently
+demotes probes to the slow (or scalar) path moves these numbers and
+fails here instead of shipping as an invisible slowdown.
 """
 
 import pytest
@@ -16,11 +16,9 @@ from repro.obs import Obs
 
 #: measured on the default-scale hynix-a-8gb rowhammer sweep; update
 #: deliberately (with a note in DESIGN.md §13) when the engine changes
-EXPECTED_FLAT = 316
 EXPECTED_TOTAL = 346
 EXPECTED_PATHS = {
-    "flat": EXPECTED_FLAT,
-    "interp": 29,
+    "interp": 345,
     "capture": 1,
 }
 
@@ -32,35 +30,26 @@ def sweep_obs():
         make_module("hynix-a-8gb"), ExperimentScale.default(), obs=obs
     )
     session.batch_probes = True
-    session.measure_many_rowhammer_ds(session.candidate_victims())
+    session.measure_rowhammer_ds(session.candidate_victims())
     return obs
 
 
 class TestProbePathCoverage:
     def test_every_probe_is_accounted_for(self, sweep_obs):
-        """sum(compiled + each fallback path/reason) == total probes."""
+        """sum(each path) == total probes."""
         by_path = sweep_obs.by_label("probe.probes", "path")
-        total = sweep_obs.total("probe.probes")
-        assert sum(by_path.values()) == total
-        # reasons only annotate the interp path and partition it exactly
-        by_reason = sweep_obs.by_label("probe.probes", "reason")
-        assert sum(by_reason.values()) == by_path.get("interp", 0)
+        assert sum(by_path.values()) == sweep_obs.total("probe.probes")
 
-    def test_flat_kernel_coverage_is_pinned(self, sweep_obs):
+    def test_trace_replay_coverage_is_pinned(self, sweep_obs):
         by_path = sweep_obs.by_label("probe.probes", "path")
         assert by_path == EXPECTED_PATHS
         assert sweep_obs.total("probe.probes") == EXPECTED_TOTAL
 
-    def test_no_unknown_fallback_reasons(self, sweep_obs):
-        by_reason = sweep_obs.by_label("probe.probes", "reason")
-        assert "unknown" not in by_reason
-        # the expected split: donor-translated replays plus the single
-        # probe that lands between a snapshot bump and its re-capture
-        assert by_reason == {"translated": 28, "version_guard": 1}
+    def test_probes_carry_no_reason_labels(self, sweep_obs):
+        assert sweep_obs.by_label("probe.probes", "reason") == {}
 
     def test_unit_dispositions_cover_every_plan(self, sweep_obs):
         dispositions = sweep_obs.by_label("probe.units", "disposition")
-        assert sum(dispositions.values()) == 29
         assert dispositions == {"batched": 29}
 
     def test_no_scalar_searches_at_default_scale(self, sweep_obs):

@@ -40,24 +40,21 @@ class TestFullWorkflow:
         # 2) characterize: SiMRA must beat CoMRA must beat RowHammer on
         # the module's weakest rows
         session = CharacterizationSession(module, ExperimentScale.small())
+        victims = session.candidate_victims()
         rh_min = min(
-            m.hc_first
-            for m in (session.measure_rowhammer_ds(v)
-                      for v in session.candidate_victims())
-            if m.found
+            m.hc_first for m in session.measure_rowhammer_ds(victims) if m.found
         )
         comra_min = min(
-            m.hc_first
-            for m in (session.measure_comra_ds(v)
-                      for v in session.candidate_victims())
-            if m.found
+            m.hc_first for m in session.measure_comra_ds(victims) if m.found
         )
-        simra_values = []
-        for pair in session.sample_simra_pairs(4):
-            simra_values.extend(
-                m.hc_first for m in session.measure_simra_ds(pair, max_victims=2)
-                if m.found
+        simra_values = [
+            m.hc_first
+            for group in session.measure_simra_ds(
+                session.sample_simra_pairs(4), max_victims=2
             )
+            for m in group
+            if m.found
+        ]
         simra_min = min(simra_values)
         assert simra_min < comra_min < rh_min
         assert simra_min <= 40  # the 26-hammer headline
