@@ -4,8 +4,10 @@ These are not paper figures; they quantify the simulator decisions that
 make the reproduction tractable and demonstrate they do not change the
 science:
 
-* loop scaling -- the host's warm-up + scaled-damage fast path must agree
-  exactly with unrolled execution, at orders-of-magnitude lower cost;
+* loop scaling -- the host's compiled stream path (``compile_streams=True``:
+  one warm-up period plus one period whose damage is scaled by the
+  remaining repetitions) must agree with unrolled execution
+  (``compile_streams=False``) at orders-of-magnitude lower cost;
 * synergy window -- double-sided detection must classify the paper's
   canonical patterns correctly;
 * sentinel rows -- population minima must be pinned without disturbing the
@@ -22,10 +24,10 @@ from repro.bender.host import DramBenderHost
 from repro.core import CharacterizationSession, patterns
 
 
-def _damage_after(scaled: bool, count: int) -> tuple[float, float]:
+def _damage_after(fast: bool, count: int) -> tuple[float, float]:
     module = make_module("hynix-a-8gb")
     victim = 2 * 96 + 40
-    host = DramBenderHost(module, scale_loops=scaled)
+    host = DramBenderHost(module, compile_streams=fast)
     program = patterns.double_sided_rowhammer(module, victim, count)
     start = time.perf_counter()
     host.run(program)
@@ -37,7 +39,7 @@ def _damage_after(scaled: bool, count: int) -> tuple[float, float]:
 
 
 def test_loop_scaling_exactness_and_speedup(benchmark):
-    exact, exact_time = _damage_after(scaled=False, count=3000)
+    exact, exact_time = _damage_after(fast=False, count=3000)
     scaled, scaled_time = benchmark.pedantic(
         _damage_after, args=(True, 3000), rounds=1, iterations=1
     )

@@ -99,7 +99,7 @@ def bench_hammer_loop(smoke: bool, repeats: int) -> dict:
     def run(fast: bool) -> None:
         module = make_module(CONFIG)
         module.attach_trr(SamplingTrr(seed=0))
-        host = DramBenderHost(module, scale_loops=fast, compile_streams=fast)
+        host = DramBenderHost(module, compile_streams=fast)
         host.run(patterns.double_sided_rowhammer(module, VICTIM, count))
 
     fast_s = _timeit(lambda: run(True), repeats)

@@ -15,9 +15,10 @@ This module mirrors that split for the simulated pipeline:
   plan.  Periodic prefixes of flat ACT/PRE runs (the shape every hammer
   window has: ``k`` repetitions of the same ACT/PRE period) become
   :class:`ChunkStep`\\ s, which the host executes as *one warm-up period
-  plus one period scaled by* ``k - 1`` -- the same trick the scaled loop
-  path uses, but applicable per-run inside REF-delimited windows, so it
-  composes with an attached TRR hook (see ``DramBenderHost``).
+  plus one period scaled by* ``k - 1`` -- the same trick the host plays
+  on a compiled ``Loop`` body, applied per-run inside REF-delimited
+  windows, so it composes with an attached TRR hook (see
+  ``DramBenderHost``).
 
 A period is only chunkable when it opens with an ACT and closes with a
 PRE: then the bank is precharged at every chunk boundary and the session
@@ -47,25 +48,18 @@ SCAN_BUDGET = 64
 class CompiledStream:
     """One lowered ACT/PRE period, ready for ``Bank.execute_stream``.
 
-    ``ops``/``rows``/``offsets`` are the numpy form (vector analysis);
-    the ``*_list`` twins are plain Python lists, which iterate faster in
-    the replay loop.  ``act_rows`` is the physical row of every ACT in
+    ``op_list``/``row_list``/``offset_list`` are plain Python lists (they
+    iterate faster in the replay loop than numpy arrays); PRE entries
+    carry row ``-1``.  ``act_rows`` is the physical row of every ACT in
     stream order -- exactly what a TRR sampler would have observed.
     """
 
     bank: int
-    ops: np.ndarray
-    rows: np.ndarray
-    offsets: np.ndarray
     op_list: list
     row_list: list
     offset_list: list
     act_rows: np.ndarray
     duration_ns: float
-
-    @property
-    def n_acts(self) -> int:
-        return int(self.act_rows.size)
 
 
 @dataclass
@@ -104,10 +98,8 @@ def compile_stream(
     act_rows: list = []
     to_physical = module.to_physical
     for instr in body:
-        t += instr.slack_ns
-        if isinstance(instr, Nop):
-            continue
         if isinstance(instr, Act):
+            t += instr.slack_ns
             if bank is None:
                 bank = instr.bank
             elif instr.bank != bank:
@@ -118,6 +110,7 @@ def compile_stream(
             offset_list.append(t)
             act_rows.append(phys)
         elif isinstance(instr, Pre):
+            t += instr.slack_ns
             if bank is None:
                 bank = instr.bank
             elif instr.bank != bank:
@@ -125,15 +118,14 @@ def compile_stream(
             op_list.append(STREAM_PRE)
             row_list.append(-1)
             offset_list.append(t)
-        else:
+        elif isinstance(instr, Nop):
+            t += instr.slack_ns
+        else:  # RD/WR/REF or a nested Loop
             return None
     if not op_list or op_list[0] != STREAM_ACT or op_list[-1] != STREAM_PRE:
         return None
     return CompiledStream(
         bank=bank,
-        ops=np.asarray(op_list, dtype=np.int8),
-        rows=np.asarray(row_list, dtype=np.int64),
-        offsets=np.asarray(offset_list, dtype=np.float64),
         op_list=op_list,
         row_list=row_list,
         offset_list=offset_list,

@@ -9,22 +9,22 @@ streams into a DIMM:
 * read data is collected into the program result,
 * execution time is tracked in nanoseconds.
 
-Three execution paths (see DESIGN.md, "Execution engine"):
+Two execution paths (see DESIGN.md, "Execution engine"):
 
-* **unrolled** -- per-instruction interpretation; always correct, always
-  available, and the reference the other two are tested against.
-* **scaled** -- a ``Loop`` body executes twice: once to warm up
-  interleaving state (synergy windows, tAggOff gaps), once with the fault
-  model's ``times`` multiplier carrying the remaining iterations, and the
-  clock jumps over the skipped duration.  Valid because damage accrual is
-  linear in the iteration count and the body's *functional* effects
-  (copies, majority writes) reach a fixpoint after one iteration.
-  Refused when a TRR hook is attached or the body contains RD/WR/REF.
-* **compiled-chunked** -- periodic ACT/PRE stretches (a ``Loop`` body or a
+* **unrolled** -- per-instruction interpretation; always correct, the
+  reference the stream path is tested against (``compile_streams=False``
+  runs everything this way), and the fallback for every ``Loop`` body that
+  does not lower to a stream (several banks, nested loops, RD/WR/REF,
+  NOP-only).
+* **compiled stream** -- periodic ACT/PRE stretches (a ``Loop`` body or a
   periodic run inside a flat program) are lowered once by
-  :mod:`repro.bender.compiler` into a command stream and executed with
-  the same warm-up + scaled two-pass trick, but *per REF-delimited
-  stretch*, which is what makes it compose with an attached TRR hook:
+  :mod:`repro.bender.compiler` into a command stream and executed as one
+  warm-up period (steady-state synergy windows and tAggOff gaps) plus one
+  period whose fault-model ``times`` multiplier carries the remaining
+  repetitions, the clock jumping over the skipped duration.  Valid because
+  damage accrual is linear in the repetition count and the bank is closed
+  at every period boundary.  The passes run *per REF-delimited stretch*,
+  which is what makes them compose with an attached TRR hook:
   between TRR-capable REFs the sampler's observable state depends only on
   the ACT sequence, so per-ACT callbacks are suppressed during the two
   passes and the hook receives one batched
@@ -123,8 +123,6 @@ class ProgramResult:
 class DramBenderHost:
     """Executes test programs against one simulated module."""
 
-    #: Loop bodies at or above this iteration count use the scaled path.
-    SCALE_THRESHOLD = 3
     #: default for the ``compile_streams`` constructor argument; benchmarks
     #: flip this to force interpretation in code they don't construct.
     default_compile_streams = True
@@ -134,13 +132,11 @@ class DramBenderHost:
     def __init__(
         self,
         module: DramModule,
-        scale_loops: bool = True,
         enforce_refresh_window: bool = False,
         compile_streams: Optional[bool] = None,
         obs=None,
     ) -> None:
         self.module = module
-        self.scale_loops = scale_loops
         self.enforce_refresh_window = enforce_refresh_window
         self.compile_streams = (
             self.default_compile_streams
@@ -189,7 +185,7 @@ class DramBenderHost:
             bank.flush(self.now_ns)
 
     # ------------------------------------------------------------------
-    # Plan machinery (compiled-chunked path)
+    # Plan machinery (compiled stream path)
     # ------------------------------------------------------------------
     def _plan_for(self, program: TestProgram) -> list:
         key = id(program)
@@ -317,38 +313,7 @@ class DramBenderHost:
     def _execute_loop(self, loop: Loop, result: ProgramResult) -> None:
         if loop.count == 0:
             return
-        if self._can_scale(loop):
-            self.obs.inc("host.loops", path="scaled")
-            # Warm-up pass establishes steady-state interleaving (synergy
-            # windows, tAggOff gaps), then one pass carries the remaining
-            # iterations' damage at once.
-            self._execute(loop.body, result)
-            if loop.count == 1:
-                return
-            remaining = loop.count - 1
-            banks = self.module.banks
-            saved = [bank.event_times for bank in banks]
-            before = [dict(bank.stats) for bank in banks]
-            for bank, times in zip(banks, saved):
-                bank.event_times = times * remaining
-            try:
-                self._execute(loop.body, result)
-            finally:
-                for bank, times in zip(banks, saved):
-                    bank.event_times = times
-            if loop.count > 2:
-                # the scaled pass carried the remaining iterations' damage
-                # but counted one body's worth of commands; top up the
-                # counters with the skipped repetitions
-                for bank, snapshot in zip(banks, before):
-                    for key, value in snapshot.items():
-                        delta = bank.stats[key] - value
-                        if delta:
-                            bank.stats[key] += delta * (loop.count - 2)
-            # two passes already advanced 2 * body_ns; account for the rest
-            self.now_ns += loop.body_duration_ns * (loop.count - 2)
-            return
-        if self.scale_loops and self.compile_streams:
+        if self.compile_streams:
             stream = self._loop_stream(loop)
             if stream is not None:
                 self.obs.inc("host.loops", path="stream")
@@ -357,21 +322,6 @@ class DramBenderHost:
         self.obs.inc("host.loops", path="unrolled")
         for _ in range(loop.count):
             self._execute(loop.body, result)
-
-    def _can_scale(self, loop: Loop) -> bool:
-        if not self.scale_loops or loop.count < self.SCALE_THRESHOLD:
-            return False
-        if any(bank.trr is not None for bank in self.module.banks):
-            return False
-        return self._body_is_scalable(loop.body)
-
-    def _body_is_scalable(self, body) -> bool:
-        for instr in body:
-            if isinstance(instr, (Rd, Wr, Ref)):
-                return False
-            if isinstance(instr, Loop) and not self._body_is_scalable(instr.body):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     def _step(self, instr: Instruction, result: ProgramResult) -> None:

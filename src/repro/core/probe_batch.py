@@ -33,7 +33,7 @@ Three pieces:
   touches through the bank's copy-on-write
   :meth:`~repro.dram.bank.Bank.restore_rows`, then replays the hammer
   loops as pre-compiled command streams (warm pass + one pass scaled by
-  ``count - 1``, the same two-pass trick as the host's scaled path) and
+  ``count - 1``, the same two-pass trick as the host's stream path) and
   reads the victim back at nominal timing.  All model-visible quantities
   are *gaps* between same-probe timestamps, every slack is a multiple of
   the 1.5 ns bus cycle (exact in float64), and the probe-boundary tAggOff
@@ -1275,14 +1275,13 @@ class BatchedSearchEngine:
         for (sr, fr), (si, fi) in zip(ur.loops, ui.loops):
             if fr != fi or sr.duration_ns != si.duration_ns:
                 return None
-            if not np.array_equal(sr.ops, si.ops):
+            if sr.op_list != si.op_list or sr.offset_list != si.offset_list:
                 return None
-            if not np.array_equal(sr.offsets, si.offsets):
-                return None
-            shifted = np.where(
-                sr.ops == STREAM_ACT, sr.rows + delta, sr.rows
-            )
-            if not np.array_equal(shifted, si.rows):
+            shifted = [
+                row + delta if op == STREAM_ACT else row
+                for op, row in zip(sr.op_list, sr.row_list)
+            ]
+            if shifted != si.row_list:
                 return None
         rows_r = ur.snapshot.rows
         rows_i = ui.snapshot.rows

@@ -22,8 +22,8 @@ Scalar code paths read and write through ``memoryview`` aliases of the
 same buffers (:attr:`dmg`, :attr:`hits_mv`, ...): a memoryview scalar
 access returns a plain Python float/int at roughly list speed, whereas
 ``ndarray[i]`` boxes a numpy scalar and costs several times more.
-Vectorized kernels (``np.add.at`` trace application, slice restores)
-operate on the ndarrays directly; both views share memory.
+Whole-buffer operations (capacity growth) use the ndarrays directly;
+both views share memory.
 
 Bit-identity with the dict implementation needs one extra structure:
 ``pool_order[slot]`` lists the pools of a slot in first-deposit order,
@@ -153,15 +153,3 @@ class DamageLedger:
         cells = self.flipped[slot]
         if cells:
             cells.clear()
-
-    def restore_many(self, slots: np.ndarray) -> None:
-        """Vectorized :meth:`restore` over a slot array (snapshot restore)."""
-        self.damage[slots] = 0.0
-        self.flips[slots] = 0
-        pool_order = self.pool_order
-        flipped = self.flipped
-        for slot in slots:
-            pool_order[slot].clear()
-            cells = flipped[slot]
-            if cells:
-                cells.clear()

@@ -667,26 +667,6 @@ class Bank:
             else:
                 pre(base_ns + offset)
 
-    def act_stream(
-        self,
-        rows: Sequence[int],
-        open_offsets: Sequence[float],
-        close_offsets: Sequence[float],
-        base_ns: float = 0.0,
-    ) -> None:
-        """Fold a stream of single-row activation sessions into events.
-
-        Each element is one (ACT row at ``open``, PRE at ``close``)
-        session; the usual one-command event holdback still applies, so
-        timing-violating adjacency between consecutive sessions (CoMRA,
-        SiMRA) classifies exactly as it would command by command.
-        """
-        act = self.act
-        pre = self.pre
-        for row, t_open, t_close in zip(rows, open_offsets, close_offsets):
-            act(row, base_ns + t_open)
-            pre(base_ns + t_close)
-
     # ------------------------------------------------------------------
     def read_row_direct(self, row: int, now_ns: float) -> np.ndarray:
         """Convenience ACT -> RD -> PRE at nominal timing (restores charge)."""

@@ -7,7 +7,7 @@ trigger for SiMRA, counting victim bitflips with and without the TRR
 mechanism attached.
 
 "Without TRR" runs disable refresh entirely (the §3.1 methodology), so
-those hammering loops take the host's scaled fast path; "with TRR" runs
+those hammering loops replay as compiled host streams; "with TRR" runs
 replay the full command stream including REFs.
 """
 

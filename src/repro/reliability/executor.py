@@ -3,9 +3,9 @@
 ``execute_workload`` runs one workload on a fresh module: payload data is
 placed through the command interface (every write registered with the
 oracle), each kernel's ideal result is computed from the shadow *before*
-its programs run, the programs execute through the scaled/compiled host
-path, the defense's post-kernel hook gets a chance to detect and repair,
-and the oracle checkpoint classifies whatever survived.  ACT counts and
+its programs run, the programs execute through the host's compiled
+stream path, the defense's post-kernel hook gets a chance to detect and
+repair, and the oracle checkpoint classifies whatever survived.  ACT counts and
 the command clock are sampled around the run so defense overhead is
 measured with the same instruments as the workload itself.
 
@@ -121,7 +121,7 @@ def execute_workload(
 ) -> WorkloadOutcome:
     """Run one workload under one defense; classify and account everything."""
     engine = PudEngine(module, bank)
-    engine.host = DramBenderHost(module, scale_loops=fast, compile_streams=fast)
+    engine.host = DramBenderHost(module, compile_streams=fast)
     oracle = CorruptionOracle(module, bank)
     outcome = DefenseOutcome()
     corrector = defense.corrector()

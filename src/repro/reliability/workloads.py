@@ -6,8 +6,8 @@ copy-chain that keeps computing next to freshly produced results, FracDRAM
 initialization, and -- on SiMRA-capable chips -- multi-row broadcast
 memset, bitmap AND query kernels, and sustained QUAC-TRNG streams.  The
 sustained portion of every kernel is a single ``Loop`` of pure ACT/PRE
-commands, so the compiled command-stream engine executes it at
-loop-scaled speed regardless of repetition count.
+commands, so the compiled command-stream engine executes it in two
+passes regardless of repetition count.
 
 Placement is oracle-guided: the builder ranks candidate victim rows with
 the model's vectorized :meth:`reference_hcfirst_array` population tables

@@ -41,7 +41,8 @@ class TestCompileStream:
         # offsets are cumulative slacks: 13.5, 49.5, 63.0, 99.0
         assert stream.offset_list == [13.5, 49.5, 63.0, 99.0]
         assert stream.duration_ns == 99.0
-        assert stream.n_acts == 2
+        # PRE entries carry row -1; ACT rows are physical
+        assert stream.row_list == [victim - 1, -1, victim + 1, -1]
 
     def test_nop_slack_folds_into_offsets(self, module):
         body = (
@@ -60,6 +61,10 @@ class TestCompileStream:
         assert compile_stream(with_rd._instructions, module) is None
         with_ref = [Ref(0.0)]
         assert compile_stream(with_ref, module) is None
+
+    def test_rejects_nested_loop(self, module):
+        nested = [Loop(2, tuple(rowhammer_body(module)))]
+        assert compile_stream(nested, module) is None
 
     def test_rejects_multi_bank(self, module):
         body = (

@@ -1,8 +1,8 @@
 """Compiled/chunked execution must be indistinguishable from unrolled.
 
 Every case runs the same program twice on freshly instantiated modules:
-once on the reference host (``scale_loops=False, compile_streams=False``,
-pure per-instruction interpretation) and once on the default fast host.
+once on the reference host (``compile_streams=False``, pure
+per-instruction interpretation) and once on the default fast host.
 Victim bytes must be byte-identical, flip sets identical, TRR stats
 (including ``targeted_refreshes``, which depends on bit-exact sampler
 buffer state at every capable REF) identical, and the clock must land on
@@ -49,9 +49,7 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
 
     bank.targeted_refresh = logged_refresh
     obs = Obs()
-    host = DramBenderHost(
-        module, scale_loops=fast, compile_streams=fast, obs=obs
-    )
+    host = DramBenderHost(module, compile_streams=fast, obs=obs)
     rows, expected = setup_rows(module)
     host.write_rows(0, {module.to_logical(r): d for r, d in rows.items()})
     program = program_factory(module)
