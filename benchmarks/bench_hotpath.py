@@ -15,6 +15,9 @@ chunked replay) and the reference host (per-instruction interpretation):
 * ``prac_gauntlet_cell`` -- the same toggle on sync-simra16 under
   PRAC-PO-WC: compiled streams replayed in segments split where a
   back-off can fire, against per-command interpretation.
+* ``trr_rounds`` -- the §7 (Fig. 24) SiMRA round program replayed round
+  after round under sampling TRR: short REF-delimited chunks whose cost
+  is the host's per-run and the sampler's per-chunk fixed overhead.
 * ``hcfirst_batch`` / ``comra_sweep`` -- the batched multi-victim probe
   engine (one ``measure_*`` call over the victim list) against the
   scalar per-victim session loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
@@ -39,6 +42,8 @@ import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -168,6 +173,64 @@ def bench_gauntlet_cell(smoke: bool, repeats: int) -> dict:
 
 def bench_prac_gauntlet_cell(smoke: bool, repeats: int) -> dict:
     return _gauntlet_cell("sync-simra16", "prac-po-wc", smoke, repeats)
+
+
+def bench_trr_rounds(smoke: bool, repeats: int) -> dict:
+    """§7 SiMRA round program replayed ``rounds`` times under sampling TRR.
+
+    Mirrors ``fig24``'s simra-2 cell: each run is four REF-delimited
+    windows of 156 ACTs (SiMRA ops, then dummy floods), so the fast side
+    pays one plan lookup per run and one sampler intake per window.  Both
+    sides must leave identical bank and TRR stats and the same damage
+    ledger: the same rows, the same flips, and damage equal up to float
+    summation order (the stream path's scaled pass multiplies one
+    period's damage where the reference adds it up; its hit ordinals
+    count that pass once, so they are not compared).
+    """
+    from repro.experiments.trr_bypass import ACTS_PER_TREFI
+
+    rounds = 40 if smoke else 400
+
+    def run(fast: bool) -> tuple:
+        module = make_module(CONFIG)
+        trr = SamplingTrr(seed=0)
+        module.attach_trr(trr)
+        base = module.geometry.rows_per_subarray + 32
+        pair = patterns.simra_pair_for(module, (base // 32) * 32, 2)
+        program = patterns.simra_trr_pattern(
+            module, pair, base + 64, acts_per_trefi=ACTS_PER_TREFI
+        )
+        host = DramBenderHost(module, compile_streams=fast)
+        for _ in range(rounds):
+            host.run(program)
+        return dict(module.banks[0].stats), trr.stats, module.model.ledger
+
+    (fast_bank, fast_trr, fast_ledger), (ref_bank, ref_trr, ref_ledger) = (
+        run(True), run(False)
+    )
+    slot_of = {fast_ledger.key_of(slot): slot
+               for slot in range(fast_ledger.size)}
+    ref_keys = [ref_ledger.key_of(slot) for slot in range(ref_ledger.size)]
+    fast_slots = [slot_of.get(key, 0) for key in ref_keys]
+    checks = {
+        "bank stats": fast_bank == ref_bank,
+        "trr stats": fast_trr == ref_trr,
+        "ledger rows": set(slot_of) == set(ref_keys),
+        "ledger flips": np.array_equal(
+            fast_ledger.flips[fast_slots], ref_ledger.flips[: ref_ledger.size]
+        ),
+        "ledger damage": np.allclose(
+            fast_ledger.damage[fast_slots], ref_ledger.damage[: ref_ledger.size],
+            rtol=1e-9, atol=0.0,
+        ),
+    }
+    for name, equal in checks.items():
+        if not equal:
+            raise AssertionError(f"trr_rounds: {name} differ from reference")
+    fast_s = _timeit(lambda: run(True), repeats)
+    ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
+    return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
+            "params": {"rounds": rounds, "acts_per_trefi": ACTS_PER_TREFI}}
 
 
 def bench_population_scan(smoke: bool, repeats: int) -> dict:
@@ -376,6 +439,7 @@ BENCHES = {
     "hcfirst_search": bench_hcfirst_search,
     "gauntlet_cell": bench_gauntlet_cell,
     "prac_gauntlet_cell": bench_prac_gauntlet_cell,
+    "trr_rounds": bench_trr_rounds,
     "population_scan": bench_population_scan,
     "fig25_mix_sweep": bench_fig25_mix_sweep,
     "pud_reliability": bench_pud_reliability,

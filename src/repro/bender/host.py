@@ -151,17 +151,22 @@ class DramBenderHost:
         self.now_ns = 0.0
         # Plans are keyed by program identity (programs are mutable, so
         # content hashing is off the table); the program reference is kept
-        # so a dead id can't alias a new object.  Callers must not mutate
-        # a program's instruction list between runs -- nothing in the
-        # repo does.
-        self._plans: dict[int, tuple[TestProgram, list]] = {}
+        # so a dead id can't alias a new object.  Each entry also carries
+        # the program's duration for the refresh-window check, which
+        # otherwise re-walks every instruction on every run.  Callers must
+        # not mutate a program's instruction list between runs -- nothing
+        # in the repo does.
+        self._plans: dict[int, tuple[TestProgram, list, float]] = {}
         self._loop_streams: dict[Loop, object] = {}
 
     # ------------------------------------------------------------------
     def run(self, program: TestProgram) -> ProgramResult:
         """Execute a program; returns collected reads and timing."""
         result = ProgramResult(program.name, start_ns=self.now_ns)
-        duration = program.duration_ns
+        if self.compile_streams:
+            plan, duration = self._plan_for(program)
+        else:
+            plan, duration = None, program.duration_ns
         if duration > self.module.timing.tREFW:
             message = (
                 f"program {program.name!r} runs {duration / 1e6:.1f} ms, beyond "
@@ -172,8 +177,8 @@ class DramBenderHost:
                 raise RuntimeError(message)
             result.warnings.append(message)
 
-        if self.compile_streams:
-            self._execute_plan(self._plan_for(program), result)
+        if plan is not None:
+            self._execute_plan(plan, result)
         else:
             self._execute(program.instructions, result)
         self._flush_banks()
@@ -187,16 +192,18 @@ class DramBenderHost:
     # ------------------------------------------------------------------
     # Plan machinery (compiled stream path)
     # ------------------------------------------------------------------
-    def _plan_for(self, program: TestProgram) -> list:
+    def _plan_for(self, program: TestProgram) -> tuple[list, float]:
+        """The program's cached ``(plan, duration_ns)``, built on first use."""
         key = id(program)
         entry = self._plans.get(key)
         if entry is not None and entry[0] is program:
-            return entry[1]
+            return entry[1], entry[2]
         plan = build_plan(program, self.module)
+        duration = program.duration_ns
         if len(self._plans) >= self._CACHE_MAX:
             self._plans.clear()
-        self._plans[key] = (program, plan)
-        return plan
+        self._plans[key] = (program, plan, duration)
+        return plan, duration
 
     def _execute_plan(self, plan: list, result: ProgramResult) -> None:
         for step in plan:

@@ -73,28 +73,34 @@ class SamplingTrr:
     def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
         """Observe ``times`` repetitions of the ACT sequence ``rows``.
 
-        Exactly equivalent to ``rows.size * times`` sequential
+        Exactly equivalent to ``len(rows) * times`` sequential
         :meth:`on_act` calls: the bounded FIFO's final content is the last
-        ``window`` elements of the tiled sequence, which this computes
-        directly (modular indexing) instead of appending one by one.  The
-        batched host path calls this once per compiled chunk, between
+        ``window`` elements of the repeated sequence, which this builds
+        directly (a rotation of ``rows``) instead of appending one by one.
+        The batched host path calls this once per compiled chunk, between
         REFs, so the buffer a TRR-capable REF samples from is
         bit-identical to the unrolled execution's.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        total = int(rows.size) * int(times)
+        # one bulk conversion; per-element int() calls dominate otherwise
+        seq = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        times = int(times)
+        n = len(seq)
+        total = n * times
         if total == 0:
             return
         self.acts_seen += total
         buf = self._buffer(bank)
-        if total >= self.window:
-            # only the tail survives the FIFO; reconstruct it in place
-            tail = np.arange(total - self.window, total) % rows.size
-            buf.clear()
-            buf.extend(int(row) for row in rows[tail])
-        else:
-            seq = rows if times == 1 else np.tile(rows, int(times))
-            buf.extend(int(row) for row in seq)
+        window = self.window
+        if total < window:
+            buf.extend(seq * times)
+            return
+        # only the tail survives the FIFO: it starts at element
+        # total - window of the repeated sequence, i.e. at that offset
+        # (mod n) into ``seq``
+        start = (total - window) % n
+        rotated = seq[start:] + seq[:start]
+        buf.clear()
+        buf.extend((rotated * (window // n + 1))[:window])
 
     def on_ref(self, bank: int, now_ns: float) -> list[int]:
         self.refs_seen += 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bender import program as bender_program
 from repro.bender.host import DramBenderHost
 from repro.bender.program import ProgramBuilder
 from repro.dram import make_module
@@ -87,15 +88,45 @@ class TestRefreshWindowGuard:
         body = ProgramBuilder().nop(70_200.0)
         return ProgramBuilder("press").loop(1000, body).build()
 
-    def test_warns_beyond_refresh_window(self, hynix_module):
-        host = DramBenderHost(hynix_module)
-        result = host.run(self._long_program(hynix_module))
-        assert result.warnings
+    # the compiled path reads the duration from its plan cache, so repeat
+    # runs of one program must keep warning / raising like the first
 
-    def test_enforcement_raises(self, hynix_module):
-        host = DramBenderHost(hynix_module, enforce_refresh_window=True)
-        with pytest.raises(RuntimeError):
-            host.run(self._long_program(hynix_module))
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_warns_beyond_refresh_window(self, hynix_module, fast):
+        host = DramBenderHost(hynix_module, compile_streams=fast)
+        program = self._long_program(hynix_module)
+        for _ in range(3):
+            assert host.run(program).warnings
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_enforcement_raises(self, hynix_module, fast):
+        host = DramBenderHost(
+            hynix_module, enforce_refresh_window=True, compile_streams=fast
+        )
+        program = self._long_program(hynix_module)
+        for _ in range(3):
+            with pytest.raises(RuntimeError):
+                host.run(program)
+
+    @pytest.mark.parametrize("fast, reads", [(True, 1), (False, 3)])
+    def test_duration_read_once_per_cached_plan(
+        self, hynix_module, monkeypatch, fast, reads
+    ):
+        calls = []
+        duration = bender_program.TestProgram.duration_ns
+
+        def counting(program):
+            calls.append(program.name)
+            return duration.fget(program)
+
+        monkeypatch.setattr(
+            bender_program.TestProgram, "duration_ns", property(counting)
+        )
+        host = DramBenderHost(hynix_module, compile_streams=fast)
+        program = hammer_program(hynix_module, 2 * 96 + 40, 50)
+        for _ in range(3):
+            host.run(program)
+        assert len(calls) == reads
 
 
 class TestTrrSeesEveryAct:

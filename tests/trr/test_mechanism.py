@@ -1,6 +1,8 @@
 """Sampling-based TRR model."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.trr import SamplingTrr
 
@@ -157,11 +159,43 @@ class TestActStream:
         assert draws["batched"] == draws["sequential"]
 
     def test_empty_stream_is_a_noop(self):
-        trr = SamplingTrr(seed=0)
+        trr = SamplingTrr(capable_ref_period=1, seed=0)
         trr.on_act_stream(0, [], 5)
         trr.on_act_stream(0, [1, 2], 0)
         assert trr.stats["acts_seen"] == 0
-        assert trr.on_ref(0, 0.0) == [] or True  # buffer stayed empty
+        assert list(trr._buffer(0)) == []
+        assert trr.on_ref(0, 0.0) == []  # every REF is capable at period 1
+
+    @given(
+        window=st.integers(1, 600),
+        rows=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=1000),
+        times=st.integers(0, 2000),
+        prefill=st.lists(st.integers(0, 1 << 20), max_size=700),
+    )
+    @example(window=450, rows=list(range(150)), times=3, prefill=[7])
+    @example(window=5, rows=list(range(7)), times=1, prefill=[1, 2])
+    @example(window=5, rows=list(range(7)), times=2, prefill=[])
+    @example(window=4, rows=[1, 2, 3], times=3, prefill=[9] * 4)
+    @settings(max_examples=60, deadline=None)
+    def test_stream_matches_sequential_acts(self, window, rows, times, prefill):
+        def sampler():
+            trr = SamplingTrr(window=window, capable_ref_period=1, seed=5)
+            for row in prefill:
+                trr.on_act(0, row, 0.0)
+            return trr
+
+        sequential = sampler()
+        for _ in range(times):
+            for row in rows:
+                sequential.on_act(0, row, 0.0)
+        expected = (list(sequential._buffer(0)), sequential.stats)
+        expected_draws = [sequential.on_ref(0, 0.0) for _ in range(8)]
+        # the host passes CompiledStream.act_rows, an int64 ndarray
+        for batch in (rows, np.asarray(rows, dtype=np.int64)):
+            batched = sampler()
+            batched.on_act_stream(0, batch, times)
+            assert (list(batched._buffer(0)), batched.stats) == expected
+            assert [batched.on_ref(0, 0.0) for _ in range(8)] == expected_draws
 
     def test_stats_property_reads_attributes(self):
         trr = SamplingTrr(capable_ref_period=1, seed=0)
