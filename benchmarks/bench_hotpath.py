@@ -41,6 +41,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,30 @@ def _timeit(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+@contextmanager
+def _scalar_session_searches():
+    """Run every session search through ``find_hc_first_repeated``, one
+    setup after another, instead of the batched probe engine: the exact
+    scalar reference the engine must match, not a pessimized stand-in."""
+    from repro.core import session as session_module
+
+    engine = session_module.run_batched_searches
+
+    def scalar(setups, repeats, max_hammers, obs=None):
+        return [
+            find_hc_first_repeated(
+                setup, repeats=repeats, max_hammers=max_hammers
+            )
+            for setup in setups
+        ]
+
+    session_module.run_batched_searches = scalar
+    try:
+        yield
+    finally:
+        session_module.run_batched_searches = engine
 
 
 def bench_hammer_loop(smoke: bool, repeats: int) -> dict:
@@ -335,9 +360,10 @@ def bench_pud_reliability(smoke: bool, repeats: int) -> dict:
 def bench_hcfirst_batch(smoke: bool, repeats: int) -> dict:
     """Batched multi-victim HC_first sweep vs the scalar per-victim loop.
 
-    ``measure_rowhammer_ds`` over every candidate victim against the
-    same sweep with ``batch_probes=False`` (the exact scalar path, not a
-    pessimized stand-in).  The scalar side is dominated by per-ACT
+    ``measure_rowhammer_ds`` over every candidate victim against a
+    per-victim loop of one-victim calls with the session's engine rebound
+    to the scalar search (:func:`_scalar_session_searches`).  The scalar
+    side is dominated by per-ACT
     interpretation, which trace replay replaces with direct re-application
     of each probe's resolved deposit plans; the residue bounding the
     ratio is per-unit translation plus the per-op replay itself.  The
@@ -357,13 +383,13 @@ def bench_hcfirst_batch(smoke: bool, repeats: int) -> dict:
         # acceptance bar is that enabled metrics cost <=2% on this cell
         obs = Obs() if batched else None
         session = CharacterizationSession(make_module(CONFIG), scale, obs=obs)
-        session.batch_probes = batched
         victims = session.candidate_victims()
         if batched:
             session.measure_rowhammer_ds(victims)
             return obs.snapshot()
-        for v in victims:
-            session.measure_rowhammer_ds([v])
+        with _scalar_session_searches():
+            for v in victims:
+                session.measure_rowhammer_ds([v])
         return {}
 
     # hand-rolled best-of so the reported stage split and obs snapshot
@@ -398,8 +424,9 @@ def bench_comra_sweep(smoke: bool, repeats: int) -> dict:
     """A fig09-style CoMRA condition sweep, batched vs scalar.
 
     Each PRE-to-ACT delay is one ``measure_comra_ds`` call over the
-    victim list on the fast side and a per-victim loop of one-victim
-    calls on the reference side -- the experiment-loop shape comra.py runs after the migration.
+    victim list on the fast side, the experiment-loop shape comra.py
+    runs.  The reference side is a per-victim loop of one-victim calls
+    on the scalar search (:func:`_scalar_session_searches`).
     """
     from repro.core import CharacterizationSession, ExperimentScale
 
@@ -413,15 +440,16 @@ def bench_comra_sweep(smoke: bool, repeats: int) -> dict:
 
     def run(batched: bool):
         session = CharacterizationSession(make_module(CONFIG), scale)
-        session.batch_probes = batched
         victims = session.candidate_victims()
         out = []
-        for delay in delays:
-            if batched:
+        if batched:
+            for delay in delays:
                 out.extend(
                     session.measure_comra_ds(victims, pre_to_act_ns=delay)
                 )
-            else:
+            return out
+        with _scalar_session_searches():
+            for delay in delays:
                 out.extend(
                     session.measure_comra_ds([v], pre_to_act_ns=delay)[0]
                     for v in victims

@@ -8,12 +8,13 @@ primitives.
 
 Every ``measure_*`` primitive takes a list (victims, aggressors, row
 pairs or SiMRA groups) and returns one result per entry; a single victim
-is a batch of one, e.g. ``session.measure_rowhammer_ds([v])[0]``.  When a
-call carries more than one HC_first search, the searches advance
-together through :func:`repro.core.probe_batch.run_batched_searches`,
-bit-identical to running them one by one (enforced by
-``tests/core/test_probe_batch.py``); the engine exists purely to
-amortize probe replays across victims.
+is a batch of one, e.g. ``session.measure_rowhammer_ds([v])[0]``.  Every
+call runs its HC_first searches through
+:func:`repro.core.probe_batch.run_batched_searches`, bit-identical to
+running the scalar search of :mod:`repro.core.hcfirst` on them one by
+one (enforced by ``tests/core/test_probe_batch.py``).  The scalar search
+is the engine's per-unit fallback and the tests' oracle; the engine
+exists purely to amortize probe replays across victims.
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ from ..dram.bank import SIMRA_BLOCK
 from ..dram.errors import AddressError
 from ..dram.module import DramModule
 from . import patterns
-from .hcfirst import (
-    ProbeSetup,
-    find_hc_first_repeated,
-    standard_row_data,
-)
+from .hcfirst import ProbeSetup, standard_row_data
 from .metrics import Measurement
 from ..obs import NULL_OBS
 from .probe_batch import run_batched_searches
@@ -75,12 +72,6 @@ class _ProbeRequest:
 
 class CharacterizationSession:
     """Measurement primitives for one module."""
-
-    #: route multi-search ``measure_*`` calls through the batched probe
-    #: engine; False falls back to the scalar per-victim loop
-    #: (bit-identical results, used by the equivalence suite and for
-    #: debugging)
-    batch_probes: bool = True
 
     def __init__(
         self,
@@ -260,21 +251,25 @@ class CharacterizationSession:
         return [victims[int(i)] for i in order]
 
     def measure_wcdp(self, victim: int, mechanism: Mechanism) -> DataPattern:
-        """Measure WCDP the way the paper does: four coarse searches."""
+        """Measure WCDP the way the paper does: four coarse searches,
+        one per data pattern, run as one call."""
+        if mechanism is Mechanism.SIMRA:
+            pair = self._pair_sandwiching(victim)
+            if pair is None:
+                return ALL_PATTERNS[0]
+
+            def request(pattern):
+                return self._simra_ds_request(pair, pattern, victims=(victim,))
+        elif mechanism is Mechanism.COMRA:
+            def request(pattern):
+                return self._comra_ds_request(victim, pattern)
+        else:
+            def request(pattern):
+                return self._rowhammer_ds_request(victim, pattern)
+        groups = self._measure_requests([request(p) for p in ALL_PATTERNS])
         best_pattern = ALL_PATTERNS[0]
         best_hc = math.inf
-        for pattern in ALL_PATTERNS:
-            if mechanism is Mechanism.COMRA:
-                m = self.measure_comra_ds([victim], pattern=pattern)[0]
-            elif mechanism is Mechanism.SIMRA:
-                pair = self._pair_sandwiching(victim)
-                if pair is None:
-                    continue
-                m = self.measure_simra_ds(
-                    [pair], pattern=pattern, victims=[(victim,)]
-                )[0][0]
-            else:
-                m = self.measure_rowhammer_ds([victim], pattern=pattern)[0]
+        for pattern, (m,) in zip(ALL_PATTERNS, groups):
             if m.found and m.hc_first < best_hc:
                 best_hc = m.hc_first
                 best_pattern = pattern
@@ -313,9 +308,8 @@ class CharacterizationSession:
         self, victims: list[int], pattern: Optional[DataPattern],
         mechanism: Mechanism,
     ) -> None:
-        """Resolve a victim batch's WCDPs in one pass when they are needed;
-        a single victim resolves lazily through :meth:`wcdp`."""
-        if pattern is None and len(victims) > 1:
+        """Resolve a victim batch's WCDPs in one pass when they are needed."""
+        if pattern is None:
             self.prefetch_wcdp(victims, mechanism)
 
     def _measure_requests(
@@ -324,10 +318,9 @@ class CharacterizationSession:
         """Run requests and group the Measurements back per request.
 
         A None request (nothing measurable) yields an empty group.  The
-        flattened (request, victim) searches go through the batched probe
-        engine when there is more than one; the scalar search serves a
-        single search, ``batch_probes=False`` and measured-WCDP mode
-        (where pattern resolution itself recurses into measurements).
+        flattened (request, victim) searches all run through the batched
+        probe engine, which falls back to the scalar search per unit where
+        it cannot prove a fused replay identical.
         """
         flat = [
             (index, victim)
@@ -338,26 +331,12 @@ class CharacterizationSession:
         setups = [
             self._setup_for(requests[index], victim) for index, victim in flat
         ]
-        if (
-            self.batch_probes
-            and self.scale.wcdp_mode == "oracle"
-            and len(setups) > 1
-        ):
-            outcomes = run_batched_searches(
-                setups,
-                repeats=self.scale.repeats,
-                max_hammers=self.scale.max_hammers,
-                obs=self.obs,
-            )
-        else:
-            outcomes = [
-                find_hc_first_repeated(
-                    setup,
-                    repeats=self.scale.repeats,
-                    max_hammers=self.scale.max_hammers,
-                )
-                for setup in setups
-            ]
+        outcomes = run_batched_searches(
+            setups,
+            repeats=self.scale.repeats,
+            max_hammers=self.scale.max_hammers,
+            obs=self.obs,
+        )
         results: list[list[Measurement]] = [[] for _ in requests]
         for (index, victim), outcome in zip(flat, outcomes):
             results[index].append(self._wrap(requests[index], victim, outcome))

@@ -127,13 +127,6 @@ class Lognormal:
     def quantile(self, q: float) -> float:
         return math.exp(self.mu + self.sigma * normal_ppf(q))
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        if self.sigma == 0:
-            return 1.0 if math.log(x) >= self.mu else 0.0
-        return normal_cdf((math.log(x) - self.mu) / self.sigma)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Lognormal(mu={self.mu:.4f}, sigma={self.sigma:.4f})"
 

@@ -57,22 +57,15 @@ def run_table2(
     sessions = population_sessions(scale, config_ids=config_ids)
     for session in sessions:
         calibration = session.module.calibration
-        rh_values: list[float] = []
-        comra_values: list[float] = []
-        for victim in session.candidate_victims():
-            rh = session.measure_rowhammer_ds([victim])[0]
-            comra = session.measure_comra_ds([victim])[0]
-            if rh.found:
-                rh_values.append(rh.hc_first)
-            if comra.found:
-                comra_values.append(comra.hc_first)
+        victims = session.candidate_victims()
+        rh_values = found_values(session.measure_rowhammer_ds(victims))
+        comra_values = found_values(session.measure_comra_ds(victims))
         simra_values: list[float] = []
         if session.module.supports_simra:
             for count in (2, 4, 8, 16):
-                for pair in session.sample_simra_pairs(count)[:3]:
-                    simra_values.extend(found_values(
-                        session.measure_simra_ds([pair], max_victims=2)[0]
-                    ))
+                pairs = session.sample_simra_pairs(count)[:3]
+                for group in session.measure_simra_ds(pairs, max_victims=2):
+                    simra_values.extend(found_values(group))
         row = {
             "config": calibration.config_id,
             "rh_min": min(rh_values) if rh_values else None,

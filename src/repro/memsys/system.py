@@ -189,17 +189,6 @@ class _Bank:
         self._arrival: list[tuple[float, int, _Request]] = []
         self._buckets: dict[int, list[tuple[float, int, _Request]]] = {}
 
-    def enqueue(self, request: _Request) -> None:
-        self.live += 1
-        entry = (request.issue_ns, request.seq, request)
-        heapq.heappush(self._arrival, entry)
-        if not request.is_pud:
-            bucket = self._buckets.get(request.row)
-            if bucket is None:
-                self._buckets[request.row] = [entry]
-            else:
-                heapq.heappush(bucket, entry)
-
     def pick(self, cap: int) -> Optional[_Request]:
         """FR-FCFS with a row-hit streak cap; O(log n) per pick."""
         if self.live == 0:

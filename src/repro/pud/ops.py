@@ -56,9 +56,6 @@ class PudEngine:
     def write_bits(self, row: int, bits: np.ndarray) -> None:
         self.write(row, np.packbits(np.asarray(bits, dtype=np.uint8)))
 
-    def read_bits(self, row: int) -> np.ndarray:
-        return np.unpackbits(self.read(row))
-
     # ------------------------------------------------------------------
     # RowClone (CoMRA)
     # ------------------------------------------------------------------

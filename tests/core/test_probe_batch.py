@@ -1,18 +1,26 @@
 """Batched probe engine: planner invariants and scalar equivalence.
 
-The tentpole guarantee: every ``measure_*`` list call returns Measurement
-lists identical to the scalar per-victim loop -- the batched engine is purely an
-execution strategy, never a semantic change.  ``batch_probes=False`` forces
-the reference scalar path on an otherwise identical fresh module, so any
-divergence (state bleed across victims, rng-order coupling, snapshot
-restore gaps) shows up as a field-level mismatch.
+The tentpole guarantee: every ``measure_*`` call returns Measurement lists
+identical to the scalar per-victim loop -- the batched engine is purely an
+execution strategy, never a semantic change.  Each equivalence case runs
+the same entries three ways on identical fresh modules: one list call and
+one-entry calls, both on the engine, and one-entry calls with the
+session's engine rebound to the exact scalar search
+(:func:`_scalar_searches`).  Any divergence (state bleed across victims,
+rng-order coupling, snapshot restore gaps) shows up as a field-level
+mismatch.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro import ExperimentScale, make_module
 from repro.core import CharacterizationSession, patterns
+from repro.core import session as session_module
+from repro.core.hcfirst import find_hc_first_repeated
+from repro.core.metrics import Measurement
 from repro.core.probe_batch import (
     GUARD_DISTANCE,
     blast_rows,
@@ -20,32 +28,68 @@ from repro.core.probe_batch import (
     plan_batches,
     plan_components,
 )
+from repro.disturbance.calibration import ALL_PATTERNS, Mechanism
 from repro.dram.errors import AddressError
+from repro.obs import Obs
 
 CONFIGS = ("hynix-a-8gb", "samsung-b-16gb")
 MODES = ("oracle", "measured")
 
 
-def _sessions(config_id, wcdp_mode):
+@contextmanager
+def _scalar_searches():
+    """Run every session search through ``find_hc_first_repeated``, one
+    setup after another, instead of the batched engine."""
+
+    def scalar(setups, repeats, max_hammers, obs=None):
+        return [
+            find_hc_first_repeated(
+                setup, repeats=repeats, max_hammers=max_hammers
+            )
+            for setup in setups
+        ]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(session_module, "run_batched_searches", scalar)
+        yield
+
+
+def _session(config_id, wcdp_mode="oracle", obs=None):
     scale = ExperimentScale.small().with_overrides(wcdp_mode=wcdp_mode)
-    batched = CharacterizationSession(make_module(config_id), scale)
-    scalar = CharacterizationSession(make_module(config_id), scale)
-    scalar.batch_probes = False
-    return batched, scalar
+    return CharacterizationSession(make_module(config_id), scale, obs=obs)
 
 
-def _assert_identical(many, ref):
-    assert len(many) == len(ref)
-    for a, b in zip(many, ref):
-        assert a == b
-        # params is compare=False on the frozen dataclass; check it too
-        assert a.params == b.params
+def _assert_same(got, ref):
+    """Equal results, Measurement ``params`` included (it is
+    ``compare=False`` on the frozen dataclass)."""
+    assert got == ref
+    for a, b in zip(got, ref):
+        if isinstance(a, list):
+            _assert_same(a, b)
+        elif isinstance(a, Measurement):
+            assert a.params == b.params
 
 
-def _assert_groups_identical(many, ref):
-    assert len(many) == len(ref)
-    for group_a, group_b in zip(many, ref):
-        _assert_identical(group_a, group_b)
+def _check_equivalence(config_id, wcdp_mode, select, measure):
+    """``measure(session, entries)`` as one list call and as one-entry
+    calls on the engine, against one-entry calls on the scalar search.
+
+    ``select(session)`` picks the entries; returns them with the list
+    call's result.
+    """
+    obs = Obs()
+    batched = _session(config_id, wcdp_mode, obs=obs)
+    entries = select(batched)
+    many = measure(batched, entries)
+    single_session = _session(config_id, wcdp_mode)
+    single = [measure(single_session, [e])[0] for e in entries]
+    scalar = _session(config_id, wcdp_mode)
+    with _scalar_searches():
+        ref = [measure(scalar, [e])[0] for e in entries]
+    _assert_same(many, ref)
+    _assert_same(single, ref)
+    assert obs.total("probe.probes") > 0
+    return entries, many
 
 
 class TestPlanner:
@@ -125,107 +169,103 @@ def _single_sided_simra_pairs(session, count=2, n=3):
 
 
 class TestScalarEquivalence:
-    """Each ``measure_*`` list call against a per-entry loop of one-entry
-    calls on a ``batch_probes=False`` session."""
+    """Each ``measure_*`` list call and its one-entry calls against the
+    scalar search (see :func:`_check_equivalence`)."""
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_rowhammer(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        victims = batched.candidate_victims()[:4]
-        many = batched.measure_rowhammer_ds(victims)
-        ref = [scalar.measure_rowhammer_ds([v])[0] for v in victims]
-        _assert_identical(many, ref)
+        _check_equivalence(
+            config_id, wcdp_mode,
+            lambda s: s.candidate_victims()[:4],
+            lambda s, victims: s.measure_rowhammer_ds(victims),
+        )
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_rowhammer_single_sided(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        aggressors = _aggressors(batched)
-        assert aggressors
-        many = batched.measure_rowhammer_ss(aggressors)
-        ref = [scalar.measure_rowhammer_ss([a])[0] for a in aggressors]
-        _assert_groups_identical(many, ref)
+        _, many = _check_equivalence(
+            config_id, wcdp_mode, _aggressors,
+            lambda s, aggressors: s.measure_rowhammer_ss(aggressors),
+        )
+        assert many
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_far_double_sided_rowhammer(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        pairs = _far_pairs(batched)
-        assert pairs
-        many = batched.measure_far_ds_rowhammer(pairs)
-        ref = [scalar.measure_far_ds_rowhammer([p])[0] for p in pairs]
-        _assert_groups_identical(many, ref)
+        _, many = _check_equivalence(
+            config_id, wcdp_mode, _far_pairs,
+            lambda s, pairs: s.measure_far_ds_rowhammer(pairs),
+        )
+        assert many
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_comra(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        victims = batched.candidate_victims()[:4]
-        many = batched.measure_comra_ds(victims)
-        ref = [scalar.measure_comra_ds([v])[0] for v in victims]
-        _assert_identical(many, ref)
+        _check_equivalence(
+            config_id, wcdp_mode,
+            lambda s: s.candidate_victims()[:4],
+            lambda s, victims: s.measure_comra_ds(victims),
+        )
 
     @pytest.mark.parametrize("pinned", (False, True))
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_comra_single_sided(self, config_id, wcdp_mode, pinned):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        pairs = _far_pairs(batched)
-        assert pairs
         # pinned: measure only the row below src, as fig11's shared list
-        # does; unpinned: both neighbors of src
-        chosen = [(src - 1,) for src, _dst in pairs] if pinned else None
-        many = batched.measure_comra_ss(pairs, victims=chosen)
-        ref = [
-            scalar.measure_comra_ss(
-                [p], victims=None if chosen is None else [chosen[k]]
-            )[0]
-            for k, p in enumerate(pairs)
-        ]
-        _assert_groups_identical(many, ref)
+        # does; unpinned (None): both neighbors of src
+        def select(session):
+            return [
+                ((src, dst), (src - 1,) if pinned else None)
+                for src, dst in _far_pairs(session)
+            ]
+
+        def measure(session, entries):
+            return session.measure_comra_ss(
+                [pair for pair, _ in entries],
+                victims=[chosen for _, chosen in entries],
+            )
+
+        entries, many = _check_equivalence(
+            config_id, wcdp_mode, select, measure
+        )
+        assert many
         if pinned:
             assert [[m.victim for m in g] for g in many] == [
-                list(c) for c in chosen
+                list(chosen) for _, chosen in entries
             ]
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_simra(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        pairs = batched.sample_simra_pairs(2)[:3]
+        _, many = _check_equivalence(
+            config_id, wcdp_mode,
+            lambda s: s.sample_simra_pairs(2)[:3],
+            lambda s, pairs: s.measure_simra_ds(pairs, max_victims=2),
+        )
         if config_id == "hynix-a-8gb":
-            assert pairs  # SiMRA-capable: the test must not be vacuous
-        many = batched.measure_simra_ds(pairs, max_victims=2)
-        ref = [scalar.measure_simra_ds([p], max_victims=2)[0] for p in pairs]
-        _assert_groups_identical(many, ref)
+            assert many  # SiMRA-capable: the test must not be vacuous
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_simra_single_sided(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        pairs = _single_sided_simra_pairs(batched)
+        _, many = _check_equivalence(
+            config_id, wcdp_mode, _single_sided_simra_pairs,
+            lambda s, pairs: s.measure_simra_ss(pairs),
+        )
         if config_id == "hynix-a-8gb":
-            assert pairs  # SiMRA-capable: the test must not be vacuous
-        many = batched.measure_simra_ss(pairs)
-        ref = [scalar.measure_simra_ss([p])[0] for p in pairs]
-        _assert_groups_identical(many, ref)
+            assert many  # SiMRA-capable: the test must not be vacuous
 
     @pytest.mark.parametrize("wcdp_mode", MODES)
     @pytest.mark.parametrize("config_id", CONFIGS)
     def test_combined(self, config_id, wcdp_mode):
-        batched, scalar = _sessions(config_id, wcdp_mode)
-        victims = batched.combined_victims()[:3]
-        many = batched.measure_combined(
-            victims, comra_fraction=0.5, simra_fraction=0.5
+        _check_equivalence(
+            config_id, wcdp_mode,
+            lambda s: s.combined_victims()[:3],
+            lambda s, victims: s.measure_combined(
+                victims, comra_fraction=0.5, simra_fraction=0.5
+            ),
         )
-        ref = [
-            scalar.measure_combined(
-                [v], comra_fraction=0.5, simra_fraction=0.5
-            )[0]
-            for v in victims
-        ]
-        assert many == ref
 
     def test_simra_pinned_victims(self, hynix_session):
         pair = hynix_session.sample_simra_pairs(2)[0]
@@ -237,6 +277,70 @@ class TestScalarEquivalence:
         victims = hynix_session.candidate_victims()[:4]
         many = hynix_session.measure_rowhammer_ds(victims)
         assert [m.victim for m in many] == victims
+
+
+def _scalar_wcdp(session, victim, mechanism):
+    """The paper's WCDP as a plain argmin over one-pattern searches: the
+    first pattern with the lowest found HC_first, else the first pattern."""
+    best, best_hc = ALL_PATTERNS[0], None
+    for pattern in ALL_PATTERNS:
+        if mechanism is Mechanism.COMRA:
+            m = session.measure_comra_ds([victim], pattern=pattern)[0]
+        elif mechanism is Mechanism.SIMRA:
+            pair = session._pair_sandwiching(victim)
+            m = session.measure_simra_ds(
+                [pair], pattern=pattern, victims=[(victim,)]
+            )[0][0]
+        else:
+            m = session.measure_rowhammer_ds([victim], pattern=pattern)[0]
+        if m.found and (best_hc is None or m.hc_first < best_hc):
+            best, best_hc = pattern, m.hc_first
+    return best
+
+
+class TestMeasuredWcdp:
+    """``measure_wcdp`` runs its four patterns as one engine call and
+    picks the same pattern as the scalar argmin."""
+
+    @pytest.mark.parametrize(
+        "mechanism", (Mechanism.ROWHAMMER, Mechanism.COMRA, Mechanism.SIMRA)
+    )
+    @pytest.mark.parametrize("config_id", CONFIGS)
+    def test_matches_scalar_argmin(self, config_id, mechanism, monkeypatch):
+        obs = Obs()
+        batched = _session(config_id, "measured", obs=obs)
+        # six victims with a SiMRA-2 sandwich, spread over the tested rows
+        victims = [
+            v for v in range(1, batched.module.geometry.rows_per_bank - 1)
+            if batched._pair_sandwiching(v) is not None
+        ][::24]
+        assert len(victims) == 6
+        engine_calls = []
+        engine = session_module.run_batched_searches
+
+        def counting(setups, **kwargs):
+            engine_calls.append(len(setups))
+            return engine(setups, **kwargs)
+
+        monkeypatch.setattr(session_module, "run_batched_searches", counting)
+        got = [batched.measure_wcdp(v, mechanism) for v in victims]
+        monkeypatch.undo()
+        assert engine_calls == [len(ALL_PATTERNS)] * len(victims)
+        assert obs.total("probe.probes") > 0
+        scalar = _session(config_id, "measured")
+        with _scalar_searches():
+            ref = [_scalar_wcdp(scalar, v, mechanism) for v in victims]
+        assert got == ref
+
+    def test_simra_without_sandwiching_pair(self):
+        obs = Obs()
+        session = _session("hynix-a-8gb", "measured", obs=obs)
+        victim = next(
+            v for v in session.candidate_victims()
+            if session._pair_sandwiching(v) is None
+        )
+        assert session.measure_wcdp(victim, Mechanism.SIMRA) is ALL_PATTERNS[0]
+        assert obs.total("probe.probes") == 0
 
 
 class TestFallbackNarrowing:
@@ -253,7 +357,7 @@ class TestFallbackNarrowing:
     def test_injected_planner_bug_raises(self, monkeypatch):
         from repro.core import probe_batch
 
-        batched, _ = _sessions("hynix-a-8gb", "oracle")
+        batched = _session("hynix-a-8gb")
         victims = batched.candidate_victims()[:2]
 
         def boom(*args, **kwargs):
@@ -266,7 +370,7 @@ class TestFallbackNarrowing:
     def test_injected_lowering_bug_raises(self, monkeypatch):
         from repro.core import probe_batch
 
-        batched, _ = _sessions("hynix-a-8gb", "oracle")
+        batched = _session("hynix-a-8gb")
         victims = batched.candidate_victims()[:2]
 
         def boom(*args, **kwargs):
@@ -279,15 +383,10 @@ class TestFallbackNarrowing:
     def test_dram_error_is_a_counted_fallback(self, monkeypatch):
         from repro.core import probe_batch
         from repro.dram.errors import UnsupportedOperationError
-        from repro.obs import Obs
 
-        scale = ExperimentScale.small()
         obs = Obs()
-        batched = CharacterizationSession(
-            make_module("hynix-a-8gb"), scale, obs=obs
-        )
-        scalar = CharacterizationSession(make_module("hynix-a-8gb"), scale)
-        scalar.batch_probes = False
+        batched = _session("hynix-a-8gb", obs=obs)
+        scalar = _session("hynix-a-8gb")
         victims = batched.candidate_victims()[:2]
 
         def denied(*args, **kwargs):
@@ -295,9 +394,10 @@ class TestFallbackNarrowing:
 
         monkeypatch.setattr(probe_batch, "_walk_rows", denied)
         many = batched.measure_rowhammer_ds(victims)
-        ref = [scalar.measure_rowhammer_ds([v])[0] for v in victims]
+        with _scalar_searches():
+            ref = [scalar.measure_rowhammer_ds([v])[0] for v in victims]
         # still bit-identical to the scalar loop...
-        _assert_identical(many, ref)
+        _assert_same(many, ref)
         # ...but the degradation is visible: every unit and every scalar
         # search carries the factory_error reason, and nothing claims to
         # have run on the compiled path

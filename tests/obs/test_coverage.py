@@ -29,7 +29,6 @@ def sweep_obs():
     session = CharacterizationSession(
         make_module("hynix-a-8gb"), ExperimentScale.default(), obs=obs
     )
-    session.batch_probes = True
     session.measure_rowhammer_ds(session.candidate_victims())
     return obs
 
