@@ -307,8 +307,11 @@ def bench_fig25_mix_sweep(smoke: bool, repeats: int) -> dict:
     """Event-queue memory-system engine vs the frozen scan-loop reference.
 
     A scaled-down Fig. 25 sweep: workload mixes x PuD periods under
-    weighted-PRAC, identical ``SimResult`` streams on both engines.
+    weighted-PRAC, identical ``SimResult`` streams on both engines.  The
+    event engine replays one set of trace tapes per mix across its
+    periods, as ``Fig25Evaluation`` does.
     """
+    from repro.memsys.system import mix_tapes
     from repro.mitigations import PracConfig
 
     mix_count = 2 if smoke else 3
@@ -319,6 +322,10 @@ def bench_fig25_mix_sweep(smoke: bool, repeats: int) -> dict:
 
     def sweep(engine) -> None:
         for mix_id, mix in enumerate(mixes):
+            shared = (
+                {"tapes": mix_tapes(mix, seed=mix_id)}
+                if engine is MemorySystem else {}
+            )
             for period in periods:
                 engine(
                     mix,
@@ -326,6 +333,7 @@ def bench_fig25_mix_sweep(smoke: bool, repeats: int) -> dict:
                     prac=prac,
                     config=MemSysConfig(horizon_ns=horizon),
                     seed=mix_id,
+                    **shared,
                 ).run()
 
     fast_s = _timeit(lambda: sweep(MemorySystem), repeats)

@@ -7,8 +7,9 @@ from typing import Optional, Sequence
 
 from ..mitigations.prac import PracConfig
 from ..workloads.mixes import PUD_PERIODS_NS, PudWorkloadConfig, WorkloadMix, build_mixes
+from ..workloads.fast_traces import TraceTape
 from ..workloads.profiles import WorkloadProfile
-from .system import MemSysConfig, MemorySystem, SimResult, alone_ipc
+from .system import MemSysConfig, MemorySystem, SimResult, alone_ipc, mix_tapes
 
 
 @dataclass
@@ -51,10 +52,11 @@ class Fig25Evaluation:
         mix: WorkloadMix,
         period_ns: float,
         prac: Optional[PracConfig],
+        tapes: Sequence[TraceTape],
     ) -> SimResult:
         pud = PudWorkloadConfig(period_ns=period_ns)
         system = MemorySystem(mix, pud=pud, prac=prac, config=self.config,
-                              seed=mix.mix_id)
+                              seed=mix.mix_id, tapes=tapes)
         return system.run()
 
     def evaluate(
@@ -69,11 +71,13 @@ class Fig25Evaluation:
         outcomes: list[MixOutcome] = []
         for mix in build_mixes(self.mix_count):
             alone = [self._alone_ipc(profile) for profile in mix.profiles]
+            # every run of the mix replays these; dropped with the mix
+            tapes = mix_tapes(mix, seed=mix.mix_id)
             for period in self.periods_ns:
-                baseline = self._run(mix, period, prac=None)
+                baseline = self._run(mix, period, None, tapes)
                 ws_base = baseline.weighted_speedup(alone)
                 for name, prac in mitigations.items():
-                    result = self._run(mix, period, prac=prac)
+                    result = self._run(mix, period, prac, tapes)
                     outcomes.append(
                         MixOutcome(
                             mix_id=mix.mix_id,

@@ -24,12 +24,40 @@ from ..mitigations.prac import OpClass, PracConfig
 from ..workloads.mixes import PudWorkloadConfig, WorkloadMix
 from ..workloads.profiles import WorkloadProfile
 from ..workloads.traces import TraceEntry, TraceGenerator
-from .system import (
-    MemSysConfig,
-    SimResult,
-    _Request,
-    _make_counters,
-)
+from .system import MemSysConfig, SimResult, _make_counters
+
+
+class _Request:
+    """One memory request, ordered by ``(issue_ns, seq)``."""
+
+    __slots__ = (
+        "issue_ns", "seq", "core", "bank", "row", "is_write",
+        "gap_instructions", "is_pud",
+    )
+
+    def __init__(
+        self,
+        issue_ns: float,
+        seq: int,
+        core: int,
+        bank: int,
+        row: int,
+        is_write: bool,
+        gap_instructions: int,
+        is_pud: bool = False,
+    ) -> None:
+        self.issue_ns = issue_ns
+        self.seq = seq
+        self.core = core
+        self.bank = bank
+        self.row = row
+        self.is_write = is_write
+        self.gap_instructions = gap_instructions
+        #: PuD operation pair (SiMRA-32 + CoMRA) rather than a CPU access
+        self.is_pud = is_pud
+
+    def __lt__(self, other: "_Request") -> bool:
+        return (self.issue_ns, self.seq) < (other.issue_ns, other.seq)
 
 
 class _ScanCore:

@@ -8,16 +8,37 @@ the channel while the RFM's preventive refreshes run.
 
 The run loop is a single global event heap -- core-ready, bank-free,
 PuD-arrival, and stall-release events -- so idle banks and MLP-blocked
-cores are never scanned.  Each bank keeps indexed queues: per-row hit
-buckets plus an arrival-ordered heap, both with lazy deletion via a
-``served`` flag, making the FR-FCFS pick O(log n) instead of the O(n)
-``min()``/``remove()`` scans of the original implementation (kept in
-:mod:`.reference` as ``ScanLoopMemorySystem``).  The event engine visits
-exactly the time points the scan loop visited and runs the same phase
-order within each -- inject cores in id order, deliver PuD arrivals,
-schedule free banks in index order under one snapshotted issue floor,
-then retire due completions -- so fixed-seed ``SimResult``s are
-bit-identical (see ``tests/memsys/golden_simresults.json``).
+cores are never scanned.  The event engine visits exactly the time
+points the original scan loop visited (kept in :mod:`.reference` as
+``ScanLoopMemorySystem``) and runs the same phase order within each --
+inject cores in id order, deliver PuD arrivals, schedule free banks in
+index order under one snapshotted issue floor, then retire due
+completions -- so fixed-seed ``SimResult``s are bit-identical (see
+``tests/memsys/golden_simresults.json``).  Three facts keep the
+per-request work small:
+
+* **Trace tapes.**  Cores read packed :class:`TraceTape` records through
+  private cursors, so the Fig. 25 sweep generates each mix's four
+  ``(profile, seed)`` streams once and replays them in all of the mix's
+  runs (:func:`mix_tapes`).
+* **FIFO bank queues.**  The scan loop picks by ``min()`` over
+  ``(issue_ns, seq)``.  Every request enters its bank queue at the visit
+  time ``now``: CPU requests are issued at ``now``, and a PuD arrival is
+  issued at ``pud_next``, which equals ``now`` whenever one is issued
+  because each arrival time is itself a PuD heap event.  ``now`` never
+  decreases and ``seq`` grows with insertion, so insertion order *is*
+  ``(issue_ns, seq)`` order: each bank keeps one ``deque`` of plain
+  tuples, and the FR-FCFS pick is the first open-row hit, else the head.
+* **Completions ride the bank-free event.**  A CPU request finishes at
+  its bank's ``busy_until``, where a bank-free event is already queued,
+  and a bank serves one request at a time; the read in service is
+  stashed on the bank and delivered when that event pops.  Delivery
+  order within a visit cannot matter: every delivery decrements its
+  core's ``outstanding``, and the first one to a blocked core clears
+  ``blocked`` and either pushes the core's ready event or sets its
+  revive bit -- the same end state whichever of a core's reads comes
+  first.  Heap entries are totally ordered tuples, so pops do not depend
+  on push order either.
 
 The simulator is event-driven at request granularity rather than
 cycle-by-cycle: service times fold the relevant DDR timings (row hit /
@@ -30,14 +51,21 @@ afford.
 from __future__ import annotations
 
 import heapq
-import itertools
+from collections import deque
 from dataclasses import astuple, dataclass
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..mitigations.prac import OpClass, PracConfig, PracCounters
 from ..obs import NULL_OBS
-from ..workloads.fast_traces import BatchedTraceGenerator
+from ..workloads.fast_traces import (
+    BANK_MASK,
+    BANK_SHIFT,
+    GAP_SHIFT,
+    ROW_MASK,
+    ROW_SHIFT,
+    TraceTape,
+)
 from ..workloads.mixes import PudWorkloadConfig, WorkloadMix
 from ..workloads.profiles import WorkloadProfile
 
@@ -70,91 +98,26 @@ class MemSysConfig:
     horizon_ns: float = 300_000.0
 
 
-class _Request:
-    """One memory request (plain slots class: created on the hot path)."""
-
-    __slots__ = (
-        "issue_ns", "seq", "core", "bank", "row", "is_write",
-        "gap_instructions", "is_pud", "served",
-    )
-
-    def __init__(
-        self,
-        issue_ns: float,
-        seq: int,
-        core: int,
-        bank: int,
-        row: int,
-        is_write: bool,
-        gap_instructions: int,
-        is_pud: bool = False,
-    ) -> None:
-        self.issue_ns = issue_ns
-        self.seq = seq
-        self.core = core
-        self.bank = bank
-        self.row = row
-        self.is_write = is_write
-        self.gap_instructions = gap_instructions
-        #: PuD operation pair (SiMRA-32 + CoMRA) rather than a CPU access
-        self.is_pud = is_pud
-        #: lazy-deletion marker for the indexed bank queues
-        self.served = False
-
-    def __lt__(self, other: "_Request") -> bool:
-        return (self.issue_ns, self.seq) < (other.issue_ns, other.seq)
-
-
 class _Core:
-    """In-order trace-driven core with bounded memory-level parallelism."""
+    """In-order trace-driven core with bounded memory-level parallelism.
+
+    The core reads its trace from a :class:`TraceTape` through its own
+    cursor ``pos``.
+    """
 
     __slots__ = (
-        "core_id", "config", "trace", "outstanding", "next_ready_ns",
+        "core_id", "tape", "pos", "outstanding", "next_ready_ns",
         "retired_instructions", "blocked",
     )
 
-    def __init__(
-        self,
-        core_id: int,
-        profile: WorkloadProfile,
-        config: MemSysConfig,
-        seed: int,
-    ) -> None:
+    def __init__(self, core_id: int, tape: TraceTape) -> None:
         self.core_id = core_id
-        self.config = config
-        self.trace = BatchedTraceGenerator(profile, seed=seed)
+        self.tape = tape
+        self.pos = 0
         self.outstanding = 0
         self.next_ready_ns = 0.0
         self.retired_instructions = 0.0
         self.blocked = False
-
-    def try_generate(
-        self, now_ns: float
-    ) -> Optional[tuple[int, int, int, bool]]:
-        """Produce the next request if the core is ready and not MLP-bound.
-
-        Returns the trace entry as a ``(gap, bank, row, is_write)``
-        tuple (no ``TraceEntry`` construction on the hot path).
-        """
-        if self.outstanding >= self.config.mlp:
-            self.blocked = True
-            return None
-        if now_ns < self.next_ready_ns:
-            return None
-        entry = self.trace.next_tuple()
-        gap = entry[0]
-        self.next_ready_ns = max(self.next_ready_ns, now_ns) + (
-            gap / self.config.peak_ipc
-        )
-        self.retired_instructions += gap
-        if not entry[3]:
-            self.outstanding += 1
-        return entry
-
-    def complete(self, request: _Request) -> None:
-        if not request.is_write:
-            self.outstanding -= 1
-            self.blocked = False
 
 
 def _make_counters(
@@ -165,54 +128,30 @@ def _make_counters(
     return [PracCounters(i, prac, warm_start=True) for i in range(banks)]
 
 
-class _Bank:
-    """One bank: open-row state, indexed request queues, busy window.
+#: the queue entry of a PuD operation pair: (core, row, is_write, is_pud)
+_PUD_REQUEST = (-1, -1, True, True)
 
-    Requests live in two structures at once: an arrival-ordered heap
-    (FCFS fallback) and, for CPU requests, a per-row hit-bucket heap
-    (the FR part).  Serving marks the request ``served``; the copy left
-    in the other structure is discarded lazily on a later pop.
+
+class _Bank:
+    """One bank: open-row state, FIFO request queue, busy window.
+
+    ``queue`` holds ``(core, row, is_write, is_pud)`` tuples in arrival
+    order, which is also ``(issue_ns, seq)`` order (see the module
+    docstring), so the FR-FCFS pick is the first open-row hit, else the
+    head.  ``inflight`` is the core id of the CPU read in service, or -1;
+    it is delivered when the bank-free event at ``busy_until`` pops.
     """
 
-    __slots__ = (
-        "index", "open_row", "busy_until", "hit_streak",
-        "live", "_arrival", "_buckets",
-    )
+    __slots__ = ("index", "open_row", "busy_until", "hit_streak", "queue",
+                 "inflight")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.open_row: Optional[int] = None
         self.busy_until = 0.0
         self.hit_streak = 0
-        #: unserved requests in the queues
-        self.live = 0
-        self._arrival: list[tuple[float, int, _Request]] = []
-        self._buckets: dict[int, list[tuple[float, int, _Request]]] = {}
-
-    def pick(self, cap: int) -> Optional[_Request]:
-        """FR-FCFS with a row-hit streak cap; O(log n) per pick."""
-        if self.live == 0:
-            return None
-        if self.hit_streak < cap and self.open_row is not None:
-            bucket = self._buckets.get(self.open_row)
-            if bucket is not None:
-                while bucket and bucket[0][2].served:
-                    heapq.heappop(bucket)
-                if bucket:
-                    request = heapq.heappop(bucket)[2]
-                    request.served = True
-                    self.live -= 1
-                    if not bucket:
-                        del self._buckets[self.open_row]
-                    return request
-                del self._buckets[self.open_row]
-        arrival = self._arrival
-        while arrival[0][2].served:
-            heapq.heappop(arrival)
-        request = heapq.heappop(arrival)[2]
-        request.served = True
-        self.live -= 1
-        return request
+        self.queue: deque[tuple[int, int, bool, bool]] = deque()
+        self.inflight = -1
 
 
 @dataclass
@@ -242,8 +181,22 @@ _EV_BANK = 2
 _EV_STALL = 3
 
 
+def mix_tapes(mix: WorkloadMix, seed: int = 0) -> list[TraceTape]:
+    """One trace tape per core of ``mix``, as ``MemorySystem(seed=seed)``
+    reads them (core ``i`` replays stream ``seed * 101 + i``)."""
+    return [
+        TraceTape(profile, seed=seed * 101 + i)
+        for i, profile in enumerate(mix.profiles)
+    ]
+
+
 class MemorySystem:
-    """The five-core shared memory system of Fig. 25."""
+    """The five-core shared memory system of Fig. 25.
+
+    ``tapes`` lets several systems over the same mix and seed replay one
+    set of trace tapes (see :func:`mix_tapes`); without it the system
+    records private ones.
+    """
 
     def __init__(
         self,
@@ -253,6 +206,7 @@ class MemorySystem:
         config: Optional[MemSysConfig] = None,
         seed: int = 0,
         obs=None,
+        tapes: Optional[Sequence[TraceTape]] = None,
     ) -> None:
         self.config = config or MemSysConfig()
         self.mix = mix
@@ -260,13 +214,15 @@ class MemorySystem:
         #: metrics registry; the simulator records one span plus its final
         #: counters per :meth:`run` -- never anything inside the event loop
         self.obs = obs if obs is not None else NULL_OBS
-        self.cores = [
-            _Core(i, profile, self.config, seed=seed * 101 + i)
-            for i, profile in enumerate(mix.profiles)
-        ]
+        if tapes is None:
+            tapes = mix_tapes(mix, seed)
+        elif [(tape.profile, tape.seed) for tape in tapes] != [
+            (profile, seed * 101 + i) for i, profile in enumerate(mix.profiles)
+        ]:
+            raise ValueError("tapes do not record this mix's trace streams")
+        self.cores = [_Core(i, tape) for i, tape in enumerate(tapes)]
         self.banks = [_Bank(i) for i in range(self.config.banks)]
         self.counters = _make_counters(prac, self.config.banks)
-        self._seq = itertools.count()
         self.channel_stall_until = 0.0
         self.stats = {"backoffs": 0, "pud_ops": 0, "requests": 0}
         self._heap: list[tuple[float, int, int]] = []
@@ -290,21 +246,6 @@ class MemorySystem:
             counters.serve_rfm()
             self.stats["backoffs"] += 1
         return extra
-
-    def _service_time(self, bank: _Bank, request: _Request, now_ns: float) -> float:
-        config = self.config
-        if bank.open_row == request.row:
-            bank.hit_streak += 1
-            return config.t_hit_ns
-        bank.hit_streak = 0
-        extra = self._record_activation(
-            bank.index, [request.row], OpClass.ACT, now_ns
-        )
-        if bank.open_row is None:
-            bank.open_row = request.row
-            return config.t_miss_ns + extra
-        bank.open_row = request.row
-        return config.t_conflict_ns + extra
 
     def _serve_pud_op(self, bank: _Bank, now_ns: float) -> float:
         """One SiMRA-32 + one CoMRA pair on the PuD bank."""
@@ -345,12 +286,12 @@ class MemorySystem:
         heappop = heapq.heappop
         served = 0
         requests = 0
-        seq = 0
         pud = self.pud
         pud_next = 0.0 if pud is not None else float("inf")
         pud_queue = 0
-        completions: list[tuple[float, _Request]] = []
-        #: banks known free with live requests, scheduled next visit
+        #: core ids of CPU reads whose bank freed at `now` (phase 4 input)
+        done: list[int] = []
+        #: banks known free with queued requests, scheduled next visit
         ready_mask = 0
         #: cores MLP-unblocked mid-visit; they inject at the *next* visit
         revived_mask = 0
@@ -369,7 +310,12 @@ class MemorySystem:
                 if kind == _EV_CORE:
                     inject_mask |= 1 << payload
                 elif kind == _EV_BANK:
-                    if banks[payload].live > 0:
+                    # the bank's one in-flight service finishes now
+                    bank = banks[payload]
+                    if bank.inflight >= 0:
+                        done.append(bank.inflight)
+                        bank.inflight = -1
+                    if bank.queue:
                         ready_mask |= 1 << payload
                 elif kind == _EV_STALL and now != self.channel_stall_until:
                     # superseded by a later back-off; not a real event
@@ -387,44 +333,36 @@ class MemorySystem:
                 inject_mask ^= bit
                 core_id = bit.bit_length() - 1
                 core = cores[core_id]
-                trace = core.trace
+                entries = core.tape.entries
+                pos = core.pos
                 outstanding = core.outstanding
                 next_ready = core.next_ready_ns
                 retired = core.retired_instructions
                 while outstanding < mlp and next_ready <= now:
-                    # read the batched generator's pending buffer directly;
-                    # next_tuple() only on exhaustion (or scalar fallback,
-                    # whose buffer stays empty)
-                    ppos = trace._pending_pos
-                    pending = trace._pending
-                    if ppos < len(pending):
-                        trace._pending_pos = ppos + 1
-                        gap, bank_id, row, is_write = pending[ppos]
-                    else:
-                        gap, bank_id, row, is_write = trace.next_tuple()
+                    try:
+                        word = entries[pos]
+                    except IndexError:
+                        core.tape.grow()
+                        word = entries[pos]
+                    pos += 1
+                    gap = word >> GAP_SHIFT
                     next_ready = (
                         next_ready if next_ready > now else now
                     ) + gap / peak_ipc
                     retired += gap
-                    bank_id %= n_banks
-                    request = _Request(
-                        now, seq, core_id, bank_id, row, is_write, gap
-                    )
-                    seq += 1
-                    requests += 1
+                    is_write = word & 1
                     if not is_write:
                         outstanding += 1
+                    requests += 1
+                    bank_id = ((word >> BANK_SHIFT) & BANK_MASK) % n_banks
                     bank = banks[bank_id]
-                    bank.live += 1
-                    entry = (now, request.seq, request)
-                    heappush(bank._arrival, entry)
-                    bucket = bank._buckets.get(row)
-                    if bucket is None:
-                        bank._buckets[row] = [entry]
-                    else:
-                        heappush(bucket, entry)
+                    bank.queue.append(
+                        (core_id, (word >> ROW_SHIFT) & ROW_MASK, is_write,
+                         False)
+                    )
                     if bank.busy_until <= now:
                         ready_mask |= 1 << bank_id
+                core.pos = pos
                 core.outstanding = outstanding
                 core.next_ready_ns = next_ready
                 core.retired_instructions = retired
@@ -441,17 +379,8 @@ class MemorySystem:
                 while pud_next <= now:
                     if pud_queue < 4:
                         pud_queue += 1
-                        request = _Request(
-                            pud_next, seq, -1, pud.target_bank, -1,
-                            True, 0, is_pud=True,
-                        )
-                        seq += 1
                         bank = banks[pud.target_bank]
-                        bank.live += 1
-                        heappush(
-                            bank._arrival,
-                            (request.issue_ns, request.seq, request),
-                        )
+                        bank.queue.append(_PUD_REQUEST)
                         if bank.busy_until <= now:
                             ready_mask |= 1 << pud.target_bank
                     pud_next += pud.period_ns
@@ -468,38 +397,30 @@ class MemorySystem:
                     ready_mask ^= bit
                     bank_index = bit.bit_length() - 1
                     bank = banks[bank_index]
-                    if bank.live == 0:
+                    queue = bank.queue
+                    if not queue:
                         continue
-                    # FR-FCFS pick, inlined: open-row hit bucket first,
-                    # then the arrival heap, skipping served leftovers
+                    # FR-FCFS pick: the oldest open-row hit under the streak
+                    # cap, else the oldest request (a PuD op's row is -1,
+                    # never an open row)
                     request = None
                     open_row = bank.open_row
                     if bank.hit_streak < frfcfs_cap and open_row is not None:
-                        bucket = bank._buckets.get(open_row)
-                        if bucket is not None:
-                            while bucket and bucket[0][2].served:
-                                heappop(bucket)
-                            if bucket:
-                                request = heappop(bucket)[2]
-                                request.served = True
-                                bank.live -= 1
-                                if not bucket:
-                                    del bank._buckets[open_row]
-                            else:
-                                del bank._buckets[open_row]
+                        i = 0
+                        for queued in queue:
+                            if queued[1] == open_row:
+                                request = queued
+                                del queue[i]
+                                break
+                            i += 1
                     if request is None:
-                        arrival = bank._arrival
-                        while arrival[0][2].served:
-                            heappop(arrival)
-                        request = heappop(arrival)[2]
-                        request.served = True
-                        bank.live -= 1
-                    if request.is_pud:
+                        request = queue.popleft()
+                    core_id, row, is_write, is_pud = request
+                    if is_pud:
                         duration = self._serve_pud_op(bank, issue_floor)
                         bank.busy_until = issue_floor + duration
                         pud_queue -= 1
                     else:
-                        row = request.row
                         if bank.open_row == row:
                             bank.hit_streak += 1
                             duration = t_hit
@@ -523,33 +444,27 @@ class MemorySystem:
                                 t_miss if bank.open_row is None else t_conflict
                             )
                             bank.open_row = row
-                        finish = issue_floor + duration
-                        bank.busy_until = finish
-                        heappush(completions, (finish, request))
+                        bank.busy_until = issue_floor + duration
+                        if not is_write:
+                            bank.inflight = core_id
                         served += 1
                     heappush(heap, (bank.busy_until, _EV_BANK, bank_index))
 
-            # 4) deliver completions due by `now` (each finish time is also
-            # a bank-free event, so the visit is guaranteed to happen)
-            while completions and completions[0][0] <= now:
-                request = heappop(completions)[1]
-                if not request.is_write:
-                    core = cores[request.core]
+            # 4) deliver the reads whose bank freed at `now`; the order is
+            # immaterial (see the module docstring)
+            if done:
+                for core_id in done:
+                    core = cores[core_id]
                     core.outstanding -= 1
                     if core.blocked:
                         core.blocked = False
                         if core.next_ready_ns > now:
                             heappush(
-                                heap,
-                                (core.next_ready_ns, _EV_CORE, request.core),
+                                heap, (core.next_ready_ns, _EV_CORE, core_id)
                             )
                         else:
-                            revived_mask |= 1 << request.core
-
-        # flush remaining completions for accounting
-        while completions:
-            _, request = heapq.heappop(completions)
-            self.cores[request.core].complete(request)
+                            revived_mask |= 1 << core_id
+                done.clear()
 
         self.stats["requests"] = requests
         obs = self.obs

@@ -27,21 +27,32 @@ few thousand emulated entries against the scalar ``TraceGenerator``; on
 any mismatch -- or for profiles outside the emulatable envelope --
 instances transparently delegate to the scalar implementation, trading
 speed for unconditional correctness.
+
+:class:`TraceTape` records one generator's stream, packed one ``int64``
+per entry, so a stream is generated once and replayed many times: the
+Fig. 25 sweep runs every mix 15 times over the same four
+``(profile, seed)`` streams, and each run walks the mix's shared tapes
+with its own cursors, extending a tape only past the furthest point any
+earlier run reached.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import itertools
+from array import array
+from typing import Iterable, Optional
 
 from ._ziggurat import FE_DOUBLE, KE_DOUBLE, WE_DOUBLE, ZIGGURAT_EXP_R
 from .profiles import WorkloadProfile
-from .traces import TraceEntry, TraceGenerator
+from .traces import TraceGenerator
 
 import math
 
 _TWO53 = 2.0 ** -53
 #: raw words fetched per refill; one trace entry consumes ~3.5 words
 _BLOCK_WORDS = 4096
+#: entries precomputed per refill
+_BLOCK_ENTRIES = _BLOCK_WORDS // 4
 #: entries compared against the scalar path by the one-time self-check
 _SELFCHECK_ENTRIES = 2048
 
@@ -53,12 +64,10 @@ def _is_pow2(n: int) -> bool:
 
 
 class BatchedTraceGenerator:
-    """Drop-in ``TraceGenerator`` yielding the identical entry stream.
+    """``TraceGenerator``'s identical entry stream, generated in bulk.
 
-    Entries are precomputed in blocks as plain ``(gap, bank, row,
-    is_write)`` tuples; :meth:`next_tuple` hands them out without
-    constructing :class:`TraceEntry` objects (the memsys hot path),
-    while ``__next__`` keeps the iterator-of-``TraceEntry`` contract.
+    Entries come in blocks of plain ``(gap, bank, row, is_write)``
+    tuples from :meth:`next_block` (what :class:`TraceTape` records).
     """
 
     def __init__(
@@ -80,10 +89,6 @@ class BatchedTraceGenerator:
             and _is_pow2(self.working_set_rows)
         )
         self._scalar: Optional[TraceGenerator] = None
-        # the pending buffer always exists (empty in fallback mode) so hot
-        # loops may read it directly and call next_tuple() only on exhaustion
-        self._pending: list[tuple[int, int, int, bool]] = []
-        self._pending_pos = 0
         if not emulatable:
             self._scalar = TraceGenerator(
                 profile, seed=seed, rows_per_bank=rows_per_bank,
@@ -102,8 +107,8 @@ class BatchedTraceGenerator:
         self._last: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _refill(self) -> None:
-        """Precompute one block of entries from bulk raw words.
+    def _refill(self) -> list[tuple[int, int, int, bool]]:
+        """Compute the next block of entries from bulk raw words.
 
         Replays the exact per-entry draw sequence of
         ``TraceGenerator.__next__``: geometric gap, bank, an optional
@@ -124,7 +129,7 @@ class BatchedTraceGenerator:
         we, ke, fe = WE_DOUBLE, KE_DOUBLE, FE_DOUBLE
         log1p, exp, ceil = math.log1p, math.exp, math.ceil
         out = []
-        for _ in range(_BLOCK_WORDS // 4):
+        for _ in range(_BLOCK_ENTRIES):
             # geometric gap via the ziggurat standard exponential
             while True:
                 if pos >= n_words:
@@ -193,29 +198,79 @@ class BatchedTraceGenerator:
         self._words = words
         self._pos = pos
         self._half = half
-        self._pending = out
-        self._pending_pos = 0
+        return out
 
-    def next_tuple(self) -> tuple[int, int, int, bool]:
-        """Next entry as a ``(gap, bank, row, is_write)`` tuple."""
+    def next_block(self) -> list[tuple[int, int, int, bool]]:
+        """The next ``_BLOCK_ENTRIES`` entries of the stream."""
         if self._scalar is not None:
-            entry = next(self._scalar)
-            return (entry.gap_instructions, entry.bank, entry.row,
-                    entry.is_write)
-        if self._pending_pos >= len(self._pending):
-            self._refill()
-        entry = self._pending[self._pending_pos]
-        self._pending_pos += 1
-        return entry
+            return [
+                (e.gap_instructions, e.bank, e.row, e.is_write)
+                for e in itertools.islice(self._scalar, _BLOCK_ENTRIES)
+            ]
+        return self._refill()
 
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return self
 
-    def __next__(self) -> TraceEntry:
-        if self._scalar is not None:
-            return next(self._scalar)
-        gap, bank, row, is_write = self.next_tuple()
-        return TraceEntry(gap, bank, row, is_write)
+#: bit layout of one packed tape entry, low to high: is_write (1 bit),
+#: row (16), bank (8), gap (38)
+ROW_SHIFT = 1
+BANK_SHIFT = 17
+GAP_SHIFT = 25
+ROW_MASK = (1 << (BANK_SHIFT - ROW_SHIFT)) - 1
+BANK_MASK = (1 << (GAP_SHIFT - BANK_SHIFT)) - 1
+_GAP_LIMIT = 1 << (63 - GAP_SHIFT)
+
+
+def unpack_entry(word: int) -> tuple[int, int, int, bool]:
+    """A packed tape entry as a ``(gap, bank, row, is_write)`` tuple."""
+    return (
+        word >> GAP_SHIFT,
+        (word >> BANK_SHIFT) & BANK_MASK,
+        (word >> ROW_SHIFT) & ROW_MASK,
+        bool(word & 1),
+    )
+
+
+class TraceTape:
+    """Append-only packed record of one ``(profile, seed)`` trace stream.
+
+    ``entries`` is an ``array('q')`` holding one packed int per entry
+    (layout above); readers keep their own cursor and call :meth:`grow`
+    when it reaches the end.  ``grow`` extends the array in place, so a
+    reader's alias of ``entries`` stays valid.
+    """
+
+    __slots__ = ("profile", "seed", "entries", "_source")
+
+    def __init__(self, profile: WorkloadProfile, seed: int = 0) -> None:
+        self.profile = profile
+        self.seed = seed
+        self.entries = array("q")
+        self._source = BatchedTraceGenerator(profile, seed=seed)
+
+    def grow(self) -> None:
+        """Record the generator's next block of entries."""
+        self.extend(self._source.next_block())
+
+    def extend(self, block: Iterable[tuple[int, int, int, bool]]) -> None:
+        """Pack and append ``(gap, bank, row, is_write)`` entries.
+
+        Raises ``OverflowError`` for a field outside its packed width
+        rather than letting it spill into a neighbouring field; a
+        rejected block appends nothing.
+        """
+        packed = []
+        for gap, bank, row, is_write in block:
+            if not (0 <= gap < _GAP_LIMIT and 0 <= bank <= BANK_MASK
+                    and 0 <= row <= ROW_MASK):
+                raise OverflowError(
+                    f"trace entry {(gap, bank, row, is_write)} exceeds the "
+                    "packed tape layout"
+                )
+            packed.append(
+                gap << GAP_SHIFT | bank << BANK_SHIFT | row << ROW_SHIFT
+                | bool(is_write)
+            )
+        self.entries.extend(packed)
 
 
 def emulation_matches() -> bool:
@@ -244,15 +299,14 @@ def emulation_matches() -> bool:
         batched._pos = 0
         batched._half = None
         batched._last = {}
-        batched._pending = []
-        batched._pending_pos = 0
         try:
-            _emulation_ok = all(
-                batched.next_tuple()
-                == ((e := next(scalar)).gap_instructions, e.bank, e.row,
-                    e.is_write)
-                for _ in range(_SELFCHECK_ENTRIES)
-            )
+            emulated: list[tuple[int, int, int, bool]] = []
+            while len(emulated) < _SELFCHECK_ENTRIES:
+                emulated.extend(batched.next_block())
+            _emulation_ok = emulated[:_SELFCHECK_ENTRIES] == [
+                (e.gap_instructions, e.bank, e.row, e.is_write)
+                for e in itertools.islice(scalar, _SELFCHECK_ENTRIES)
+            ]
         except Exception:
             _emulation_ok = False
     return _emulation_ok

@@ -4,10 +4,18 @@ Module-scoped fixtures cache expensive simulated chips; tests that mutate
 chip state build their own modules instead.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro import ExperimentScale, make_module
 from repro.core.session import CharacterizationSession
+
+#: ``HYPOTHESIS_PROFILE=ci`` selects a deeper soak for tests that take their
+#: example budget from the loaded profile (e.g. the memsys differential test)
+settings.register_profile("ci", max_examples=400, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session", autouse=True)
