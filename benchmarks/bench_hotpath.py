@@ -100,6 +100,18 @@ def _timeit(fn, repeats: int) -> float:
 
 
 @contextmanager
+def _compile_streams(enabled: bool):
+    """Set ``DramBenderHost.default_compile_streams`` for hosts built by
+    code the bench does not construct itself (False = interpretation)."""
+    previous = DramBenderHost.default_compile_streams
+    DramBenderHost.default_compile_streams = enabled
+    try:
+        yield
+    finally:
+        DramBenderHost.default_compile_streams = previous
+
+
+@contextmanager
 def _scalar_session_searches():
     """Run every session search through ``find_hc_first_repeated``, one
     setup after another, instead of the batched probe engine: the exact
@@ -177,13 +189,9 @@ def _gauntlet_cell(
     act_budget = spec.acts_per_round * (4 if smoke else 16)
 
     def run(fast: bool) -> None:
-        previous = DramBenderHost.default_compile_streams
-        DramBenderHost.default_compile_streams = fast
-        try:
+        with _compile_streams(fast):
             run_cell(CONFIG, spec, mitigation, act_budget,
                      stop_after_first_flip=False)
-        finally:
-            DramBenderHost.default_compile_streams = previous
 
     fast_s = _timeit(lambda: run(True), repeats)
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
@@ -357,7 +365,8 @@ def bench_pud_reliability(smoke: bool, repeats: int) -> dict:
     def run(fast: bool) -> None:
         module = make_module(CONFIG)
         workload = build_workloads(module, reps, include=["memcpy-sweep"])[0]
-        execute_workload(module, workload, build_defense("none"), fast=fast)
+        with _compile_streams(fast):
+            execute_workload(module, workload, build_defense("none"))
 
     fast_s = _timeit(lambda: run(True), repeats)
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))

@@ -23,9 +23,9 @@ Three pieces:
   batches.
 
 * **Search engine** -- a faithful transcription of
-  :func:`~repro.core.hcfirst.find_hc_first_repeated` whose per-victim
-  bracket state lives in numpy arrays (``lo``/``hi``/``phase``/``found``)
-  updated vectorized after each fused replay round.  Probe memoization and
+  :func:`~repro.core.hcfirst.find_hc_first_repeated` that keeps one
+  bracket (``lo``/``hi``/``phase``) per victim and updates it after each
+  of the victim's probes in a fused replay round.  Probe memoization and
   bracket warm-starting across repeats are preserved, so probe outcomes
   and histories match the scalar search probe for probe.
 
@@ -209,7 +209,8 @@ class _TraceEvent:
     re-applied directly.  The one live input is the aggressor row's data
     pattern: realized flips reclassify it, so each application guards on
     the bank's version-cached ``pattern_of`` and re-resolves on change
-    (exactly the lookup the scalar emission path would perform).
+    through ``model.resolve_plan`` (exactly the lookup the scalar emission
+    path would perform).
     """
 
     event: object  # ActivationEvent
@@ -221,19 +222,15 @@ class _TraceEvent:
     scaled: bool
     #: literal multiplier otherwise (1 for warm passes and write sessions)
     times: float
+    #: the model plan-cache key the plan was resolved under; translation
+    #: derives the shifted unit's key from it with ``model.shift_plan_key``
+    #: instead of re-deriving the rounded/sorted time key from the event
+    plan_key: tuple
     #: ``_data_version`` of ``row0`` the plan was resolved against; the
     #: version is a faithful change counter for row data, so a matching
     #: version skips the ``pattern_of`` lookup entirely (None forces the
     #: full pattern check on first application)
     version: Optional[int] = None
-    #: the model plan-cache key the plan was resolved under; translation
-    #: derives the shifted unit's key from it by a pure row shift instead
-    #: of re-deriving the rounded/sorted time key from the event
-    plan_key: Optional[tuple] = None
-    #: victim-relative plan skeleton (``model.plan_skeleton``), built
-    #: lazily at first translation and shared by reference across every
-    #: translation of the trace; False caches ineligibility
-    skel: object = None
 
 
 @dataclass
@@ -321,58 +318,6 @@ def _prologue_meta(bank, unit: "_BatchedUnit", segments, epilogue) -> list:
                 )
         meta.append((row, model.ledger.slot(bi, row), preset))
     return meta
-
-
-def _resolve_plan(
-    model, event, temperature_c: float, pattern, key: Optional[tuple] = None
-) -> tuple[Optional[list], Optional[tuple]]:
-    """Resolve an event's deposit plan exactly as the model's apply path.
-
-    Mirrors ``DisturbanceModel._apply_single`` / ``_apply_comra`` key
-    construction and cache discipline (so a plan built here is shared with
-    the scalar path and vice versa); a caller that already knows the cache
-    key (a translated trace) passes it to skip the time-key derivation.
-    Returns ``(plan, key)`` -- ``(None, None)`` for SiMRA events, which
-    carry charge-sharing side effects a plan cannot express.
-    """
-    kind = ActivationEvent.Kind
-    if event.kind is kind.SINGLE:
-        if key is None:
-            key = (
-                "single", event.bank, event.rows[0], temperature_c, pattern,
-                model._event_time_key(event, with_pre_to_act=False),
-            )
-        plan = model._plan_lookup(key)
-        if plan is None:
-            plan = model._build_single_plan(event, temperature_c, pattern)
-            model._plan_store(key, plan)
-        return plan, key
-    if event.kind is kind.COMRA_PAIR:
-        if key is None:
-            key = (
-                "comra", event.bank, event.rows, temperature_c, pattern,
-                model._event_time_key(event),
-            )
-        plan = model._plan_lookup(key)
-        if plan is None:
-            plan = model._build_comra_plan(event, temperature_c, pattern)
-            model._plan_store(key, plan)
-        return plan, key
-    return None, None
-
-
-def _shift_plan_key(key: tuple, delta: int, pattern) -> tuple:
-    """Row-shift a resolved plan key (time-key sort order is shift-invariant).
-
-    ``pattern`` replaces the key's pattern field -- the caller passes the
-    translated entry's (possibly pattern-remapped) classification.
-    """
-    tk = key[5]
-    shifted_tk = (tk[0], tk[1], tk[2], tuple((r + delta, g) for r, g in tk[3]))
-    target = key[2] + delta if key[0] == "single" else tuple(
-        r + delta for r in key[2]
-    )
-    return (key[0], key[1], target, key[3], pattern, shifted_tk)
 
 
 def _shape_signature(
@@ -656,7 +601,7 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     )
 
 
-#: search phases held in the vectorized state
+#: search phases held in the per-unit bracket state
 _PHASE_DOUBLING = 0
 _PHASE_BISECT = 1
 
@@ -755,11 +700,10 @@ class BatchedSearchEngine:
             else:
                 reps.append(i)
 
-        # vectorized bracket state
-        self.lo = np.zeros(n, dtype=np.int64)
-        self.hi = np.zeros(n, dtype=np.int64)
-        self.phase = np.zeros(n, dtype=np.int8)
-        self.found = np.zeros(n, dtype=bool)
+        # per-unit bracket state
+        self.lo = [0] * n
+        self.hi = [0] * n
+        self.phase = [_PHASE_DOUBLING] * n
 
         self.clock = 0.0
 
@@ -813,7 +757,6 @@ class BatchedSearchEngine:
             book.done = True
             assert book.best is not None
             self.results[i] = book.best
-            self.found[i] = book.best.found
         else:
             self._start_repeat(i)
 
@@ -827,23 +770,23 @@ class BatchedSearchEngine:
         book = self.books[i]
         while not book.done:
             if self.phase[i] == _PHASE_DOUBLING:
-                count = int(self.hi[i])
+                count = self.hi[i]
             else:
-                span = int(self.hi[i] - self.lo[i])
+                span = self.hi[i] - self.lo[i]
                 if not (span > 1 and span > self.convergence * self.hi[i]):
                     self._finish_repeat(i, found=True)
                     continue
-                count = int((self.lo[i] + self.hi[i]) // 2)
+                count = (self.lo[i] + self.hi[i]) // 2
             cached = book.cache.get(count)
             if cached is None:
                 return count
             book.cache_hits += 1
             book.history.append(cached)
-            self._apply_single(i, cached.flips)
+            self._update_bracket(i, cached.flips)
         return None
 
-    def _apply_single(self, i: int, flips: int) -> None:
-        """Scalar bracket update for one probe outcome (cache-hit path)."""
+    def _update_bracket(self, i: int, flips: int) -> None:
+        """Bracket update for one probe outcome (cached or fresh)."""
         if self.phase[i] == _PHASE_DOUBLING:
             if flips:
                 self.phase[i] = _PHASE_BISECT
@@ -852,50 +795,13 @@ class BatchedSearchEngine:
                 if self.hi[i] >= self.max_hammers:
                     self._finish_repeat(i, found=False)
                 else:
-                    self.hi[i] = min(self.max_hammers, int(self.hi[i]) * 4)
+                    self.hi[i] = min(self.max_hammers, self.hi[i] * 4)
         else:
-            mid = int((self.lo[i] + self.hi[i]) // 2)
+            mid = (self.lo[i] + self.hi[i]) // 2
             if flips:
                 self.hi[i] = mid
             else:
                 self.lo[i] = mid
-
-    def _apply_round(
-        self, idxs: list[int], flips: list[int]
-    ) -> None:
-        """Bracket update after one fused replay round.
-
-        The per-victim bracket state lives in numpy arrays either way;
-        the vectorized update only pays off once a round carries enough
-        members to amortize the array dispatch overhead.
-        """
-        if len(idxs) < 8:
-            for position, i in enumerate(idxs):
-                self._apply_single(i, flips[position])
-            return
-        sel = np.asarray(idxs, dtype=np.intp)
-        flipped = np.asarray(flips, dtype=np.int64) > 0
-        phase = self.phase[sel]
-        lo = self.lo[sel]
-        hi = self.hi[sel]
-        doubling = phase == _PHASE_DOUBLING
-        bisect = ~doubling
-        mid = (lo + hi) // 2
-        miss = doubling & ~flipped
-        capped = miss & (hi >= self.max_hammers)
-        new_phase = np.where(doubling & flipped, _PHASE_BISECT, phase)
-        new_lo = np.where(miss, hi, np.where(bisect & ~flipped, mid, lo))
-        new_hi = np.where(
-            miss & ~capped,
-            np.minimum(self.max_hammers, hi * 4),
-            np.where(bisect & flipped, mid, hi),
-        )
-        self.phase[sel] = new_phase
-        self.lo[sel] = new_lo
-        self.hi[sel] = new_hi
-        for position, i in enumerate(idxs):
-            if capped[position]:
-                self._finish_repeat(i, found=False)
 
     # -- fused replay ----------------------------------------------------
     def _probe(self, i: int, count: int) -> ProbeResult:
@@ -1140,11 +1046,9 @@ class BatchedSearchEngine:
                 scaled = (
                     wkind == "scaled" and unit.loops[seg_pos][1] is None
                 )
-                plan, pkey = _resolve_plan(
-                    model, event, bank.temperature_c, pattern
+                plan, pkey = model.resolve_plan(
+                    event, bank.temperature_c, pattern
                 )
-                if plan is None:
-                    return None
                 buckets[pointer].append((
                     "event",
                     _TraceEvent(
@@ -1174,8 +1078,8 @@ class BatchedSearchEngine:
                 replace(entry.event, t_agg_off_ns={row: -1.0}),
                 replace(entry.event, t_agg_off_ns={}),
             ):
-                plan, pkey = _resolve_plan(
-                    model, variant, bank.temperature_c, entry.pattern
+                plan, pkey = model.resolve_plan(
+                    variant, bank.temperature_c, entry.pattern
                 )
                 variants.append(_TraceEvent(
                     variant, row, entry.pattern, plan,
@@ -1322,15 +1226,13 @@ class BatchedSearchEngine:
         """Re-target a donor unit's compiled trace by a constant row shift.
 
         Events are rebuilt with shifted rows, their patterns remapped
-        through ``pi``, and their plans resolved against the model's plan
-        cache.  A cache miss materializes the plan from the donor entry's
-        victim-relative skeleton (built once at first translation, shared
-        by every translation of the trace) -- bit-identical to the full
-        builders by construction -- and falls back to the full builders
-        for shapes a skeleton cannot express (subarray-edge rows).  The
-        ``version=None`` guard re-checks each pattern on first
-        application anyway.  Touch ops re-resolve their ledger slot and
-        retention threshold; the counter arithmetic is structural and
+        through ``pi``, and their plans resolved by ``model.resolve_plan``
+        under the row-shifted key (``model.shift_plan_key``): a hit reuses
+        the cached plan, a miss builds it for the shifted event -- the
+        same single cache lookup and the same builders as the scalar
+        apply path.  The ``version=None`` guard re-checks each pattern on
+        first application anyway.  Touch ops re-resolve their ledger slot
+        and retention threshold; the counter arithmetic is structural and
         shared as-is.
         """
         bank = self.bank
@@ -1339,8 +1241,8 @@ class BatchedSearchEngine:
         temperature = bank.temperature_c
         retention_ns = bank.retention.retention_ns
         slot_of = model.ledger.slot
-        plan_lookup = model._plan_lookup
-        materialize = model.materialize_plan
+        resolve_plan = model.resolve_plan
+        shift_plan_key = model.shift_plan_key
 
         def entry_of(entry: _TraceEvent) -> _TraceEvent:
             event = entry.event
@@ -1365,29 +1267,13 @@ class BatchedSearchEngine:
             pattern = entry.pattern
             if pi is not None:
                 pattern = pi.get(pattern, pattern)
-            key = (
-                _shift_plan_key(entry.plan_key, delta, pattern)
-                if entry.plan_key is not None else None
+            plan, key = resolve_plan(
+                shifted, temperature, pattern,
+                shift_plan_key(entry.plan_key, delta, pattern),
             )
-            plan = plan_lookup(key) if key is not None else None
-            if plan is None:
-                skel = entry.skel
-                if skel is None:
-                    skel = model.plan_skeleton(event)
-                    entry.skel = skel if skel is not None else False
-                if skel:
-                    plan = materialize(
-                        skel, event.bank, rows[0], temperature, pattern
-                    )
-                    if plan is not None and key is not None:
-                        model._plan_store(key, plan)
-                if plan is None:
-                    plan, key = _resolve_plan(
-                        model, shifted, temperature, pattern, key
-                    )
             return _TraceEvent(
                 shifted, rows[0], pattern, plan,
-                entry.scaled, entry.times, plan_key=key, skel=entry.skel,
+                entry.scaled, entry.times, plan_key=key,
             )
 
         def ops_of(ops: list) -> list:
@@ -1445,8 +1331,8 @@ class BatchedSearchEngine:
             pattern = bank.pattern_of(row0)
             if pattern != entry.pattern:
                 entry.pattern = pattern
-                entry.plan, entry.plan_key = _resolve_plan(
-                    bank.model, entry.event, bank.temperature_c, pattern
+                entry.plan, entry.plan_key = bank.model.resolve_plan(
+                    entry.event, bank.temperature_c, pattern
                 )
             entry.version = version
         bank.model._apply_plan(entry.plan, times)
@@ -1637,7 +1523,6 @@ class BatchedSearchEngine:
             initial_guess=self.initial_guess,
         )
         self.books[i].done = True
-        self.found[i] = self.results[i].found
 
     def run(self) -> list[HcFirstResult]:
         if self.global_fallback:
@@ -1668,14 +1553,14 @@ class BatchedSearchEngine:
                     break
             if not round_idxs:
                 break
-            flips: list[int] = []
+            # a bracket update touches only its own unit's search state,
+            # which no other unit's probe in the round reads
             for i, count in zip(round_idxs, round_counts):
                 book = self.books[i]
                 result = self._probe(i, count)
                 book.cache[count] = result
                 book.history.append(result)
-                flips.append(result.flips)
-            self._apply_round(round_idxs, flips)
+                self._update_bracket(i, result.flips)
         assert all(result is not None for result in self.results)
         return self.results  # type: ignore[return-value]
 

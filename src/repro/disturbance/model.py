@@ -515,20 +515,20 @@ class DisturbanceModel:
         """
         if times <= 0:
             return
-        if event.kind is ActivationEvent.Kind.SIMRA:
-            self._apply_simra(event, temperature_c, aggressor_pattern, times)
-        elif event.kind is ActivationEvent.Kind.COMRA_PAIR:
-            self._apply_comra(event, temperature_c, aggressor_pattern, times)
-        else:
-            self._apply_single(event, temperature_c, aggressor_pattern, times)
+        if event.kind is ActivationEvent.Kind.SIMRA and not self.supports_simra:
+            return
+        plan, _key = self.resolve_plan(event, temperature_c, aggressor_pattern)
+        self._apply_plan(plan, times)
 
-    # -- single-row activation -----------------------------------------
+    # -- deposit plans ---------------------------------------------------
     #
     # Hammer loops repeat the same event millions of times, so each event
     # shape compiles once into a "deposit plan": a list of per-victim
     # increments with all static factors folded in.  Applying a plan is a
     # handful of dict operations; only double-sided synergy (which depends
-    # on interleaving) is resolved at apply time.
+    # on interleaving) is resolved at apply time.  Plans are cached under
+    # keys only this model builds (plan_key / shift_plan_key) and built
+    # only by resolve_plan, which the batched probe engine shares.
 
     #: deposit-plan LRU capacity; evictions drop the *least recently used*
     #: plan only, so a long experiment never loses its hot loop plans at once
@@ -569,6 +569,74 @@ class DisturbanceModel:
                 )
             ),
         )
+
+    def plan_key(
+        self,
+        event: ActivationEvent,
+        temperature_c: float,
+        aggressor_pattern: Optional[DataPattern],
+    ) -> tuple:
+        """Plan-cache key: ``(tag, bank, rows, temperature, pattern, time)``.
+
+        Single events key on their one aggressor row and drop the
+        PRE->ACT gap (``_build_single_plan`` never reads it, so events
+        that differ only there share a plan).
+        """
+        kind = event.kind
+        if kind is ActivationEvent.Kind.SINGLE:
+            return (
+                "single", event.bank, event.rows[0], temperature_c,
+                aggressor_pattern,
+                self._event_time_key(event, with_pre_to_act=False),
+            )
+        tag = "comra" if kind is ActivationEvent.Kind.COMRA_PAIR else "simra"
+        return (
+            tag, event.bank, event.rows, temperature_c, aggressor_pattern,
+            self._event_time_key(event),
+        )
+
+    @staticmethod
+    def shift_plan_key(key: tuple, delta: int, pattern) -> tuple:
+        """The key of ``key``'s event with every row shifted by ``delta``.
+
+        Equals ``plan_key`` of the shifted event under ``pattern`` (which
+        replaces the key's pattern field); the time key's row-sorted
+        tAggOff entries stay sorted under a constant shift.
+        """
+        tag, bank, rows, temperature_c, _pattern, time_key = key
+        on, pre_to_act, act_to_pre, agg_off = time_key
+        return (
+            tag,
+            bank,
+            rows + delta if tag == "single" else tuple(r + delta for r in rows),
+            temperature_c,
+            pattern,
+            (on, pre_to_act, act_to_pre,
+             tuple((r + delta, gap) for r, gap in agg_off)),
+        )
+
+    def resolve_plan(
+        self,
+        event: ActivationEvent,
+        temperature_c: float,
+        aggressor_pattern: Optional[DataPattern],
+        key: Optional[tuple] = None,
+    ) -> tuple[list, tuple]:
+        """``(plan, key)`` for ``event``: a cache hit, or built and stored.
+
+        A caller that already holds the event's key (a row-shifted trace
+        entry, via :meth:`shift_plan_key`) passes it to skip the time-key
+        derivation.
+        """
+        if key is None:
+            key = self.plan_key(event, temperature_c, aggressor_pattern)
+        plan = self._plan_lookup(key)
+        if plan is None:
+            plan = self._PLAN_BUILDERS[key[0]](
+                self, event, temperature_c, aggressor_pattern
+            )
+            self._plan_store(key, plan)
+        return plan, key
 
     def _apply_plan(self, plan: list, times: float) -> None:
         led = self.ledger
@@ -631,26 +699,6 @@ class DisturbanceModel:
             prof.ss_penalty,
         )
 
-    def _apply_single(
-        self,
-        event: ActivationEvent,
-        temperature_c: float,
-        aggressor_pattern: Optional[DataPattern],
-        times: float,
-    ) -> None:
-        (aggressor,) = event.rows
-        # _build_single_plan never reads pre_to_act, so two events that
-        # differ only in that gap share a plan.
-        key = (
-            "single", event.bank, aggressor, temperature_c, aggressor_pattern,
-            self._event_time_key(event, with_pre_to_act=False),
-        )
-        plan = self._plan_lookup(key)
-        if plan is None:
-            plan = self._build_single_plan(event, temperature_c, aggressor_pattern)
-            self._plan_store(key, plan)
-        self._apply_plan(plan, times)
-
     def _build_single_plan(
         self,
         event: ActivationEvent,
@@ -658,6 +706,7 @@ class DisturbanceModel:
         aggressor_pattern: Optional[DataPattern],
     ) -> list:
         (aggressor,) = event.rows
+        bank = event.bank
         # tAggOff scales every weight by one scalar, so all gap variants of
         # an aggressor's plan share a gap-free base (built once, cached at
         # the same key granularity as the plan LRU) and differ only by a
@@ -675,51 +724,70 @@ class DisturbanceModel:
             press_base = log_interp(max(event.t_agg_on_ns, 36.0), anchors)
             self._press_base_cache[pkey] = press_base
         base_key = (
-            "single-base", event.bank, aggressor,
+            "single-base", bank, aggressor,
             press_base, temperature_c, aggressor_pattern,
         )
         base = self._plan_lookup(base_key)
         if base is None:
+            # each entry is _plan_entry(bank, victim, prof, mech,
+            # 0.5 * dist_weight * _common_factors(...), side) with both
+            # bodies inlined in the identical float-operation sequence:
+            # trace translation builds hundreds of these per sweep and the
+            # call overhead dominated the actual arithmetic
+            profiles = self._profiles
+            tpr_cache = self._tpr_cache
+            slot_of = self.ledger.slot
+            dominant = self.vendor_cal.dominant_direction[mech]
+            p_dom = POOL_INDEX[(mech, dominant)]
+            p_oth = POOL_INDEX[(mech, dominant.opposite)]
             base = []
             for distance, dist_weight in self._distance_weights():
                 for victim in self.geometry.neighbors(aggressor, distance):
-                    prof = self.profile(event.bank, victim)
-                    side = 1 if aggressor > victim else -1
-                    weight = 0.5 * dist_weight * self._common_factors(
-                        prof, mech, event.t_agg_on_ns, temperature_c,
-                        aggressor_pattern, simra_count=None,
+                    prof = profiles.get((bank, victim))
+                    if prof is None:
+                        prof = self.profile(bank, victim)
+                    if press_base <= 1.0:
+                        press = press_base
+                    else:
+                        press = 1.0 + (press_base - 1.0) * prof.press_noise
+                    tkey = (
+                        id(prof), mech, temperature_c, aggressor_pattern, None,
                     )
-                    base.append(
-                        self._plan_entry(
-                            event.bank, victim, prof, mech, weight, side
+                    tc = tpr_cache.get(tkey)
+                    if tc is not None and tc[0] is prof:
+                        tpr = tc[1]
+                    else:
+                        tpr = (
+                            self._temperature_factor(prof, mech, temperature_c)
+                            * self._pattern_factor(
+                                prof, mech, aggressor_pattern
+                            )
+                            * self._region_factor(prof, mech, None)
                         )
-                    )
+                        tpr_cache[tkey] = (prof, tpr)
+                    weight = 0.5 * dist_weight * (press * tpr)
+                    ratio = prof.direction_ratio.get(mech, 1.0)
+                    if ratio < 1.0:
+                        ratio = 1.0
+                    increment = weight / prof.hc_ref
+                    base.append((
+                        slot_of(bank, victim),
+                        1 if aggressor > victim else -1,
+                        p_dom,
+                        p_oth,
+                        increment,
+                        increment / ratio,
+                        prof.ss_penalty,
+                    ))
             self._plan_store(base_key, base)
         if aggoff == 1.0:
             return base
         return [
-            (state, side, dom, oth, inc_dom * aggoff, inc_oth * aggoff, pen)
-            for state, side, dom, oth, inc_dom, inc_oth, pen in base
+            (slot, side, dom, oth, inc_dom * aggoff, inc_oth * aggoff, pen)
+            for slot, side, dom, oth, inc_dom, inc_oth, pen in base
         ]
 
     # -- CoMRA pair -------------------------------------------------------
-    def _apply_comra(
-        self,
-        event: ActivationEvent,
-        temperature_c: float,
-        aggressor_pattern: Optional[DataPattern],
-        times: float,
-    ) -> None:
-        key = (
-            "comra", event.bank, event.rows, temperature_c, aggressor_pattern,
-            self._event_time_key(event),
-        )
-        plan = self._plan_lookup(key)
-        if plan is None:
-            plan = self._build_comra_plan(event, temperature_c, aggressor_pattern)
-            self._plan_store(key, plan)
-        self._apply_plan(plan, times)
-
     def _build_comra_plan(
         self,
         event: ActivationEvent,
@@ -774,25 +842,6 @@ class DisturbanceModel:
         return plan
 
     # -- SiMRA group ------------------------------------------------------
-    def _apply_simra(
-        self,
-        event: ActivationEvent,
-        temperature_c: float,
-        aggressor_pattern: Optional[DataPattern],
-        times: float,
-    ) -> None:
-        if not self.supports_simra:
-            return
-        key = (
-            "simra", event.bank, event.rows, temperature_c, aggressor_pattern,
-            self._event_time_key(event),
-        )
-        plan = self._plan_lookup(key)
-        if plan is None:
-            plan = self._build_simra_plan(event, temperature_c, aggressor_pattern)
-            self._plan_store(key, plan)
-        self._apply_plan(plan, times)
-
     def _build_simra_plan(
         self,
         event: ActivationEvent,
@@ -841,183 +890,12 @@ class DisturbanceModel:
             )
         return plan
 
-    # -- victim-relative plan skeletons --------------------------------
-    #
-    # Batched trace translation re-resolves every captured event's plan
-    # for rows shifted by a constant delta.  The event *shape* -- neighbor
-    # offsets, distance weights, timing factors -- is shift-invariant;
-    # only the per-victim profile terms change.  A skeleton captures the
-    # shape once per captured event (shared by every translation of its
-    # trace), and materialization replays the reference builders' exact
-    # float-operation sequence against the shifted rows, so a
-    # materialized plan is bit-identical to the ``_build_*_plan`` output
-    # and is stored under the same cache keys.
-
-    def plan_skeleton(self, event: ActivationEvent) -> Optional[tuple]:
-        """Victim-relative structural skeleton of an event's plan.
-
-        Captures every row-independent term of the plan build -- press
-        factor, tAggOff factors, copy latency/direction -- so translation
-        pays only the per-victim profile math.  The per-row gaps in
-        ``t_agg_off_ns`` are shift-invariant by the translation contract
-        (identical stream timing), so their factors are skeleton
-        constants.  Returns None for SiMRA, whose charge-sharing side
-        effects a plan cannot express.
-        """
-        kind = event.kind
-        if kind is ActivationEvent.Kind.SINGLE:
-            (aggressor,) = event.rows
-            mech = Mechanism.ROWHAMMER
-            pkey = (mech, event.t_agg_on_ns)
-            press_base = self._press_base_cache.get(pkey)
-            if press_base is None:
-                anchors = self.vendor_cal.press_anchors[mech]
-                press_base = log_interp(max(event.t_agg_on_ns, 36.0), anchors)
-                self._press_base_cache[pkey] = press_base
-            aggoff = self._aggoff_factor(event.t_agg_off_ns.get(aggressor))
-            return ("single", event.t_agg_on_ns, press_base, aggoff)
-        if kind is ActivationEvent.Kind.COMRA_PAIR:
-            src, dst = event.rows
-            return (
-                "comra",
-                event.t_agg_on_ns,
-                self._comra_latency_factor(event.pre_to_act_ns or 7.5),
-                src < dst,
-                dst - src,
-                self._aggoff_factor(event.t_agg_off_ns.get(src)),
-                self._aggoff_factor(event.t_agg_off_ns.get(dst)),
-            )
-        return None
-
-    def materialize_plan(
-        self,
-        skel: tuple,
-        bank: int,
-        row0: int,
-        temperature_c: float,
-        aggressor_pattern: Optional[DataPattern],
-    ) -> list:
-        """Materialize a skeleton for the event anchored at ``row0``.
-
-        ``row0`` is the shifted first event row (the aggressor for single
-        events, the copy source for CoMRA pairs).  Replays the reference
-        builders' exact float-operation sequence -- including the
-        neighbor clipping at subarray edges and the shared
-        ``"single-base"`` sub-cache -- so the result is bit-identical to
-        ``_build_single_plan`` / ``_build_comra_plan`` on the shifted
-        event.
-        """
-        neighbors = self.geometry.neighbors
-        if skel[0] == "single":
-            _kind, t_agg_on, press_base, aggoff = skel
-            mech = Mechanism.ROWHAMMER
-            base_key = (
-                "single-base", bank, row0,
-                press_base, temperature_c, aggressor_pattern,
-            )
-            base = self._plan_lookup(base_key)
-            if base is None:
-                # the _common_factors / _plan_entry bodies, inlined with
-                # the identical float-operation sequence: translation
-                # materializes hundreds of these per sweep and the call
-                # overhead dominated the actual arithmetic
-                profiles = self._profiles
-                tpr_cache = self._tpr_cache
-                slot_of = self.ledger.slot
-                dominant = self.vendor_cal.dominant_direction[mech]
-                p_dom = POOL_INDEX[(mech, dominant)]
-                p_oth = POOL_INDEX[(mech, dominant.opposite)]
-                base = []
-                for distance, dist_weight in self._distance_weights():
-                    for victim in neighbors(row0, distance):
-                        prof = profiles.get((bank, victim))
-                        if prof is None:
-                            prof = self.profile(bank, victim)
-                        if press_base <= 1.0:
-                            press = press_base
-                        else:
-                            press = 1.0 + (press_base - 1.0) * prof.press_noise
-                        tkey = (
-                            id(prof), mech, temperature_c,
-                            aggressor_pattern, None,
-                        )
-                        tc = tpr_cache.get(tkey)
-                        if tc is not None and tc[0] is prof:
-                            tpr = tc[1]
-                        else:
-                            tpr = (
-                                self._temperature_factor(
-                                    prof, mech, temperature_c
-                                )
-                                * self._pattern_factor(
-                                    prof, mech, aggressor_pattern
-                                )
-                                * self._region_factor(prof, mech, None)
-                            )
-                            tpr_cache[tkey] = (prof, tpr)
-                        weight = 0.5 * dist_weight * (press * tpr)
-                        ratio = prof.direction_ratio.get(mech, 1.0)
-                        if ratio < 1.0:
-                            ratio = 1.0
-                        increment = weight / prof.hc_ref
-                        base.append((
-                            slot_of(bank, victim),
-                            1 if row0 > victim else -1,
-                            p_dom,
-                            p_oth,
-                            increment,
-                            increment / ratio,
-                            prof.ss_penalty,
-                        ))
-                self._plan_store(base_key, base)
-            if aggoff == 1.0:
-                return base
-            return [
-                (slot, side, dom, oth, inc_dom * aggoff, inc_oth * aggoff, pen)
-                for slot, side, dom, oth, inc_dom, inc_oth, pen in base
-            ]
-        (
-            _kind, t_agg_on, latency, forward,
-            span, aggoff_src, aggoff_dst,
-        ) = skel
-        src = row0
-        dst = row0 + span
-        mech = Mechanism.COMRA
-        plan = []
-        sandwich_victim = None
-        if abs(span) == 2 and self.geometry.same_subarray(src, dst):
-            sandwich_victim = (src + dst) // 2
-            prof = self.profile(bank, sandwich_victim)
-            weight = (
-                prof.comra_ratio
-                * latency
-                * prof.copy_dir_noise[forward]
-                * self._common_factors(
-                    prof, mech, t_agg_on, temperature_c,
-                    aggressor_pattern, simra_count=None,
-                )
-            )
-            plan.append(
-                self._plan_entry(bank, sandwich_victim, prof, mech, weight, None)
-            )
-        for aggressor, aggoff in ((src, aggoff_src), (dst, aggoff_dst)):
-            for distance, dist_weight in self._distance_weights():
-                for victim in neighbors(aggressor, distance):
-                    if victim == sandwich_victim:
-                        continue
-                    prof = self.profile(bank, victim)
-                    side = 1 if aggressor > victim else -1
-                    weight = 0.5 * dist_weight * aggoff
-                    if aggressor == dst:
-                        weight *= prof.copy_dir_noise[forward]
-                    weight *= self._common_factors(
-                        prof, mech, t_agg_on, temperature_c,
-                        aggressor_pattern, simra_count=None,
-                    )
-                    plan.append(
-                        self._plan_entry(bank, victim, prof, mech, weight, side)
-                    )
-        return plan
+    #: plan builder per plan-key tag (``resolve_plan``'s miss path)
+    _PLAN_BUILDERS = {
+        "single": _build_single_plan,
+        "comra": _build_comra_plan,
+        "simra": _build_simra_plan,
+    }
 
     # ------------------------------------------------------------------
     def _distance_weights(self) -> tuple[tuple[int, float], ...]:

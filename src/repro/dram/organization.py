@@ -146,8 +146,8 @@ class ModuleGeometry:
         Read disturbance does not cross subarray boundaries in this model:
         the sense-amplifier stripes between subarrays isolate wordline
         coupling, consistent with the paper testing victims within the
-        aggressors' subarray.  Memoized: plan materialization asks for the
-        same (row, distance) pairs on every translated probe.
+        aggressors' subarray.  Memoized: deposit-plan builds ask for the
+        same (row, distance) pairs for every translated trace.
         """
         self.check_row(row)
         result = []

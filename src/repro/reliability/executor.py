@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..bender.host import DramBenderHost
 from ..bender.program import Loop, TestProgram
 from ..disturbance.calibration import DataPattern, Mechanism
 from ..dram.module import DramModule
@@ -117,11 +116,9 @@ def execute_workload(
     workload: Workload,
     defense: Defense,
     bank: int = 0,
-    fast: bool = True,
 ) -> WorkloadOutcome:
     """Run one workload under one defense; classify and account everything."""
     engine = PudEngine(module, bank)
-    engine.host = DramBenderHost(module, compile_streams=fast)
     oracle = CorruptionOracle(module, bank)
     outcome = DefenseOutcome()
     corrector = defense.corrector()
@@ -228,7 +225,6 @@ def evaluate_reliability(
     defenses: Sequence[str] = ("none", "ecc-sec", "verify-retry", "guard-rows"),
     workloads: Optional[Sequence[str]] = None,
     bank: int = 0,
-    fast: bool = True,
     system_horizon_ns: float = 60_000.0,
 ) -> ReliabilityResult:
     """Coverage and overhead of every requested defense on one config.
@@ -258,7 +254,7 @@ def evaluate_reliability(
                 continue
             defense = build_defense(name)
             summary.add(
-                execute_workload(module, built[0], defense, bank, fast)
+                execute_workload(module, built[0], defense, bank)
             )
         result.summaries[name] = summary
 
