@@ -7,8 +7,9 @@ chunked replay) and the reference host (per-instruction interpretation):
 * ``hammer_loop``   -- TRR-attached double-sided RowHammer loop, the
   workload the chunked ``on_act_stream`` path was built for.  The
   speedup here carries a hard >=10x floor (the PR's acceptance bar).
-* ``hcfirst_search`` -- five-repeat HC_first measurement, memoized +
-  bracket-warm-started vs five independent cold searches.
+* ``hcfirst_search`` -- five-repeat HC_first measurement (one search
+  whose repeats share a probe memo and bracket warm start) vs five
+  independent one-repeat searches.
 * ``gauntlet_cell`` -- one attack-gauntlet cell (synchronized attack
   under sampling TRR) with ``DramBenderHost.default_compile_streams``
   toggled, i.e. the end-to-end attack_surface hot path.
@@ -54,7 +55,6 @@ from repro.bender.host import DramBenderHost  # noqa: E402
 from repro.core import patterns  # noqa: E402
 from repro.core.hcfirst import (  # noqa: E402
     ProbeSetup,
-    find_hc_first,
     find_hc_first_repeated,
     standard_row_data,
 )
@@ -170,7 +170,7 @@ def bench_hcfirst_search(smoke: bool, repeats: int) -> dict:
     def naive() -> None:
         setup = make_setup()
         for _ in range(n_repeats):
-            find_hc_first(setup)
+            find_hc_first_repeated(setup, repeats=1)
 
     def memoized() -> None:
         find_hc_first_repeated(make_setup(), repeats=n_repeats)
@@ -267,12 +267,11 @@ def bench_trr_rounds(smoke: bool, repeats: int) -> dict:
 
 
 def bench_population_scan(smoke: bool, repeats: int) -> dict:
-    """Bulk population tables + array oracles vs per-row scalar sampling.
+    """Bulk population tables + array oracles vs per-row scalar oracles.
 
-    The reference side replays the pre-table behavior: sample every row's
-    profile with the scalar ``_sample_profile`` (seeding the profile cache
-    so the scalar oracles don't fall through to the table path), then run
-    the scalar HC_first / WCDP oracles row by row.
+    Both sides draw the same bulk-sampled population tables.  The
+    reference side then runs the scalar HC_first / WCDP oracles row by
+    row over per-row ``model.profile`` views of those tables.
     """
     n_subarrays = 2 if smoke else 6
 
@@ -297,10 +296,7 @@ def bench_population_scan(smoke: bool, repeats: int) -> dict:
     def ref() -> None:
         module = make_module(CONFIG)
         model = module.model
-        rows = subarray_rows(module)
-        for row in rows:
-            model._profiles[(0, row)] = model._sample_profile(0, row)
-        for row in rows:
+        for row in subarray_rows(module):
             model.reference_hcfirst(0, row, Mechanism.ROWHAMMER)
             model.reference_hcfirst(0, row, Mechanism.COMRA)
             model.worst_case_pattern(0, row, Mechanism.ROWHAMMER)

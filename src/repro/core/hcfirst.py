@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ DEFAULT_MAX_HAMMERS = 8_000_000
 
 #: Relative convergence threshold (§4.2: 1%).
 CONVERGENCE = 0.01
+
+#: First upper bound each search probes before widening.
+FIRST_GUESS = 1024
 
 
 @dataclass
@@ -103,118 +106,101 @@ def run_probe(setup: ProbeSetup, count: int, host: Optional[DramBenderHost] = No
     return ProbeResult(count, flips, tuple(flipped))
 
 
-def find_hc_first(
-    setup: ProbeSetup,
-    max_hammers: int = DEFAULT_MAX_HAMMERS,
-    convergence: float = CONVERGENCE,
-    initial_guess: int = 1024,
-    probe_cache: Optional[dict[int, ProbeResult]] = None,
-    bracket: Optional[tuple[int, int]] = None,
-) -> HcFirstResult:
-    """Bisection HC_first search (§4.2).
+def hc_first_search(
+    repeats: int = 5, max_hammers: int = DEFAULT_MAX_HAMMERS
+) -> Generator[int, ProbeResult, HcFirstResult]:
+    """The §4.2 HC_first search as a coroutine over probe outcomes.
 
-    Phase 1 doubles an upper bound until a probe flips (or the cap is hit);
-    phase 2 bisects between the highest flip-free count and the lowest
-    flipping count until consecutive estimates agree within ``convergence``.
+    Each repeat quadruples an upper bound from :data:`FIRST_GUESS` until a
+    probe flips (or the cap is hit), then bisects between the highest
+    flip-free count and the lowest flipping count until consecutive
+    estimates agree within :data:`CONVERGENCE`.  The best of ``repeats``
+    searches is returned (§4.2 reports the minimum of five).
 
-    A probe reinitializes every aggressor and victim row before hammering,
-    so its outcome depends only on ``count``; ``probe_cache`` memoizes
-    probe results on that key (the caller owns the dict, so one cache can
-    span the five repeats of :func:`find_hc_first_repeated`).  ``bracket``
-    warm-starts the search with a known ``(flip-free, flipping)`` count
-    pair from a previous search over the same setup.
+    The generator yields every count whose outcome it does not yet know
+    and expects that probe's :class:`ProbeResult` back through ``send``.
+    A probe reinitializes every aggressor and victim row before
+    hammering, so its outcome depends only on the count: results are
+    memoized across repeats, and each repeat is warm-started with the
+    bracket the previous ones established, so on a deterministic chip
+    repeats after the first yield nothing.
     """
-    history: list[ProbeResult] = []
-    cache_hits = 0
-
-    def probe(count: int) -> ProbeResult:
-        nonlocal cache_hits
-        if probe_cache is not None:
-            cached = probe_cache.get(count)
-            if cached is not None:
-                cache_hits += 1
-                history.append(cached)
-                return cached
-        result = run_probe(setup, count)
-        if probe_cache is not None:
-            probe_cache[count] = result
-        history.append(result)
-        return result
-
-    if bracket is not None:
-        high = max(2, int(bracket[1]))
-        low = min(max(0, int(bracket[0])), high - 1)
-    else:
-        low = 0
-        high = max(2, initial_guess)
-    while True:
-        result = probe(high)
-        if result.flips:
-            break
-        low = high
-        if high >= max_hammers:
-            return HcFirstResult(None, False, len(history), history, cache_hits)
-        high = min(max_hammers, high * 4)
-
-    # Bisect until the bracketing interval shrinks within the convergence
-    # threshold: successive estimates then differ by no more than 1% of the
-    # previous estimate, the paper's stopping rule.
-    while high - low > 1 and (high - low) > convergence * high:
-        mid = (low + high) // 2
-        result = probe(mid)
-        if result.flips:
-            high = mid
-        else:
-            low = mid
-    return HcFirstResult(float(high), True, len(history), history, cache_hits)
-
-
-def find_hc_first_repeated(
-    setup: ProbeSetup,
-    repeats: int = 5,
-    max_hammers: int = DEFAULT_MAX_HAMMERS,
-    convergence: float = CONVERGENCE,
-    initial_guess: int = 1024,
-) -> HcFirstResult:
-    """Repeat the search and report the minimum (§4.2 reports min of five).
-
-    The simulated chip is deterministic, so repeats agree exactly; the knob
-    is kept for methodological fidelity and for future stochastic models.
-    Probes are memoized across the repeats (results depend only on the
-    count, see :func:`find_hc_first`) and each repeat's bisection is
-    warm-started with the previous repeat's bracket, so repeats after the
-    first are answered from the cache instead of re-running identical
-    deterministic searches through the command path.
-    """
-    probe_cache: dict[int, ProbeResult] = {}
+    cache: dict[int, ProbeResult] = {}
     bracket: Optional[tuple[int, int]] = None
     best: Optional[HcFirstResult] = None
     for _ in range(max(1, repeats)):
-        result = find_hc_first(
-            setup, max_hammers=max_hammers, convergence=convergence,
-            initial_guess=initial_guess, probe_cache=probe_cache,
-            bracket=bracket,
+        if bracket is None:
+            low, high = 0, FIRST_GUESS
+        else:
+            high = max(2, bracket[1])
+            low = min(bracket[0], high - 1)
+        history: list[ProbeResult] = []
+        cache_hits = 0
+        bisecting = False
+        # bisection stops once the bracket shrinks within the convergence
+        # threshold: successive estimates then differ by no more than 1%
+        # of the previous estimate, the paper's stopping rule
+        while not bisecting or (
+            high - low > 1 and high - low > CONVERGENCE * high
+        ):
+            count = (low + high) // 2 if bisecting else high
+            probe = cache.get(count)
+            if probe is None:
+                probe = cache[count] = yield count
+            else:
+                cache_hits += 1
+            history.append(probe)
+            if bisecting:
+                if probe.flips:
+                    high = count
+                else:
+                    low = count
+            elif probe.flips:
+                bisecting = True
+            elif high >= max_hammers:
+                break
+            else:
+                low, high = high, min(max_hammers, high * 4)
+        result = HcFirstResult(
+            float(high) if bisecting else None, bisecting, len(history),
+            history, cache_hits,
         )
         if result.found:
             # Tighten, never widen: a warm-started repeat's history may
             # hold only the single (cached) confirming probe, which says
             # nothing about the flip-free bound established earlier.
             flip_free = [
-                probe.count
-                for probe in result.history
-                if probe.flips == 0 and probe.count < result.hc_first
+                probe.count for probe in history
+                if probe.flips == 0 and probe.count < high
             ]
             if bracket is not None:
                 flip_free.append(bracket[0])
-            bracket = (max(flip_free, default=0), int(result.hc_first))
-        if best is None:
-            best = result
-        elif result.found and (
-            not best.found or (result.hc_first or 0) < (best.hc_first or 0)
+            bracket = (max(flip_free, default=0), high)
+        if best is None or result.found and (
+            not best.found or result.hc_first < best.hc_first
         ):
             best = result
     assert best is not None
     return best
+
+
+def find_hc_first_repeated(
+    setup: ProbeSetup,
+    repeats: int = 5,
+    max_hammers: int = DEFAULT_MAX_HAMMERS,
+) -> HcFirstResult:
+    """Run :func:`hc_first_search` on ``setup`` through the command path.
+
+    The simulated chip is deterministic, so repeats agree exactly; the knob
+    is kept for methodological fidelity and for future stochastic models.
+    """
+    search = hc_first_search(repeats, max_hammers)
+    try:
+        count = next(search)
+        while True:
+            count = search.send(run_probe(setup, count))
+    except StopIteration as stop:
+        return stop.value
 
 
 def standard_row_data(

@@ -22,12 +22,12 @@ Three pieces:
   per component per round); adjacent victims always land in different
   batches.
 
-* **Search engine** -- a faithful transcription of
-  :func:`~repro.core.hcfirst.find_hc_first_repeated` that keeps one
-  bracket (``lo``/``hi``/``phase``) per victim and updates it after each
-  of the victim's probes in a fused replay round.  Probe memoization and
-  bracket warm-starting across repeats are preserved, so probe outcomes
-  and histories match the scalar search probe for probe.
+* **Search engine** -- each fused unit runs the same
+  :func:`~repro.core.hcfirst.hc_first_search` coroutine as the scalar
+  path, parked at its next uncached probe count.  A round runs one probe
+  per component and sends each outcome straight back to its unit's
+  search, so probe outcomes and histories match the scalar search probe
+  for probe.
 
 * **Fused replay** -- one probe re-initializes only the rows its unit
   touches through the bank's copy-on-write
@@ -84,12 +84,12 @@ from ..dram.commands import ActivationEvent
 from ..dram.errors import DramError
 from ..obs import NULL_OBS
 from .hcfirst import (
-    CONVERGENCE,
     DEFAULT_MAX_HAMMERS,
     HcFirstResult,
     ProbeResult,
     ProbeSetup,
     find_hc_first_repeated,
+    hc_first_search,
 )
 
 #: blast radius around every activated/written row: the disturbance model
@@ -601,24 +601,6 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     )
 
 
-#: search phases held in the per-unit bracket state
-_PHASE_DOUBLING = 0
-_PHASE_BISECT = 1
-
-
-@dataclass
-class _UnitBookkeeping:
-    """Python-side per-unit search bookkeeping (caches, repeats, history)."""
-
-    cache: dict[int, ProbeResult] = field(default_factory=dict)
-    history: list[ProbeResult] = field(default_factory=list)
-    cache_hits: int = 0
-    repeat: int = 0
-    bracket: Optional[tuple[int, int]] = None
-    best: Optional[HcFirstResult] = None
-    done: bool = False
-
-
 class BatchedSearchEngine:
     """Advance many HC_first searches with shared fused replays."""
 
@@ -627,8 +609,6 @@ class BatchedSearchEngine:
         setups: Sequence[ProbeSetup],
         repeats: int = 5,
         max_hammers: int = DEFAULT_MAX_HAMMERS,
-        convergence: float = CONVERGENCE,
-        initial_guess: int = 1024,
         obs=None,
     ) -> None:
         if not setups:
@@ -650,10 +630,8 @@ class BatchedSearchEngine:
         self.setups = list(setups)
         self.module = module
         self.bank = module.bank(bank_index)
-        self.repeats = max(1, repeats)
+        self.repeats = repeats
         self.max_hammers = max_hammers
-        self.convergence = convergence
-        self.initial_guess = initial_guess
 
         n = len(self.setups)
         self.plans = [plan_unit(setup) for setup in self.setups]
@@ -679,7 +657,6 @@ class BatchedSearchEngine:
                 disposition = "component_clock_sensitive"
             self.obs.inc("probe.units", disposition=disposition)
         self.results: list[Optional[HcFirstResult]] = [None] * n
-        self.books = [_UnitBookkeeping() for _ in range(n)]
         # shape classes: a unit whose streams, snapshot and row images are
         # a pure row-translation of an earlier unit's can reuse that
         # unit's compiled trace (translated) instead of paying its own
@@ -700,108 +677,7 @@ class BatchedSearchEngine:
             else:
                 reps.append(i)
 
-        # per-unit bracket state
-        self.lo = [0] * n
-        self.hi = [0] * n
-        self.phase = [_PHASE_DOUBLING] * n
-
         self.clock = 0.0
-
-        for i in range(n):
-            self._start_repeat(i)
-
-    # -- per-repeat state ------------------------------------------------
-    def _start_repeat(self, i: int) -> None:
-        book = self.books[i]
-        book.history = []
-        book.cache_hits = 0
-        if book.bracket is not None:
-            hi = max(2, int(book.bracket[1]))
-            lo = min(max(0, int(book.bracket[0])), hi - 1)
-        else:
-            lo = 0
-            hi = max(2, self.initial_guess)
-        self.lo[i] = lo
-        self.hi[i] = hi
-        self.phase[i] = _PHASE_DOUBLING
-
-    def _finish_repeat(self, i: int, found: bool) -> None:
-        book = self.books[i]
-        history = book.history
-        if found:
-            result = HcFirstResult(
-                float(self.hi[i]), True, len(history), history, book.cache_hits
-            )
-        else:
-            result = HcFirstResult(
-                None, False, len(history), history, book.cache_hits
-            )
-        if result.found:
-            flip_free = [
-                probe.count
-                for probe in history
-                if probe.flips == 0 and probe.count < result.hc_first
-            ]
-            if book.bracket is not None:
-                flip_free.append(book.bracket[0])
-            book.bracket = (max(flip_free, default=0), int(result.hc_first))
-        if book.best is None:
-            book.best = result
-        elif result.found and (
-            not book.best.found
-            or (result.hc_first or 0) < (book.best.hc_first or 0)
-        ):
-            book.best = result
-        book.repeat += 1
-        if book.repeat >= self.repeats:
-            book.done = True
-            assert book.best is not None
-            self.results[i] = book.best
-        else:
-            self._start_repeat(i)
-
-    # -- search state machine (faithful to find_hc_first) ----------------
-    def _advance(self, i: int) -> Optional[int]:
-        """Advance unit ``i`` through cached probes and phase transitions.
-
-        Returns the next *uncached* probe count, or None once the unit has
-        finished every repeat.
-        """
-        book = self.books[i]
-        while not book.done:
-            if self.phase[i] == _PHASE_DOUBLING:
-                count = self.hi[i]
-            else:
-                span = self.hi[i] - self.lo[i]
-                if not (span > 1 and span > self.convergence * self.hi[i]):
-                    self._finish_repeat(i, found=True)
-                    continue
-                count = (self.lo[i] + self.hi[i]) // 2
-            cached = book.cache.get(count)
-            if cached is None:
-                return count
-            book.cache_hits += 1
-            book.history.append(cached)
-            self._update_bracket(i, cached.flips)
-        return None
-
-    def _update_bracket(self, i: int, flips: int) -> None:
-        """Bracket update for one probe outcome (cached or fresh)."""
-        if self.phase[i] == _PHASE_DOUBLING:
-            if flips:
-                self.phase[i] = _PHASE_BISECT
-            else:
-                self.lo[i] = self.hi[i]
-                if self.hi[i] >= self.max_hammers:
-                    self._finish_repeat(i, found=False)
-                else:
-                    self.hi[i] = min(self.max_hammers, self.hi[i] * 4)
-        else:
-            mid = (self.lo[i] + self.hi[i]) // 2
-            if flips:
-                self.hi[i] = mid
-            else:
-                self.lo[i] = mid
 
     # -- fused replay ----------------------------------------------------
     def _probe(self, i: int, count: int) -> ProbeResult:
@@ -1519,10 +1395,7 @@ class BatchedSearchEngine:
             self.setups[i],
             repeats=self.repeats,
             max_hammers=self.max_hammers,
-            convergence=self.convergence,
-            initial_guess=self.initial_guess,
         )
-        self.books[i].done = True
 
     def run(self) -> list[HcFirstResult]:
         if self.global_fallback:
@@ -1531,10 +1404,17 @@ class BatchedSearchEngine:
             for i in range(len(self.setups)):
                 self._run_scalar(i)
             return self.results  # type: ignore[return-value]
+        # one search coroutine per fused unit, parked at its next uncached
+        # probe count
+        searches = {
+            i: hc_first_search(self.repeats, self.max_hammers)
+            for i, unit in enumerate(self.units)
+            if unit is not None
+        }
+        counts = {i: next(search) for i, search in searches.items()}
         heads = [0] * len(self.components)
         while True:
             round_idxs: list[int] = []
-            round_counts: list[int] = []
             for c, component in enumerate(self.components):
                 while heads[c] < len(component):
                     i = component[heads[c]]
@@ -1542,26 +1422,19 @@ class BatchedSearchEngine:
                         # scalar fallback occupies its component slot, so
                         # ordering against the units around it is scalar
                         self._run_scalar(i)
-                        heads[c] += 1
-                        continue
-                    count = self._advance(i)
-                    if count is None:
-                        heads[c] += 1
-                        continue
-                    round_idxs.append(i)
-                    round_counts.append(count)
-                    break
+                    elif self.results[i] is None:
+                        round_idxs.append(i)
+                        break
+                    heads[c] += 1
             if not round_idxs:
                 break
-            # a bracket update touches only its own unit's search state,
-            # which no other unit's probe in the round reads
-            for i, count in zip(round_idxs, round_counts):
-                book = self.books[i]
-                result = self._probe(i, count)
-                book.cache[count] = result
-                book.history.append(result)
-                self._update_bracket(i, result.flips)
-        assert all(result is not None for result in self.results)
+            # a search step touches only its own unit's state, which no
+            # other unit's probe in the round reads
+            for i in round_idxs:
+                try:
+                    counts[i] = searches[i].send(self._probe(i, counts[i]))
+                except StopIteration as stop:
+                    self.results[i] = stop.value
         return self.results  # type: ignore[return-value]
 
 
@@ -1569,16 +1442,16 @@ def run_batched_searches(
     setups: Sequence[ProbeSetup],
     repeats: int = 5,
     max_hammers: int = DEFAULT_MAX_HAMMERS,
-    convergence: float = CONVERGENCE,
-    initial_guess: int = 1024,
     obs=None,
 ) -> list[HcFirstResult]:
     """Run many single-victim HC_first searches with fused batched probes.
 
-    Bit-identical to calling
+    Every setup runs the §4.2 search of
+    :func:`~repro.core.hcfirst.hc_first_search`; the result is
+    bit-identical to calling
     :func:`~repro.core.hcfirst.find_hc_first_repeated` on each setup in
-    order; setups that cannot take the fused path run the scalar search in
-    their component slot.
+    order, histories and cache hits included.  Setups that cannot take
+    the fused path run the scalar search in their component slot.
 
     ``obs`` (a :class:`repro.obs.Obs`) records the planner's per-unit
     dispositions (``probe.units{disposition=...}``), the probe path taken
@@ -1598,8 +1471,6 @@ def run_batched_searches(
         setups,
         repeats=repeats,
         max_hammers=max_hammers,
-        convergence=convergence,
-        initial_guess=initial_guess,
         obs=obs,
     )
     results = engine.run()

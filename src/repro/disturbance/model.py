@@ -48,12 +48,10 @@ from .calibration import (
     SIMRA_HI_MEDIAN,
     SIMRA_HI_SIGMA,
     SIMRA_P_HI,
-    SIMRA_PROB_BETTER,
     VendorCalibration,
     vendor_calibration,
 )
 from .distributions import (
-    Lognormal,
     MixtureRatio,
     fit_lognormal_min_avg,
     log_interp,
@@ -212,114 +210,6 @@ class DisturbanceModel:
             prof = table.view(row - table.row_start)
             self._profiles[key] = prof
         return prof
-
-    def _sample_profile(self, bank: int, row: int) -> RowProfile:
-        """Scalar per-row sampler, retained as the pre-table reference.
-
-        ~40 scalar RNG draws per row from per-row streams.  The population
-        table replaced it as the source of :meth:`profile`; it survives as
-        the baseline side of the ``population_scan`` hot-path benchmark and
-        as executable documentation of the per-field sampling semantics.
-        """
-        cal = self.calibration
-        vc = self.vendor_cal
-        sentinel = self._sentinels.get((bank, row))
-
-        rng = rng_for(cal.config_id, self.serial, bank, row)
-        # Table 2's minima are *population* minima: no sampled row may
-        # undershoot them (the sentinel rows sit exactly on them).
-        hc_ref = max(float(self._hc_dist.sample(rng)), 0.95 * cal.rh_min)
-        comra_ratio = float(self._comra_ratio_dist.sample(rng))
-        comra_ratio = min(comra_ratio, hc_ref / (0.95 * cal.comra_min))
-
-        ss_pen = float(
-            Lognormal(math.log(vc.ss_penalty_median), vc.ss_penalty_sigma).sample(rng)
-        )
-        direction_ratio = {
-            mech: float(
-                Lognormal(
-                    math.log(vc.direction_ratio_median[mech]),
-                    vc.direction_ratio_sigma[mech],
-                ).sample(rng)
-            )
-            for mech in Mechanism
-        }
-        temp_slope = {
-            mech: float(
-                rng.normal(vc.temp_slope_mean.get(mech, 0.0),
-                           vc.temp_slope_sd.get(mech, 0.0))
-            )
-            for mech in Mechanism
-        }
-        eta: dict[tuple[Mechanism, Mechanism], float] = {}
-        for pair, mean in vc.eta_mean.items():
-            noise = float(rng.lognormal(0.0, vc.eta_sigma))
-            value = min(0.9, mean * noise)
-            if pair[0] is Mechanism.SIMRA and rng.random() < vc.eta_simra_zero_prob:
-                value = 0.0
-            eta[pair] = value
-
-        region_index = REGION_ORDER.index(self.geometry.region_of_row(row))
-        partial_susceptible = bool(rng.random() < vc.simra_partial_prob)
-        pattern_noise = {
-            pattern: float(rng.lognormal(0.0, 0.08)) for pattern in ALL_PATTERNS
-        }
-        copy_dir_noise = {}
-        for forward in (True, False):
-            if rng.random() < vc.copy_direction_tail_prob:
-                noise = float(rng.lognormal(0.0, vc.copy_direction_tail_sigma))
-            else:
-                noise = float(rng.lognormal(0.0, vc.copy_direction_sigma))
-            copy_dir_noise[forward] = noise
-        press_noise = float(rng.lognormal(0.0, 0.12))
-        weak_cells = max(
-            8, int(self.geometry.columns * vc.weak_cell_fraction * rng.uniform(0.6, 1.4))
-        )
-        retention_ns = float(
-            Lognormal(math.log(vc.retention_median_ns), vc.retention_sigma).sample(rng)
-        )
-
-        prof = RowProfile(
-            hc_ref=hc_ref,
-            ss_penalty=ss_pen,
-            comra_ratio=comra_ratio,
-            direction_ratio=direction_ratio,
-            temp_slope=temp_slope,
-            eta=eta,
-            region_index=region_index,
-            partial_susceptible=partial_susceptible,
-            pattern_noise=pattern_noise,
-            copy_dir_noise=copy_dir_noise,
-            press_noise=press_noise,
-            weak_cells=weak_cells,
-            retention_ns=retention_ns,
-        )
-        for count in SIMRA_COUNTS:
-            ratio = self._sample_simra_ratio(rng, count)
-            if cal.simra_min:
-                ratio = min(ratio, hc_ref / (0.95 * cal.simra_min))
-            prof.simra_ratio[count] = ratio
-
-        if sentinel is not None:
-            self._pin_sentinel(prof, sentinel)
-        return prof
-
-    def _sample_simra_ratio(self, rng: np.random.Generator, count: int) -> float:
-        """Sample the double-sided SiMRA HC_first reduction factor for one N.
-
-        The mixture reproduces Obs. 12's bimodality; the sample is then
-        shifted so that P(ratio > 1) matches the per-N improve fraction.
-        """
-        if self._simra_mixture is None:
-            return 1.0
-        ratio = self._simra_mixture.sample(rng)
-        prob_better = SIMRA_PROB_BETTER.get(count, 0.95)
-        if rng.random() > prob_better:
-            # This victim regresses under SiMRA (Obs. 12's tail).
-            ratio = float(rng.uniform(0.55, 0.98))
-        else:
-            ratio = max(ratio, 1.001)
-        return ratio
 
     def _pin_sentinel(self, prof: RowProfile, mechanism: Mechanism) -> None:
         """Force a row's reference HC_first to the Table 2 minimum."""
@@ -1260,30 +1150,6 @@ class DisturbanceModel:
             weight = weight * coupling[best, np.arange(len(offsets))]
             out[positions] = table.hc_ref[offsets] / weight
         return out
-
-    def flip_target_array(
-        self,
-        bank: int,
-        rows: Sequence[int],
-        effective_damage: "float | Sequence[float]",
-    ) -> np.ndarray:
-        """Vectorized :meth:`_flip_target` over a batch of rows.
-
-        ``normal_cdf`` is built on ``math.erf``, which numpy does not
-        expose, so the quantile stays a scalar loop; the vectorized win is
-        the bulk weak-cell gather, multiply and clamp.
-        """
-        sigma = self.vendor_cal.cell_sigma
-        damage = np.broadcast_to(
-            np.asarray(effective_damage, dtype=float), (len(rows),)
-        )
-        quantile = np.array(
-            [normal_cdf((math.log(d) - 2.5 * sigma) / sigma) for d in damage]
-        )
-        weak = np.empty(len(rows), dtype=np.int64)
-        for table, offsets, positions in self._gather(bank, rows):
-            weak[positions] = table.weak_cells[offsets]
-        return np.maximum(1, (weak * quantile).astype(np.int64))
 
 
 #: fill byte -> pattern, for the first-byte probe in classify_pattern

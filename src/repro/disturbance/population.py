@@ -1,7 +1,7 @@
 """Vectorized row-population engine: subarray-sized profile tables.
 
-``DisturbanceModel._sample_profile`` makes ~40 scalar RNG draws and builds
-five dicts *per row*; subarray scans in the Fig. 4-24 experiments pay that
+A per-row sampler would make ~40 scalar RNG draws and build five dicts
+*per row*; subarray scans in the Fig. 4-24 experiments would pay that
 thousands of times.  This module samples whole subarrays at once as
 structure-of-arrays tables: one bulk numpy draw per *purpose* (hc_ref,
 comra ratio, each eta pair, ...) covers every row of the subarray.
@@ -15,8 +15,8 @@ at ~40x the RNG dispatch cost).  Row order within a purpose's array is
 physical-row order, so individual rows are also stable.
 
 Sentinel rows are pinned *after* bulk sampling: the table materializes the
-row's :class:`~repro.disturbance.model.RowProfile` view, applies the same
-``_pin_sentinel`` logic as the scalar path, and writes the pinned scalars
+row's :class:`~repro.disturbance.model.RowProfile` view, applies the
+model's scalar ``_pin_sentinel`` logic to it, and writes the pinned scalars
 back into the arrays, so vectorized oracles observe pinned values too.
 """
 
@@ -134,8 +134,7 @@ def sample_population(
 ) -> PopulationTable:
     """Sample one subarray's population table with bulk draws.
 
-    Mirrors the scalar ``_sample_profile`` logic field for field; each
-    purpose pulls from its own ``(config_id, serial, bank, subarray,
+    Each purpose pulls from its own ``(config_id, serial, bank, subarray,
     purpose)`` stream so fields stay independent.
     """
     cal = model.calibration
@@ -259,8 +258,8 @@ def sample_population(
         simra_ratio=simra_ratio,
     )
 
-    # Pin sentinels through the same scalar logic as the reference path,
-    # then write the pinned values back so array oracles see them.
+    # Pin sentinels through the model's scalar logic, then write the
+    # pinned values back so array oracles see them.
     for (b, row), mechanism in model._sentinels.items():
         if b != bank or not row_start <= row < row_start + n:
             continue

@@ -41,7 +41,6 @@ def _run_combined(
         victims = session.rank_victims(
             session.combined_victims(), Mechanism.ROWHAMMER
         )[:8]
-        session.prefetch_wcdp(victims, Mechanism.ROWHAMMER)
         for fraction in FRACTIONS:
             outcomes = session.measure_combined(
                 victims,

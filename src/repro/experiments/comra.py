@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.metrics import ChangeDistribution, DistributionSummary
 from ..core.scale import ExperimentScale
-from ..disturbance.calibration import ALL_PATTERNS, Mechanism
+from ..disturbance.calibration import ALL_PATTERNS
 from ..dram.organization import REGION_ORDER
 from .base import (
     ExperimentResult,
@@ -41,8 +41,6 @@ def run_fig04(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
 
     for session in sessions:
         victims = session.candidate_victims()
-        session.prefetch_wcdp(victims, Mechanism.ROWHAMMER)
-        session.prefetch_wcdp(victims, Mechanism.COMRA)
         rh_many = session.measure_rowhammer_ds(victims)
         comra_many = session.measure_comra_ds(victims)
         for rh, comra in zip(rh_many, comra_many):
@@ -386,7 +384,6 @@ def run_fig11(
         vendor = session.module.vendor.value
         by_region: dict[str, list[float]] = defaultdict(list)
         victims = session.candidate_victims()
-        session.prefetch_wcdp(victims, Mechanism.COMRA)
         for m in session.measure_comra_ds(victims):
             if m.found:
                 by_region[m.region.value].append(m.hc_first)

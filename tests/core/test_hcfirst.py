@@ -5,8 +5,8 @@ import pytest
 from repro.core import patterns
 from repro.core.hcfirst import (
     ProbeSetup,
-    find_hc_first,
     find_hc_first_repeated,
+    hc_first_search,
     run_probe,
     standard_row_data,
 )
@@ -28,14 +28,14 @@ class TestBisection:
         victim = 2 * 96 + 40
         setup = make_setup(hynix_module, victim)
         oracle = hynix_module.model.reference_hcfirst(0, victim, Mechanism.ROWHAMMER)
-        result = find_hc_first(setup)
+        result = find_hc_first_repeated(setup, repeats=1)
         assert result.found
         assert result.hc_first == pytest.approx(oracle, rel=0.02)
 
     def test_no_flip_below_cap_returns_none(self, hynix_module):
         victim = 2 * 96 + 40
         setup = make_setup(hynix_module, victim)
-        result = find_hc_first(setup, max_hammers=100)
+        result = find_hc_first_repeated(setup, repeats=1, max_hammers=100)
         assert not result.found
         assert result.hc_first is None
 
@@ -54,28 +54,30 @@ class TestBisection:
     def test_repeats_agree_on_deterministic_chip(self, hynix_module):
         victim = 2 * 96 + 40
         setup = make_setup(hynix_module, victim)
-        single = find_hc_first(setup)
+        single = find_hc_first_repeated(setup, repeats=1)
         best = find_hc_first_repeated(setup, repeats=3)
         assert best.hc_first == single.hc_first
-
-    def test_coarser_convergence_is_cheaper(self, hynix_module):
-        victim = 2 * 96 + 40
-        fine = find_hc_first(make_setup(hynix_module, victim), convergence=0.01)
-        coarse = find_hc_first(make_setup(hynix_module, victim), convergence=0.10)
-        assert coarse.probes <= fine.probes
 
 
 class TestProbeMemoization:
     def test_shared_cache_answers_second_search(self, hynix_module):
         victim = 2 * 96 + 40
         setup = make_setup(hynix_module, victim)
-        cache = {}
-        first = find_hc_first(setup, probe_cache=cache)
-        second = find_hc_first(setup, probe_cache=cache)
-        assert first.cache_hits == 0
-        assert second.hc_first == first.hc_first
-        # identical deterministic search: every probe is a cache hit
-        assert second.cache_hits == second.probes
+        single = find_hc_first_repeated(setup, repeats=1)
+        search = hc_first_search(repeats=2)
+        asked = []
+        try:
+            count = next(search)
+            while True:
+                asked.append(count)
+                count = search.send(run_probe(setup, count))
+        except StopIteration as stop:
+            repeated = stop.value
+        assert single.cache_hits == 0
+        assert repeated.hc_first == single.hc_first
+        # the second repeat is answered from the memo: only the first
+        # repeat's probes ever reach the command path
+        assert asked == [probe.count for probe in single.history]
 
     def test_repeats_do_not_rerun_probes(self, hynix_module, monkeypatch):
         from repro.core import hcfirst as hcfirst_module
@@ -90,7 +92,7 @@ class TestProbeMemoization:
             return real_run_probe(setup_, count, host)
 
         monkeypatch.setattr(hcfirst_module, "run_probe", counting)
-        single = hcfirst_module.find_hc_first(setup)
+        single = hcfirst_module.find_hc_first_repeated(setup, repeats=1)
         baseline = len(calls)
         calls.clear()
         repeated = hcfirst_module.find_hc_first_repeated(setup, repeats=5)
@@ -101,11 +103,9 @@ class TestProbeMemoization:
     def test_bracket_warm_start_converges_to_same_answer(self, hynix_module):
         victim = 2 * 96 + 40
         setup = make_setup(hynix_module, victim)
-        cold = find_hc_first(setup)
+        cold = find_hc_first_repeated(setup, repeats=1)
         assert cold.found
-        low = max(
-            (p.count for p in cold.history if p.flips == 0), default=0
-        )
-        warm = find_hc_first(setup, bracket=(low, int(cold.hc_first)))
-        assert warm.hc_first == cold.hc_first
-        assert warm.probes <= cold.probes
+        # warm-started repeats converge on the first repeat's answer, so
+        # the best of five is the first repeat itself, history included
+        warm = find_hc_first_repeated(setup, repeats=5)
+        assert warm == cold

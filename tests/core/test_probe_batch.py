@@ -19,7 +19,12 @@ import pytest
 from repro import ExperimentScale, make_module
 from repro.core import CharacterizationSession, patterns
 from repro.core import session as session_module
-from repro.core.hcfirst import find_hc_first_repeated
+from repro.core.hcfirst import (
+    DEFAULT_MAX_HAMMERS,
+    ProbeSetup,
+    find_hc_first_repeated,
+    standard_row_data,
+)
 from repro.core.metrics import Measurement
 from repro.core.probe_batch import (
     GUARD_DISTANCE,
@@ -27,6 +32,7 @@ from repro.core.probe_batch import (
     count_flips,
     plan_batches,
     plan_components,
+    run_batched_searches,
 )
 from repro.disturbance.calibration import ALL_PATTERNS, Mechanism
 from repro.dram.errors import AddressError
@@ -131,6 +137,49 @@ class TestCountFlips:
         assert count_flips(data, expected) == 0
         data[0] = 0b1010_0001
         assert count_flips(data, expected) == 3
+
+
+def _rowhammer_setups(module):
+    """Double-sided RowHammer setups on spread and on adjacent victims
+    (the latter chain into one component)."""
+    session = CharacterizationSession(module, ExperimentScale.small())
+    spread = session.candidate_victims()[:3]
+    victims = spread + [spread[0] + 1]
+    setups = []
+    for victim in victims:
+        pattern = module.model.worst_case_pattern(
+            0, victim, Mechanism.ROWHAMMER
+        )
+        setups.append(ProbeSetup(
+            module=module,
+            program_factory=lambda n, v=victim: patterns.double_sided_rowhammer(
+                module, v, n
+            ),
+            row_data=standard_row_data(
+                module, [victim - 1, victim + 1], [victim], pattern
+            ),
+            victims=[victim],
+        ))
+    return setups
+
+
+class TestSearchResults:
+    """The engine returns the scalar search's whole ``HcFirstResult``:
+    history, probe count and cache hits, not only HC_first."""
+
+    @pytest.mark.parametrize("max_hammers", (DEFAULT_MAX_HAMMERS, 2000))
+    def test_matches_scalar_search(self, max_hammers):
+        obs = Obs()
+        got = run_batched_searches(
+            _rowhammer_setups(make_module("hynix-a-8gb")),
+            repeats=3, max_hammers=max_hammers, obs=obs,
+        )
+        ref = [
+            find_hc_first_repeated(s, repeats=3, max_hammers=max_hammers)
+            for s in _rowhammer_setups(make_module("hynix-a-8gb"))
+        ]
+        assert got == ref
+        assert obs.total("probe.probes") > 0
 
 
 def _aggressors(session, n=3, span=2):

@@ -60,17 +60,6 @@ class TestOracleEquivalence:
             ]
             assert vec.tolist() == scalar
 
-    def test_flip_target_array_matches_scalar(self):
-        model = make_model(serial=4)
-        rows = list(range(1, 300, 13))
-        for damage in (1.0, 1.3, 2.0, 8.0):
-            vec = model.flip_target_array(0, rows, damage)
-            scalar = [
-                model._flip_target(model.profile(0, row), damage)
-                for row in rows
-            ]
-            assert vec.tolist() == scalar
-
     def test_rows_spanning_subarrays_keep_input_order(self):
         model = make_model()
         rps = model.geometry.rows_per_subarray
