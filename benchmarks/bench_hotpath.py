@@ -23,6 +23,9 @@ chunked replay) and the reference host (per-instruction interpretation):
   engine (one ``measure_*`` call over the victim list) against the
   scalar per-victim session loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
   condition sweep respectively.
+* ``simra_sweep`` -- the same comparison on a fig18-style SiMRA
+  ACT->PRE / PRE->ACT timing sweep, whose probes replay the group
+  sensing from captured traces.
 
 Usage::
 
@@ -475,6 +478,52 @@ def bench_comra_sweep(smoke: bool, repeats: int) -> dict:
             "params": {"scale": "default", "delays_ns": list(delays)}}
 
 
+def bench_simra_sweep(smoke: bool, repeats: int) -> dict:
+    """A fig18-style SiMRA timing sweep, batched vs scalar.
+
+    Each (ACT->PRE, PRE->ACT) cell is one ``measure_simra_ds`` call over
+    six 16-row double-sided groups with two victims each, as fig18 runs
+    it; the reference side measures one group per call on the scalar
+    search (:func:`_scalar_session_searches`).  Smoke mode trims the
+    delay grid (keeping the 1.5 ns ACT->PRE partial-activation point),
+    not the scale.  The fast side's obs snapshot rides along, so the
+    probe-path split shows every probe replaying a captured trace.
+    """
+    from repro.core import CharacterizationSession, ExperimentScale
+
+    scale = ExperimentScale.default().with_overrides(simra_groups=8)
+    delays = (1.5, 4.5) if smoke else (1.5, 3.0, 4.5)
+
+    def run(batched: bool) -> dict:
+        obs = Obs() if batched else None
+        session = CharacterizationSession(make_module(CONFIG), scale, obs=obs)
+        pairs = session.sample_simra_pairs(16, include_sentinel=False)[:6]
+        for act_to_pre in delays:
+            for pre_to_act in delays:
+                timing = dict(act_to_pre_ns=act_to_pre,
+                              pre_to_act_ns=pre_to_act, max_victims=2)
+                if batched:
+                    session.measure_simra_ds(pairs, **timing)
+                    continue
+                with _scalar_session_searches():
+                    for pair in pairs:
+                        session.measure_simra_ds([pair], **timing)
+        return obs.snapshot() if batched else {}
+
+    fast_s = float("inf")
+    snapshot: dict = {}
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run_obs = run(True)
+        elapsed = time.perf_counter() - start
+        if elapsed < fast_s:
+            fast_s, snapshot = elapsed, run_obs
+    ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
+    return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
+            "obs": snapshot,
+            "params": {"scale": "default", "delays_ns": list(delays)}}
+
+
 BENCHES = {
     "hammer_loop": bench_hammer_loop,
     "hcfirst_search": bench_hcfirst_search,
@@ -486,6 +535,7 @@ BENCHES = {
     "pud_reliability": bench_pud_reliability,
     "hcfirst_batch": bench_hcfirst_batch,
     "comra_sweep": bench_comra_sweep,
+    "simra_sweep": bench_simra_sweep,
 }
 
 

@@ -190,12 +190,16 @@ class _BatchedUnit:
     loops: list[tuple[CompiledStream, Optional[int]]]
     #: captured replay traces keyed by loop-shape signature
     traces: dict = field(default_factory=dict)
-    #: the unit's probes resolve to plain deposit plans (no multi-row
-    #: sessions), so later probes may re-apply a captured trace
+    #: the unit's capture compiled into a trace (see ``_compile_trace``
+    #: for what refuses one), so later probes may re-apply a captured trace
     fast_allowed: bool = True
     #: memoized ``classify_pattern`` of snapshot images (immutable for
     #: the unit's lifetime), shared by every per-signature translation
     image_patterns: dict = field(default_factory=dict)
+    #: ``bank.simra_group`` of every activated row pair, recorded when the
+    #: unit's stream timing can open a multi-row activation (empty
+    #: otherwise); translation must map each onto the shifted pair's group
+    decoder_groups: dict = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -240,7 +244,10 @@ class _Trace:
     Ops are ``("touch", row, rel_ns, state, retention_ns)`` charge
     restorations (applied at bucket base + offset, with the model row
     state and retention threshold pre-resolved), ``("copy", src, dst)``
-    CoMRA copies, and ``("event", _TraceEvent)`` deposit-plan
+    CoMRA copies, ``("sense", group, partial_rows, copy_src, act_to_pre)``
+    SiMRA group sensings (replayed by calling ``Bank._sense_group`` on the
+    live bank state; ``act_to_pre`` only lets translation recompute the
+    partial set), and ``("event", _TraceEvent)`` deposit-plan
     applications, in the exact order the slow replay performed them.
     ``stats_const`` and ``stats_linear`` reproduce the bank counter
     arithmetic: per probe the counters move by
@@ -265,58 +272,44 @@ class _Trace:
     #: whose epilogue leaves the victim's data version untouched read back
     #: exactly what was written -- zero flips without comparing bytes
     flips_by_version: bool = False
-    #: per snapshot row, ``(row, state, preset_entries)``: the model row
-    #: state pre-resolved for the inline restore, and the trace's event
-    #: entries for that row whose captured pattern matches the snapshot
-    #: image -- restoring the image re-validates them by construction, so
-    #: the prologue refreshes their version guard in place instead of
-    #: letting each take a guard miss (and a pattern lookup) per probe
+    #: per snapshot row, ``(row, state, entries, image_pattern)``: the
+    #: model row state pre-resolved for the inline restore, and the
+    #: trace's event entries for that row with the snapshot image's
+    #: classification -- restoring the image re-validates every entry
+    #: whose current pattern matches it, so the prologue refreshes their
+    #: version guard in place instead of letting each take a guard miss
+    #: (and a pattern lookup) per probe
     prologue_meta: list = field(default_factory=list)
 
 
 def _prologue_meta(bank, unit: "_BatchedUnit", segments, epilogue) -> list:
     """Build :attr:`_Trace.prologue_meta` for a compiled/translated trace.
 
-    An event entry is preset-eligible when its aggressor row is never the
-    target of a trace ``copy`` op (so mid-probe data always equals the
-    restored image when the event fires) and its captured pattern equals
-    the image's classification.
+    The pattern check itself runs at replay time: a guard miss re-resolves
+    an entry in place, so an entry whose row changed mid-probe (a copy, a
+    non-identity group sensing, a realized flip) may hold a pattern other
+    than its captured one when the next prologue restores the image.
     """
     model = bank.model
     bi = bank.index
-    copy_targets: set[int] = set()
     entries_by_row: dict[int, list] = {}
-
-    def scan(ops: list) -> None:
+    for ops in [ops for segment in segments for ops in segment] + [epilogue]:
         for op in ops:
-            tag = op[0]
-            if tag == "event":
+            if op[0] == "event":
                 entries_by_row.setdefault(op[1].row0, []).append(op[1])
-            elif tag == "copy":
-                copy_targets.add(op[2])
-
-    for warm_ops, scaled_ops in segments:
-        scan(warm_ops)
-        scan(scaled_ops)
-    scan(epilogue)
     images = unit.snapshot.images
     patterns = unit.image_patterns
     meta = []
     for row in unit.snapshot.rows:
-        preset: tuple = ()
-        if row not in copy_targets:
-            candidates = entries_by_row.get(row)
-            if candidates:
-                if row in patterns:
-                    image_pattern = patterns[row]
-                else:
-                    image_pattern = classify_pattern(images[row])
-                    patterns[row] = image_pattern
-                preset = tuple(
-                    entry for entry in candidates
-                    if entry.pattern == image_pattern
-                )
-        meta.append((row, model.ledger.slot(bi, row), preset))
+        entries = tuple(entries_by_row.get(row, ()))
+        image_pattern = None
+        if entries:
+            if row in patterns:
+                image_pattern = patterns[row]
+            else:
+                image_pattern = classify_pattern(images[row])
+                patterns[row] = image_pattern
+        meta.append((row, model.ledger.slot(bi, row), entries, image_pattern))
     return meta
 
 
@@ -557,14 +550,15 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     else:
         may_group = True  # scalar fallback: timing unknown, assume the worst
 
-    group_rows: set[int] = set()
+    decoder_groups: dict = {}
     if may_group:
         acted_list = sorted(acted)
         for i, row_a in enumerate(acted_list):
             for row_b in acted_list[i + 1 :]:
-                group = bank.simra_group(row_a, row_b)
-                if group:
-                    group_rows.update(group)
+                decoder_groups[row_a, row_b] = bank.simra_group(row_a, row_b)
+    group_rows = {
+        row for group in decoder_groups.values() if group for row in group
+    }
 
     footprint = row_keys | touched | group_rows
     clock_sensitive = not (acted | group_rows) <= row_keys
@@ -585,6 +579,7 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
                 expected=expected,
                 snapshot=bank.snapshot_rows(setup.row_data),
                 loops=loops,
+                decoder_groups=decoder_groups,
             )
     elif loops is not None:
         reason = "clock_sensitive"
@@ -844,13 +839,17 @@ class BatchedSearchEngine:
     ) -> Optional[_Trace]:
         """Compile a captured probe into a :class:`_Trace`, or None.
 
+        Every event kind compiles, SiMRA included: its plan resolves
+        through ``model.resolve_plan`` like any other, and the group
+        sensing it follows is recorded as a ``sense`` op that replay runs
+        through the same ``Bank._sense_group`` on the same bank state, so
+        charge-sharing writes and ties stay exact without a guard.
         Returns None (disabling the fast path for the unit) when the
-        capture shows anything a deposit-plan replay cannot express: a
-        SiMRA event (charge-sharing writes), a prologue that is not one
-        plain write session per snapshot row, a tAggOff gap whose value
-        could change with the probe count (a close separated from the
-        re-activation by a count-scaled segment, inside the model's
-        sloped band), or bank counters that do not follow the
+        capture shows anything a trace replay cannot express: a prologue
+        that is not one plain write session per snapshot row, a tAggOff
+        gap whose value could change with the probe count (a close
+        separated from the re-activation by a count-scaled segment, inside
+        the model's sloped band), or bank counters that do not follow the
         ``const + linear * (count - 1)`` arithmetic.
         """
         bank = self.bank
@@ -860,7 +859,6 @@ class BatchedSearchEngine:
         starts = [w[0] for w in windows]
         n_wins = len(windows)
         buckets: list[list] = [[] for _ in windows]
-        simra = ActivationEvent.Kind.SIMRA
         # Steadiness pre-computation: a captured gap is probe-invariant if
         # its closing timestamp sits in the same segment group as the
         # re-activation (rigid relative offsets), or if every segment
@@ -898,14 +896,12 @@ class BatchedSearchEngine:
                     model.ledger.slot(bank.index, row),
                     bank.retention.retention_ns(bank.index, row),
                 ))
-            elif kind == "copy":
+            elif kind == "copy" or kind == "sense":
                 buckets[pointer].append(tap)
             else:  # event
                 _tag, event, pattern, times = tap
                 if event.t_open_ns < T:
                     continue  # a foreign unit's held-back session
-                if event.kind is simra:
-                    return None
                 widx = n_wins - 1
                 while widx > 0 and event.t_open_ns < starts[widx]:
                     widx -= 1
@@ -1045,6 +1041,14 @@ class BatchedSearchEngine:
         to the identity, since ``pi`` acts per *pattern*, not per row.
         Expected read-back data is not compared: it only feeds per-unit
         flip counting, which translation recomputes per unit.
+
+        The row decoder is the one place where *which* rows a command
+        reaches depends on the address bits, not just the shift: a pair
+        that merges into a SiMRA group (or stays apart) may not do so
+        once shifted.  So every recorded pair's ``simra_group`` must map
+        onto the shifted pair's group -- a 32-row-aligned shift inside
+        one subarray always does, a misaligned one rarely -- or the unit
+        captures its own trace.
         """
         ur = self.units[r]
         ui = self.units[i]
@@ -1062,6 +1066,12 @@ class BatchedSearchEngine:
                 for op, row in zip(sr.op_list, sr.row_list)
             ]
             if shifted != si.row_list:
+                return None
+        simra_group = self.bank.simra_group
+        for (row_a, row_b), group in ur.decoder_groups.items():
+            if simra_group(row_a + delta, row_b + delta) != (
+                None if group is None else tuple(row + delta for row in group)
+            ):
                 return None
         rows_r = ur.snapshot.rows
         rows_i = ui.snapshot.rows
@@ -1108,8 +1118,12 @@ class BatchedSearchEngine:
         same single cache lookup and the same builders as the scalar
         apply path.  The ``version=None`` guard re-checks each pattern on
         first application anyway.  Touch ops re-resolve their ledger slot
-        and retention threshold; the counter arithmetic is structural and
-        shared as-is.
+        and retention threshold, and sense ops recompute their partial set
+        from the shifted rows' profiles (``_translation_of`` already
+        proved the shifted pair opens the shifted group).  An event's
+        ``partial`` flag is carried over as-is: it enters neither the plan
+        nor its key.  The counter arithmetic is structural and shared
+        as-is.
         """
         bank = self.bank
         model = bank.model
@@ -1164,8 +1178,17 @@ class BatchedSearchEngine:
                     ))
                 elif tag == "event":
                     out.append(("event", entry_of(op[1])))
-                else:
+                elif tag == "copy":
                     out.append(("copy", op[1] + delta, op[2] + delta))
+                else:  # sense
+                    _tag, group, _partial, copy_src, act_to_pre = op
+                    group = tuple(row + delta for row in group)
+                    out.append((
+                        "sense", group,
+                        bank._partial_rows(group, act_to_pre),
+                        None if copy_src is None else copy_src + delta,
+                        act_to_pre,
+                    ))
             return out
 
         segments = [
@@ -1242,6 +1265,7 @@ class BatchedSearchEngine:
         frac = bank._frac
         fast_event = self._fast_event
         restore_full = bank._restore_row
+        sense_group = bank._sense_group
         led = model.ledger
         led_restore = led.restore
         dmg = led.dmg
@@ -1255,7 +1279,7 @@ class BatchedSearchEngine:
         t = T
         apply_plan = model._apply_plan
         pending_entry = None
-        for (row, slot, preset), pair in zip(
+        for (row, slot, entries, image_pattern), pair in zip(
             trace.prologue_meta, trace.prologue
         ):
             if pending_entry is not None:
@@ -1269,10 +1293,11 @@ class BatchedSearchEngine:
                 bank._bump_version(row)
                 version = bank_versions[row]
                 versions[row] = version
-                # the row now holds its image again: image-patterned event
-                # entries are valid against this version by construction
-                for entry in preset:
-                    entry.version = version
+                # the row now holds its image again: event entries whose
+                # plan is for the image's pattern are valid at this version
+                for entry in entries:
+                    if entry.pattern == image_pattern:
+                        entry.version = version
             last_restore[row] = t + t_wr_at
             frac.discard(row)
             # model.restore_row on the pre-resolved ledger slot, in place
@@ -1340,9 +1365,11 @@ class BatchedSearchEngine:
                     if cells:
                         cells.clear()
                     last_restore[row] = t
-                else:  # copy
+                elif tag == "copy":
                     bank._row_data(op[2])[:] = bank._row_data(op[1])
                     bank._bump_version(op[2])
+                else:  # sense: the slow path's own group sensing
+                    sense_group(op[1], op[2], op[3])
 
         for (stream, fixed), (warm_ops, scaled_ops) in zip(
             unit.loops, trace.segments

@@ -164,8 +164,8 @@ class Bank:
         #: the caller owes the hook one batched ``on_act_stream`` instead
         self.trr_act_suppressed = False
         #: capture hook for the batched probe engine: when set, receives
-        #: every charge restoration, CoMRA copy and emitted event in
-        #: application order (see ``repro.core.probe_batch``)
+        #: every charge restoration, CoMRA copy, SiMRA group sensing and
+        #: emitted event in application order (see ``repro.core.probe_batch``)
         self.probe_tap = None
         self.stats = {"acts": 0, "pres": 0, "refs": 0, "comra_copies": 0,
                       "simra_ops": 0, "reads": 0, "writes": 0}
@@ -354,32 +354,34 @@ class Bank:
             return
 
         self._pending = None  # the first session is absorbed into the group
-        partial_rows: set[int] = set()
-        if act_to_pre <= 1.6:
-            for row in group:
-                if self.model.profile(self.index, row).partial_susceptible:
-                    partial_rows.add(row)
+        partial_rows = self._partial_rows(group, act_to_pre)
         for row in group:
             self._restore_row(row, now_ns)
-        if copy_src is not None:
-            source_data = self._row_data(copy_src).copy()
-            for row in group:
-                if row in partial_rows:
-                    continue
-                self._row_data(row)[:] = source_data
-                self._bump_version(row)
-                self._frac.discard(row)
-        else:
-            self._apply_simra_charge_sharing(group, partial_rows)
+        if self.probe_tap is not None:
+            self.probe_tap(("sense", group, partial_rows, copy_src, act_to_pre))
+        self._sense_group(group, partial_rows, copy_src)
         self._open = _OpenSession(
             rows=group,
             t_open_ns=now_ns,
             pre_to_act_ns=pre_to_act,
             simra_act_to_pre_ns=act_to_pre,
             is_simra=True,
-            partial_rows=frozenset(partial_rows),
+            partial_rows=partial_rows,
         )
         self.stats["simra_ops"] += 1
+
+    def _partial_rows(
+        self, group: tuple[int, ...], act_to_pre: float
+    ) -> frozenset[int]:
+        """Rows of ``group`` an ACT->PRE of ``act_to_pre`` ns leaves only
+        partially activated (Obs. 20: susceptible rows at <= 1.6 ns)."""
+        if act_to_pre > 1.6:
+            return frozenset()
+        profile = self.model.profile
+        return frozenset(
+            row for row in group
+            if profile(self.index, row).partial_susceptible
+        )
 
     def simra_group(self, row_a: int, row_b: int) -> Optional[tuple[int, ...]]:
         """Rows the decoder simultaneously drives for an ACT-PRE-ACT pair.
@@ -413,19 +415,54 @@ class Bank:
             return None
         return tuple(rows)
 
-    def _apply_simra_charge_sharing(
-        self, group: tuple[int, ...], partial_rows: set[int]
+    def _sense_group(
+        self,
+        group: tuple[int, ...],
+        partial_rows: frozenset[int],
+        copy_src: Optional[int],
     ) -> None:
-        """Destructive charge sharing: activated rows converge to MAJ.
+        """Sense an opened SiMRA group: charge-sharing MAJ or multi-row copy.
 
-        Each bitline averages the charges of the co-activated cells; the
-        sense amplifier resolves the result to the bitwise majority of the
-        activated rows' contents, which then overwrites all of them
-        (Ambit/ComputeDRAM principle).  Ties (even N, split charge) resolve
-        from thermal noise -- the entropy source QUAC-TRNG harvests.
+        Only the fully activated (non-partial) rows take part.  With
+        ``copy_src`` set (multi-row copy, Yuksel et al. DSN'24) the source
+        row was fully sensed, so the bitlines latch its data into every
+        activated row.  Otherwise each bitline averages the charges of the
+        co-activated cells; the sense amplifier resolves the result to the
+        bitwise majority of the activated rows' contents, which then
+        overwrites all of them (Ambit/ComputeDRAM principle).  Ties (even N,
+        split charge) resolve from thermal noise -- the entropy source
+        QUAC-TRNG harvests.
+
+        Identity shortcut: when no active row is fractional and every
+        active row already holds the bytes the sensing would write (the
+        source's for a copy, each other's for MAJ -- with N equal rows a
+        bitline's ones count is 0 or N, so it has a strict majority and
+        never ties), the method returns without touching anything.  That
+        is exact: the bytes are unchanged, no tie is taken, the
+        ``_frac.discard`` is a no-op by the precondition, and skipping the
+        version bump is unobservable because every ``_data_version``
+        reader caches on bytes that did not change -- ``pattern_of``'s
+        cache, ``restore_rows``' copy-on-write, the probe engine's event
+        version guards and its ``flips_by_version`` read-back.  It also
+        keeps replayed SiMRA events on the engine's version-hit path.
         """
         active = [row for row in group if row not in partial_rows]
         if not active:
+            return
+        row_data = self._row_data
+        frac = self._frac
+        source = row_data(active[0] if copy_src is None else copy_src)
+        source_bytes = source.tobytes()
+        if (not frac or frac.isdisjoint(active)) and all(
+            row_data(row).tobytes() == source_bytes for row in active
+        ):
+            return
+        if copy_src is not None:
+            source_data = source.copy()
+            for row in active:
+                row_data(row)[:] = source_data
+                self._bump_version(row)
+                frac.discard(row)
             return
         frac_rows = [row for row in active if row in self._frac]
         full_rows = [row for row in active if row not in self._frac]

@@ -161,6 +161,96 @@ class TestSimra:
         assert (bank.backdoor_read(2) == 0x0F).all()
 
 
+class TestSenseGroup:
+    """``_sense_group``'s identity shortcut and the full sensing paths."""
+
+    GROUP = (0, 2, 4, 6)
+
+    @staticmethod
+    def _state(bank, rows):
+        return (
+            {row: bank.backdoor_read(row).tobytes() for row in rows},
+            {row: bank._data_version.get(row, 0) for row in rows},
+            set(bank._frac),
+            bank._tie_counter,
+        )
+
+    @pytest.mark.parametrize("copy_src", (None, 0))
+    def test_identical_rows_are_left_untouched(self, bank, copy_src):
+        for row in self.GROUP:
+            _fill(bank, row, 0x5A)
+        before = self._state(bank, self.GROUP)
+        bank._sense_group(self.GROUP, frozenset(), copy_src)
+        assert self._state(bank, self.GROUP) == before
+
+    def test_fractional_row_takes_the_full_maj(self, bank):
+        for row in self.GROUP:
+            _fill(bank, row, 0xFF)
+        bank._frac.add(2)
+        versions = {row: bank._data_version[row] for row in self.GROUP}
+        bank._sense_group(self.GROUP, frozenset(), None)
+        # 3 full ones + half a charge: still a ones majority everywhere
+        for row in self.GROUP:
+            assert (bank.backdoor_read(row) == 0xFF).all()
+            assert bank._data_version[row] == versions[row] + 1
+        assert 2 not in bank._frac
+
+    def test_differing_rows_take_the_full_maj(self, bank):
+        for row, byte in zip(self.GROUP, (0xFF, 0xFF, 0xFF, 0x0F)):
+            _fill(bank, row, byte)
+        ties = bank._tie_counter
+        bank._sense_group(self.GROUP, frozenset(), None)
+        for row in self.GROUP:
+            assert (bank.backdoor_read(row) == 0xFF).all()
+        assert bank._tie_counter == ties
+
+    def test_partial_rows_sit_out_the_maj(self, bank):
+        for row, byte in zip(self.GROUP, (0xFF, 0xFF, 0x00, 0x00)):
+            _fill(bank, row, byte)
+        bank._sense_group(self.GROUP, frozenset({4}), None)
+        # rows 0, 2, 6 vote ones; partial row 4 keeps its bytes
+        for row in (0, 2, 6):
+            assert (bank.backdoor_read(row) == 0xFF).all()
+        assert (bank.backdoor_read(4) == 0x00).all()
+
+    def test_partial_row_does_not_block_the_shortcut(self, bank):
+        for row, byte in zip(self.GROUP, (0x33, 0x33, 0xCC, 0x33)):
+            _fill(bank, row, byte)
+        before = self._state(bank, self.GROUP)
+        bank._sense_group(self.GROUP, frozenset({4}), None)
+        assert self._state(bank, self.GROUP) == before
+
+    def test_differing_copy_latches_the_source(self, bank):
+        for row, byte in zip(self.GROUP, (0x3C, 0x00, 0x00, 0x3C)):
+            _fill(bank, row, byte)
+        bank._sense_group(self.GROUP, frozenset(), 0)
+        for row in self.GROUP:
+            assert (bank.backdoor_read(row) == 0x3C).all()
+
+    def test_even_split_consumes_exactly_one_tie(self, bank):
+        for row, byte in zip(self.GROUP, (0xFF, 0x00, 0xFF, 0x00)):
+            _fill(bank, row, byte)
+        ties = bank._tie_counter
+        bank._sense_group(self.GROUP, frozenset(), None)
+        assert bank._tie_counter == ties + 1
+        # every bitline tied, so all rows latch the same noise bits
+        images = {bank.backdoor_read(row).tobytes() for row in self.GROUP}
+        assert len(images) == 1
+
+    def test_simra_open_taps_sense_after_the_touches(self, bank):
+        taps = []
+        bank.probe_tap = taps.append
+        t = 100.0
+        bank.act(0, t)
+        bank.pre(t + 3.0)
+        bank.act(6, t + 6.0)
+        bank.probe_tap = None
+        kinds = [tap[0] for tap in taps]
+        assert kinds == ["touch"] * 5 + ["sense"]
+        assert [tap[1] for tap in taps[1:5]] == list(self.GROUP)
+        assert taps[-1] == ("sense", self.GROUP, frozenset(), None, 3.0)
+
+
 class TestFracAndMultiCopy:
     def test_frac_window_marks_row(self, bank):
         _fill(bank, 12, 0xFF, 0.0)

@@ -22,6 +22,15 @@ EXPECTED_PATHS = {
     "capture": 1,
 }
 
+#: measured on a default-scale hynix-a-8gb double-sided SiMRA sweep (the
+#: session's sampled 2/4/8/16-row groups): group sensing replays from
+#: captured traces too, so no probe takes the slow path
+EXPECTED_SIMRA_TOTAL = 547
+EXPECTED_SIMRA_PATHS = {
+    "interp": 535,
+    "capture": 12,
+}
+
 
 @pytest.fixture(scope="module")
 def sweep_obs():
@@ -30,6 +39,19 @@ def sweep_obs():
         make_module("hynix-a-8gb"), ExperimentScale.default(), obs=obs
     )
     session.measure_rowhammer_ds(session.candidate_victims())
+    return obs
+
+
+@pytest.fixture(scope="module")
+def simra_obs():
+    obs = Obs()
+    session = CharacterizationSession(
+        make_module("hynix-a-8gb"), ExperimentScale.default(), obs=obs
+    )
+    session.measure_simra_ds([
+        pair for count in (2, 4, 8, 16)
+        for pair in session.sample_simra_pairs(count)
+    ])
     return obs
 
 
@@ -53,3 +75,8 @@ class TestProbePathCoverage:
 
     def test_no_scalar_searches_at_default_scale(self, sweep_obs):
         assert sweep_obs.total("probe.scalar_searches") == 0
+
+    def test_simra_replay_coverage_is_pinned(self, simra_obs):
+        by_path = simra_obs.by_label("probe.probes", "path")
+        assert by_path == EXPECTED_SIMRA_PATHS
+        assert simra_obs.total("probe.probes") == EXPECTED_SIMRA_TOTAL
