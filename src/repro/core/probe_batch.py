@@ -293,7 +293,8 @@ def _prologue_meta(bank, unit: "_BatchedUnit", segments, epilogue) -> list:
     model = bank.model
     bi = bank.index
     entries_by_row: dict[int, list] = {}
-    for ops in [ops for segment in segments for ops in segment] + [epilogue]:
+    op_lists = [ops for warm_scaled in segments for ops in warm_scaled]
+    for ops in op_lists + [epilogue]:
         for op in ops:
             if op[0] == "event":
                 entries_by_row.setdefault(op[1].row0, []).append(op[1])
@@ -896,7 +897,7 @@ class BatchedSearchEngine:
                     model.ledger.slot(bank.index, row),
                     bank.retention.retention_ns(bank.index, row),
                 ))
-            elif kind == "copy" or kind == "sense":
+            elif kind in ("copy", "sense"):
                 buckets[pointer].append(tap)
             else:  # event
                 _tag, event, pattern, times = tap

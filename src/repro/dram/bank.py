@@ -453,7 +453,7 @@ class Bank:
         frac = self._frac
         source = row_data(active[0] if copy_src is None else copy_src)
         source_bytes = source.tobytes()
-        if (not frac or frac.isdisjoint(active)) and all(
+        if frac.isdisjoint(active) and all(
             row_data(row).tobytes() == source_bytes for row in active
         ):
             return
