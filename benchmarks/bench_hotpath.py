@@ -451,8 +451,11 @@ def bench_comra_sweep(smoke: bool, repeats: int) -> dict:
     # the engine rather than fixed session overhead.  Smoke mode trims
     # the delay grid instead, which scales wall time without changing
     # the per-victim work being compared.
+    # fig09's delay grid: a PRE-to-ACT delay of at most 6 ns would open a
+    # multi-row activation whose decoder group the unit does not
+    # re-initialize, which the engine refuses (``clock_sensitive``)
     scale = ExperimentScale.default()
-    delays = (5.0, 50.0) if smoke else (5.0, 15.0, 50.0)
+    delays = (7.5, 12.0) if smoke else (7.5, 9.0, 10.5, 12.0)
 
     def run(batched: bool):
         session = CharacterizationSession(make_module(CONFIG), scale)

@@ -40,30 +40,26 @@ Three pieces:
   sign matches the scalar host's clock rewind via the restore sentinel --
   hence bit identity.
 
-The planner proves equivalence per unit and degrades conservatively when
-it cannot:
+Every unit batches.  A setup the planner cannot prove equivalent is
+refused with a :class:`ValueError` whose message starts with the guard's
+name, so a new caller fails loudly instead of silently slowing down:
+``ref_program`` (``Ref`` advances the bank-global refresh rotor),
+``multi_victim``, ``trr_attached``, ``program_shape``, ``not_loop_nest``,
+``count_shape`` (programs that are not pure loop nests over one count),
+``uncompilable_stream`` (a body that is not a single-bank ACT/PRE
+stream), ``frac_hazard`` (a session open for a FracDRAM sensing window),
+``no_varying_loop``, ``restore_joint_hazard`` (a first activation that
+could claim the re-initialization write as a CoMRA/multi-copy source),
+``clock_sensitive`` (activations reaching rows the unit does not
+re-initialize, whose retention decay would see the engine's continuous
+clock) and ``missing_expected``.  A capture whose trace cannot express a
+probe raises too (see ``_compile_trace``).  A :class:`DramError` from a
+program factory propagates unchanged.
 
-* **Scalar fallback** (the unit runs :func:`find_hc_first_repeated` in its
-  component slot, preserving order): an attached TRR hook, programs that
-  are not pure loop nests over one count, bodies that do not compile to a
-  single-bank ACT/PRE stream, multi-victim setups, a stream session whose
-  open time lands in the FracDRAM sensing window, or a first activation
-  close enough to the re-initialization writes that the scalar host could
-  classify the write session as a CoMRA/multi-copy source.
-* **Tie chaining**: FracDRAM sensing and SiMRA charge-sharing ties consume
-  a per-bank counter that seeds an RNG whose bits land in row data, so
-  every unit that can consume it (any unit whose stream timing can open a
-  multi-row activation, plus every scalar-fallback unit) is chained into
-  one component and executes in declared order.
-* **Clock-sensitive components**: a unit whose activations (or the decoder
-  groups they can co-select) reach rows outside its own per-probe
-  re-initialization set observes retention decay across the engine's
-  continuous clock, which the scalar host's per-probe clock rewind never
-  sees; its whole component runs scalar.
-* **Whole-call fallback**: a program containing ``Ref`` advances the
-  bank-global refresh rotor over arbitrary rows (clock-dependent decay),
-  and an unbuildable factory has an unknown footprint -- either turns the
-  entire call into the plain scalar loop.
+FracDRAM sensing and SiMRA charge-sharing ties consume a per-bank counter
+that seeds an RNG whose bits land in row data, so every unit whose stream
+timing can open a multi-row activation is chained into one component and
+executes in declared order (*tie chaining*).
 """
 
 from __future__ import annotations
@@ -81,14 +77,12 @@ from ..disturbance.ledger import N_POOLS
 from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
-from ..dram.errors import DramError
 from ..obs import NULL_OBS
 from .hcfirst import (
     DEFAULT_MAX_HAMMERS,
     HcFirstResult,
     ProbeResult,
     ProbeSetup,
-    find_hc_first_repeated,
     hc_first_search,
 )
 
@@ -190,9 +184,6 @@ class _BatchedUnit:
     loops: list[tuple[CompiledStream, Optional[int]]]
     #: captured replay traces keyed by loop-shape signature
     traces: dict = field(default_factory=dict)
-    #: the unit's capture compiled into a trace (see ``_compile_trace``
-    #: for what refuses one), so later probes may re-apply a captured trace
-    fast_allowed: bool = True
     #: memoized ``classify_pattern`` of snapshot images (immutable for
     #: the unit's lifetime), shared by every per-signature translation
     image_patterns: dict = field(default_factory=dict)
@@ -248,7 +239,7 @@ class _Trace:
     SiMRA group sensings (replayed by calling ``Bank._sense_group`` on the
     live bank state; ``act_to_pre`` only lets translation recompute the
     partial set), and ``("event", _TraceEvent)`` deposit-plan
-    applications, in the exact order the slow replay performed them.
+    applications, in the exact order the capture probe performed them.
     ``stats_const`` and ``stats_linear`` reproduce the bank counter
     arithmetic: per probe the counters move by
     ``const + linear * (count - 1)``.
@@ -333,23 +324,12 @@ def _shape_signature(
 class _UnitPlan:
     """Planner verdict for one probe setup."""
 
-    #: lowered fused-replay unit, or None when the unit must run scalar
-    batched: Optional[_BatchedUnit]
+    #: the unit lowered for fused replay
+    batched: _BatchedUnit
     #: rows the unit's probes can observably touch, pre-guard widening
     footprint: frozenset[int]
     #: the unit can consume the bank's tie counter (chained globally)
     tie_hazard: bool
-    #: the unit touches rows it does not re-initialize every probe, so its
-    #: retention decay depends on the absolute clock, not same-probe gaps
-    clock_sensitive: bool
-    #: the unit touches bank-global clock-coupled state (refresh rotor) or
-    #: has an unknown footprint; poisons the whole call
-    global_hazard: bool = False
-    #: why the planner reached this verdict: ``"batched"`` for a lowered
-    #: unit, otherwise one reason from the fallback taxonomy (DESIGN.md
-    #: §13) -- every verdict carries one so a coverage collapse shows up
-    #: as a labeled counter, never a silent slowdown
-    reason: str = "batched"
 
 
 def _frac_hazard(stream: CompiledStream) -> bool:
@@ -416,54 +396,53 @@ def _joint_gaps(loops: Sequence[tuple[CompiledStream, Optional[int]]]) -> list[f
 
 
 def _lower_loops(
-    setup: ProbeSetup,
-    instrs_lo: Optional[Sequence[Instruction]] = None,
-) -> tuple[Optional[list[tuple[CompiledStream, Optional[int]]]], str]:
-    """Lower the setup's program into ``(compiled loop segments, reason)``.
+    setup: ProbeSetup, instrs_lo: Sequence[Instruction]
+) -> list[tuple[CompiledStream, Optional[int]]]:
+    """Lower the setup's program into compiled loop segments.
 
-    On success the segments come back with reason ``"batched"``; on any
-    structural miss the segments are None and the reason names exactly
-    which guard refused the lowering.  Only :class:`DramError` (the
-    device model's own failure family) is treated as "this program
-    cannot be built at the calibration counts" -- anything else is a bug
-    in the factory or the planner and propagates.
-
-    ``instrs_lo`` lets the caller pass an already-built low-count program
-    (``plan_unit`` builds one for the row walk) instead of paying a third
-    factory construction.
+    ``instrs_lo`` is the program already built at the low calibration
+    count (``plan_unit`` builds it for the row walk).  A structural miss
+    raises :class:`ValueError` naming the guard that refused the lowering;
+    a :class:`DramError` from the factory propagates.
     """
     module = setup.module
-    try:
-        if instrs_lo is None:
-            instrs_lo = setup.program_factory(_CAL_COUNTS[0]).instructions
-        instrs_hi = setup.program_factory(_CAL_COUNTS[1]).instructions
-    except DramError:
-        return None, "factory_error"
+    instrs_hi = setup.program_factory(_CAL_COUNTS[1]).instructions
     if not instrs_lo or len(instrs_lo) != len(instrs_hi):
-        return None, "program_shape"
+        raise ValueError(
+            "program_shape: the program's top level changes with the count"
+        )
     loops: list[tuple[CompiledStream, Optional[int]]] = []
-    saw_varying = False
     for inst_lo, inst_hi in zip(instrs_lo, instrs_hi):
-        if not isinstance(inst_lo, Loop) or not isinstance(inst_hi, Loop):
-            return None, "not_loop_nest"
-        if inst_lo.body != inst_hi.body:
-            return None, "not_loop_nest"
+        if not (
+            isinstance(inst_lo, Loop) and isinstance(inst_hi, Loop)
+            and inst_lo.body == inst_hi.body
+        ):
+            raise ValueError(
+                "not_loop_nest: the program is not a flat nest of loops"
+            )
         if inst_lo.count == inst_hi.count:
             fixed: Optional[int] = inst_lo.count
         elif (inst_lo.count, inst_hi.count) == _CAL_COUNTS:
             fixed = None
-            saw_varying = True
         else:
-            return None, "count_shape"
+            raise ValueError(
+                "count_shape: a loop count is neither fixed nor the probe count"
+            )
         stream = compile_stream(inst_lo.body, module)
         if stream is None or stream.bank != setup.bank:
-            return None, "uncompilable_stream"
+            raise ValueError(
+                "uncompilable_stream: a loop body is not a single-bank "
+                "ACT/PRE stream on the setup's bank"
+            )
         if _frac_hazard(stream):
-            return None, "frac_hazard"
+            raise ValueError(
+                "frac_hazard: a session's ACT->PRE lands in the FracDRAM "
+                "sensing window"
+            )
         loops.append((stream, fixed))
-    if not saw_varying:
-        return None, "no_varying_loop"
-    return loops, "batched"
+    if all(fixed is not None for _stream, fixed in loops):
+        raise ValueError("no_varying_loop: no loop runs the probe count")
+    return loops
 
 
 def _restore_joint_hazard(
@@ -474,9 +453,9 @@ def _restore_joint_hazard(
     The scalar host still holds the final initialization write's session
     pending when the program starts; a first activation within the CoMRA
     window (or the multi-copy join window) would claim it as a copy
-    source.  The fused replay emits that write eagerly, so such units must
-    run scalar.  Every standard pattern leads with a full-tRP slack and
-    stays eligible.
+    source.  The fused replay emits that write eagerly, so the engine
+    cannot run such a unit.  Every standard pattern leads with a full-tRP
+    slack and stays eligible.
     """
     module = setup.module
     bank = module.bank(setup.bank)
@@ -492,65 +471,43 @@ def _restore_joint_hazard(
 
 
 def plan_unit(setup: ProbeSetup) -> _UnitPlan:
-    """Classify one probe setup for the batched engine.
+    """Lower one probe setup for the batched engine.
 
-    Every verdict is labeled: the returned plan's ``reason`` is
-    ``"batched"`` on the fused path, otherwise it names the specific
-    guard that forced the fallback.  A program factory may legitimately
-    fail with a :class:`DramError` at the calibration counts (rows it
-    cannot place, operations the chip family rejects); any *other*
-    exception is a bug and propagates instead of silently degrading the
-    whole call to the scalar loop.
+    Raises :class:`ValueError` whose message starts with the name of the
+    guard that refuses the setup (see the module docstring); a
+    :class:`DramError` from the program factory propagates unchanged.
     """
     module = setup.module
     bank = module.bank(setup.bank)
     row_keys = set(setup.row_data)
 
-    walked = None
-    instrs_lo = None
-    reason = "batched"
-    try:
-        instrs_lo = setup.program_factory(_CAL_COUNTS[0]).instructions
-        walked = _walk_rows(instrs_lo, module)
-        if walked is None:
-            reason = "ref_program"
-    except DramError:
-        reason = "factory_error"
+    instrs_lo = setup.program_factory(_CAL_COUNTS[0]).instructions
+    walked = _walk_rows(instrs_lo, module)
     if walked is None:
-        # REF rotor / unknown program: footprint unknowable, whole call
-        # must run the scalar loop
-        return _UnitPlan(
-            batched=None,
-            footprint=frozenset(row_keys),
-            tie_hazard=True,
-            clock_sensitive=True,
-            global_hazard=True,
-            reason=reason,
+        raise ValueError(
+            "ref_program: a Ref advances the bank-global refresh rotor"
         )
     acted, touched = walked
-
-    batched: Optional[_BatchedUnit] = None
-    loops = None
     if len(setup.victims) != 1:
-        reason = "multi_victim"
-    elif bank.trr is not None:
-        reason = "trr_attached"
-    else:
-        loops, reason = _lower_loops(setup, instrs_lo)
-        if loops is not None and _restore_joint_hazard(setup, loops):
-            loops = None
-            reason = "restore_joint_hazard"
+        raise ValueError(
+            f"multi_victim: the engine searches one victim per setup, "
+            f"got {len(setup.victims)}"
+        )
+    if bank.trr is not None:
+        raise ValueError("trr_attached: a TRR hook observes every command")
+    loops = _lower_loops(setup, instrs_lo)
+    if _restore_joint_hazard(setup, loops):
+        raise ValueError(
+            "restore_joint_hazard: the first ACT could claim the last "
+            "initialization write as a copy source"
+        )
 
     # Can any activation in this unit open a multi-row (SiMRA / multi-copy)
     # session?  Only then can decoder groups pull in extra rows or
     # charge-sharing ties consume the bank's tie counter.
-    if not module.model.supports_simra:
-        may_group = False
-    elif loops is not None:
-        may_group = any(0.0 < gap <= _MULTI_ACT_GAP_NS for gap in _joint_gaps(loops))
-    else:
-        may_group = True  # scalar fallback: timing unknown, assume the worst
-
+    may_group = module.model.supports_simra and any(
+        0.0 < gap <= _MULTI_ACT_GAP_NS for gap in _joint_gaps(loops)
+    )
     decoder_groups: dict = {}
     if may_group:
         acted_list = sorted(acted)
@@ -560,40 +517,35 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     group_rows = {
         row for group in decoder_groups.values() if group for row in group
     }
+    if not (acted | group_rows) <= row_keys:
+        raise ValueError(
+            "clock_sensitive: activated rows "
+            f"{sorted((acted | group_rows) - row_keys)} are not re-initialized "
+            "every probe"
+        )
 
-    footprint = row_keys | touched | group_rows
-    clock_sensitive = not (acted | group_rows) <= row_keys
-
-    if loops is not None and not clock_sensitive:
-        victim = setup.victims[0]
-        try:
-            expected = np.resize(
-                np.asarray(setup.victim_expected(victim), dtype=np.uint8),
-                module.geometry.row_bytes,
-            )
-        except KeyError:
-            expected = None
-            reason = "missing_expected"
-        if expected is not None:
-            batched = _BatchedUnit(
-                victim=victim,
-                expected=expected,
-                snapshot=bank.snapshot_rows(setup.row_data),
-                loops=loops,
-                decoder_groups=decoder_groups,
-            )
-    elif loops is not None:
-        reason = "clock_sensitive"
-
-    # frac sensing is guarded out of batched streams, so a batched unit
-    # can only tie via charge sharing; a scalar fallback could do either
-    tie_hazard = may_group or batched is None
+    victim = setup.victims[0]
+    try:
+        expected = setup.victim_expected(victim)
+    except KeyError:
+        raise ValueError(
+            f"missing_expected: victim {victim} has no expected image"
+        ) from None
+    batched = _BatchedUnit(
+        victim=victim,
+        expected=np.resize(
+            np.asarray(expected, dtype=np.uint8), module.geometry.row_bytes
+        ),
+        snapshot=bank.snapshot_rows(setup.row_data),
+        loops=loops,
+        decoder_groups=decoder_groups,
+    )
+    # frac sensing is guarded out of the streams, so a unit can only tie
+    # via charge sharing
     return _UnitPlan(
         batched=batched,
-        footprint=frozenset(footprint),
-        tie_hazard=tie_hazard,
-        clock_sensitive=clock_sensitive,
-        reason=reason,
+        footprint=frozenset(row_keys | touched | group_rows),
+        tie_hazard=may_group,
     )
 
 
@@ -623,35 +575,18 @@ class BatchedSearchEngine:
                 raise ValueError(
                     "batched searches must share one module and bank"
                 )
-        self.setups = list(setups)
         self.module = module
         self.bank = module.bank(bank_index)
         self.repeats = repeats
         self.max_hammers = max_hammers
 
-        n = len(self.setups)
-        self.plans = [plan_unit(setup) for setup in self.setups]
-        self.global_fallback = any(plan.global_hazard for plan in self.plans)
-        self.blasts = [blast_rows(plan.footprint) for plan in self.plans]
-        chained = [i for i, plan in enumerate(self.plans) if plan.tie_hazard]
-        self.components = plan_components(self.blasts, chained)
-        self.units: list[Optional[_BatchedUnit]] = [
-            plan.batched for plan in self.plans
-        ]
-        # a clock-sensitive unit's retention depends on the absolute clock;
-        # run its whole (state-isolated) component scalar so the component
-        # reproduces the scalar subsequence exactly
-        for component in self.components:
-            if any(self.plans[i].clock_sensitive for i in component):
-                for i in component:
-                    self.units[i] = None
-        # one disposition per unit: the planner's own verdict, overridden
-        # when component poisoning (above) demoted a lowered unit
-        for i, plan in enumerate(self.plans):
-            disposition = plan.reason
-            if plan.batched is not None and self.units[i] is None:
-                disposition = "component_clock_sensitive"
-            self.obs.inc("probe.units", disposition=disposition)
+        plans = [plan_unit(setup) for setup in setups]
+        n = len(plans)
+        chained = [i for i, plan in enumerate(plans) if plan.tie_hazard]
+        self.components = plan_components(
+            [blast_rows(plan.footprint) for plan in plans], chained
+        )
+        self.units = [plan.batched for plan in plans]
         self.results: list[Optional[HcFirstResult]] = [None] * n
         # shape classes: a unit whose streams, snapshot and row images are
         # a pure row-translation of an earlier unit's can reuse that
@@ -662,8 +597,6 @@ class BatchedSearchEngine:
         )
         reps: list[int] = []
         for i in range(n):
-            if self.units[i] is None:
-                continue
             for r in reps:
                 match = self._translation_of(r, i)
                 if match is not None:
@@ -674,10 +607,14 @@ class BatchedSearchEngine:
                 reps.append(i)
 
         self.clock = 0.0
+        # emit a session a host left held back on the bank: the first
+        # capture's restore pass would otherwise flush it inside the
+        # capture window, where the trace prologue cannot express it
+        self.bank.flush(self.clock)
 
     # -- fused replay ----------------------------------------------------
     def _probe(self, i: int, count: int) -> ProbeResult:
-        """One probe of unit ``i``: captured-trace fast path when possible.
+        """One probe of unit ``i``: a captured trace's replay when one fits.
 
         The first probe of each loop shape runs the full command pipeline
         under capture taps; every later probe of that shape re-applies the
@@ -689,12 +626,8 @@ class BatchedSearchEngine:
         model's flat-band edge and hence plan-equivalent.
         """
         unit = self.units[i]
-        assert unit is not None
         bank = self.bank
         obs = self.obs
-        if not unit.fast_allowed:
-            obs.inc("probe.probes", path="slow")
-            return self._replay_probe(i, count)
         stages = self.stages
         sig = _shape_signature(unit.loops, count)
         trace = unit.traces.get(sig)
@@ -704,12 +637,7 @@ class BatchedSearchEngine:
         donor = self._donor[i] if trace is None else None
         if donor is not None:
             r, delta, pi = donor
-            donor_unit = self.units[r]
-            donor_trace = (
-                donor_unit.traces.get(sig)
-                if donor_unit is not None and donor_unit.fast_allowed
-                else None
-            )
+            donor_trace = self.units[r].traces.get(sig)
             if (
                 donor_trace is not None
                 and donor_trace.temperature_c == bank.temperature_c
@@ -735,40 +663,37 @@ class BatchedSearchEngine:
         self.stages[key] = self.stages.get(key, 0.0) + now - t0
         return now
 
-    def _replay_probe(self, i: int, count: int, capture=None) -> ProbeResult:
+    def _capture_probe(self, i: int, count: int, sig) -> ProbeResult:
+        """Run one probe through the command pipeline under taps and
+        compile its replay trace."""
         unit = self.units[i]
-        assert unit is not None
         bank = self.bank
+        timing = self.module.timing
         T = self.clock
-        if capture is not None:
-            capture["start"] = T
-            capture["stats0"] = dict(bank.stats)
-            capture["windows"] = []
-            capture["segments"] = []
-            capture["taps"] = []
-            bank.probe_tap = capture["taps"].append
+        capture: dict = {
+            "start": T,
+            "stats0": dict(bank.stats),
+            "windows": [(T, "restore", None)],
+            "segments": [],
+            "taps": [],
+        }
+        bank.probe_tap = capture["taps"].append
         try:
             t = bank.restore_rows(unit.snapshot, T)
-            if capture is not None:
-                capture["windows"].append((T, "restore", None))
-                capture["stats_restore"] = dict(bank.stats)
+            capture["stats_restore"] = dict(bank.stats)
             for seg_pos, (stream, fixed) in enumerate(unit.loops):
                 loop_count = count if fixed is None else fixed
                 if loop_count <= 0:
                     continue
                 base = t
-                start_stats = (
-                    dict(bank.stats) if capture is not None else None
-                )
+                start_stats = dict(bank.stats)
                 bank.execute_stream(
                     stream.op_list, stream.row_list, stream.offset_list, base
                 )
-                if capture is not None:
-                    capture["windows"].append((base, "warm", seg_pos))
-                    warm_stats = dict(bank.stats)
+                capture["windows"].append((base, "warm", seg_pos))
+                warm_stats = dict(bank.stats)
                 scaled_stats = None
                 if loop_count > 1:
-                    before = dict(bank.stats)
                     saved = bank.event_times
                     bank.event_times = saved * (loop_count - 1)
                     try:
@@ -780,27 +705,23 @@ class BatchedSearchEngine:
                         )
                     finally:
                         bank.event_times = saved
-                    if capture is not None:
-                        capture["windows"].append(
-                            (base + stream.duration_ns, "scaled", seg_pos)
-                        )
-                        scaled_stats = dict(bank.stats)
+                    capture["windows"].append(
+                        (base + stream.duration_ns, "scaled", seg_pos)
+                    )
+                    scaled_stats = dict(bank.stats)
                     if loop_count > 2:
                         stats = bank.stats
-                        for key, value in before.items():
+                        for key, value in warm_stats.items():
                             delta = stats[key] - value
                             if delta:
                                 stats[key] += delta * (loop_count - 2)
-                if capture is not None:
-                    capture["segments"].append(
-                        (seg_pos, fixed, loop_count, start_stats,
-                         warm_stats, scaled_stats, dict(bank.stats))
-                    )
+                capture["segments"].append(
+                    (seg_pos, fixed, loop_count, start_stats,
+                     warm_stats, scaled_stats, dict(bank.stats))
+                )
                 t = base + stream.duration_ns * loop_count
-            if capture is not None:
-                capture["windows"].append((t, "epilogue", None))
+            capture["windows"].append((t, "epilogue", None))
             bank.flush(t)
-            timing = self.module.timing
             t += timing.tRP
             bank.act(unit.victim, t)
             data = bank.rd(unit.victim, t + timing.tRCD)
@@ -811,47 +732,34 @@ class BatchedSearchEngine:
             # before that flush would run (disjoint blast sets), so the
             # deposit lands on identical state either way.
             bank.flush(t + timing.tRAS)
-            if capture is not None:
-                capture["stats_end"] = dict(bank.stats)
+            capture["stats_end"] = dict(bank.stats)
         finally:
-            if capture is not None:
-                bank.probe_tap = None
+            bank.probe_tap = None
         self.clock = t + timing.tRAS
+        unit.traces[sig] = self._compile_trace(unit, count, capture)
         flips = count_flips(data, unit.expected)
         return ProbeResult(
             count, flips, (unit.victim,) if flips else ()
         )
 
-    def _capture_probe(self, i: int, count: int, sig) -> ProbeResult:
-        """Run one slow probe under taps and compile its replay trace."""
-        unit = self.units[i]
-        assert unit is not None
-        capture: dict = {}
-        result = self._replay_probe(i, count, capture=capture)
-        trace = self._compile_trace(unit, count, capture)
-        if trace is None:
-            unit.fast_allowed = False
-        else:
-            unit.traces[sig] = trace
-        return result
-
     def _compile_trace(
         self, unit: _BatchedUnit, count: int, capture: dict
-    ) -> Optional[_Trace]:
-        """Compile a captured probe into a :class:`_Trace`, or None.
+    ) -> _Trace:
+        """Compile a captured probe into a :class:`_Trace`.
 
         Every event kind compiles, SiMRA included: its plan resolves
         through ``model.resolve_plan`` like any other, and the group
         sensing it follows is recorded as a ``sense`` op that replay runs
         through the same ``Bank._sense_group`` on the same bank state, so
         charge-sharing writes and ties stay exact without a guard.
-        Returns None (disabling the fast path for the unit) when the
-        capture shows anything a trace replay cannot express: a prologue
-        that is not one plain write session per snapshot row, a tAggOff
-        gap whose value could change with the probe count (a close
-        separated from the re-activation by a count-scaled segment, inside
-        the model's sloped band), or bank counters that do not follow the
-        ``const + linear * (count - 1)`` arithmetic.
+        Raises :class:`ValueError` when the capture shows anything a trace
+        replay cannot express: a prologue that is not one plain write
+        session per snapshot row (``prologue_shape``), a tAggOff gap whose
+        value could change with the probe count (``count_dependent_aggoff``:
+        a close separated from the re-activation by a count-scaled
+        segment, inside the model's sloped band), or bank counters that do
+        not follow the ``const + linear * (count - 1)`` arithmetic
+        (``counter_arithmetic``).
         """
         bank = self.bank
         model = bank.model
@@ -901,8 +809,6 @@ class BatchedSearchEngine:
                 buckets[pointer].append(tap)
             else:  # event
                 _tag, event, pattern, times = tap
-                if event.t_open_ns < T:
-                    continue  # a foreign unit's held-back session
                 widx = n_wins - 1
                 while widx > 0 and event.t_open_ns < starts[widx]:
                     widx -= 1
@@ -915,7 +821,11 @@ class BatchedSearchEngine:
                         continue
                     if rigid[widx] and t_closed >= T - 1e-6:
                         continue
-                    return None
+                    raise ValueError(
+                        f"count_dependent_aggoff: row {row}'s tAggOff gap "
+                        f"{gap} ns at the ACT of {event.rows} changes with "
+                        "the probe count"
+                    )
                 scaled = (
                     wkind == "scaled" and unit.loops[seg_pos][1] is None
                 )
@@ -937,15 +847,17 @@ class BatchedSearchEngine:
         # very first probe replays the later probes exactly
         rows = unit.snapshot.rows
         restore_ops = buckets[0]
-        if len(restore_ops) != len(rows):
-            return None
+        if len(restore_ops) != len(rows) or any(
+            op[0] != "event" or op[1].event.rows != (row,) or op[1].scaled
+            for row, op in zip(rows, restore_ops)
+        ):
+            raise ValueError(
+                "prologue_shape: the restore pass is not one write session "
+                "per snapshot row"
+            )
         prologue = []
         for row, op in zip(rows, restore_ops):
-            if op[0] != "event":
-                return None
             entry = op[1]
-            if entry.event.rows != (row,) or entry.scaled:
-                return None
             variants = []
             for variant in (
                 replace(entry.event, t_agg_off_ns={row: -1.0}),
@@ -1006,7 +918,10 @@ class BatchedSearchEngine:
                 + stats_linear.get(key, 0) * (count - 1)
             )
             if total != expected:
-                return None
+                raise ValueError(
+                    f"counter_arithmetic: bank counter {key!r} does not "
+                    "follow const + linear * (count - 1)"
+                )
         return _Trace(
             temperature_c=bank.temperature_c,
             prologue=prologue,
@@ -1053,7 +968,6 @@ class BatchedSearchEngine:
         """
         ur = self.units[r]
         ui = self.units[i]
-        assert ur is not None and ui is not None
         delta = ui.victim - ur.victim
         if len(ur.loops) != len(ui.loops):
             return None
@@ -1240,20 +1154,16 @@ class BatchedSearchEngine:
     def _replay_probe_fast(
         self, i: int, count: int, trace: _Trace
     ) -> ProbeResult:
-        """Re-apply a captured probe trace; state-identical to the slow
-        replay by construction (same restores, same plan applications in
+        """Re-apply a captured probe trace; state-identical to the capture
+        probe by construction (same restores, same plan applications in
         the same order, same counters), minus the command pipeline."""
         unit = self.units[i]
-        assert unit is not None
         bank = self.bank
         model = bank.model
         timing = self.module.timing
         stages = self.stages
         t_stage = perf_counter() if stages is not None else 0.0
         T = self.clock
-        if bank._pending is not None:
-            # a scalar-fallback neighbor probe left a session held back
-            bank._flush_pending_event(T + timing.tRP)
         t_rp = timing.tRP
         t_wr_at = write_data_at_ns(timing)
         stride = write_stride_ns(timing)
@@ -1369,7 +1279,7 @@ class BatchedSearchEngine:
                 elif tag == "copy":
                     bank._row_data(op[2])[:] = bank._row_data(op[1])
                     bank._bump_version(op[2])
-                else:  # sense: the slow path's own group sensing
+                else:  # sense: the capture probe's own group sensing
                     sense_group(op[1], op[2], op[3])
 
         for (stream, fixed), (warm_ops, scaled_ops) in zip(
@@ -1409,60 +1319,27 @@ class BatchedSearchEngine:
         )
 
     # -- driver ----------------------------------------------------------
-    def _run_scalar(self, i: int) -> None:
-        """Run one unit through the scalar search at its component slot."""
-        plan = self.plans[i]
-        if plan.batched is None:
-            reason = plan.reason
-        elif self.global_fallback:
-            reason = "global_hazard"
-        else:
-            reason = "component_clock_sensitive"
-        self.obs.inc("probe.scalar_searches", reason=reason)
-        self.results[i] = find_hc_first_repeated(
-            self.setups[i],
-            repeats=self.repeats,
-            max_hammers=self.max_hammers,
-        )
-
     def run(self) -> list[HcFirstResult]:
-        if self.global_fallback:
-            # a unit touches bank-global clock-coupled state (REF rotor) or
-            # has an unknown footprint: reproduce the scalar loop verbatim
-            for i in range(len(self.setups)):
-                self._run_scalar(i)
-            return self.results  # type: ignore[return-value]
-        # one search coroutine per fused unit, parked at its next uncached
-        # probe count
-        searches = {
-            i: hc_first_search(self.repeats, self.max_hammers)
-            for i, unit in enumerate(self.units)
-            if unit is not None
-        }
-        counts = {i: next(search) for i, search in searches.items()}
+        # one search coroutine per unit, parked at its next uncached probe
+        # count; a round probes the head unit of every unfinished component
+        searches = [
+            hc_first_search(self.repeats, self.max_hammers)
+            for _ in self.units
+        ]
+        counts = [next(search) for search in searches]
         heads = [0] * len(self.components)
-        while True:
-            round_idxs: list[int] = []
-            for c, component in enumerate(self.components):
-                while heads[c] < len(component):
-                    i = component[heads[c]]
-                    if self.units[i] is None:
-                        # scalar fallback occupies its component slot, so
-                        # ordering against the units around it is scalar
-                        self._run_scalar(i)
-                    elif self.results[i] is None:
-                        round_idxs.append(i)
-                        break
-                    heads[c] += 1
-            if not round_idxs:
-                break
+        live = list(range(len(self.components)))
+        while live:
             # a search step touches only its own unit's state, which no
             # other unit's probe in the round reads
-            for i in round_idxs:
+            for c in live:
+                i = self.components[c][heads[c]]
                 try:
                     counts[i] = searches[i].send(self._probe(i, counts[i]))
                 except StopIteration as stop:
                     self.results[i] = stop.value
+                    heads[c] += 1
+            live = [c for c in live if heads[c] < len(self.components[c])]
         return self.results  # type: ignore[return-value]
 
 
@@ -1478,13 +1355,14 @@ def run_batched_searches(
     :func:`~repro.core.hcfirst.hc_first_search`; the result is
     bit-identical to calling
     :func:`~repro.core.hcfirst.find_hc_first_repeated` on each setup in
-    order, histories and cache hits included.  Setups that cannot take
-    the fused path run the scalar search in their component slot.
+    order, histories and cache hits included.  A setup the engine cannot
+    prove equivalent raises :class:`ValueError` naming the refusing guard
+    (see the module docstring) before any probe runs; a capture whose
+    trace cannot express the probe raises mid-run.
 
-    ``obs`` (a :class:`repro.obs.Obs`) records the planner's per-unit
-    dispositions (``probe.units{disposition=...}``), the probe path taken
-    per probe (``probe.probes{path=capture|interp|slow}``) and the
-    per-stage wall time as ``probe.stage.<key>`` timers: ``capture``
+    ``obs`` (a :class:`repro.obs.Obs`) records the probe path taken per
+    probe (``probe.probes{path=capture|interp}``) and the per-stage wall
+    time as ``probe.stage.<key>`` timers: ``capture``
     (tap-instrumented probes through the command pipeline), ``translate``
     (trace translation onto shifted units), ``replay_snapshot`` (trace
     replay prologue: snapshot restore and ledger bookkeeping) and

@@ -13,8 +13,9 @@ call runs its HC_first searches through
 :func:`repro.core.probe_batch.run_batched_searches`, bit-identical to
 running the scalar search of :mod:`repro.core.hcfirst` on them one by
 one (enforced by ``tests/core/test_probe_batch.py``).  The scalar search
-is the engine's per-unit fallback and the tests' oracle; the engine
-exists purely to amortize probe replays across victims.
+is the tests' oracle; the engine exists purely to amortize probe replays
+across victims, and refuses a setup it cannot prove equivalent with a
+``ValueError`` naming the guard instead of falling back.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ class CharacterizationSession:
         self.module = module
         self.scale = scale or ExperimentScale.default()
         self.bank = bank
-        #: metrics registry shared with the batched probe engine (unit
-        #: dispositions, per-probe path counters, stage timers); the
-        #: default no-op registry records nothing
+        #: metrics registry shared with the batched probe engine
+        #: (per-probe path counters, stage timers); the default no-op
+        #: registry records nothing
         self.obs = obs if obs is not None else NULL_OBS
         self.controller = TemperatureController(module)
         self.controller.hold(80.0)
@@ -319,8 +320,7 @@ class CharacterizationSession:
 
         A None request (nothing measurable) yields an empty group.  The
         flattened (request, victim) searches all run through the batched
-        probe engine, which falls back to the scalar search per unit where
-        it cannot prove a fused replay identical.
+        probe engine in one call.
         """
         flat = [
             (index, victim)

@@ -1,0 +1,169 @@
+"""Differential fuzz: the batched probe engine against the scalar search.
+
+Hypothesis draws a few RowHammer, RowPress and CoMRA search units on
+random victims -- adjacent ones that chain into one component, and
+victims at a subarray edge -- each with its own standard data pattern,
+at a random temperature, optionally on a module a host already drove.
+``run_batched_searches`` must return the whole ``HcFirstResult`` list of
+per-setup ``find_hc_first_repeated`` calls on an identically prepared
+module, and every probe must either replay a captured trace or be the
+capture itself.  SiMRA setups are fuzzed in ``test_simra_replay.py``.
+"""
+
+from __future__ import annotations
+
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import make_module
+from repro.core import patterns
+from repro.core.hcfirst import (
+    DEFAULT_MAX_HAMMERS,
+    ProbeSetup,
+    find_hc_first_repeated,
+    standard_row_data,
+)
+from repro.core.probe_batch import run_batched_searches
+from repro.disturbance.calibration import ALL_PATTERNS
+from repro.dram.bank import SIMRA_BLOCK
+from repro.obs import Obs
+from repro.reveng import discover_group
+
+CONFIG = "hynix-a-8gb"
+
+#: a short draw per tier-1 run; ``HYPOTHESIS_PROFILE=ci`` soaks with that
+#: profile's larger budget (registered in tests/conftest.py)
+EXAMPLES = (
+    settings.default.max_examples
+    if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 10
+)
+
+KINDS = ("ds", "ss", "far", "rowpress", "comra")
+#: RowPress aggressor-on times beyond the nominal tRAS (Fig. 8's axis)
+ROWPRESS_T_ON_NS = (72.0, 144.0, 360.0, 1500.0)
+#: the session's far-aggressor distance (fig07)
+FAR_DISTANCE = 40
+
+
+def _rows_per_subarray():
+    return make_module(CONFIG).geometry.rows_per_subarray
+
+
+@st.composite
+def units(draw):
+    rows = _rows_per_subarray()
+    subarray = draw(st.integers(0, 2))
+    # bias toward the rows next to a subarray edge
+    offset = draw(st.one_of(
+        st.sampled_from((1, 2, rows - 3, rows - 2)),
+        st.integers(1, rows - 2),
+    ))
+    kind = draw(st.sampled_from(KINDS))
+    return dict(
+        kind=kind,
+        victim=subarray * rows + offset,
+        pattern=draw(st.sampled_from(ALL_PATTERNS)),
+        t_on=draw(st.sampled_from(ROWPRESS_T_ON_NS)),
+        # single-sided / far: which neighbor of the victim is the aggressor
+        below=draw(st.booleans()),
+    )
+
+
+@st.composite
+def cases(draw):
+    first = draw(units())
+    rest = draw(st.lists(units(), max_size=3))
+    if rest and draw(st.booleans()):
+        # an adjacent victim: blast sets overlap, the units chain
+        rest[0] = dict(rest[0], victim=first["victim"] + 1)
+    return dict(
+        units=[first] + rest,
+        temperature_c=float(draw(st.integers(45, 95))),
+        host_block=draw(st.one_of(st.none(), st.integers(0, 5))),
+        repeats=draw(st.integers(1, 2)),
+        max_hammers=draw(st.sampled_from((DEFAULT_MAX_HAMMERS, 20_000))),
+    )
+
+
+def setups_for(module, unit):
+    """The session's setups for one drawn unit (one per victim)."""
+    geometry = module.geometry
+    kind, victim, pattern = unit["kind"], unit["victim"], unit["pattern"]
+    if kind in ("ds", "rowpress", "comra"):
+        if not geometry.same_subarray(victim - 1, victim + 1):
+            return []  # the adjacent-victim draw crossed an edge
+        t_on = unit["t_on"] if kind == "rowpress" else 36.0
+
+        def factory(count):
+            if kind == "comra":
+                return patterns.double_sided_comra(module, victim, count)
+            return patterns.double_sided_rowhammer(
+                module, victim, count, t_agg_on_ns=t_on
+            )
+
+        aggressors = [victim - 1, victim + 1]
+        return [ProbeSetup(
+            module, factory,
+            standard_row_data(module, aggressors, [victim], pattern),
+            [victim],
+        )]
+    aggressor = victim - 1 if unit["below"] else victim + 1
+    if not geometry.same_subarray(victim, aggressor):
+        aggressor = 2 * victim - aggressor
+    if kind == "ss":
+        aggressors = [aggressor]
+
+        def factory(count):
+            return patterns.single_sided_rowhammer(module, aggressor, count)
+    else:  # far: a second aggressor FAR_DISTANCE rows away
+        other = aggressor + FAR_DISTANCE
+        if not geometry.same_subarray(aggressor, other):
+            other = aggressor - FAR_DISTANCE
+        aggressors = [aggressor, other]
+
+        def factory(count):
+            return patterns.far_double_sided_rowhammer(
+                module, aggressor, other, count
+            )
+
+    return [
+        ProbeSetup(
+            module, factory,
+            standard_row_data(module, aggressors, [v], pattern),
+            [v],
+        )
+        for v in geometry.neighbors(aggressor, 1)
+    ]
+
+
+def build(case):
+    module = make_module(CONFIG)
+    module.set_temperature(case["temperature_c"])
+    if case["host_block"] is not None:
+        base = case["host_block"] * SIMRA_BLOCK
+        discover_group(module, base, base + 6)
+    return [
+        setup for unit in case["units"] for setup in setups_for(module, unit)
+    ]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(cases())
+def test_engine_matches_scalar_search(case):
+    obs = Obs()
+    got = run_batched_searches(
+        build(case), repeats=case["repeats"],
+        max_hammers=case["max_hammers"], obs=obs,
+    )
+    ref = [
+        find_hc_first_repeated(
+            setup, repeats=case["repeats"], max_hammers=case["max_hammers"]
+        )
+        for setup in build(case)
+    ]
+    assert got == ref
+    paths = obs.by_label("probe.probes", "path")
+    assert set(paths) <= {"interp", "capture"}, paths
+    assert paths.get("capture", 0) > 0, paths

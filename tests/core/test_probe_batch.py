@@ -19,8 +19,10 @@ import pytest
 from repro import ExperimentScale, make_module
 from repro.core import CharacterizationSession, patterns
 from repro.core import session as session_module
+from repro.bender.program import Act, Pre, ProgramBuilder, Ref
 from repro.core.hcfirst import (
     DEFAULT_MAX_HAMMERS,
+    HcFirstResult,
     ProbeSetup,
     find_hc_first_repeated,
     standard_row_data,
@@ -28,6 +30,7 @@ from repro.core.hcfirst import (
 from repro.core.metrics import Measurement
 from repro.core.probe_batch import (
     GUARD_DISTANCE,
+    BatchedSearchEngine,
     blast_rows,
     count_flips,
     plan_batches,
@@ -35,11 +38,17 @@ from repro.core.probe_batch import (
     run_batched_searches,
 )
 from repro.disturbance.calibration import ALL_PATTERNS, Mechanism
-from repro.dram.errors import AddressError
+from repro.dram.errors import AddressError, UnsupportedOperationError
 from repro.obs import Obs
+from repro.reveng import discover_group
+from repro.trr import SamplingTrr
 
 CONFIGS = ("hynix-a-8gb", "samsung-b-16gb")
 MODES = ("oracle", "measured")
+
+#: captures of the host-used integration workflow: one per trace shape
+#: class, every other unit translates from it
+EXPECTED_HOST_USED_CAPTURES = 4
 
 
 @contextmanager
@@ -392,15 +401,116 @@ class TestMeasuredWcdp:
         assert obs.total("probe.probes") == 0
 
 
-class TestFallbackNarrowing:
-    """Planner failures are either counted fallbacks or loud bugs.
+#: a victim with a same-subarray sandwich on every configuration
+V = 200
 
-    The old behavior -- a bare ``except Exception`` around planning --
-    made an injected planner/compiler bug indistinguishable from a
-    legitimate "this program cannot batch" verdict: both silently ran
-    the scalar loop.  Now only :class:`DramError` (the device model's
-    own failure family) may demote a unit, and every demotion carries a
-    reason counter.
+
+def _hammer(module, count, rows, t_agg_on_ns=36.0, first_slack=None,
+            loops=None):
+    """``loops`` (default: one loop of ``count``) over ACT/PRE pairs on
+    the physical ``rows``."""
+    trp = module.timing.tRP
+    body = ProgramBuilder()
+    for k, row in enumerate(rows):
+        slack = first_slack if k == 0 and first_slack is not None else trp
+        body.act(0, module.to_logical(row), slack).pre(0, t_agg_on_ns)
+    program = ProgramBuilder()
+    for loop_count in (count,) if loops is None else loops(count):
+        program.loop(loop_count, body)
+    return program.build()
+
+
+def _guard_setup(module, factory, victims=(V,), row_data=None):
+    if row_data is None:
+        row_data = standard_row_data(
+            module, [V - 1, V + 1], [V], ALL_PATTERNS[0]
+        )
+    return ProbeSetup(module, factory, row_data, victims)
+
+
+def _ds(module, **kwargs):
+    return lambda n: _hammer(module, n, [V - 1, V + 1], **kwargs)
+
+
+def _with_ref(module):
+    def factory(n):
+        program = _ds(module)(n)
+        program.instructions.append(Ref())
+        return program
+    return _guard_setup(module, factory)
+
+
+def _with_trr(module):
+    module.attach_trr(SamplingTrr(seed=0))
+    return _guard_setup(module, _ds(module))
+
+
+def _open_first(module):
+    # an ACT/PRE pair ahead of the loop: same length at both calibration
+    # counts, but not a flat nest of loops
+    def factory(n):
+        program = _ds(module)(n)
+        program.instructions[:0] = [
+            Act(0, module.to_logical(V - 1), module.timing.tRP),
+            Pre(0, 36.0),
+        ]
+        return program
+    return _guard_setup(module, factory)
+
+
+def _with_read(module):
+    def factory(n):
+        trp = module.timing.tRP
+        a, b = module.to_logical(V - 1), module.to_logical(V + 1)
+        body = (
+            ProgramBuilder()
+            .act(0, a, trp).rd(0, a, module.timing.tRCD).pre(0, 36.0)
+            .act(0, b, trp).pre(0, 36.0)
+        )
+        return ProgramBuilder().loop(n, body).build()
+    return _guard_setup(module, factory)
+
+
+#: guard name -> a hand-built setup that guard refuses
+GUARD_CASES = {
+    "ref_program": _with_ref,
+    "multi_victim": lambda m: _guard_setup(
+        m, _ds(m), victims=(V, V + 1),
+    ),
+    "trr_attached": _with_trr,
+    "program_shape": lambda m: _guard_setup(
+        m, _ds(m, loops=lambda n: [1] * n),
+    ),
+    "not_loop_nest": _open_first,
+    "count_shape": lambda m: _guard_setup(
+        m, _ds(m, loops=lambda n: [2 * n]),
+    ),
+    "uncompilable_stream": _with_read,
+    "frac_hazard": lambda m: _guard_setup(m, _ds(m, t_agg_on_ns=9.0)),
+    "no_varying_loop": lambda m: _guard_setup(
+        m, _ds(m, loops=lambda n: [5]),
+    ),
+    "restore_joint_hazard": lambda m: _guard_setup(
+        m, _ds(m, first_slack=3.0),
+    ),
+    "clock_sensitive": lambda m: _guard_setup(
+        m, _ds(m),
+        row_data=standard_row_data(m, [V - 1], [V], ALL_PATTERNS[0]),
+    ),
+    "missing_expected": lambda m: _guard_setup(
+        m, _ds(m),
+        row_data=standard_row_data(m, [V - 1, V + 1], [], ALL_PATTERNS[0]),
+    ),
+}
+
+
+class TestFallbackNarrowing:
+    """Fallback narrowing, taken to its end: nothing falls back.
+
+    A setup the engine cannot prove equivalent raises a ``ValueError``
+    naming the refusing guard, a factory's :class:`DramError` propagates
+    unchanged, and an injected planner or compiler bug propagates as
+    itself -- none of them silently runs a slower path.
     """
 
     def test_injected_planner_bug_raises(self, monkeypatch):
@@ -429,31 +539,112 @@ class TestFallbackNarrowing:
         with pytest.raises(RuntimeError, match="injected lowering bug"):
             batched.measure_rowhammer_ds(victims)
 
-    def test_dram_error_is_a_counted_fallback(self, monkeypatch):
-        from repro.core import probe_batch
-        from repro.dram.errors import UnsupportedOperationError
+    def test_factory_dram_error_propagates(self):
+        module = make_module("hynix-a-8gb")
+        good = _guard_setup(module, _ds(module))
 
-        obs = Obs()
-        batched = _session("hynix-a-8gb", obs=obs)
-        scalar = _session("hynix-a-8gb")
-        victims = batched.candidate_victims()[:2]
-
-        def denied(*args, **kwargs):
+        def denied(count):
             raise UnsupportedOperationError("chip family rejects this")
 
-        monkeypatch.setattr(probe_batch, "_walk_rows", denied)
-        many = batched.measure_rowhammer_ds(victims)
-        with _scalar_searches():
-            ref = [scalar.measure_rowhammer_ds([v])[0] for v in victims]
-        # still bit-identical to the scalar loop...
-        _assert_same(many, ref)
-        # ...but the degradation is visible: every unit and every scalar
-        # search carries the factory_error reason, and nothing claims to
-        # have run on the compiled path
-        assert obs.by_label("probe.units", "disposition") == {
-            "factory_error": len(victims)
-        }
-        assert obs.by_label("probe.scalar_searches", "reason") == {
-            "factory_error": len(victims)
-        }
+        refused = _guard_setup(module, denied)
+        obs = Obs()
+        with pytest.raises(UnsupportedOperationError, match="rejects this"):
+            run_batched_searches([good, refused], obs=obs)
+        # refused while planning: no probe ran, not even the good unit's
         assert obs.total("probe.probes") == 0
+
+    @pytest.mark.parametrize("guard", sorted(GUARD_CASES))
+    def test_guard_raises(self, guard):
+        module = make_module("hynix-a-8gb")
+        setup = GUARD_CASES[guard](module)
+        with pytest.raises(ValueError, match=f"^{guard}: "):
+            run_batched_searches([setup])
+
+    def test_session_held_back_past_engine_start_is_refused(self):
+        # the engine emits a session a host left held back when it is
+        # built; one left after that lands inside the first capture's
+        # restore window, which the trace prologue cannot express
+        module = make_module("hynix-a-8gb")
+        engine = BatchedSearchEngine([_guard_setup(module, _ds(module))])
+        discover_group(module, 64, 70)
+        assert module.bank(0)._pending is not None
+        with pytest.raises(ValueError, match="^prologue_shape: "):
+            engine.run()
+
+    def test_count_dependent_aggoff_is_refused(self):
+        # the third segment re-activates V - 1 16.5 ns after its close in
+        # the second: inside the model's sloped tAggOff band, and behind a
+        # count-scaled first segment, so not rigid against the probe start
+        module = make_module("hynix-a-8gb")
+        trp = module.timing.tRP
+        agg = module.to_logical(V - 1)
+
+        def factory(count):
+            return (
+                ProgramBuilder()
+                .loop(count, ProgramBuilder().act(0, agg, trp).pre(0, 36.0))
+                .loop(1, ProgramBuilder().act(0, agg, trp).pre(0, 36.0)
+                      .nop(3.0))
+                .loop(1, ProgramBuilder().act(0, agg, trp).pre(0, 36.0))
+                .build()
+            )
+
+        setup = _guard_setup(
+            module, factory,
+            row_data=standard_row_data(module, [V - 1], [V], ALL_PATTERNS[0]),
+        )
+        with pytest.raises(ValueError, match="^count_dependent_aggoff: "):
+            run_batched_searches([setup])
+
+
+def _integration_setups(module, monkeypatch):
+    """Host-use ``module`` with ``discover_group``, then record the engine
+    calls of the integration workflow's RowHammer, CoMRA and SiMRA-4
+    sweeps at small scale, as ``(setups, repeats, max_hammers)``."""
+    discover_group(module, 64, 70)
+    session = CharacterizationSession(module, ExperimentScale.small())
+    calls = []
+
+    def record(setups, repeats, max_hammers, obs=None):
+        calls.append((list(setups), repeats, max_hammers))
+        return [HcFirstResult(None, False, 0)] * len(setups)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(session_module, "run_batched_searches", record)
+        victims = session.candidate_victims()
+        session.measure_rowhammer_ds(victims)
+        session.measure_comra_ds(victims)
+        session.measure_simra_ds(session.sample_simra_pairs(4), max_victims=2)
+    return calls
+
+
+class TestHostUsedModule:
+    """A module a host already drove can hold a session back on the bank;
+    the engine emits it up front, so the first capture's trace compiles
+    and every later unit of the same shape translates from it."""
+
+    def test_matches_scalar_search_after_host_use(self, monkeypatch):
+        obs = Obs()
+        got = [
+            run_batched_searches(
+                setups, repeats=repeats, max_hammers=max_hammers, obs=obs
+            )
+            for setups, repeats, max_hammers in _integration_setups(
+                make_module("hynix-a-8gb"), monkeypatch
+            )
+        ]
+        ref = [
+            [
+                find_hc_first_repeated(
+                    setup, repeats=repeats, max_hammers=max_hammers
+                )
+                for setup in setups
+            ]
+            for setups, repeats, max_hammers in _integration_setups(
+                make_module("hynix-a-8gb"), monkeypatch
+            )
+        ]
+        assert got == ref
+        paths = obs.by_label("probe.probes", "path")
+        assert set(paths) == {"interp", "capture"}, paths
+        assert paths["capture"] == EXPECTED_HOST_USED_CAPTURES, paths

@@ -121,7 +121,7 @@ def test_replayed_simra_matches_scalar_search(case):
     assert got == ref
     paths = obs.by_label("probe.probes", "path")
     assert paths.get("interp", 0) > 0, paths
-    assert paths.get("slow", 0) == 0, paths
+    assert set(paths) <= {"interp", "capture"}, paths
 
 
 def _rows(module, rows, victim):
@@ -160,7 +160,7 @@ class TestTranslation:
         got, ref, paths = _run(setups_of)
         assert got == ref
         assert paths.get("capture") == 1, paths
-        assert paths.get("slow", 0) == 0, paths
+        assert set(paths) <= {"interp", "capture"}, paths
 
     def test_misaligned_shift_captures_per_unit(self):
         # the pair (64, 66) opens the 2-row group (64, 66); shifted by 2,
@@ -178,4 +178,4 @@ class TestTranslation:
         got, ref, paths = _run(setups_of)
         assert got == ref
         assert paths.get("capture") == 2, paths
-        assert paths.get("slow", 0) == 0, paths
+        assert set(paths) <= {"interp", "capture"}, paths
