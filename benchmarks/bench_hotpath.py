@@ -16,9 +16,10 @@ chunked replay) and the reference host (per-instruction interpretation):
 * ``prac_gauntlet_cell`` -- the same toggle on sync-simra16 under
   PRAC-PO-WC: compiled streams replayed in segments split where a
   back-off can fire, against per-command interpretation.
-* ``trr_rounds`` -- the §7 (Fig. 24) SiMRA round program replayed round
-  after round under sampling TRR: short REF-delimited chunks whose cost
-  is the host's per-run and the sampler's per-chunk fixed overhead.
+* ``trr_rounds`` -- the §7 (Fig. 24) SiMRA round program run round
+  after round under sampling TRR: the fast host replays every round from
+  the second on from its captured trace, so it pays the trace ops and
+  the live REFs, against per-command interpretation.
 * ``hcfirst_batch`` / ``comra_sweep`` -- the batched multi-victim probe
   engine (one ``measure_*`` call over the victim list) against the
   scalar per-victim session loop, on a whole-bank RowHammer sweep and a fig09-style CoMRA
@@ -215,13 +216,16 @@ def bench_trr_rounds(smoke: bool, repeats: int) -> dict:
     """§7 SiMRA round program replayed ``rounds`` times under sampling TRR.
 
     Mirrors ``fig24``'s simra-2 cell: each run is four REF-delimited
-    windows of 156 ACTs (SiMRA ops, then dummy floods), so the fast side
-    pays one plan lookup per run and one sampler intake per window.  Both
-    sides must leave identical bank and TRR stats and the same damage
-    ledger: the same rows, the same flips, and damage equal up to float
-    summation order (the stream path's scaled pass multiplies one
-    period's damage where the reference adds it up; its hit ordinals
-    count that pass once, so they are not compared).
+    windows of 156 ACTs (SiMRA ops, then dummy floods).  The fast side
+    runs the first round on the compiled stream path, captures the
+    second, and replays the rest from that trace: per round it applies
+    the captured deposit plans, touches, group sensings and sampler
+    intakes and runs the four REFs live.  Both sides must leave identical
+    bank and TRR stats and the same damage ledger: the same rows, the
+    same flips, and damage equal up to float summation order (the stream
+    path's scaled pass multiplies one period's damage where the reference
+    adds it up; its hit ordinals count that pass once, so they are not
+    compared).
     """
     from repro.experiments.trr_bypass import ACTS_PER_TREFI
 

@@ -36,6 +36,12 @@ Two execution paths (see DESIGN.md, "Execution engine"):
   every back-off fires at the same event and ``t_close_ns`` as unrolled.
   The bound keeps two one-period margins, both for the session the bank
   holds back one command (see ``DramBenderHost._run_periods``).
+
+On top of the stream path, a program run again is **replayed from a
+captured trace** (DESIGN.md, "Program trace replay"): its second run
+records the device-model effects through the bank's capture tap, and
+later runs re-apply them with the :mod:`repro.dram.replay` interpreter
+the batched probe engine uses, running only REFs live.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from typing import Optional
 import numpy as np
 
 from ..dram.module import DramModule
+from ..dram.replay import run_ops, touch_op, trace_event
 from ..obs import NULL_OBS
 from .compiler import (
     ChunkStep,
@@ -58,6 +65,9 @@ from .program import Act, Instruction, Loop, Nop, Pre, Rd, Ref, TestProgram, Wr
 
 #: cache sentinel for loop bodies that do not lower to a stream
 _NO_STREAM = object()
+
+#: ``_ProgramEntry.trace`` sentinel: the program's runs cannot be replayed
+_NO_TRACE = object()
 
 
 def write_stride_ns(timing) -> float:
@@ -120,6 +130,155 @@ class ProgramResult:
         return reads[position].data
 
 
+@dataclass
+class _ProgramEntry:
+    """A program's cached plan and, once it ran twice, its run trace."""
+
+    program: TestProgram
+    plan: list
+    duration_ns: float
+    #: runs executed so far; the first never captures, so a program run
+    #: once pays no capture
+    runs: int = 0
+    #: the captured :class:`_RunTrace`, None before capture, or
+    #: ``_NO_TRACE``
+    trace: object = None
+    #: the one bank the program commands (see :func:`_trace_bank`),
+    #: found on its second run
+    bank_index: Optional[int] = None
+
+
+class _HookTap:
+    """Forwards a TRR hook's calls, recording the command-side ones."""
+
+    def __init__(self, hook, ops: list, start: float) -> None:
+        self.hook = hook
+        self.ops = ops
+        self.start = start
+
+    def on_act(self, bank: int, row: int, now_ns: float) -> None:
+        self.ops.append(("trr_act", row, now_ns - self.start))
+        self.hook.on_act(bank, row, now_ns)
+
+    def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
+        self.ops.append(("trr_stream", rows, times))
+        self.hook.on_act_stream(bank, rows, times)
+
+    def on_ref(self, bank: int, now_ns: float) -> list[int]:
+        return self.hook.on_ref(bank, now_ns)
+
+
+class _RunTrace:
+    """One run of a program on ``bank``, captured for replay at another
+    start time.
+
+    ``ops`` are :mod:`repro.dram.replay` trace ops plus the host's own:
+    ``("ref", rel_ns)`` runs a REF live on every bank, and
+    ``("trr_stream", rows, times)`` and ``("trr_act", row, rel_ns)``
+    repeat the TRR hook's command-side calls.  ``gaps`` maps every row
+    the run opens to ``(rel_open_ns, gap_ns, key)``: the gap since its
+    last close before the run and that gap's plan-key form
+    (``model.aggoff_key``), both None when it had none.  :meth:`finish`
+    records the bookkeeping the command pipeline leaves and the ops do
+    not.
+    """
+
+    def __init__(self, bank, start: float) -> None:
+        self.bank = bank
+        self.hook = bank.trr
+        self.temperature_c = bank.temperature_c
+        self.event_times = bank.event_times
+        self.start = start
+        self.ops: list = []
+        self.gaps: dict = {}
+        #: ``(name, path) -> n`` path counters the plan increments
+        self.counts: dict = {}
+        self.refused = False
+        self._frac_before = frozenset(bank._frac)
+        self._closes_before = dict(bank._last_close)
+        self._stats_before = dict(bank.stats)
+        self._last_pre_before = bank._last_pre_ns
+
+    def tap(self, tap: tuple) -> None:
+        """``Bank.probe_tap`` while the run is captured."""
+        kind = tap[0]
+        if kind == "touch":
+            # outside REFs every restore is an activation
+            row, now_ns = tap[1], tap[2]
+            rel = now_ns - self.start
+            if row not in self.gaps:
+                closed = self._closes_before.get(row)
+                gap = None if closed is None else now_ns - closed
+                self.gaps[row] = (
+                    rel, gap,
+                    None if gap is None else self.bank.model.aggoff_key(gap),
+                )
+            self.ops.append(touch_op(self.bank, row, rel))
+        elif kind == "event":
+            _tag, event, pattern, times = tap
+            self.ops.append(
+                ("event", trace_event(self.bank, event, pattern, times))
+            )
+        elif kind == "frac":
+            # a fractional row's next lone activation senses thermal noise
+            self.refused = True
+        else:  # copy, sense
+            self.ops.append(tap)
+
+    def ref(self, now_ns: float) -> None:
+        """A REF's flush belongs to the run; its refreshes run live."""
+        bank = self.bank
+        if bank._open is not None:
+            self.refused = True
+            return
+        bank._flush_pending_event(now_ns)
+        self.ops.append(("ref", now_ns - self.start))
+        bank.probe_tap = None
+
+    def finish(self, end_ns: float) -> bool:
+        """Record what the run left; False when it cannot be replayed."""
+        bank = self.bank
+        start = self.start
+        if self.refused or not self._frac_before.isdisjoint(self.gaps):
+            return False
+        before = self._closes_before
+        #: ``(row, rel_ns)`` of every ``_last_close`` the run moves
+        self.closes = tuple(
+            (row, t - start)
+            for row, t in bank._last_close.items()
+            if before.get(row) != t
+        )
+        self.last_pre_ns = (
+            None if bank._last_pre_ns == self._last_pre_before
+            else bank._last_pre_ns - start
+        )
+        #: bank counter deltas, ``refs`` excluded (the REF ops count them)
+        self.stats = {
+            key: value - self._stats_before[key]
+            for key, value in bank.stats.items()
+            if key != "refs" and value != self._stats_before[key]
+        }
+        self.duration_ns = end_ns - start
+        del self._closes_before, self._stats_before
+        return True
+
+
+def _trace_bank(instructions) -> Optional[int]:
+    """The one bank a program commands, or None when it cannot be traced
+    (several banks, none, or an RD/WR)."""
+    banks = set()
+    stack = list(instructions)
+    while stack:
+        instr = stack.pop()
+        if isinstance(instr, Loop):
+            stack.extend(instr.body)
+        elif isinstance(instr, (Rd, Wr)):
+            return None
+        elif isinstance(instr, (Act, Pre)):
+            banks.add(instr.bank)
+    return banks.pop() if len(banks) == 1 else None
+
+
 class DramBenderHost:
     """Executes test programs against one simulated module."""
 
@@ -153,20 +312,23 @@ class DramBenderHost:
         # content hashing is off the table); the program reference is kept
         # so a dead id can't alias a new object.  Each entry also carries
         # the program's duration for the refresh-window check, which
-        # otherwise re-walks every instruction on every run.  Callers must
-        # not mutate a program's instruction list between runs -- nothing
-        # in the repo does.
-        self._plans: dict[int, tuple[TestProgram, list, float]] = {}
+        # otherwise re-walks every instruction on every run, and its run
+        # trace.  Callers must not mutate a program's instruction list
+        # between runs -- nothing in the repo does.
+        self._plans: dict[int, _ProgramEntry] = {}
         self._loop_streams: dict[Loop, object] = {}
+        #: the run being captured, if any
+        self._capture: Optional[_RunTrace] = None
 
     # ------------------------------------------------------------------
     def run(self, program: TestProgram) -> ProgramResult:
         """Execute a program; returns collected reads and timing."""
         result = ProgramResult(program.name, start_ns=self.now_ns)
         if self.compile_streams:
-            plan, duration = self._plan_for(program)
+            entry = self._plan_for(program)
+            duration = entry.duration_ns
         else:
-            plan, duration = None, program.duration_ns
+            entry, duration = None, program.duration_ns
         if duration > self.module.timing.tREFW:
             message = (
                 f"program {program.name!r} runs {duration / 1e6:.1f} ms, beyond "
@@ -177,11 +339,12 @@ class DramBenderHost:
                 raise RuntimeError(message)
             result.warnings.append(message)
 
-        if plan is not None:
-            self._execute_plan(plan, result)
+        if entry is not None:
+            self._run_entry(entry, result)
         else:
+            self.obs.inc("host.runs", path="full")
             self._execute(program.instructions, result)
-        self._flush_banks()
+            self._flush_banks()
         result.end_ns = self.now_ns
         return result
 
@@ -192,18 +355,150 @@ class DramBenderHost:
     # ------------------------------------------------------------------
     # Plan machinery (compiled stream path)
     # ------------------------------------------------------------------
-    def _plan_for(self, program: TestProgram) -> tuple[list, float]:
-        """The program's cached ``(plan, duration_ns)``, built on first use."""
+    def _plan_for(self, program: TestProgram) -> _ProgramEntry:
+        """The program's cached entry, its plan built on first use."""
         key = id(program)
         entry = self._plans.get(key)
-        if entry is not None and entry[0] is program:
-            return entry[1], entry[2]
-        plan = build_plan(program, self.module)
-        duration = program.duration_ns
+        if entry is not None and entry.program is program:
+            return entry
+        entry = _ProgramEntry(
+            program, build_plan(program, self.module), program.duration_ns
+        )
         if len(self._plans) >= self._CACHE_MAX:
             self._plans.clear()
-        self._plans[key] = (program, plan, duration)
-        return plan, duration
+        self._plans[key] = entry
+        return entry
+
+    def _run_entry(self, entry: _ProgramEntry, result: ProgramResult) -> None:
+        """Run a planned program: replay its trace, capture one, or run it.
+
+        A trace replays when the banks are where the capture left them in
+        every way the trace freezes: no held-back or open session, the
+        same hook, temperature and damage multiplier, no opened row
+        fractional, and every opened row's gap since its last close
+        before the run on the same plan key.  Everything else -- data
+        patterns, retention, realized flips, group sensing, REFs -- is
+        guarded or run live by the ops themselves.
+        """
+        trace = entry.trace
+        if trace is None and entry.runs:
+            if entry.bank_index is None:
+                entry.bank_index = _trace_bank(entry.program.instructions)
+                if entry.bank_index is None:
+                    entry.trace = _NO_TRACE
+            if entry.bank_index is not None and self._idle():
+                bank = self.module.bank(entry.bank_index)
+                hook = bank.trr
+                if not (
+                    hasattr(hook, "on_event") or hasattr(hook, "quiet_periods")
+                ):
+                    self._capture_run(entry, bank, result)
+                    return
+        elif trace.__class__ is _RunTrace:
+            bank = trace.bank
+            if (
+                bank.trr is not trace.hook
+                or bank.temperature_c != trace.temperature_c
+                or bank.event_times != trace.event_times
+            ):
+                entry.trace = None
+            elif self._replayable(trace):
+                self.obs.inc("host.runs", path="replay")
+                self._replay(trace)
+                return
+        self.obs.inc("host.runs", path="full")
+        entry.runs += 1
+        self._execute_plan(entry.plan, result)
+        self._flush_banks()
+
+    def _idle(self) -> bool:
+        """No bank holds a session open or held back."""
+        return all(
+            bank._open is None
+            and bank._pending is None
+            and bank._comra_context is None
+            for bank in self.module.banks
+        )
+
+    def _replayable(self, trace: _RunTrace) -> bool:
+        bank = trace.bank
+        if not self._idle() or not bank._frac.isdisjoint(trace.gaps):
+            return False
+        start = self.now_ns
+        closes = bank._last_close
+        aggoff_key = bank.model.aggoff_key
+        for row, (rel, gap, key) in trace.gaps.items():
+            closed = closes.get(row)
+            if closed is None or gap is None:
+                if closed is not None or gap is not None:
+                    return False
+            else:
+                now_gap = start + rel - closed
+                if now_gap != gap and aggoff_key(now_gap) != key:
+                    return False
+        return True
+
+    def _capture_run(
+        self, entry: _ProgramEntry, bank, result: ProgramResult
+    ) -> None:
+        """Run the plan with the bank's capture tap on; keep the trace."""
+        self.obs.inc("host.runs", path="capture")
+        entry.runs += 1
+        trace = _RunTrace(bank, self.now_ns)
+        hook = bank.trr
+        bank.probe_tap = trace.tap
+        if hook is not None:
+            bank.trr = _HookTap(hook, trace.ops, trace.start)
+        self._capture = trace
+        try:
+            self._execute_plan(entry.plan, result)
+            self._flush_banks()
+        finally:
+            self._capture = None
+            bank.probe_tap = None
+            bank.trr = hook
+        entry.trace = trace if trace.finish(self.now_ns) else _NO_TRACE
+
+    def _replay(self, trace: _RunTrace) -> None:
+        """Re-apply a captured run at the current clock."""
+        start = self.now_ns
+        bank = trace.bank
+        index = bank.index
+        hook = bank.trr
+        banks = self.module.banks
+
+        def host_op(op: tuple, base: float) -> None:
+            tag = op[0]
+            if tag == "ref":
+                now_ns = base + op[1]
+                for each in banks:
+                    each.ref(now_ns)
+            elif tag == "trr_stream":
+                hook.on_act_stream(index, op[1], op[2])
+            else:  # trr_act
+                hook.on_act(index, op[1], base + op[2])
+
+        run_ops(bank, trace.ops, start, other=host_op)
+        closes = bank._last_close
+        for row, rel in trace.closes:
+            closes[row] = start + rel
+        if trace.last_pre_ns is not None:
+            bank._last_pre_ns = start + trace.last_pre_ns
+        stats = bank.stats
+        for key, delta in trace.stats.items():
+            stats[key] += delta
+        obs = self.obs
+        for (name, path), n in trace.counts.items():
+            obs.inc(name, n, path=path)
+        self.now_ns = start + trace.duration_ns
+
+    def _inc(self, name: str, path: str) -> None:
+        """Count an execution path, and record it in a capture."""
+        self.obs.inc(name, path=path)
+        capture = self._capture
+        if capture is not None:
+            key = (name, path)
+            capture.counts[key] = capture.counts.get(key, 0) + 1
 
     def _execute_plan(self, plan: list, result: ProgramResult) -> None:
         for step in plan:
@@ -211,7 +506,7 @@ class DramBenderHost:
             if cls is RunStep:
                 self._execute(step.instructions, result)
             elif cls is ChunkStep:
-                self.obs.inc("host.chunks", path="stream")
+                self._inc("host.chunks", "stream")
                 self._run_periods(step.stream, step.count)
             else:  # Loop
                 self._execute_loop(step, result)
@@ -323,10 +618,10 @@ class DramBenderHost:
         if self.compile_streams:
             stream = self._loop_stream(loop)
             if stream is not None:
-                self.obs.inc("host.loops", path="stream")
+                self._inc("host.loops", "stream")
                 self._run_periods(stream, loop.count)
                 return
-        self.obs.inc("host.loops", path="unrolled")
+        self._inc("host.loops", "unrolled")
         for _ in range(loop.count):
             self._execute(loop.body, result)
 
@@ -352,8 +647,13 @@ class DramBenderHost:
                 self.now_ns,
             )
         elif isinstance(instr, Ref):
+            capture = self._capture
+            if capture is not None:
+                capture.ref(self.now_ns)
             for bank in module.banks:
                 bank.ref(self.now_ns)
+            if capture is not None:
+                capture.bank.probe_tap = capture.tap
         elif isinstance(instr, Nop):
             pass
         else:  # pragma: no cover - exhaustive

@@ -73,10 +73,10 @@ import numpy as np
 from ..bender.compiler import CompiledStream, compile_stream
 from ..bender.host import write_data_at_ns, write_stride_ns
 from ..bender.program import Act, Instruction, Loop, Rd, Ref, Wr
-from ..disturbance.ledger import N_POOLS
 from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
+from ..dram.replay import TraceEvent, run_ops, touch_op, trace_event
 from ..obs import NULL_OBS
 from .hcfirst import (
     DEFAULT_MAX_HAMMERS,
@@ -193,59 +193,18 @@ class _BatchedUnit:
     decoder_groups: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class _TraceEvent:
-    """One captured activation event with its resolved deposit plan.
-
-    The event *shape* (gaps, rows, damage-scaling ``times``) is constant
-    across a unit's probes -- every model-visible quantity is a gap
-    between same-probe timestamps, and cross-probe gaps clamp into the
-    model's flat tAggOff band -- so the plan resolved once can be
-    re-applied directly.  The one live input is the aggressor row's data
-    pattern: realized flips reclassify it, so each application guards on
-    the bank's version-cached ``pattern_of`` and re-resolves on change
-    through ``model.resolve_plan`` (exactly the lookup the scalar emission
-    path would perform).
-    """
-
-    event: object  # ActivationEvent
-    row0: int
-    pattern: object  # Optional[DataPattern]
-    plan: list
-    #: damage multiplier follows the probe count (a varying loop's scaled
-    #: pass applies its recorded iteration ``count - 1`` times)
-    scaled: bool
-    #: literal multiplier otherwise (1 for warm passes and write sessions)
-    times: float
-    #: the model plan-cache key the plan was resolved under; translation
-    #: derives the shifted unit's key from it with ``model.shift_plan_key``
-    #: instead of re-deriving the rounded/sorted time key from the event
-    plan_key: tuple
-    #: ``_data_version`` of ``row0`` the plan was resolved against; the
-    #: version is a faithful change counter for row data, so a matching
-    #: version skips the ``pattern_of`` lookup entirely (None forces the
-    #: full pattern check on first application)
-    version: Optional[int] = None
-
-
 @dataclass
 class _Trace:
     """One captured fused-replay probe, compiled for direct re-application.
 
-    Ops are ``("touch", row, rel_ns, state, retention_ns)`` charge
-    restorations (applied at bucket base + offset, with the model row
-    state and retention threshold pre-resolved), ``("copy", src, dst)``
-    CoMRA copies, ``("sense", group, partial_rows, copy_src, act_to_pre)``
-    SiMRA group sensings (replayed by calling ``Bank._sense_group`` on the
-    live bank state; ``act_to_pre`` only lets translation recompute the
-    partial set), and ``("event", _TraceEvent)`` deposit-plan
-    applications, in the exact order the capture probe performed them.
+    Ops are the :mod:`repro.dram.replay` trace ops (touches relative to
+    their window's base, copies, group sensings and deposit-plan
+    applications), in the exact order the capture probe performed them.
     ``stats_const`` and ``stats_linear`` reproduce the bank counter
     arithmetic: per probe the counters move by
     ``const + linear * (count - 1)``.
     """
 
-    temperature_c: float
     #: one ``(steady, cold)`` write-session entry pair per snapshot row,
     #: in restore order: ``steady`` carries the -1.0 "closed before this
     #: probe" tAggOff sentinel the bank stamps once a row has a recorded
@@ -626,22 +585,15 @@ class BatchedSearchEngine:
         model's flat-band edge and hence plan-equivalent.
         """
         unit = self.units[i]
-        bank = self.bank
         obs = self.obs
         stages = self.stages
         sig = _shape_signature(unit.loops, count)
         trace = unit.traces.get(sig)
-        if trace is not None and trace.temperature_c != bank.temperature_c:
-            unit.traces.clear()
-            trace = None
         donor = self._donor[i] if trace is None else None
         if donor is not None:
             r, delta, pi = donor
             donor_trace = self.units[r].traces.get(sig)
-            if (
-                donor_trace is not None
-                and donor_trace.temperature_c == bank.temperature_c
-            ):
+            if donor_trace is not None:
                 t0 = perf_counter() if stages is not None else 0.0
                 trace = self._translate_trace(donor_trace, delta, unit, pi)
                 if stages is not None:
@@ -799,12 +751,9 @@ class BatchedSearchEngine:
                 ts = tap[2]
                 while pointer + 1 < n_wins and ts >= starts[pointer + 1]:
                     pointer += 1
-                row = tap[1]
-                buckets[pointer].append((
-                    "touch", row, ts - starts[pointer],
-                    model.ledger.slot(bank.index, row),
-                    bank.retention.retention_ns(bank.index, row),
-                ))
+                buckets[pointer].append(
+                    touch_op(bank, tap[1], ts - starts[pointer])
+                )
             elif kind in ("copy", "sense"):
                 buckets[pointer].append(tap)
             else:  # event
@@ -829,15 +778,8 @@ class BatchedSearchEngine:
                 scaled = (
                     wkind == "scaled" and unit.loops[seg_pos][1] is None
                 )
-                plan, pkey = model.resolve_plan(
-                    event, bank.temperature_c, pattern
-                )
                 buckets[pointer].append((
-                    "event",
-                    _TraceEvent(
-                        event, event.rows[0], pattern, plan,
-                        scaled, float(times), plan_key=pkey,
-                    ),
+                    "event", trace_event(bank, event, pattern, times, scaled),
                 ))
         # prologue: exactly one write session per snapshot row, in order,
         # synthesized into the steady shape -- from probe 2 on the bank's
@@ -858,19 +800,13 @@ class BatchedSearchEngine:
         prologue = []
         for row, op in zip(rows, restore_ops):
             entry = op[1]
-            variants = []
-            for variant in (
-                replace(entry.event, t_agg_off_ns={row: -1.0}),
-                replace(entry.event, t_agg_off_ns={}),
-            ):
-                plan, pkey = model.resolve_plan(
-                    variant, bank.temperature_c, entry.pattern
+            prologue.append(tuple(
+                trace_event(bank, variant, entry.pattern, entry.times)
+                for variant in (
+                    replace(entry.event, t_agg_off_ns={row: -1.0}),
+                    replace(entry.event, t_agg_off_ns={}),
                 )
-                variants.append(_TraceEvent(
-                    variant, row, entry.pattern, plan,
-                    False, entry.times, plan_key=pkey,
-                ))
-            prologue.append(tuple(variants))
+            ))
         # per-segment op lists (skipped segments replay as empty)
         warm_by_seg: dict[int, list] = {}
         scaled_by_seg: dict[int, list] = {}
@@ -923,7 +859,6 @@ class BatchedSearchEngine:
                     "follow const + linear * (count - 1)"
                 )
         return _Trace(
-            temperature_c=bank.temperature_c,
             prologue=prologue,
             segments=segments,
             epilogue=epilogue,
@@ -1042,14 +977,11 @@ class BatchedSearchEngine:
         """
         bank = self.bank
         model = bank.model
-        bi = bank.index
         temperature = bank.temperature_c
-        retention_ns = bank.retention.retention_ns
-        slot_of = model.ledger.slot
         resolve_plan = model.resolve_plan
         shift_plan_key = model.shift_plan_key
 
-        def entry_of(entry: _TraceEvent) -> _TraceEvent:
+        def entry_of(entry: TraceEvent) -> TraceEvent:
             event = entry.event
             rows = tuple(row + delta for row in event.rows)
             # direct field-for-field construction: dataclasses.replace sits
@@ -1076,7 +1008,7 @@ class BatchedSearchEngine:
                 shifted, temperature, pattern,
                 shift_plan_key(entry.plan_key, delta, pattern),
             )
-            return _TraceEvent(
+            return TraceEvent(
                 shifted, rows[0], pattern, plan,
                 entry.scaled, entry.times, plan_key=key,
             )
@@ -1086,11 +1018,7 @@ class BatchedSearchEngine:
             for op in ops:
                 tag = op[0]
                 if tag == "touch":
-                    row = op[1] + delta
-                    out.append((
-                        "touch", row, op[2],
-                        slot_of(bi, row), retention_ns(bi, row),
-                    ))
+                    out.append(touch_op(bank, op[1] + delta, op[2]))
                 elif tag == "event":
                     out.append(("event", entry_of(op[1])))
                 elif tag == "copy":
@@ -1112,7 +1040,6 @@ class BatchedSearchEngine:
         ]
         epilogue = ops_of(donor.epilogue)
         return _Trace(
-            temperature_c=temperature,
             prologue=[
                 (entry_of(steady), entry_of(cold))
                 for steady, cold in donor.prologue
@@ -1128,28 +1055,6 @@ class BatchedSearchEngine:
             ),
             prologue_meta=_prologue_meta(bank, unit, segments, epilogue),
         )
-
-    def _fast_event(self, entry: _TraceEvent, times: float) -> None:
-        """Apply a captured event's deposit plan, guarding the pattern.
-
-        The data version is a faithful change counter for the aggressor's
-        row data, so an unchanged version skips the pattern lookup; on a
-        version move the (version-cached) ``pattern_of`` runs and the plan
-        is re-resolved only if the classification actually changed --
-        exactly the lookups the scalar emission path would perform.
-        """
-        bank = self.bank
-        row0 = entry.row0
-        version = bank._data_version.get(row0, 0)
-        if version != entry.version:
-            pattern = bank.pattern_of(row0)
-            if pattern != entry.pattern:
-                entry.pattern = pattern
-                entry.plan, entry.plan_key = bank.model.resolve_plan(
-                    entry.event, bank.temperature_c, pattern
-                )
-            entry.version = version
-        bank.model._apply_plan(entry.plan, times)
 
     def _replay_probe_fast(
         self, i: int, count: int, trace: _Trace
@@ -1174,15 +1079,7 @@ class BatchedSearchEngine:
         last_restore = bank._last_restore
         last_close = bank._last_close
         frac = bank._frac
-        fast_event = self._fast_event
-        restore_full = bank._restore_row
-        sense_group = bank._sense_group
-        led = model.ledger
-        led_restore = led.restore
-        dmg = led.dmg
-        flips_mv = led.flips_mv
-        pool_order = led.pool_order
-        flipped = led.flipped
+        led_restore = model.ledger.restore
         # prologue: the bank's restore_rows pass, write events interleaved
         # one slot late (the pipeline's one-command holdback); each row's
         # steady/cold write entry is chosen before its close is recorded,
@@ -1226,62 +1123,7 @@ class BatchedSearchEngine:
         victim_version = (
             bank_versions.get(victim, 0) if trace.flips_by_version else None
         )
-        # hammer segments and epilogue share one op interpreter; the
-        # version-match common case of the event guard is inlined (one
-        # dict probe) and only guard misses take the _fast_event call
         scaled_times = count - 1.0
-        dv_get = bank_versions.get
-
-        def run_ops(ops: list, base: float) -> None:
-            for op in ops:
-                tag = op[0]
-                if tag == "event":
-                    entry = op[1]
-                    times = scaled_times if entry.scaled else entry.times
-                    if dv_get(entry.row0, 0) == entry.version:
-                        apply_plan(entry.plan, times)
-                    else:
-                        fast_event(entry, times)
-                elif tag == "touch":
-                    # _fast_touch's common path, inlined: charge
-                    # restoration where nothing observable can happen --
-                    # retention below threshold and damage below the
-                    # realize early-out -- reduces to the model's ledger
-                    # restore (pool_order keeps the reference dict's
-                    # insertion order, so the guard sum accumulates in
-                    # the identical float sequence)
-                    row = op[1]
-                    t = base + op[2]
-                    last = last_restore.get(row)
-                    if last is not None and t - last > op[4]:
-                        restore_full(row, t)
-                        continue
-                    slot = op[3]
-                    order = pool_order[slot]
-                    if order:
-                        pool_base = slot * N_POOLS
-                        total = 0.0
-                        for pool in order:
-                            total += dmg[pool_base + pool]
-                        if total >= 0.999:
-                            restore_full(row, t)
-                            continue
-                        for pool in order:
-                            dmg[pool_base + pool] = 0.0
-                        order.clear()
-                    s2 = slot + slot
-                    flips_mv[s2] = 0
-                    flips_mv[s2 + 1] = 0
-                    cells = flipped[slot]
-                    if cells:
-                        cells.clear()
-                    last_restore[row] = t
-                elif tag == "copy":
-                    bank._row_data(op[2])[:] = bank._row_data(op[1])
-                    bank._bump_version(op[2])
-                else:  # sense: the capture probe's own group sensing
-                    sense_group(op[1], op[2], op[3])
-
         for (stream, fixed), (warm_ops, scaled_ops) in zip(
             unit.loops, trace.segments
         ):
@@ -1289,12 +1131,14 @@ class BatchedSearchEngine:
             if loop_count <= 0:
                 continue
             base = t
-            run_ops(warm_ops, base)
+            run_ops(bank, warm_ops, base, scaled_times)
             if loop_count > 1:
-                run_ops(scaled_ops, base + stream.duration_ns)
+                run_ops(
+                    bank, scaled_ops, base + stream.duration_ns, scaled_times
+                )
             t = base + stream.duration_ns * loop_count
         # epilogue: final flush, victim read, eager read-session emission
-        run_ops(trace.epilogue, t)
+        run_ops(bank, trace.epilogue, t)
         if (
             victim_version is not None
             and bank_versions.get(victim, 0) == victim_version

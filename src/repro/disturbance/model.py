@@ -442,8 +442,7 @@ class DisturbanceModel:
         # flat below _AGGOFF_MIN_GAP_NS and above _AGGOFF_REF_GAP_NS;
         # clamping the key into that band collapses all equivalent gaps
         # onto one cached plan instead of one plan per distinct gap.
-        lo = self._AGGOFF_MIN_GAP_NS
-        hi = self._AGGOFF_REF_GAP_NS
+        aggoff_key = self.aggoff_key
         return (
             round(event.t_agg_on_ns, 1),
             round(event.pre_to_act_ns, 1)
@@ -454,10 +453,18 @@ class DisturbanceModel:
             else None,
             tuple(
                 sorted(
-                    (r, round(min(max(v, lo), hi), 1))
-                    for r, v in event.t_agg_off_ns.items()
+                    (r, aggoff_key(v)) for r, v in event.t_agg_off_ns.items()
                 )
             ),
+        )
+
+    def aggoff_key(self, gap_ns: float) -> float:
+        """A tAggOff gap as the plan key holds it: clamped into the
+        ``_aggoff_factor`` band and rounded, so gaps with equal keys
+        resolve to the same plan."""
+        return round(
+            min(max(gap_ns, self._AGGOFF_MIN_GAP_NS), self._AGGOFF_REF_GAP_NS),
+            1,
         )
 
     def plan_key(

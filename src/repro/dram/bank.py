@@ -155,6 +155,10 @@ class Bank:
         self._last_pre_ns: Optional[float] = None
         self._refresh_cursor = 0
         self._refresh_accumulator = 0.0
+        #: rotor rows per REF: the bank refreshes every row once per tREFW
+        self._refresh_step = geometry.rows_per_bank / max(
+            1, round(timing.tREFW / timing.tREFI)
+        )
         self._tie_counter = 0
         self._comra_context: Optional[_PendingClose] = None
         #: rows whose cells sit at ~VDD/2 (FracDRAM fractional values)
@@ -163,9 +167,10 @@ class Bank:
         #: when True, ACTs skip the per-command ``trr.on_act`` callback;
         #: the caller owes the hook one batched ``on_act_stream`` instead
         self.trr_act_suppressed = False
-        #: capture hook for the batched probe engine: when set, receives
-        #: every charge restoration, CoMRA copy, SiMRA group sensing and
-        #: emitted event in application order (see ``repro.core.probe_batch``)
+        #: capture hook for trace replay: when set, receives every charge
+        #: restoration, CoMRA copy, SiMRA group sensing, emitted event and
+        #: fractional-row marking in application order (see
+        #: ``repro.dram.replay``)
         self.probe_tap = None
         self.stats = {"acts": 0, "pres": 0, "refs": 0, "comra_copies": 0,
                       "simra_ops": 0, "reads": 0, "writes": 0}
@@ -505,6 +510,8 @@ class Bank:
                 and self.FRAC_WINDOW_NS[0] <= open_time <= self.FRAC_WINDOW_NS[1]
             ):
                 self._frac.add(session.rows[0])
+                if self.probe_tap is not None:
+                    self.probe_tap(("frac", session.rows[0]))
             self._open = None
             # tAggOff = how long the row sat closed before this activation
             # (previous close -> this session's open)
@@ -571,8 +578,7 @@ class Bank:
         self._flush_pending_event(now_ns)
         if self.trr is not None:
             self.targeted_refresh(self.trr.on_ref(self.index, now_ns), now_ns)
-        refs_per_window = max(1, round(self.timing.tREFW / self.timing.tREFI))
-        self._refresh_accumulator += self.geometry.rows_per_bank / refs_per_window
+        self._refresh_accumulator += self._refresh_step
         while self._refresh_accumulator >= 1.0:
             self._refresh_accumulator -= 1.0
             row = self._refresh_cursor % self.geometry.rows_per_bank

@@ -27,7 +27,7 @@ op period, and the trace cores' IPC loss is the reported overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -265,6 +265,37 @@ def build_defense(name: str) -> Defense:
         ) from None
 
 
+#: mean trace-core IPC per (mix, config fields, seed, PuD period); the
+#: memory system is deterministic, and every defended workload asks for
+#: the same baseline run
+_MEAN_IPC_CACHE: dict[tuple, float] = {}
+#: trace tapes per (mix, seed), shared by every run over that mix
+_MIX_TAPES: dict[tuple, list] = {}
+
+
+def _mean_ipc(mix, config, seed: int, period_ns: float) -> float:
+    """Mean trace-core IPC of ``mix`` at one PuD op period (memoized)."""
+    from ..memsys.system import MemorySystem, mix_tapes
+    from ..workloads import PudWorkloadConfig
+
+    key = (mix, astuple(config), seed, period_ns)
+    cached = _MEAN_IPC_CACHE.get(key)
+    if cached is None:
+        tapes = _MIX_TAPES.get((mix, seed))
+        if tapes is None:
+            tapes = _MIX_TAPES[mix, seed] = mix_tapes(mix, seed)
+        result = MemorySystem(
+            mix,
+            pud=PudWorkloadConfig(period_ns=period_ns),
+            prac=None,
+            config=config,
+            seed=seed,
+            tapes=tapes,
+        ).run()
+        cached = _MEAN_IPC_CACHE[key] = float(np.mean(result.ipc_per_core))
+    return cached
+
+
 def system_overhead_pct(
     act_multiplier: float,
     horizon_ns: float = 60_000.0,
@@ -273,31 +304,20 @@ def system_overhead_pct(
 ) -> float:
     """Trace-core slowdown when PuD bank traffic densifies by ``act_multiplier``.
 
-    Runs the event-queue memory system twice on one workload mix -- once
-    with the baseline PuD op period and once with the period shrunk by the
-    defense's command-traffic multiplier -- and reports the mean IPC loss
-    of the trace cores in percent.
+    Compares the event-queue memory system on one workload mix at the
+    baseline PuD op period and at the period shrunk by the defense's
+    command-traffic multiplier, and reports the mean IPC loss of the
+    trace cores in percent.
     """
-    from ..memsys import MemSysConfig, MemorySystem
-    from ..workloads import PudWorkloadConfig, build_mixes
+    from ..memsys import MemSysConfig
+    from ..workloads import build_mixes
 
     if act_multiplier <= 1.0:
         return 0.0
     mix = build_mixes(1)[0]
     config = MemSysConfig(horizon_ns=horizon_ns)
-
-    def mean_ipc(period_ns: float) -> float:
-        result = MemorySystem(
-            mix,
-            pud=PudWorkloadConfig(period_ns=period_ns),
-            prac=None,
-            config=config,
-            seed=seed,
-        ).run()
-        return float(np.mean(result.ipc_per_core))
-
-    base = mean_ipc(base_period_ns)
-    dense = mean_ipc(base_period_ns / act_multiplier)
+    base = _mean_ipc(mix, config, seed, base_period_ns)
+    dense = _mean_ipc(mix, config, seed, base_period_ns / act_multiplier)
     if base <= 0:
         return 0.0
     return max(0.0, 100.0 * (1.0 - dense / base))
