@@ -11,14 +11,19 @@ This module mirrors that split for the simulated pipeline:
   stream is replayed by :meth:`~repro.dram.bank.Bank.execute_stream`
   without any per-command dataclass dispatch.
 
+* :func:`run_stream` executes ``count`` periods of a stream as *one
+  warm-up period plus one period scaled by* ``count - 1``: damage accrual
+  is linear in the repetition count, so the second pass's fault-model
+  ``times`` multiplier carries the skipped repetitions and the bank
+  counters are topped up arithmetically.  The host's stream path and the
+  batched probe engine's capture probe both run streams through it.
+
 * :func:`build_plan` turns a whole :class:`TestProgram` into an execution
   plan.  Periodic prefixes of flat ACT/PRE runs (the shape every hammer
   window has: ``k`` repetitions of the same ACT/PRE period) become
-  :class:`ChunkStep`\\ s, which the host executes as *one warm-up period
-  plus one period scaled by* ``k - 1`` -- the same trick the host plays
-  on a compiled ``Loop`` body, applied per-run inside REF-delimited
-  windows, so it composes with an attached TRR hook (see
-  ``DramBenderHost``).
+  :class:`ChunkStep`\\ s, which the host runs through :func:`run_stream`
+  like a compiled ``Loop`` body, per-run inside REF-delimited windows, so
+  it composes with an attached TRR hook (see ``DramBenderHost``).
 
 A period is only chunkable when it opens with an ACT and closes with a
 PRE: then the bank is precharged at every chunk boundary and the session
@@ -51,14 +56,16 @@ class CompiledStream:
     ``op_list``/``row_list``/``offset_list`` are plain Python lists (they
     iterate faster in the replay loop than numpy arrays); PRE entries
     carry row ``-1``.  ``act_rows`` is the physical row of every ACT in
-    stream order -- exactly what a TRR sampler would have observed.
+    stream order -- exactly what a TRR sampler would have observed -- as a
+    tuple of ints, built once so a hook's ``on_act_stream`` can use it
+    as-is.
     """
 
     bank: int
     op_list: list
     row_list: list
     offset_list: list
-    act_rows: np.ndarray
+    act_rows: tuple
     duration_ns: float
 
 
@@ -129,9 +136,51 @@ def compile_stream(
         op_list=op_list,
         row_list=row_list,
         offset_list=offset_list,
-        act_rows=np.asarray(act_rows, dtype=np.int64),
+        act_rows=tuple(act_rows),
         duration_ns=t,
     )
+
+
+def run_stream(bank, stream: CompiledStream, base_ns: float, count: int) -> dict:
+    """Run ``count >= 1`` periods of ``stream`` on ``bank`` from ``base_ns``.
+
+    One warm-up pass (steady-state synergy windows and tAggOff gaps), then
+    one pass starting a period later with ``bank.event_times`` multiplied
+    by ``count - 1``; the clock jumps over the skipped periods, which is
+    exact because every offset is a multiple of the 1.5 ns bus cycle.  The
+    scaled pass carries the damage of periods 2..count but counts only
+    one period of commands, so the bank counters are topped up with its
+    deltas times ``count - 2``.  Returns those per-period counter deltas
+    (empty when ``count < 2``); the bank ends as ``count`` periods run one
+    by one through ``execute_stream`` would leave its counters.
+    """
+    bank.execute_stream(
+        stream.op_list, stream.row_list, stream.offset_list, base_ns
+    )
+    if count < 2:
+        return {}
+    stats = bank.stats
+    before = dict(stats)
+    saved = bank.event_times
+    bank.event_times *= count - 1
+    try:
+        bank.execute_stream(
+            stream.op_list,
+            stream.row_list,
+            stream.offset_list,
+            base_ns + stream.duration_ns,
+        )
+    finally:
+        bank.event_times = saved
+    deltas = {
+        key: stats[key] - value
+        for key, value in before.items()
+        if stats[key] != value
+    }
+    if count > 2:
+        for key, delta in deltas.items():
+            stats[key] += delta * (count - 2)
+    return deltas
 
 
 def _find_periodic_prefix(

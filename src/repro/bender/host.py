@@ -60,6 +60,7 @@ from .compiler import (
     RunStep,
     build_plan,
     compile_stream,
+    run_stream,
 )
 from .program import Act, Instruction, Loop, Nop, Pre, Rd, Ref, TestProgram, Wr
 
@@ -74,8 +75,8 @@ def write_stride_ns(timing) -> float:
     """Clock advance of one nominal-timing row write (see ``write_rows``).
 
     Single source of truth for the host's write cadence: the batched
-    probe engine replays captured write prologues in closed form using
-    this stride, and the two must agree bit for bit.
+    probe engine re-initializes a probe's rows in closed form using this
+    stride, and the two must agree bit for bit.
     """
     return timing.tRP + timing.tRAS + timing.tWR
 
@@ -550,43 +551,15 @@ class DramBenderHost:
                 done += 1
 
     def _run_stream(self, bank, stream: CompiledStream, count: int) -> None:
-        """Warm-up pass + one pass scaled by ``count - 1``; exact clocking.
-
-        All command times are ``base + offset`` with offsets precomputed
-        at compile time; slacks are multiples of the 1.5 ns bus cycle, so
-        every timestamp is exact in float64 and bit-identical to the
-        unrolled path's accumulation.
-        """
+        """:func:`~repro.bender.compiler.run_stream` at the host clock,
+        with the TRR hook's per-ACT callbacks replaced by one batched
+        ``on_act_stream``."""
         base = self.now_ns
         trr = bank.trr
         if trr is not None:
             bank.trr_act_suppressed = True
         try:
-            bank.execute_stream(
-                stream.op_list, stream.row_list, stream.offset_list, base
-            )
-            if count > 1:
-                before = dict(bank.stats)
-                saved = bank.event_times
-                bank.event_times = saved * (count - 1)
-                try:
-                    bank.execute_stream(
-                        stream.op_list,
-                        stream.row_list,
-                        stream.offset_list,
-                        base + stream.duration_ns,
-                    )
-                finally:
-                    bank.event_times = saved
-                if count > 2:
-                    # the scaled pass carried iterations 2..count's damage
-                    # but only counted one period of commands; top up the
-                    # command/op counters with the skipped repetitions
-                    stats = bank.stats
-                    for key, value in before.items():
-                        delta = stats[key] - value
-                        if delta:
-                            stats[key] += delta * (count - 2)
+            run_stream(bank, stream, base, count)
         finally:
             if trr is not None:
                 bank.trr_act_suppressed = False

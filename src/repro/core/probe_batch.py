@@ -30,15 +30,17 @@ Three pieces:
   for probe.
 
 * **Fused replay** -- one probe re-initializes only the rows its unit
-  touches through the bank's copy-on-write
-  :meth:`~repro.dram.bank.Bank.restore_rows`, then replays the hammer
-  loops as pre-compiled command streams (warm pass + one pass scaled by
-  ``count - 1``, the same two-pass trick as the host's stream path) and
-  reads the victim back at nominal timing.  All model-visible quantities
-  are *gaps* between same-probe timestamps, every slack is a multiple of
-  the 1.5 ns bus cycle (exact in float64), and the probe-boundary tAggOff
-  sign matches the scalar host's clock rewind via the restore sentinel --
-  hence bit identity.
+  touches (:meth:`BatchedSearchEngine._restore`: copy-on-write row images
+  and write-session deposit plans resolved once at plan time), then runs
+  the hammer loops as pre-compiled command streams through the host's
+  two-pass :func:`~repro.bender.compiler.run_stream` (warm pass + one
+  pass scaled by ``count - 1``) and reads the victim back at nominal
+  timing; later probes of the same loop shape re-apply the first one's
+  captured trace after the same re-initialization.  All model-visible
+  quantities are *gaps* between same-probe timestamps, every slack is a
+  multiple of the 1.5 ns bus cycle (exact in float64), and the
+  probe-boundary tAggOff sign matches the scalar host's clock rewind via
+  the restore sentinel -- hence bit identity.
 
 Every unit batches.  A setup the planner cannot prove equivalent is
 refused with a :class:`ValueError` whose message starts with the guard's
@@ -52,9 +54,11 @@ stream), ``frac_hazard`` (a session open for a FracDRAM sensing window),
 could claim the re-initialization write as a CoMRA/multi-copy source),
 ``clock_sensitive`` (activations reaching rows the unit does not
 re-initialize, whose retention decay would see the engine's continuous
-clock) and ``missing_expected``.  A capture whose trace cannot express a
-probe raises too (see ``_compile_trace``).  A :class:`DramError` from a
-program factory propagates unchanged.
+clock) and ``missing_expected``.  A capture raises too: ``prologue_shape``
+when it starts while the bank holds an open or held-back session, and
+``count_dependent_aggoff`` when its trace cannot express the probe (see
+``_compile_trace``).  A :class:`DramError` from a program factory
+propagates unchanged.
 
 FracDRAM sensing and SiMRA charge-sharing ties consume a per-bank counter
 that seeds an RNG whose bits land in row data, so every unit whose stream
@@ -64,13 +68,13 @@ executes in declared order (*tie chaining*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..bender.compiler import CompiledStream, compile_stream
+from ..bender.compiler import CompiledStream, compile_stream, run_stream
 from ..bender.host import write_data_at_ns, write_stride_ns
 from ..bender.program import Act, Instruction, Loop, Rd, Ref, Wr
 from ..disturbance.model import classify_pattern
@@ -182,11 +186,12 @@ class _BatchedUnit:
     snapshot: object  # RowSnapshot
     #: (stream, fixed_count) per loop; fixed_count None = probe count
     loops: list[tuple[CompiledStream, Optional[int]]]
+    #: the capture probe's :meth:`BatchedSearchEngine._restore` meta and
+    #: the per-row write-session entries (see :func:`_restore_plan`)
+    meta: list
+    writes: list
     #: captured replay traces keyed by loop-shape signature
     traces: dict = field(default_factory=dict)
-    #: memoized ``classify_pattern`` of snapshot images (immutable for
-    #: the unit's lifetime), shared by every per-signature translation
-    image_patterns: dict = field(default_factory=dict)
     #: ``bank.simra_group`` of every activated row pair, recorded when the
     #: unit's stream timing can open a multi-row activation (empty
     #: otherwise); translation must map each onto the shifted pair's group
@@ -199,20 +204,16 @@ class _Trace:
 
     Ops are the :mod:`repro.dram.replay` trace ops (touches relative to
     their window's base, copies, group sensings and deposit-plan
-    applications), in the exact order the capture probe performed them.
-    ``stats_const`` and ``stats_linear`` reproduce the bank counter
-    arithmetic: per probe the counters move by
-    ``const + linear * (count - 1)``.
+    applications), in the exact order the capture probe performed them
+    after its re-initialization.  ``stats_const`` and ``stats_linear``
+    reproduce the bank counter arithmetic: past the re-initialization,
+    the counters move by ``const + linear * (count - 1)`` per probe.
     """
 
-    #: one ``(steady, cold)`` write-session entry pair per snapshot row,
-    #: in restore order: ``steady`` carries the -1.0 "closed before this
-    #: probe" tAggOff sentinel the bank stamps once a row has a recorded
-    #: close, ``cold`` the empty tAggOff of a never-closed row (a
-    #: translated trace's first probe) -- chosen per row at replay time
-    #: exactly as the restore pass does
-    prologue: list
-    #: (warm_ops, scaled_ops) per loop segment
+    #: (warm_ops, scaled_ops, closes) per loop segment; ``closes`` holds
+    #: ``(row, rel_ns)`` for every row whose last close the segment moves,
+    #: relative to the segment's start (both passes sit at fixed offsets
+    #: from it at any count of the trace's shape)
     segments: list
     #: ops after the last loop segment (final flush + victim read)
     epilogue: list
@@ -221,47 +222,82 @@ class _Trace:
     #: the victim's snapshot image equals its expected pattern, so a probe
     #: whose epilogue leaves the victim's data version untouched read back
     #: exactly what was written -- zero flips without comparing bytes
-    flips_by_version: bool = False
-    #: per snapshot row, ``(row, state, entries, image_pattern)``: the
-    #: model row state pre-resolved for the inline restore, and the
-    #: trace's event entries for that row with the snapshot image's
-    #: classification -- restoring the image re-validates every entry
-    #: whose current pattern matches it, so the prologue refreshes their
-    #: version guard in place instead of letting each take a guard miss
-    #: (and a pattern lookup) per probe
-    prologue_meta: list = field(default_factory=list)
+    flips_by_version: bool
+    #: the :meth:`BatchedSearchEngine._restore` meta of a replay: per
+    #: snapshot row ``(row, slot, entries, image_pattern)``, with the
+    #: trace's event entries for that row -- restoring the image
+    #: re-validates every entry whose current pattern matches the image's,
+    #: so the restore refreshes their version guard in place instead of
+    #: letting each take a guard miss (and a pattern lookup) per probe
+    restore_meta: list
 
 
-def _prologue_meta(bank, unit: "_BatchedUnit", segments, epilogue) -> list:
-    """Build :attr:`_Trace.prologue_meta` for a compiled/translated trace.
+def _restore_plan(bank: Bank, snapshot) -> tuple[list, list]:
+    """``(meta, writes)``: a unit's re-initialization, resolved at plan time.
+
+    ``meta`` holds ``(row, slot, (), image_pattern)`` per snapshot row in
+    restore order: the row's ledger slot, no trace entries (a trace
+    attaches its own, see :func:`_restore_meta`) and the classification of
+    its image.  ``writes`` holds the row's ``(steady, cold)`` write-session
+    entries, the events a host ``write_rows`` session emits (ACT ``tRP``
+    into the row's stride, PRE at its end).  ``steady`` carries the -1.0
+    "closed before this probe" tAggOff sentinel: the scalar search rewinds
+    the host clock to zero every probe, so a row with a recorded close
+    sees a negative gap, and both sit in the model's flat band below its
+    minimum gap.  ``cold`` carries no tAggOff, for a row never closed; it
+    is None for a row closed already, since a recorded close is never
+    dropped.
+    """
+    timing = bank.timing
+    ledger = bank.model.ledger
+    closed = bank._last_close
+    meta = [
+        (row, ledger.slot(bank.index, row), (),
+         classify_pattern(snapshot.images[row]))
+        for row in snapshot.rows
+    ]
+
+    def write(row, pattern, t_agg_off):
+        event = ActivationEvent(
+            rows=(row,),
+            kind=ActivationEvent.Kind.SINGLE,
+            bank=bank.index,
+            t_open_ns=timing.tRP,
+            t_close_ns=write_stride_ns(timing),
+            t_agg_off_ns=t_agg_off,
+        )
+        return trace_event(bank, event, pattern, bank.event_times)
+
+    writes = [
+        (
+            write(row, pattern, {row: -1.0}),
+            None if row in closed else write(row, pattern, {}),
+        )
+        for row, _slot, _entries, pattern in meta
+    ]
+    return meta, writes
+
+
+def _restore_meta(unit: "_BatchedUnit", segments, epilogue) -> list:
+    """A trace's :attr:`_Trace.restore_meta`: the unit's meta with each
+    row's event entries attached.
 
     The pattern check itself runs at replay time: a guard miss re-resolves
     an entry in place, so an entry whose row changed mid-probe (a copy, a
     non-identity group sensing, a realized flip) may hold a pattern other
-    than its captured one when the next prologue restores the image.
+    than its captured one when the next probe restores the image.
     """
-    model = bank.model
-    bi = bank.index
     entries_by_row: dict[int, list] = {}
-    op_lists = [ops for warm_scaled in segments for ops in warm_scaled]
-    for ops in op_lists + [epilogue]:
+    for ops in [
+        ops for warm, scaled, _closes in segments for ops in (warm, scaled)
+    ] + [epilogue]:
         for op in ops:
             if op[0] == "event":
                 entries_by_row.setdefault(op[1].row0, []).append(op[1])
-    images = unit.snapshot.images
-    patterns = unit.image_patterns
-    meta = []
-    for row in unit.snapshot.rows:
-        entries = tuple(entries_by_row.get(row, ()))
-        image_pattern = None
-        if entries:
-            if row in patterns:
-                image_pattern = patterns[row]
-            else:
-                image_pattern = classify_pattern(images[row])
-                patterns[row] = image_pattern
-        meta.append((row, model.ledger.slot(bi, row), entries, image_pattern))
-    return meta
+    return [
+        (row, slot, tuple(entries_by_row.get(row, ())), image_pattern)
+        for row, slot, _entries, image_pattern in unit.meta
+    ]
 
 
 def _shape_signature(
@@ -490,13 +526,17 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
         raise ValueError(
             f"missing_expected: victim {victim} has no expected image"
         ) from None
+    snapshot = bank.snapshot_rows(setup.row_data)
+    meta, writes = _restore_plan(bank, snapshot)
     batched = _BatchedUnit(
         victim=victim,
         expected=np.resize(
             np.asarray(expected, dtype=np.uint8), module.geometry.row_bytes
         ),
-        snapshot=bank.snapshot_rows(setup.row_data),
+        snapshot=snapshot,
         loops=loops,
+        meta=meta,
+        writes=writes,
         decoder_groups=decoder_groups,
     )
     # frac sensing is guarded out of the streams, so a unit can only tie
@@ -566,9 +606,8 @@ class BatchedSearchEngine:
                 reps.append(i)
 
         self.clock = 0.0
-        # emit a session a host left held back on the bank: the first
-        # capture's restore pass would otherwise flush it inside the
-        # capture window, where the trace prologue cannot express it
+        # emit a session a host left held back on the bank: a capture
+        # refuses to start while one is pending (``prologue_shape``)
         self.bank.flush(self.clock)
 
     # -- fused replay ----------------------------------------------------
@@ -579,10 +618,10 @@ class BatchedSearchEngine:
         under capture taps; every later probe of that shape re-applies the
         compiled trace's resolved deposit plans directly.  Capturing works
         even on the unit's very first probe: the only probe-1-specific
-        event shapes are the prologue write sessions (no steady tAggOff
-        sentinel yet), which the compiler synthesizes into their steady
-        form, and cross-probe tAggOff gaps, which are always past the
-        model's flat-band edge and hence plan-equivalent.
+        event shapes are the re-initialization's write sessions (no steady
+        tAggOff sentinel yet), which :meth:`_restore` picks per row on
+        every probe, and cross-probe tAggOff gaps, which are always past
+        the model's flat-band edge and hence plan-equivalent.
         """
         unit = self.units[i]
         obs = self.obs
@@ -615,108 +654,174 @@ class BatchedSearchEngine:
         self.stages[key] = self.stages.get(key, 0.0) + now - t0
         return now
 
+    def _restore(self, unit: _BatchedUnit, meta: list) -> float:
+        """Re-initialize the unit's rows at the engine clock; returns the
+        end of the pass.
+
+        Leaves the bank as a host ``write_rows`` pass over the snapshot
+        would -- same data, ``_last_*`` bookkeeping, counters and per-row
+        write-session deposits (so victim synergy ordinals advance
+        identically) -- without command dispatch: a row's image is copied
+        only when its data version moved since it was last written
+        (copy-on-write), and each row's write-session plan is applied one
+        row late (the pipeline's one-command holdback), its steady or
+        cold entry chosen before the row's close is recorded.  Two
+        write-path details are skipped because they have no surviving
+        effect: the per-ACT charge restoration (its decay sees a
+        non-positive elapsed time inside a search, and the write and
+        ledger restore overwrite whatever flips it realizes) and the
+        session's PRE->ACT gap (single-row plans ignore it).
+        """
+        bank = self.bank
+        model = bank.model
+        timing = self.module.timing
+        t_wr_at = write_data_at_ns(timing)
+        stride = write_stride_ns(timing)
+        snapshot = unit.snapshot
+        bank_versions = bank._data_version
+        versions = snapshot.versions
+        images = snapshot.images
+        last_restore = bank._last_restore
+        last_close = bank._last_close
+        frac = bank._frac
+        led_restore = model.ledger.restore
+        apply_plan = model._apply_plan
+        t = self.clock
+        pending_entry = None
+        for (row, slot, entries, image_pattern), (steady, cold) in zip(
+            meta, unit.writes
+        ):
+            if pending_entry is not None:
+                # a restored row's data equals its snapshot image when its
+                # deferred write event fires, so the plan resolved for the
+                # image's pattern is valid without a version/pattern check
+                apply_plan(pending_entry.plan, pending_entry.times)
+            pending_entry = steady if row in last_close else cold
+            if bank_versions.get(row, 0) != versions.get(row):
+                bank._row_data(row)[:] = images[row]
+                bank._bump_version(row)
+                version = bank_versions[row]
+                versions[row] = version
+                # the row now holds its image again: event entries whose
+                # plan is for the image's pattern are valid at this version
+                for entry in entries:
+                    if entry.pattern == image_pattern:
+                        entry.version = version
+            last_restore[row] = t + t_wr_at
+            frac.discard(row)
+            # model.restore_row on the pre-resolved ledger slot, in place
+            led_restore(slot)
+            last_close[row] = t + stride
+            t += stride
+        if pending_entry is not None:
+            apply_plan(pending_entry.plan, pending_entry.times)
+        stats = bank.stats
+        n = len(meta)
+        stats["acts"] += n
+        stats["writes"] += n
+        stats["pres"] += n
+        bank._last_pre_ns = t
+        return t
+
     def _capture_probe(self, i: int, count: int, sig) -> ProbeResult:
         """Run one probe through the command pipeline under taps and
         compile its replay trace."""
         unit = self.units[i]
         bank = self.bank
         timing = self.module.timing
+        if bank._open is not None or bank._pending is not None:
+            raise ValueError(
+                "prologue_shape: the bank holds an open or held-back "
+                "session, which would land in the probe's re-initialization"
+            )
         T = self.clock
-        capture: dict = {
-            "start": T,
-            "stats0": dict(bank.stats),
-            "windows": [(T, "restore", None)],
-            "segments": [],
-            "taps": [],
-        }
-        bank.probe_tap = capture["taps"].append
+        t = self._restore(unit, unit.meta)
+        stats0 = dict(bank.stats)
+        # (start, kind, seg_pos) per tap window: a segment's warm and
+        # scaled passes, then the epilogue
+        windows: list = []
+        linear: dict = {}
+        closes: list = [()] * len(unit.loops)
+        rows = unit.snapshot.rows
+        last_close = bank._last_close
+        taps: list = []
+        bank.probe_tap = taps.append
         try:
-            t = bank.restore_rows(unit.snapshot, T)
-            capture["stats_restore"] = dict(bank.stats)
             for seg_pos, (stream, fixed) in enumerate(unit.loops):
                 loop_count = count if fixed is None else fixed
                 if loop_count <= 0:
                     continue
-                base = t
-                start_stats = dict(bank.stats)
-                bank.execute_stream(
-                    stream.op_list, stream.row_list, stream.offset_list, base
-                )
-                capture["windows"].append((base, "warm", seg_pos))
-                warm_stats = dict(bank.stats)
-                scaled_stats = None
+                windows.append((t, "warm", seg_pos))
                 if loop_count > 1:
-                    saved = bank.event_times
-                    bank.event_times = saved * (loop_count - 1)
-                    try:
-                        bank.execute_stream(
-                            stream.op_list,
-                            stream.row_list,
-                            stream.offset_list,
-                            base + stream.duration_ns,
-                        )
-                    finally:
-                        bank.event_times = saved
-                    capture["windows"].append(
-                        (base + stream.duration_ns, "scaled", seg_pos)
-                    )
-                    scaled_stats = dict(bank.stats)
-                    if loop_count > 2:
-                        stats = bank.stats
-                        for key, value in warm_stats.items():
-                            delta = stats[key] - value
-                            if delta:
-                                stats[key] += delta * (loop_count - 2)
-                capture["segments"].append(
-                    (seg_pos, fixed, loop_count, start_stats,
-                     warm_stats, scaled_stats, dict(bank.stats))
+                    windows.append((t + stream.duration_ns, "scaled", seg_pos))
+                before = [last_close.get(row) for row in rows]
+                deltas = run_stream(bank, stream, t, loop_count)
+                closes[seg_pos] = tuple(
+                    (row, last_close[row] - t)
+                    for row, closed in zip(rows, before)
+                    if last_close.get(row) != closed
                 )
-                t = base + stream.duration_ns * loop_count
-            capture["windows"].append((t, "epilogue", None))
+                if fixed is None:
+                    for key, delta in deltas.items():
+                        linear[key] = linear.get(key, 0) + delta
+                t += stream.duration_ns * loop_count
+            windows.append((t, "epilogue", None))
             bank.flush(t)
             t += timing.tRP
             bank.act(unit.victim, t)
             data = bank.rd(unit.victim, t + timing.tRCD)
             bank.pre(t + timing.tRAS)
             # Emit the read session now rather than holding it to the next
-            # probe's re-initialization flush: its content froze at the
-            # PRE, and no interleaved unit touches this victim's rows
-            # before that flush would run (disjoint blast sets), so the
+            # probe's re-initialization: its content froze at the PRE, and
+            # no interleaved unit touches this victim's rows before that
+            # re-initialization would run (disjoint blast sets), so the
             # deposit lands on identical state either way.
             bank.flush(t + timing.tRAS)
-            capture["stats_end"] = dict(bank.stats)
         finally:
             bank.probe_tap = None
         self.clock = t + timing.tRAS
-        unit.traces[sig] = self._compile_trace(unit, count, capture)
+        # counters past the re-initialization: the varying segments' scaled
+        # passes make the count-linear part, everything else is constant
+        const = {}
+        for key, value in bank.stats.items():
+            delta = value - stats0[key] - linear.get(key, 0) * (count - 1)
+            if delta:
+                const[key] = delta
+        unit.traces[sig] = self._compile_trace(
+            unit, T, windows, taps, closes, const, linear
+        )
         flips = count_flips(data, unit.expected)
         return ProbeResult(
             count, flips, (unit.victim,) if flips else ()
         )
 
     def _compile_trace(
-        self, unit: _BatchedUnit, count: int, capture: dict
+        self,
+        unit: _BatchedUnit,
+        T: float,
+        windows: list,
+        taps: list,
+        closes: list,
+        stats_const: dict,
+        stats_linear: dict,
     ) -> _Trace:
-        """Compile a captured probe into a :class:`_Trace`.
+        """Compile a capture probe's taps into a :class:`_Trace`.
 
+        ``T`` is the probe's start (its re-initialization's), ``windows``
+        the ``(start, kind, seg_pos)`` of each pass and of the epilogue,
+        ``closes`` the per-segment :attr:`_Trace.segments` closes.
         Every event kind compiles, SiMRA included: its plan resolves
         through ``model.resolve_plan`` like any other, and the group
         sensing it follows is recorded as a ``sense`` op that replay runs
         through the same ``Bank._sense_group`` on the same bank state, so
         charge-sharing writes and ties stay exact without a guard.
-        Raises :class:`ValueError` when the capture shows anything a trace
-        replay cannot express: a prologue that is not one plain write
-        session per snapshot row (``prologue_shape``), a tAggOff gap whose
-        value could change with the probe count (``count_dependent_aggoff``:
-        a close separated from the re-activation by a count-scaled
-        segment, inside the model's sloped band), or bank counters that do
-        not follow the ``const + linear * (count - 1)`` arithmetic
-        (``counter_arithmetic``).
+        Raises :class:`ValueError` (``count_dependent_aggoff``) on a
+        tAggOff gap whose value could change with the probe count: a close
+        separated from the re-activation by a count-scaled segment, inside
+        the model's sloped band.
         """
         bank = self.bank
         model = bank.model
-        T = capture["start"]
-        windows = capture["windows"]
         starts = [w[0] for w in windows]
         n_wins = len(windows)
         buckets: list[list] = [[] for _ in windows]
@@ -726,7 +831,7 @@ class BatchedSearchEngine:
         # before the event's group has a fixed count (rigid offsets from
         # the probe start), or if the gap is past the model's flat-band
         # edge (cross-probe and cross-varying-segment gaps always are --
-        # a restore pass alone is longer than the band).
+        # a re-initialization alone is longer than the band).
         varying = [fixed is None for _stream, fixed in unit.loops]
         warm_start = {
             seg: start for start, wkind, seg in windows if wkind == "warm"
@@ -735,17 +840,14 @@ class BatchedSearchEngine:
         group_starts: list[float] = []
         rigid: list[bool] = []
         for start, wkind, seg_pos in windows:
-            if wkind == "restore":
-                group_starts.append(start)
-                rigid.append(True)
-            elif wkind == "epilogue":
+            if wkind == "epilogue":
                 group_starts.append(start)
                 rigid.append(not any(varying))
             else:
                 group_starts.append(warm_start[seg_pos])
                 rigid.append(not any(varying[:seg_pos]))
         pointer = 0
-        for tap in capture["taps"]:
+        for tap in taps:
             kind = tap[0]
             if kind == "touch":
                 ts = tap[2]
@@ -781,32 +883,6 @@ class BatchedSearchEngine:
                 buckets[pointer].append((
                     "event", trace_event(bank, event, pattern, times, scaled),
                 ))
-        # prologue: exactly one write session per snapshot row, in order,
-        # synthesized into the steady shape -- from probe 2 on the bank's
-        # restore pass stamps the -1.0 "closed before this probe" sentinel
-        # on every re-initialization write (idempotent when the capture
-        # probe already carried it), so a trace captured on the unit's
-        # very first probe replays the later probes exactly
-        rows = unit.snapshot.rows
-        restore_ops = buckets[0]
-        if len(restore_ops) != len(rows) or any(
-            op[0] != "event" or op[1].event.rows != (row,) or op[1].scaled
-            for row, op in zip(rows, restore_ops)
-        ):
-            raise ValueError(
-                "prologue_shape: the restore pass is not one write session "
-                "per snapshot row"
-            )
-        prologue = []
-        for row, op in zip(rows, restore_ops):
-            entry = op[1]
-            prologue.append(tuple(
-                trace_event(bank, variant, entry.pattern, entry.times)
-                for variant in (
-                    replace(entry.event, t_agg_off_ns={row: -1.0}),
-                    replace(entry.event, t_agg_off_ns={}),
-                )
-            ))
         # per-segment op lists (skipped segments replay as empty)
         warm_by_seg: dict[int, list] = {}
         scaled_by_seg: dict[int, list] = {}
@@ -816,50 +892,15 @@ class BatchedSearchEngine:
             elif wkind == "scaled":
                 scaled_by_seg[seg_pos] = ops
         segments = [
-            (warm_by_seg.get(pos, []), scaled_by_seg.get(pos, []))
+            (
+                warm_by_seg.get(pos, []),
+                scaled_by_seg.get(pos, []),
+                closes[pos],
+            )
             for pos in range(len(unit.loops))
         ]
-        epilogue = buckets[-1] if windows[-1][1] == "epilogue" else []
-        # bank counter arithmetic: const + linear * (count - 1)
-        stats_const: dict = {}
-        stats_linear: dict = {}
-
-        def _accumulate(target: dict, after: dict, before: dict, factor=1):
-            for key, value in after.items():
-                delta = value - before[key]
-                if delta:
-                    target[key] = target.get(key, 0) + delta * factor
-
-        _accumulate(stats_const, capture["stats_restore"], capture["stats0"])
-        last_end = capture["stats_restore"]
-        for (
-            _pos, fixed, loop_count, start_stats,
-            warm_stats, scaled_stats, end_stats,
-        ) in capture["segments"]:
-            _accumulate(stats_const, warm_stats, start_stats)
-            if scaled_stats is not None:
-                if fixed is None:
-                    _accumulate(stats_linear, scaled_stats, warm_stats)
-                else:
-                    _accumulate(
-                        stats_const, scaled_stats, warm_stats, fixed - 1
-                    )
-            last_end = end_stats
-        _accumulate(stats_const, capture["stats_end"], last_end)
-        # sanity: the captured probe must follow the same arithmetic
-        for key, total in capture["stats_end"].items():
-            expected = (
-                capture["stats0"][key]
-                + stats_const.get(key, 0)
-                + stats_linear.get(key, 0) * (count - 1)
-            )
-            if total != expected:
-                raise ValueError(
-                    f"counter_arithmetic: bank counter {key!r} does not "
-                    "follow const + linear * (count - 1)"
-                )
+        epilogue = buckets[-1]
         return _Trace(
-            prologue=prologue,
             segments=segments,
             epilogue=epilogue,
             stats_const=stats_const,
@@ -869,7 +910,7 @@ class BatchedSearchEngine:
                     unit.snapshot.images[unit.victim], unit.expected
                 )
             ),
-            prologue_meta=_prologue_meta(bank, unit, segments, epilogue),
+            restore_meta=_restore_meta(unit, segments, epilogue),
         )
 
     def _translation_of(self, r: int, i: int) -> Optional[tuple]:
@@ -973,7 +1014,7 @@ class BatchedSearchEngine:
         proved the shifted pair opens the shifted group).  An event's
         ``partial`` flag is carried over as-is: it enters neither the plan
         nor its key.  The counter arithmetic is structural and shared
-        as-is.
+        as-is; the re-initialization is the unit's own (:func:`_restore_plan`).
         """
         bank = self.bank
         model = bank.model
@@ -1035,15 +1076,15 @@ class BatchedSearchEngine:
             return out
 
         segments = [
-            (ops_of(warm_ops), ops_of(scaled_ops))
-            for warm_ops, scaled_ops in donor.segments
+            (
+                ops_of(warm_ops),
+                ops_of(scaled_ops),
+                tuple((row + delta, rel) for row, rel in closes),
+            )
+            for warm_ops, scaled_ops, closes in donor.segments
         ]
         epilogue = ops_of(donor.epilogue)
         return _Trace(
-            prologue=[
-                (entry_of(steady), entry_of(cold))
-                for steady, cold in donor.prologue
-            ],
             segments=segments,
             epilogue=epilogue,
             stats_const=donor.stats_const,
@@ -1053,78 +1094,35 @@ class BatchedSearchEngine:
                     unit.snapshot.images[unit.victim], unit.expected
                 )
             ),
-            prologue_meta=_prologue_meta(bank, unit, segments, epilogue),
+            restore_meta=_restore_meta(unit, segments, epilogue),
         )
 
     def _replay_probe_fast(
         self, i: int, count: int, trace: _Trace
     ) -> ProbeResult:
         """Re-apply a captured probe trace; state-identical to the capture
-        probe by construction (same restores, same plan applications in
-        the same order, same counters), minus the command pipeline."""
+        probe by construction (same re-initialization, same plan
+        applications in the same order, same counters), minus the command
+        pipeline."""
         unit = self.units[i]
         bank = self.bank
-        model = bank.model
         timing = self.module.timing
         stages = self.stages
         t_stage = perf_counter() if stages is not None else 0.0
-        T = self.clock
-        t_rp = timing.tRP
-        t_wr_at = write_data_at_ns(timing)
-        stride = write_stride_ns(timing)
-        snapshot = unit.snapshot
-        bank_versions = bank._data_version
-        versions = snapshot.versions
-        images = snapshot.images
-        last_restore = bank._last_restore
-        last_close = bank._last_close
-        frac = bank._frac
-        led_restore = model.ledger.restore
-        # prologue: the bank's restore_rows pass, write events interleaved
-        # one slot late (the pipeline's one-command holdback); each row's
-        # steady/cold write entry is chosen before its close is recorded,
-        # exactly as the restore pass snapshots ``closed_before``
-        t = T
-        apply_plan = model._apply_plan
-        pending_entry = None
-        for (row, slot, entries, image_pattern), pair in zip(
-            trace.prologue_meta, trace.prologue
-        ):
-            if pending_entry is not None:
-                # a prologue row's data always equals its snapshot image
-                # when the deferred write event fires, so the compiled
-                # plan is valid without a version/pattern check
-                apply_plan(pending_entry.plan, pending_entry.times)
-            pending_entry = pair[0] if row in last_close else pair[1]
-            if bank_versions.get(row, 0) != versions.get(row):
-                bank._row_data(row)[:] = images[row]
-                bank._bump_version(row)
-                version = bank_versions[row]
-                versions[row] = version
-                # the row now holds its image again: event entries whose
-                # plan is for the image's pattern are valid at this version
-                for entry in entries:
-                    if entry.pattern == image_pattern:
-                        entry.version = version
-            last_restore[row] = t + t_wr_at
-            frac.discard(row)
-            # model.restore_row on the pre-resolved ledger slot, in place
-            led_restore(slot)
-            last_close[row] = t + stride
-            t += stride
-        if pending_entry is not None:
-            apply_plan(pending_entry.plan, pending_entry.times)
+        t = self._restore(unit, trace.restore_meta)
         if stages is not None:
             t_stage = self._charge_stage("replay_snapshot", t_stage)
+        bank_versions = bank._data_version
         victim = unit.victim
-        # after the restore pass the victim's data equals its snapshot
+        # after the re-initialization the victim's data equals its snapshot
         # image; if no later op moves its version, the read-back below is
         # flip-free without comparing bytes
         victim_version = (
             bank_versions.get(victim, 0) if trace.flips_by_version else None
         )
+        last_close = bank._last_close
         scaled_times = count - 1.0
-        for (stream, fixed), (warm_ops, scaled_ops) in zip(
+        for (stream, fixed), (warm_ops, scaled_ops, closes) in zip(
             unit.loops, trace.segments
         ):
             loop_count = count if fixed is None else fixed
@@ -1136,6 +1134,8 @@ class BatchedSearchEngine:
                 run_ops(
                     bank, scaled_ops, base + stream.duration_ns, scaled_times
                 )
+            for row, rel in closes:
+                last_close[row] = base + rel
             t = base + stream.duration_ns * loop_count
         # epilogue: final flush, victim read, eager read-session emission
         run_ops(bank, trace.epilogue, t)
@@ -1146,7 +1146,7 @@ class BatchedSearchEngine:
             flips = 0
         else:
             flips = count_flips(bank._row_data(victim), unit.expected)
-        t_close = t + t_rp + timing.tRAS
+        t_close = t + timing.tRP + timing.tRAS
         last_close[victim] = t_close
         bank._last_pre_ns = t_close
         stats = bank.stats
@@ -1208,8 +1208,8 @@ def run_batched_searches(
     probe (``probe.probes{path=capture|interp}``) and the per-stage wall
     time as ``probe.stage.<key>`` timers: ``capture``
     (tap-instrumented probes through the command pipeline), ``translate``
-    (trace translation onto shifted units), ``replay_snapshot`` (trace
-    replay prologue: snapshot restore and ledger bookkeeping) and
+    (trace translation onto shifted units), ``replay_snapshot`` (a
+    replay's re-initialization: snapshot restore and ledger bookkeeping) and
     ``replay_kernel`` (trace replay hammer segments and epilogue:
     fault-model plan application, touches, flip realization).  The
     default no-op registry skips the clock reads entirely.

@@ -108,16 +108,12 @@ class RowSnapshot:
     ``row_data`` dict, matching the order a host ``write_rows`` call would
     write them); ``versions`` records, per row, the bank data version the
     image was last materialized at, so an unchanged row costs a dict lookup
-    instead of a row-sized copy on the next restore.  ``slots`` pins each
-    row's damage-ledger slot in ``rows`` order, so restore passes reset
-    fault-model state by direct ledger assignment instead of per-row
-    key lookups.
+    instead of a row-sized copy on the next restore.
     """
 
     rows: tuple[int, ...]
     images: dict[int, np.ndarray]
     versions: dict[int, int] = field(default_factory=dict)
-    slots: tuple[int, ...] = ()
 
 
 class Bank:
@@ -447,8 +443,8 @@ class Bank:
         ``_frac.discard`` is a no-op by the precondition, and skipping the
         version bump is unobservable because every ``_data_version``
         reader caches on bytes that did not change -- ``pattern_of``'s
-        cache, ``restore_rows``' copy-on-write, the probe engine's event
-        version guards and its ``flips_by_version`` read-back.  It also
+        cache and the probe engine's copy-on-write restore, event version
+        guards and ``flips_by_version`` read-back.  It also
         keeps replayed SiMRA events on the engine's version-hit path.
         """
         active = [row for row in group if row not in partial_rows]
@@ -636,7 +632,7 @@ class Bank:
                 partial=bool(session.partial_rows),
             )
         elif session.comra_src is not None:
-            context = getattr(self, "_comra_context", None)
+            context = self._comra_context
             t_agg_off = dict(pending.t_agg_off)
             if context is not None:
                 t_agg_off.update(context.t_agg_off)
@@ -725,96 +721,16 @@ class Bank:
         self.pre(now_ns + self.timing.tRAS)
 
     # ------------------------------------------------------------------
-    # Copy-on-write row snapshot/restore (batched probe engine)
+    # Copy-on-write row snapshot (batched probe engine)
     # ------------------------------------------------------------------
     def snapshot_rows(self, row_data: dict[int, np.ndarray]) -> RowSnapshot:
-        """Capture row images for repeated :meth:`restore_rows` passes."""
+        """Row-sized images of ``row_data`` for the batched probe engine,
+        which re-initializes them before every probe (copying a row only
+        when its data version moved since its image was last written)."""
         images = {
             row: np.resize(
                 np.asarray(data, dtype=np.uint8), self.geometry.row_bytes
             )
             for row, data in row_data.items()
         }
-        ledger = self.model.ledger
-        slots = tuple(ledger.slot(self.index, row) for row in row_data)
-        return RowSnapshot(rows=tuple(row_data), images=images, slots=slots)
-
-    def restore_rows(self, snapshot: RowSnapshot, base_ns: float) -> float:
-        """Virtually replay nominal-timing writes of the snapshot's rows.
-
-        Observably equivalent to a host ``write_rows`` pass over the same
-        rows starting at ``base_ns`` -- same flush ordering, same emitted
-        per-row write-session events (so victim synergy ordinals advance
-        identically), same ``_last_*`` bookkeeping -- but without command
-        dispatch, and copying a row's bytes only when its data version
-        moved since the image was last written (copy-on-write).  Returns
-        the end-of-pass timestamp (the final PRE), which it also records
-        as ``_last_pre_ns``.
-
-        Two scalar-path details are deliberately *not* replayed because
-        they have no surviving effect: the per-ACT ``_restore_row`` (its
-        decay sees a non-positive elapsed inside a search, and any flips
-        it realizes are overwritten by the WR and cleared by the model
-        restore that follows), and the write session's PRE->ACT gap
-        (single-row plans ignore it).  A row's tAggOff gap at its write
-        ACT is negative whenever the row was closed before (the scalar
-        search rewinds the host clock to zero every probe), so the
-        synthesized event carries a ``-1.0`` sentinel exactly when the
-        row has a recorded close -- both land in the flat region below
-        the model's minimum gap.
-        """
-        timing = self.timing
-        t_rp = timing.tRP
-        t_wr_at = t_rp + timing.tRCD
-        stride = t_rp + timing.tRAS + timing.tWR
-        # the first write ACT always flushes a held-back session before
-        # anything else: its PRE->ACT gap can never classify as CoMRA or
-        # SiMRA (see the scalar write path)
-        self._flush_pending_event(base_ns + t_rp)
-        closed_before = [row in self._last_close for row in snapshot.rows]
-        versions = snapshot.versions
-        images = snapshot.images
-        ledger = self.model.ledger
-        slots = snapshot.slots
-        if len(slots) != len(snapshot.rows):
-            # snapshot predates slot pinning (hand-built in tests)
-            slots = tuple(
-                ledger.slot(self.index, row) for row in snapshot.rows
-            )
-            snapshot.slots = slots
-        stats = self.stats
-        previous: Optional[tuple[int, float, float, bool]] = None
-        t = base_ns
-        for row, slot, had_close in zip(snapshot.rows, slots, closed_before):
-            if previous is not None:
-                self._emit_virtual_write(*previous)
-            t_open = t + t_rp
-            t_close = t + stride
-            if self._data_version.get(row, 0) != versions.get(row):
-                data = self._row_data(row)
-                data[:] = images[row]
-                self._bump_version(row)
-                versions[row] = self._data_version[row]
-            self._last_restore[row] = t + t_wr_at
-            self._frac.discard(row)
-            ledger.restore(slot)
-            self._last_close[row] = t_close
-            stats["acts"] += 1
-            stats["writes"] += 1
-            stats["pres"] += 1
-            previous = (row, t_open, t_close, had_close)
-            t += stride
-        if previous is not None:
-            self._emit_virtual_write(*previous)
-        end_ns = base_ns + stride * len(snapshot.rows)
-        self._last_pre_ns = end_ns
-        return end_ns
-
-    def _emit_virtual_write(
-        self, row: int, t_open: float, t_close: float, had_close: bool
-    ) -> None:
-        session = _OpenSession(rows=(row,), t_open_ns=t_open, pre_to_act_ns=None)
-        t_agg_off = {row: -1.0} if had_close else {}
-        self._emit_session(
-            _PendingClose(session, t_close, t_agg_off, times=self.event_times)
-        )
+        return RowSnapshot(rows=tuple(row_data), images=images)

@@ -132,14 +132,3 @@ class DramModule:
         self, bank: int, logical_row: int, data: np.ndarray, now_ns: float = 0.0
     ) -> None:
         self.bank(bank).write_row_direct(self.to_physical(logical_row), data, now_ns)
-
-    # ------------------------------------------------------------------
-    # Copy-on-write snapshot/restore (physical rows; batched probe engine)
-    # ------------------------------------------------------------------
-    def snapshot_rows(self, bank: int, row_data: dict[int, np.ndarray]):
-        """Capture images of physical rows for repeated restore passes."""
-        return self.bank(bank).snapshot_rows(row_data)
-
-    def restore_rows(self, bank: int, snapshot, base_ns: float) -> float:
-        """Virtually re-initialize a snapshot's rows; see ``Bank.restore_rows``."""
-        return self.bank(bank).restore_rows(snapshot, base_ns)

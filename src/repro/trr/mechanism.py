@@ -81,8 +81,15 @@ class SamplingTrr:
         REFs, so the buffer a TRR-capable REF samples from is
         bit-identical to the unrolled execution's.
         """
-        # one bulk conversion; per-element int() calls dominate otherwise
-        seq = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        # a list or tuple (``CompiledStream.act_rows``) is used as-is; an
+        # ndarray converts in bulk, per-element int() calls dominate
+        # otherwise
+        if isinstance(rows, (list, tuple)):
+            seq = rows
+        elif isinstance(rows, np.ndarray):
+            seq = rows.tolist()
+        else:
+            seq = list(rows)
         times = int(times)
         n = len(seq)
         total = n * times

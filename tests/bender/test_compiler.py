@@ -7,6 +7,7 @@ from repro.bender.compiler import (
     RunStep,
     build_plan,
     compile_stream,
+    run_stream,
 )
 from repro.bender.program import Loop, Nop, ProgramBuilder, Ref
 from repro.core import patterns
@@ -83,6 +84,55 @@ class TestCompileStream:
         ends_open = ProgramBuilder().act(0, 5, 13.5)
         assert compile_stream(ends_open._instructions, module) is None
         assert compile_stream([Nop(1.5)], module) is None
+
+
+def _loop_body(program):
+    (loop,) = program.instructions
+    return loop.body
+
+
+#: one compiled stream per mechanism the two-pass runner serves
+STREAM_BODIES = {
+    "rowhammer": rowhammer_body,
+    "comra": lambda module: _loop_body(
+        patterns.double_sided_comra(module, 2 * 96 + 40, 1)
+    ),
+    "simra": lambda module: _loop_body(patterns.simra_hammer(
+        module, patterns.simra_pair_for(module, 64, 4), 1
+    )),
+}
+
+
+class TestRunStream:
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("body", sorted(STREAM_BODIES))
+    def test_counters_match_periods_run_one_by_one(self, body, count):
+        def fresh():
+            module = make_module("hynix-a-8gb")
+            stream = compile_stream(STREAM_BODIES[body](module), module)
+            return module.bank(0), stream
+
+        bank, stream = fresh()
+        deltas = run_stream(bank, stream, 0.0, count)
+        ref_bank, _ = fresh()
+        after = []
+        for k in range(count):
+            ref_bank.execute_stream(
+                stream.op_list, stream.row_list, stream.offset_list,
+                k * stream.duration_ns,
+            )
+            after.append(dict(ref_bank.stats))
+        assert bank.stats == ref_bank.stats
+        if count < 2:
+            assert deltas == {}
+        else:
+            # one period's counter deltas (the scaled pass's)
+            assert deltas == {
+                key: value - after[0][key]
+                for key, value in after[1].items()
+                if value != after[0][key]
+            }
+            assert deltas["acts"] == len(stream.act_rows)
 
 
 class TestBuildPlan:

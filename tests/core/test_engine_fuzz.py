@@ -8,6 +8,12 @@ at a random temperature, optionally on a module a host already drove.
 per-setup ``find_hc_first_repeated`` calls on an identically prepared
 module, and every probe must either replay a captured trace or be the
 capture itself.  SiMRA setups are fuzzed in ``test_simra_replay.py``.
+
+A second property pins a replayed probe to the capture probe it stands
+for: on RowHammer, RowPress, CoMRA and SiMRA units, replaying a trace
+must leave the bank's counters, close/restore/precharge bookkeeping, the
+unit's row bytes and ledger state, and the engine clock exactly where
+capturing afresh at the same count leaves them.
 """
 
 from __future__ import annotations
@@ -25,8 +31,13 @@ from repro.core.hcfirst import (
     find_hc_first_repeated,
     standard_row_data,
 )
-from repro.core.probe_batch import run_batched_searches
+from repro.core.probe_batch import (
+    BatchedSearchEngine,
+    blast_rows,
+    run_batched_searches,
+)
 from repro.disturbance.calibration import ALL_PATTERNS
+from repro.disturbance.ledger import N_POOLS
 from repro.dram.bank import SIMRA_BLOCK
 from repro.obs import Obs
 from repro.reveng import discover_group
@@ -167,3 +178,142 @@ def test_engine_matches_scalar_search(case):
     paths = obs.by_label("probe.probes", "path")
     assert set(paths) <= {"interp", "capture"}, paths
     assert paths.get("capture", 0) > 0, paths
+
+
+# -- replay vs capture state ---------------------------------------------
+
+#: a large probe count; a trace captured at any count >= 2 replays every
+#: count >= 2 (warm + scaled pass), one captured at 1 only count 1
+LARGE_COUNTS = st.integers(4, DEFAULT_MAX_HAMMERS)
+
+
+@st.composite
+def replay_cases(draw):
+    rows = _rows_per_subarray()
+    count = draw(st.one_of(st.sampled_from((1, 2, 3)), LARGE_COUNTS))
+    capture_count = 1 if count == 1 else draw(
+        st.one_of(st.sampled_from((2, 3)), LARGE_COUNTS)
+    )
+    return dict(
+        kind=draw(st.sampled_from(("rowhammer", "rowpress", "comra", "simra"))),
+        victim=draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 2)),
+        t_on=draw(st.sampled_from(ROWPRESS_T_ON_NS)),
+        simra_rows=draw(st.sampled_from((2, 4, 8, 16, 32))),
+        simra_block=draw(st.integers(0, 10)),
+        simra_anchor=draw(st.integers(0, SIMRA_BLOCK - 1)),
+        patterns=draw(st.lists(
+            st.sampled_from(ALL_PATTERNS), min_size=1, max_size=3
+        )),
+        temperature_c=float(draw(st.integers(45, 95))),
+        # an earlier probe of the unit, so the capture may start on rows
+        # with recorded closes and realized flips
+        first_count=draw(st.one_of(st.none(), st.integers(1, 50_000))),
+        capture_count=capture_count,
+        count=count,
+    )
+
+
+def replay_setup(module, case):
+    """One probe setup of the drawn mechanism."""
+    nbytes = module.geometry.row_bytes
+    row_patterns = case["patterns"]
+    if case["kind"] == "simra":
+        base = case["simra_block"] * SIMRA_BLOCK
+        n_rows = case["simra_rows"]
+        style = "single-sided" if n_rows == 32 else "double-sided"
+        pair = patterns.simra_pair_for(
+            module, base, n_rows, style, case["simra_anchor"]
+        )
+        victim = (
+            base + SIMRA_BLOCK if n_rows == 32
+            else pair.sandwiched_victims()[0]
+        )
+        row_data = {
+            row: row_patterns[k % len(row_patterns)].fill(nbytes)
+            for k, row in enumerate(pair.group)
+        }
+        row_data[victim] = row_patterns[0].negated.fill(nbytes)
+
+        def factory(count):
+            return patterns.simra_hammer(module, pair, count)
+
+        return ProbeSetup(module, factory, row_data, (victim,))
+    # drawn inside a subarray, so both neighbors share it
+    victim = case["victim"]
+    kind = case["kind"]
+
+    def factory(count):
+        if kind == "comra":
+            return patterns.double_sided_comra(module, victim, count)
+        t_on = case["t_on"] if kind == "rowpress" else 36.0
+        return patterns.double_sided_rowhammer(
+            module, victim, count, t_agg_on_ns=t_on
+        )
+
+    row_data = {
+        victim - 1: row_patterns[0].fill(nbytes),
+        victim + 1: row_patterns[-1].fill(nbytes),
+        victim: row_patterns[0].negated.fill(nbytes),
+    }
+    return ProbeSetup(module, factory, row_data, [victim])
+
+
+def ledger_state(ledger, key):
+    slot = ledger.peek(*key)
+    if slot is None:
+        return None
+    base = slot * N_POOLS
+    return (
+        [(pool, ledger.dmg[base + pool]) for pool in ledger.pool_order[slot]],
+        ledger.hits_mv[slot],
+        (ledger.side_mv[2 * slot], ledger.side_mv[2 * slot + 1]),
+        (ledger.flips_mv[2 * slot], ledger.flips_mv[2 * slot + 1]),
+        sorted(ledger.flipped[slot]),
+    )
+
+
+def probe_pair(case, replay):
+    """Run the drawn probes on a fresh engine: an optional first probe,
+    then a capture at ``capture_count`` and a probe at ``count`` that
+    replays the capture's trace (``replay``) or captures afresh."""
+    module = make_module(CONFIG)
+    module.set_temperature(case["temperature_c"])
+    obs = Obs()
+    engine = BatchedSearchEngine([replay_setup(module, case)], obs=obs)
+    unit = engine.units[0]
+    results = []
+    if case["first_count"] is not None:
+        results.append(engine._probe(0, case["first_count"]))
+    unit.traces.clear()
+    results.append(engine._probe(0, case["capture_count"]))
+    if not replay:
+        unit.traces.clear()
+    results.append(engine._probe(0, case["count"]))
+    bank = engine.bank
+    rows = unit.snapshot.rows
+    state = dict(
+        results=results,
+        stats=bank.stats,
+        last_close=bank._last_close,
+        last_restore=bank._last_restore,
+        last_pre_ns=bank._last_pre_ns,
+        clock=engine.clock,
+        data={row: bank.backdoor_read(row).tobytes() for row in rows},
+        ledger={
+            row: ledger_state(module.ledger, (bank.index, row))
+            for row in sorted(blast_rows(rows))
+        },
+    )
+    return state, obs.by_label("probe.probes", "path")
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(replay_cases())
+def test_replay_leaves_capture_state(case):
+    got, got_paths = probe_pair(case, replay=True)
+    ref, ref_paths = probe_pair(case, replay=False)
+    first = int(case["first_count"] is not None)
+    assert got_paths == {"capture": 1 + first, "interp": 1}, got_paths
+    assert ref_paths == {"capture": 2 + first}, ref_paths
+    for key in ref:
+        assert got[key] == ref[key], key

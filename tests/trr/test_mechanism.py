@@ -190,8 +190,8 @@ class TestActStream:
                 sequential.on_act(0, row, 0.0)
         expected = (list(sequential._buffer(0)), sequential.stats)
         expected_draws = [sequential.on_ref(0, 0.0) for _ in range(8)]
-        # the host passes CompiledStream.act_rows, an int64 ndarray
-        for batch in (rows, np.asarray(rows, dtype=np.int64)):
+        # the host passes CompiledStream.act_rows, a tuple of ints
+        for batch in (rows, tuple(rows), np.asarray(rows, dtype=np.int64)):
             batched = sampler()
             batched.on_act_stream(0, batch, times)
             assert (list(batched._buffer(0)), batched.stats) == expected
