@@ -39,9 +39,9 @@ Two execution paths (see DESIGN.md, "Execution engine"):
 
 On top of the stream path, a program run again is **replayed from a
 captured trace** (DESIGN.md, "Program trace replay"): its second run
-records the device-model effects through the bank's capture tap, and
-later runs re-apply them with the :mod:`repro.dram.replay` interpreter
-the batched probe engine uses, running only REFs live.
+records the device-model effects through the bank's capture tap into a
+one-window :class:`~repro.dram.replay.Trace`, the type the batched probe
+engine replays, and later runs re-apply it, running only REFs live.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from ..dram.module import DramModule
-from ..dram.replay import run_ops, touch_op, trace_event
+from ..dram.replay import TraceRecorder
 from ..obs import NULL_OBS
 from .compiler import (
     ChunkStep,
@@ -67,7 +67,7 @@ from .program import Act, Instruction, Loop, Nop, Pre, Rd, Ref, TestProgram, Wr
 #: cache sentinel for loop bodies that do not lower to a stream
 _NO_STREAM = object()
 
-#: ``_ProgramEntry.trace`` sentinel: the program's runs cannot be replayed
+#: ``_ProgramEntry.capture`` sentinel: the program's runs cannot be replayed
 _NO_TRACE = object()
 
 
@@ -141,47 +141,23 @@ class _ProgramEntry:
     #: runs executed so far; the first never captures, so a program run
     #: once pays no capture
     runs: int = 0
-    #: the captured :class:`_RunTrace`, None before capture, or
+    #: the :class:`_Capture` of its second run, None before it, or
     #: ``_NO_TRACE``
-    trace: object = None
+    capture: object = None
     #: the one bank the program commands (see :func:`_trace_bank`),
     #: found on its second run
     bank_index: Optional[int] = None
 
 
-class _HookTap:
-    """Forwards a TRR hook's calls, recording the command-side ones."""
-
-    def __init__(self, hook, ops: list, start: float) -> None:
-        self.hook = hook
-        self.ops = ops
-        self.start = start
-
-    def on_act(self, bank: int, row: int, now_ns: float) -> None:
-        self.ops.append(("trr_act", row, now_ns - self.start))
-        self.hook.on_act(bank, row, now_ns)
-
-    def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
-        self.ops.append(("trr_stream", rows, times))
-        self.hook.on_act_stream(bank, rows, times)
-
-    def on_ref(self, bank: int, now_ns: float) -> list[int]:
-        return self.hook.on_ref(bank, now_ns)
-
-
-class _RunTrace:
+class _Capture:
     """One run of a program on ``bank``, captured for replay at another
-    start time.
+    start time: the bank's probe tap and the TRR hook's stand-in while it
+    runs, then its trace and what its replays must find unchanged.
 
-    ``ops`` are :mod:`repro.dram.replay` trace ops plus the host's own:
-    ``("ref", rel_ns)`` runs a REF live on every bank, and
-    ``("trr_stream", rows, times)`` and ``("trr_act", row, rel_ns)``
-    repeat the TRR hook's command-side calls.  ``gaps`` maps every row
-    the run opens to ``(rel_open_ns, gap_ns, key)``: the gap since its
-    last close before the run and that gap's plan-key form
-    (``model.aggoff_key``), both None when it had none.  :meth:`finish`
-    records the bookkeeping the command pipeline leaves and the ops do
-    not.
+    The run is a one-window :class:`~repro.dram.replay.Trace` (all tail,
+    count 1) whose ops add the host's own: ``("ref", rel_ns)`` runs a REF
+    live on every bank, and ``("trr_stream", rows, times)`` and
+    ``("trr_act", row, rel_ns)`` repeat the TRR hook's command-side calls.
     """
 
     def __init__(self, bank, start: float) -> None:
@@ -190,41 +166,20 @@ class _RunTrace:
         self.temperature_c = bank.temperature_c
         self.event_times = bank.event_times
         self.start = start
-        self.ops: list = []
-        self.gaps: dict = {}
+        self.recorder = TraceRecorder(bank)
+        self.recorder.tail(start)
         #: ``(name, path) -> n`` path counters the plan increments
         self.counts: dict = {}
         self.refused = False
         self._frac_before = frozenset(bank._frac)
-        self._closes_before = dict(bank._last_close)
-        self._stats_before = dict(bank.stats)
-        self._last_pre_before = bank._last_pre_ns
 
     def tap(self, tap: tuple) -> None:
         """``Bank.probe_tap`` while the run is captured."""
-        kind = tap[0]
-        if kind == "touch":
-            # outside REFs every restore is an activation
-            row, now_ns = tap[1], tap[2]
-            rel = now_ns - self.start
-            if row not in self.gaps:
-                closed = self._closes_before.get(row)
-                gap = None if closed is None else now_ns - closed
-                self.gaps[row] = (
-                    rel, gap,
-                    None if gap is None else self.bank.model.aggoff_key(gap),
-                )
-            self.ops.append(touch_op(self.bank, row, rel))
-        elif kind == "event":
-            _tag, event, pattern, times = tap
-            self.ops.append(
-                ("event", trace_event(self.bank, event, pattern, times))
-            )
-        elif kind == "frac":
+        if tap[0] == "frac":
             # a fractional row's next lone activation senses thermal noise
             self.refused = True
-        else:  # copy, sense
-            self.ops.append(tap)
+        else:
+            self.recorder.tap(tap)
 
     def ref(self, now_ns: float) -> None:
         """A REF's flush belongs to the run; its refreshes run live."""
@@ -233,35 +188,42 @@ class _RunTrace:
             self.refused = True
             return
         bank._flush_pending_event(now_ns)
-        self.ops.append(("ref", now_ns - self.start))
+        recorder = self.recorder
+        recorder.ops.append(("ref", now_ns - recorder.base))
         bank.probe_tap = None
 
     def finish(self, end_ns: float) -> bool:
-        """Record what the run left; False when it cannot be replayed."""
-        bank = self.bank
-        start = self.start
-        if self.refused or not self._frac_before.isdisjoint(self.gaps):
+        """Keep the run's trace; False when it cannot be replayed.
+
+        ``gaps`` maps each row the run opens to ``(rel_open_ns, gap_ns,
+        key)``: its gap since its last close before the run, and the gap's
+        plan-key form (``model.aggoff_key``), both None without a close.
+        """
+        opened = self.recorder.opened
+        if self.refused or not self._frac_before.isdisjoint(opened):
             return False
-        before = self._closes_before
-        #: ``(row, rel_ns)`` of every ``_last_close`` the run moves
-        self.closes = tuple(
-            (row, t - start)
-            for row, t in bank._last_close.items()
-            if before.get(row) != t
-        )
-        self.last_pre_ns = (
-            None if bank._last_pre_ns == self._last_pre_before
-            else bank._last_pre_ns - start
-        )
-        #: bank counter deltas, ``refs`` excluded (the REF ops count them)
-        self.stats = {
-            key: value - self._stats_before[key]
-            for key, value in bank.stats.items()
-            if key != "refs" and value != self._stats_before[key]
-        }
-        self.duration_ns = end_ns - start
-        del self._closes_before, self._stats_before
+        self.trace = self.recorder.finish(end_ns)
+        aggoff_key = self.bank.model.aggoff_key
+        self.gaps = {}
+        for row, (now_ns, closed) in opened.items():
+            gap = None if closed is None else now_ns - closed
+            self.gaps[row] = (
+                now_ns - self.start, gap,
+                None if gap is None else aggoff_key(gap),
+            )
         return True
+
+    def on_act(self, bank: int, row: int, now_ns: float) -> None:
+        recorder = self.recorder
+        recorder.ops.append(("trr_act", row, now_ns - recorder.base))
+        self.hook.on_act(bank, row, now_ns)
+
+    def on_act_stream(self, bank: int, rows, times: int = 1) -> None:
+        self.recorder.ops.append(("trr_stream", rows, times))
+        self.hook.on_act_stream(bank, rows, times)
+
+    def on_ref(self, bank: int, now_ns: float) -> list[int]:
+        return self.hook.on_ref(bank, now_ns)
 
 
 def _trace_bank(instructions) -> Optional[int]:
@@ -319,7 +281,7 @@ class DramBenderHost:
         self._plans: dict[int, _ProgramEntry] = {}
         self._loop_streams: dict[Loop, object] = {}
         #: the run being captured, if any
-        self._capture: Optional[_RunTrace] = None
+        self._capture: Optional[_Capture] = None
 
     # ------------------------------------------------------------------
     def run(self, program: TestProgram) -> ProgramResult:
@@ -381,12 +343,12 @@ class DramBenderHost:
         patterns, retention, realized flips, group sensing, REFs -- is
         guarded or run live by the ops themselves.
         """
-        trace = entry.trace
-        if trace is None and entry.runs:
+        capture = entry.capture
+        if capture is None and entry.runs:
             if entry.bank_index is None:
                 entry.bank_index = _trace_bank(entry.program.instructions)
                 if entry.bank_index is None:
-                    entry.trace = _NO_TRACE
+                    entry.capture = _NO_TRACE
             if entry.bank_index is not None and self._idle():
                 bank = self.module.bank(entry.bank_index)
                 hook = bank.trr
@@ -395,17 +357,17 @@ class DramBenderHost:
                 ):
                     self._capture_run(entry, bank, result)
                     return
-        elif trace.__class__ is _RunTrace:
-            bank = trace.bank
+        elif capture.__class__ is _Capture:
+            bank = capture.bank
             if (
-                bank.trr is not trace.hook
-                or bank.temperature_c != trace.temperature_c
-                or bank.event_times != trace.event_times
+                bank.trr is not capture.hook
+                or bank.temperature_c != capture.temperature_c
+                or bank.event_times != capture.event_times
             ):
-                entry.trace = None
-            elif self._replayable(trace):
+                entry.capture = None
+            elif self._replayable(capture):
                 self.obs.inc("host.runs", path="replay")
-                self._replay(trace)
+                self._replay(capture)
                 return
         self.obs.inc("host.runs", path="full")
         entry.runs += 1
@@ -421,14 +383,14 @@ class DramBenderHost:
             for bank in self.module.banks
         )
 
-    def _replayable(self, trace: _RunTrace) -> bool:
-        bank = trace.bank
-        if not self._idle() or not bank._frac.isdisjoint(trace.gaps):
+    def _replayable(self, capture: _Capture) -> bool:
+        bank = capture.bank
+        if not self._idle() or not bank._frac.isdisjoint(capture.gaps):
             return False
         start = self.now_ns
         closes = bank._last_close
         aggoff_key = bank.model.aggoff_key
-        for row, (rel, gap, key) in trace.gaps.items():
+        for row, (rel, gap, key) in capture.gaps.items():
             closed = closes.get(row)
             if closed is None or gap is None:
                 if closed is not None or gap is not None:
@@ -442,15 +404,17 @@ class DramBenderHost:
     def _capture_run(
         self, entry: _ProgramEntry, bank, result: ProgramResult
     ) -> None:
-        """Run the plan with the bank's capture tap on; keep the trace."""
+        """Run the plan under a :class:`_Capture` of the bank's probe tap
+        and TRR hook; keep it for replay unless it was refused (a row
+        left fractional, a REF with a row open)."""
         self.obs.inc("host.runs", path="capture")
         entry.runs += 1
-        trace = _RunTrace(bank, self.now_ns)
-        hook = bank.trr
-        bank.probe_tap = trace.tap
+        capture = _Capture(bank, self.now_ns)
+        hook = capture.hook
+        bank.probe_tap = capture.tap
         if hook is not None:
-            bank.trr = _HookTap(hook, trace.ops, trace.start)
-        self._capture = trace
+            bank.trr = capture
+        self._capture = capture
         try:
             self._execute_plan(entry.plan, result)
             self._flush_banks()
@@ -458,12 +422,11 @@ class DramBenderHost:
             self._capture = None
             bank.probe_tap = None
             bank.trr = hook
-        entry.trace = trace if trace.finish(self.now_ns) else _NO_TRACE
+        entry.capture = capture if capture.finish(self.now_ns) else _NO_TRACE
 
-    def _replay(self, trace: _RunTrace) -> None:
-        """Re-apply a captured run at the current clock."""
-        start = self.now_ns
-        bank = trace.bank
+    def _replay(self, capture: _Capture) -> None:
+        """Re-apply a captured run at the current clock, its REFs live."""
+        bank = capture.bank
         index = bank.index
         hook = bank.trr
         banks = self.module.banks
@@ -479,19 +442,10 @@ class DramBenderHost:
             else:  # trr_act
                 hook.on_act(index, op[1], base + op[2])
 
-        run_ops(bank, trace.ops, start, other=host_op)
-        closes = bank._last_close
-        for row, rel in trace.closes:
-            closes[row] = start + rel
-        if trace.last_pre_ns is not None:
-            bank._last_pre_ns = start + trace.last_pre_ns
-        stats = bank.stats
-        for key, delta in trace.stats.items():
-            stats[key] += delta
+        self.now_ns = capture.trace.replay(bank, self.now_ns, 1, host_op)
         obs = self.obs
-        for (name, path), n in trace.counts.items():
+        for (name, path), n in capture.counts.items():
             obs.inc(name, n, path=path)
-        self.now_ns = start + trace.duration_ns
 
     def _inc(self, name: str, path: str) -> None:
         """Count an execution path, and record it in a capture."""

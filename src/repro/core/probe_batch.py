@@ -36,11 +36,12 @@ Three pieces:
   two-pass :func:`~repro.bender.compiler.run_stream` (warm pass + one
   pass scaled by ``count - 1``) and reads the victim back at nominal
   timing; later probes of the same loop shape re-apply the first one's
-  captured trace after the same re-initialization.  All model-visible
-  quantities are *gaps* between same-probe timestamps, every slack is a
-  multiple of the 1.5 ns bus cycle (exact in float64), and the
-  probe-boundary tAggOff sign matches the scalar host's clock rewind via
-  the restore sentinel -- hence bit identity.
+  :class:`~repro.dram.replay.Trace` (the type the host's program replay
+  uses) at their own count, after the same re-initialization.  All
+  model-visible quantities are *gaps* between same-probe timestamps,
+  every slack is a multiple of the 1.5 ns bus cycle (exact in float64),
+  and the probe-boundary tAggOff sign matches the scalar host's clock
+  rewind via the restore sentinel -- hence bit identity.
 
 Every unit batches.  A setup the planner cannot prove equivalent is
 refused with a :class:`ValueError` whose message starts with the guard's
@@ -57,7 +58,7 @@ re-initialize, whose retention decay would see the engine's continuous
 clock) and ``missing_expected``.  A capture raises too: ``prologue_shape``
 when it starts while the bank holds an open or held-back session, and
 ``count_dependent_aggoff`` when its trace cannot express the probe (see
-``_compile_trace``).  A :class:`DramError` from a program factory
+``_check_aggoff``).  A :class:`DramError` from a program factory
 propagates unchanged.
 
 FracDRAM sensing and SiMRA charge-sharing ties consume a per-bank counter
@@ -68,7 +69,7 @@ executes in declared order (*tie chaining*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -80,7 +81,13 @@ from ..bender.program import Act, Instruction, Loop, Rd, Ref, Wr
 from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
-from ..dram.replay import TraceEvent, run_ops, touch_op, trace_event
+from ..dram.replay import (
+    Trace,
+    TraceEvent,
+    TraceRecorder,
+    touch_op,
+    trace_event,
+)
 from ..obs import NULL_OBS
 from .hcfirst import (
     DEFAULT_MAX_HAMMERS,
@@ -190,46 +197,19 @@ class _BatchedUnit:
     #: the per-row write-session entries (see :func:`_restore_plan`)
     meta: list
     writes: list
-    #: captured replay traces keyed by loop-shape signature
+    #: the victim's snapshot image equals its expected pattern, so a probe
+    #: whose trace leaves the victim's data version untouched read back
+    #: exactly what was written -- zero flips without comparing bytes
+    flips_by_version: bool
+    #: ``(trace, restore_meta)`` keyed by loop-shape signature: the
+    #: captured :class:`~repro.dram.replay.Trace` and the
+    #: :meth:`BatchedSearchEngine._restore` meta of its replays (see
+    #: :func:`_restore_meta`)
     traces: dict = field(default_factory=dict)
     #: ``bank.simra_group`` of every activated row pair, recorded when the
     #: unit's stream timing can open a multi-row activation (empty
     #: otherwise); translation must map each onto the shifted pair's group
     decoder_groups: dict = field(default_factory=dict)
-
-
-@dataclass
-class _Trace:
-    """One captured fused-replay probe, compiled for direct re-application.
-
-    Ops are the :mod:`repro.dram.replay` trace ops (touches relative to
-    their window's base, copies, group sensings and deposit-plan
-    applications), in the exact order the capture probe performed them
-    after its re-initialization.  ``stats_const`` and ``stats_linear``
-    reproduce the bank counter arithmetic: past the re-initialization,
-    the counters move by ``const + linear * (count - 1)`` per probe.
-    """
-
-    #: (warm_ops, scaled_ops, closes) per loop segment; ``closes`` holds
-    #: ``(row, rel_ns)`` for every row whose last close the segment moves,
-    #: relative to the segment's start (both passes sit at fixed offsets
-    #: from it at any count of the trace's shape)
-    segments: list
-    #: ops after the last loop segment (final flush + victim read)
-    epilogue: list
-    stats_const: dict
-    stats_linear: dict
-    #: the victim's snapshot image equals its expected pattern, so a probe
-    #: whose epilogue leaves the victim's data version untouched read back
-    #: exactly what was written -- zero flips without comparing bytes
-    flips_by_version: bool
-    #: the :meth:`BatchedSearchEngine._restore` meta of a replay: per
-    #: snapshot row ``(row, slot, entries, image_pattern)``, with the
-    #: trace's event entries for that row -- restoring the image
-    #: re-validates every entry whose current pattern matches the image's,
-    #: so the restore refreshes their version guard in place instead of
-    #: letting each take a guard miss (and a pattern lookup) per probe
-    restore_meta: list
 
 
 def _restore_plan(bank: Bank, snapshot) -> tuple[list, list]:
@@ -278,26 +258,56 @@ def _restore_plan(bank: Bank, snapshot) -> tuple[list, list]:
     return meta, writes
 
 
-def _restore_meta(unit: "_BatchedUnit", segments, epilogue) -> list:
-    """A trace's :attr:`_Trace.restore_meta`: the unit's meta with each
-    row's event entries attached.
+def _restore_meta(unit: "_BatchedUnit", trace: Trace) -> list:
+    """The :meth:`BatchedSearchEngine._restore` meta of a trace's replays:
+    the unit's meta with each row's event entries attached, so restoring
+    an image refreshes the version guard of every entry whose current
+    pattern is the image's instead of letting each take a guard miss.
 
-    The pattern check itself runs at replay time: a guard miss re-resolves
-    an entry in place, so an entry whose row changed mid-probe (a copy, a
-    non-identity group sensing, a realized flip) may hold a pattern other
-    than its captured one when the next probe restores the image.
+    The pattern check runs at replay time: a guard miss re-resolves an
+    entry in place, so an entry whose row changed mid-probe (a copy, a
+    non-identity group sensing, a realized flip) may hold another pattern
+    when the next probe restores the image.
     """
     entries_by_row: dict[int, list] = {}
-    for ops in [
-        ops for warm, scaled, _closes in segments for ops in (warm, scaled)
-    ] + [epilogue]:
-        for op in ops:
-            if op[0] == "event":
-                entries_by_row.setdefault(op[1].row0, []).append(op[1])
+    for entry in trace.events():
+        entries_by_row.setdefault(entry.row0, []).append(entry)
     return [
         (row, slot, tuple(entries_by_row.get(row, ())), image_pattern)
         for row, slot, _entries, image_pattern in unit.meta
     ]
+
+
+def _check_aggoff(trace: Trace, groups: list, start: float, edge: float) -> None:
+    """Refuse a trace whose tAggOff gaps could change with the probe count.
+
+    ``groups`` holds ``(start, rigid)`` per executed loop segment, then
+    the tail (``rigid``: no varying segment runs before it).  A gap is
+    probe-invariant if it closed in the event's own group, or in a rigid
+    group after the probe ``start``, or if it is past the model's
+    flat-band ``edge`` (cross-probe and cross-varying-segment gaps always
+    are).  Anything else -- a close behind a count-scaled segment, inside
+    the sloped band -- raises :class:`ValueError` (``count_dependent_aggoff``).
+    """
+    for entry in trace.events():
+        event = entry.event
+        k = len(groups) - 1
+        while k > 0 and event.t_open_ns < groups[k][0]:
+            k -= 1
+        group_start, rigid = groups[k]
+        for row, gap in event.t_agg_off_ns.items():
+            if gap >= edge:
+                continue
+            t_closed = event.t_open_ns - gap
+            if t_closed >= group_start - 1e-6:
+                continue
+            if rigid and t_closed >= start - 1e-6:
+                continue
+            raise ValueError(
+                f"count_dependent_aggoff: row {row}'s tAggOff gap "
+                f"{gap} ns at the ACT of {event.rows} changes with "
+                "the probe count"
+            )
 
 
 def _shape_signature(
@@ -528,15 +538,19 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
         ) from None
     snapshot = bank.snapshot_rows(setup.row_data)
     meta, writes = _restore_plan(bank, snapshot)
+    expected = np.resize(
+        np.asarray(expected, dtype=np.uint8), module.geometry.row_bytes
+    )
     batched = _BatchedUnit(
         victim=victim,
-        expected=np.resize(
-            np.asarray(expected, dtype=np.uint8), module.geometry.row_bytes
-        ),
+        expected=expected,
         snapshot=snapshot,
         loops=loops,
         meta=meta,
         writes=writes,
+        flips_by_version=bool(
+            np.array_equal(snapshot.images[victim], expected)
+        ),
         decoder_groups=decoder_groups,
     )
     # frac sensing is guarded out of the streams, so a unit can only tie
@@ -627,18 +641,20 @@ class BatchedSearchEngine:
         obs = self.obs
         stages = self.stages
         sig = _shape_signature(unit.loops, count)
-        trace = unit.traces.get(sig)
-        donor = self._donor[i] if trace is None else None
+        cached = unit.traces.get(sig)
+        donor = self._donor[i] if cached is None else None
         if donor is not None:
             r, delta, pi = donor
-            donor_trace = self.units[r].traces.get(sig)
-            if donor_trace is not None:
+            donor_cached = self.units[r].traces.get(sig)
+            if donor_cached is not None:
                 t0 = perf_counter() if stages is not None else 0.0
-                trace = self._translate_trace(donor_trace, delta, unit, pi)
+                trace = self._translate_trace(donor_cached[0], delta, pi)
+                cached = unit.traces[sig] = (
+                    trace, _restore_meta(unit, trace)
+                )
                 if stages is not None:
                     self._charge_stage("translate", t0)
-                unit.traces[sig] = trace
-        if trace is None:
+        if cached is None:
             obs.inc("probe.probes", path="capture")
             t0 = perf_counter() if stages is not None else 0.0
             result = self._capture_probe(i, count, sig)
@@ -646,7 +662,7 @@ class BatchedSearchEngine:
                 self._charge_stage("capture", t0)
             return result
         obs.inc("probe.probes", path="interp")
-        return self._replay_probe_fast(i, count, trace)
+        return self._replay_probe_fast(i, count, *cached)
 
     def _charge_stage(self, key: str, t0: float) -> float:
         """Add the time since ``t0`` to stage ``key``; returns the clock."""
@@ -724,8 +740,22 @@ class BatchedSearchEngine:
         return t
 
     def _capture_probe(self, i: int, count: int, sig) -> ProbeResult:
-        """Run one probe through the command pipeline under taps and
-        compile its replay trace."""
+        """Run one probe through the command pipeline with a
+        :class:`~repro.dram.replay.TraceRecorder` on the bank's probe tap,
+        and keep its trace for the later probes of its shape.
+
+        The executed loop segments are the trace's segments, run by
+        ``run_stream`` (whose scaled-pass counter deltas, summed over the
+        varying segments, are the trace's ``stats_linear``); the final
+        flush and the victim read are its tail.  Every event kind
+        records, SiMRA included: its plan resolves through
+        ``model.resolve_plan`` like any other, and the group sensing it
+        follows is a ``sense`` op that replay runs through the same
+        ``Bank._sense_group`` on the same bank state, so charge-sharing
+        writes and ties stay exact without a guard.  Raises
+        :class:`ValueError` (``count_dependent_aggoff``, see
+        :func:`_check_aggoff`) when the trace cannot express the probe.
+        """
         unit = self.units[i]
         bank = self.bank
         timing = self.module.timing
@@ -736,36 +766,26 @@ class BatchedSearchEngine:
             )
         T = self.clock
         t = self._restore(unit, unit.meta)
-        stats0 = dict(bank.stats)
-        # (start, kind, seg_pos) per tap window: a segment's warm and
-        # scaled passes, then the epilogue
-        windows: list = []
+        recorder = TraceRecorder(bank, count)
+        #: ``(start, rigid)`` per executed segment, then the tail
+        groups: list = []
+        varying = False
         linear: dict = {}
-        closes: list = [()] * len(unit.loops)
-        rows = unit.snapshot.rows
-        last_close = bank._last_close
-        taps: list = []
-        bank.probe_tap = taps.append
+        bank.probe_tap = recorder.tap
         try:
-            for seg_pos, (stream, fixed) in enumerate(unit.loops):
+            for stream, fixed in unit.loops:
                 loop_count = count if fixed is None else fixed
-                if loop_count <= 0:
-                    continue
-                windows.append((t, "warm", seg_pos))
-                if loop_count > 1:
-                    windows.append((t + stream.duration_ns, "scaled", seg_pos))
-                before = [last_close.get(row) for row in rows]
-                deltas = run_stream(bank, stream, t, loop_count)
-                closes[seg_pos] = tuple(
-                    (row, last_close[row] - t)
-                    for row, closed in zip(rows, before)
-                    if last_close.get(row) != closed
-                )
-                if fixed is None:
-                    for key, delta in deltas.items():
-                        linear[key] = linear.get(key, 0) + delta
-                t += stream.duration_ns * loop_count
-            windows.append((t, "epilogue", None))
+                if loop_count > 0:
+                    recorder.segment(t, stream.duration_ns, fixed)
+                    groups.append((t, not varying))
+                    deltas = run_stream(bank, stream, t, loop_count)
+                    if fixed is None:
+                        for key, delta in deltas.items():
+                            linear[key] = linear.get(key, 0) + delta
+                    t += stream.duration_ns * loop_count
+                varying |= fixed is None
+            recorder.tail(t)
+            groups.append((t, not varying))
             bank.flush(t)
             t += timing.tRP
             bank.act(unit.victim, t)
@@ -780,137 +800,12 @@ class BatchedSearchEngine:
         finally:
             bank.probe_tap = None
         self.clock = t + timing.tRAS
-        # counters past the re-initialization: the varying segments' scaled
-        # passes make the count-linear part, everything else is constant
-        const = {}
-        for key, value in bank.stats.items():
-            delta = value - stats0[key] - linear.get(key, 0) * (count - 1)
-            if delta:
-                const[key] = delta
-        unit.traces[sig] = self._compile_trace(
-            unit, T, windows, taps, closes, const, linear
-        )
+        trace = recorder.finish(self.clock, linear)
+        _check_aggoff(trace, groups, T, bank.model._AGGOFF_REF_GAP_NS)
+        unit.traces[sig] = (trace, _restore_meta(unit, trace))
         flips = count_flips(data, unit.expected)
         return ProbeResult(
             count, flips, (unit.victim,) if flips else ()
-        )
-
-    def _compile_trace(
-        self,
-        unit: _BatchedUnit,
-        T: float,
-        windows: list,
-        taps: list,
-        closes: list,
-        stats_const: dict,
-        stats_linear: dict,
-    ) -> _Trace:
-        """Compile a capture probe's taps into a :class:`_Trace`.
-
-        ``T`` is the probe's start (its re-initialization's), ``windows``
-        the ``(start, kind, seg_pos)`` of each pass and of the epilogue,
-        ``closes`` the per-segment :attr:`_Trace.segments` closes.
-        Every event kind compiles, SiMRA included: its plan resolves
-        through ``model.resolve_plan`` like any other, and the group
-        sensing it follows is recorded as a ``sense`` op that replay runs
-        through the same ``Bank._sense_group`` on the same bank state, so
-        charge-sharing writes and ties stay exact without a guard.
-        Raises :class:`ValueError` (``count_dependent_aggoff``) on a
-        tAggOff gap whose value could change with the probe count: a close
-        separated from the re-activation by a count-scaled segment, inside
-        the model's sloped band.
-        """
-        bank = self.bank
-        model = bank.model
-        starts = [w[0] for w in windows]
-        n_wins = len(windows)
-        buckets: list[list] = [[] for _ in windows]
-        # Steadiness pre-computation: a captured gap is probe-invariant if
-        # its closing timestamp sits in the same segment group as the
-        # re-activation (rigid relative offsets), or if every segment
-        # before the event's group has a fixed count (rigid offsets from
-        # the probe start), or if the gap is past the model's flat-band
-        # edge (cross-probe and cross-varying-segment gaps always are --
-        # a re-initialization alone is longer than the band).
-        varying = [fixed is None for _stream, fixed in unit.loops]
-        warm_start = {
-            seg: start for start, wkind, seg in windows if wkind == "warm"
-        }
-        aggoff_ref = model._AGGOFF_REF_GAP_NS
-        group_starts: list[float] = []
-        rigid: list[bool] = []
-        for start, wkind, seg_pos in windows:
-            if wkind == "epilogue":
-                group_starts.append(start)
-                rigid.append(not any(varying))
-            else:
-                group_starts.append(warm_start[seg_pos])
-                rigid.append(not any(varying[:seg_pos]))
-        pointer = 0
-        for tap in taps:
-            kind = tap[0]
-            if kind == "touch":
-                ts = tap[2]
-                while pointer + 1 < n_wins and ts >= starts[pointer + 1]:
-                    pointer += 1
-                buckets[pointer].append(
-                    touch_op(bank, tap[1], ts - starts[pointer])
-                )
-            elif kind in ("copy", "sense"):
-                buckets[pointer].append(tap)
-            else:  # event
-                _tag, event, pattern, times = tap
-                widx = n_wins - 1
-                while widx > 0 and event.t_open_ns < starts[widx]:
-                    widx -= 1
-                _start, wkind, seg_pos = windows[widx]
-                for row, gap in event.t_agg_off_ns.items():
-                    if gap >= aggoff_ref:
-                        continue
-                    t_closed = event.t_open_ns - gap
-                    if t_closed >= group_starts[widx] - 1e-6:
-                        continue
-                    if rigid[widx] and t_closed >= T - 1e-6:
-                        continue
-                    raise ValueError(
-                        f"count_dependent_aggoff: row {row}'s tAggOff gap "
-                        f"{gap} ns at the ACT of {event.rows} changes with "
-                        "the probe count"
-                    )
-                scaled = (
-                    wkind == "scaled" and unit.loops[seg_pos][1] is None
-                )
-                buckets[pointer].append((
-                    "event", trace_event(bank, event, pattern, times, scaled),
-                ))
-        # per-segment op lists (skipped segments replay as empty)
-        warm_by_seg: dict[int, list] = {}
-        scaled_by_seg: dict[int, list] = {}
-        for (start, wkind, seg_pos), ops in zip(windows, buckets):
-            if wkind == "warm":
-                warm_by_seg[seg_pos] = ops
-            elif wkind == "scaled":
-                scaled_by_seg[seg_pos] = ops
-        segments = [
-            (
-                warm_by_seg.get(pos, []),
-                scaled_by_seg.get(pos, []),
-                closes[pos],
-            )
-            for pos in range(len(unit.loops))
-        ]
-        epilogue = buckets[-1]
-        return _Trace(
-            segments=segments,
-            epilogue=epilogue,
-            stats_const=stats_const,
-            stats_linear=stats_linear,
-            flips_by_version=bool(
-                np.array_equal(
-                    unit.snapshot.images[unit.victim], unit.expected
-                )
-            ),
-            restore_meta=_restore_meta(unit, segments, epilogue),
         )
 
     def _translation_of(self, r: int, i: int) -> Optional[tuple]:
@@ -994,13 +889,9 @@ class BatchedSearchEngine:
         return delta, pi
 
     def _translate_trace(
-        self,
-        donor: _Trace,
-        delta: int,
-        unit: _BatchedUnit,
-        pi: Optional[dict] = None,
-    ) -> _Trace:
-        """Re-target a donor unit's compiled trace by a constant row shift.
+        self, donor: Trace, delta: int, pi: Optional[dict] = None
+    ) -> Trace:
+        """Re-target a donor unit's trace by a constant row shift.
 
         Events are rebuilt with shifted rows, their patterns remapped
         through ``pi``, and their plans resolved by ``model.resolve_plan``
@@ -1013,8 +904,9 @@ class BatchedSearchEngine:
         from the shifted rows' profiles (``_translation_of`` already
         proved the shifted pair opens the shifted group).  An event's
         ``partial`` flag is carried over as-is: it enters neither the plan
-        nor its key.  The counter arithmetic is structural and shared
-        as-is; the re-initialization is the unit's own (:func:`_restore_plan`).
+        nor its key.  Closes shift with their rows; the timing, last PRE
+        and counter arithmetic are structural and shared as-is; the
+        re-initialization is the unit's own (:func:`_restore_plan`).
         """
         bank = self.bank
         model = bank.model
@@ -1075,70 +967,44 @@ class BatchedSearchEngine:
                     ))
             return out
 
-        segments = [
-            (
-                ops_of(warm_ops),
-                ops_of(scaled_ops),
-                tuple((row + delta, rel) for row, rel in closes),
-            )
-            for warm_ops, scaled_ops, closes in donor.segments
-        ]
-        epilogue = ops_of(donor.epilogue)
-        return _Trace(
-            segments=segments,
-            epilogue=epilogue,
-            stats_const=donor.stats_const,
-            stats_linear=donor.stats_linear,
-            flips_by_version=bool(
-                np.array_equal(
-                    unit.snapshot.images[unit.victim], unit.expected
-                )
-            ),
-            restore_meta=_restore_meta(unit, segments, epilogue),
+        def closes_of(closes: tuple) -> tuple:
+            return tuple((row + delta, rel) for row, rel in closes)
+
+        return replace(
+            donor,
+            segments=[
+                [period, fixed, ops_of(warm), ops_of(scaled), closes_of(closes)]
+                for period, fixed, warm, scaled, closes in donor.segments
+            ],
+            tail=ops_of(donor.tail),
+            closes=closes_of(donor.closes),
         )
 
     def _replay_probe_fast(
-        self, i: int, count: int, trace: _Trace
+        self, i: int, count: int, trace: Trace, meta: list
     ) -> ProbeResult:
-        """Re-apply a captured probe trace; state-identical to the capture
-        probe by construction (same re-initialization, same plan
-        applications in the same order, same counters), minus the command
-        pipeline."""
+        """Re-apply a captured probe trace after the unit's
+        re-initialization; state-identical to the capture probe by
+        construction (same re-initialization, same plan applications in
+        the same order, and :meth:`Trace.replay` leaves the closes, last
+        PRE and counters where a capture at ``count`` does), minus the
+        command pipeline."""
         unit = self.units[i]
         bank = self.bank
-        timing = self.module.timing
         stages = self.stages
         t_stage = perf_counter() if stages is not None else 0.0
-        t = self._restore(unit, trace.restore_meta)
+        t = self._restore(unit, meta)
         if stages is not None:
             t_stage = self._charge_stage("replay_snapshot", t_stage)
         bank_versions = bank._data_version
         victim = unit.victim
         # after the re-initialization the victim's data equals its snapshot
-        # image; if no later op moves its version, the read-back below is
+        # image; if no later op moves its version, the read-back is
         # flip-free without comparing bytes
         victim_version = (
-            bank_versions.get(victim, 0) if trace.flips_by_version else None
+            bank_versions.get(victim, 0) if unit.flips_by_version else None
         )
-        last_close = bank._last_close
-        scaled_times = count - 1.0
-        for (stream, fixed), (warm_ops, scaled_ops, closes) in zip(
-            unit.loops, trace.segments
-        ):
-            loop_count = count if fixed is None else fixed
-            if loop_count <= 0:
-                continue
-            base = t
-            run_ops(bank, warm_ops, base, scaled_times)
-            if loop_count > 1:
-                run_ops(
-                    bank, scaled_ops, base + stream.duration_ns, scaled_times
-                )
-            for row, rel in closes:
-                last_close[row] = base + rel
-            t = base + stream.duration_ns * loop_count
-        # epilogue: final flush, victim read, eager read-session emission
-        run_ops(bank, trace.epilogue, t)
+        self.clock = trace.replay(bank, t, count)
         if (
             victim_version is not None
             and bank_versions.get(victim, 0) == victim_version
@@ -1146,16 +1012,6 @@ class BatchedSearchEngine:
             flips = 0
         else:
             flips = count_flips(bank._row_data(victim), unit.expected)
-        t_close = t + timing.tRP + timing.tRAS
-        last_close[victim] = t_close
-        bank._last_pre_ns = t_close
-        stats = bank.stats
-        for key, value in trace.stats_const.items():
-            stats[key] += value
-        if count > 1:
-            for key, value in trace.stats_linear.items():
-                stats[key] += value * (count - 1)
-        self.clock = t_close
         if stages is not None:
             self._charge_stage("replay_kernel", t_stage)
         return ProbeResult(
@@ -1210,7 +1066,7 @@ def run_batched_searches(
     (tap-instrumented probes through the command pipeline), ``translate``
     (trace translation onto shifted units), ``replay_snapshot`` (a
     replay's re-initialization: snapshot restore and ledger bookkeeping) and
-    ``replay_kernel`` (trace replay hammer segments and epilogue:
+    ``replay_kernel`` (trace replay hammer segments and tail:
     fault-model plan application, touches, flip realization).  The
     default no-op registry skips the clock reads entirely.
     """

@@ -1,10 +1,13 @@
-"""Trace ops: re-applying captured device-model effects directly.
+"""Captured device-model effects, re-applied at any start time and count.
 
-Two replays share this interpreter: the batched probe engine
-(:mod:`repro.core.probe_batch`) re-applies a captured HC_first probe, and
-the DRAM Bender host (:mod:`repro.bender.host`) a captured run of a
-program it runs again.  Both capture through :attr:`Bank.probe_tap` and
-compile the taps, in application order, into ops:
+The batched probe engine (:mod:`repro.core.probe_batch`) re-runs one
+hammer program at many counts, and the DRAM Bender host
+(:mod:`repro.bender.host`) one program object many times.  Both record a
+run once through :attr:`Bank.probe_tap` with a :class:`TraceRecorder`
+and re-apply the :class:`Trace` with :meth:`Trace.replay`: loop segments
+(a warm pass and a pass scaled by ``count - 1``, as
+:func:`repro.bender.compiler.run_stream` runs them), then a tail; the
+host's run is all tail.  Each pass holds ops, in application order:
 
 * ``("event", TraceEvent)`` -- an emitted activation event with its
   resolved deposit plan (:func:`trace_event`);
@@ -18,7 +21,8 @@ compile the taps, in application order, into ops:
   partial set).
 
 :func:`run_ops` hands any other op to its caller's ``other(op, base)``
-handler (the host's REF and TRR ops).
+handler (the host's REF and TRR ops).  The trace also keeps what the ops
+do not leave: ``_last_close`` moves, the last PRE and counter deltas.
 """
 
 from __future__ import annotations
@@ -189,3 +193,188 @@ def run_ops(
             other(op, base)
             dmg = led.dmg
             flips_mv = led.flips_mv
+
+
+@dataclass(slots=True)
+class Trace:
+    """One recorded run, re-applied at any start time and count.
+
+    Times are relative to their window: a segment's warm ops and closes
+    to its start, its scaled ops to its second period, the tail's ops,
+    closes and last PRE to the tail's start.  A count moves only where
+    later windows start, and every slack is a multiple of 1.5 ns, so
+    ``base + rel`` lands on the same float as the recorded clock.
+    """
+
+    #: ``[period_ns, fixed, warm_ops, scaled_ops, closes]`` per executed
+    #: loop segment: ``fixed`` periods, or the replay count's when None;
+    #: ``closes`` holds ``(row, rel_ns)`` per row whose last close it moves
+    segments: list
+    tail: list
+    #: ``(row, rel_ns)`` for every row whose last close the tail moves
+    closes: tuple
+    #: the last PRE, in the tail (None when the run issued none)
+    last_pre_ns: Optional[float]
+    #: from the tail's start to the run's end
+    tail_ns: float
+    #: counter deltas, ``refs`` excluded (the caller's live REF ops count
+    #: them): a replay adds ``stats_const + stats_linear * (count - 1)``
+    stats_const: dict
+    stats_linear: dict
+
+    def events(self) -> list:
+        """Every event entry, in application order."""
+        windows = [ops for seg in self.segments for ops in seg[2:4]]
+        return [
+            op[1]
+            for ops in windows + [self.tail]
+            for op in ops
+            if op[0] == "event"
+        ]
+
+    def replay(self, bank, base: float, count: int = 1, other=None) -> float:
+        """Re-apply the run on ``bank`` from ``base`` at ``count``; returns
+        the run's end.
+
+        ``count`` must give every segment the pass shape it was recorded
+        with (one pass, or two); ``other`` handles the caller's own ops
+        (see :func:`run_ops`).
+        """
+        scaled_times = count - 1.0
+        last_close = bank._last_close
+        for period, fixed, warm_ops, scaled_ops, closes in self.segments:
+            n = count if fixed is None else fixed
+            run_ops(bank, warm_ops, base, scaled_times, other)
+            if n > 1:
+                run_ops(bank, scaled_ops, base + period, scaled_times, other)
+            for row, rel in closes:
+                last_close[row] = base + rel
+            base += period * n
+        run_ops(bank, self.tail, base, scaled_times, other)
+        for row, rel in self.closes:
+            last_close[row] = base + rel
+        if self.last_pre_ns is not None:
+            bank._last_pre_ns = base + self.last_pre_ns
+        stats = bank.stats
+        for key, value in self.stats_const.items():
+            stats[key] += value
+        if count > 1:
+            for key, value in self.stats_linear.items():
+                stats[key] += value * (count - 1)
+        return base + self.tail_ns
+
+
+class TraceRecorder:
+    """Compiles a run's :attr:`Bank.probe_tap` taps into a :class:`Trace`.
+
+    The caller installs :meth:`tap` as the probe tap, calls :meth:`segment`
+    before each ``run_stream`` loop and :meth:`tail` before the rest of the
+    run, and ends with :meth:`finish`.  It may append its own ops to
+    :attr:`ops`, the current window's list, timed relative to :attr:`base`.
+    """
+
+    def __init__(self, bank, count: int = 1) -> None:
+        self.bank = bank
+        self.count = count
+        self.segments: list = []
+        #: the current window's ops and start
+        self.ops: list = []
+        self.base = 0.0
+        #: ``row -> (first touch ns, last close before it)`` for every
+        #: row the current segment (or the tail) opens
+        self.opened: dict = {}
+        self._tail: list = []
+        #: ``(start, scaled)`` per pass: a held-back session is emitted up
+        #: to one window late, scaled when it ran in a varying scaled pass
+        self._passes: list = []
+        #: where the current segment's scaled pass starts, until it does
+        self._scaled_at: Optional[float] = None
+        self._start = 0.0
+        self._stats = dict(bank.stats)
+        self._last_pre = bank._last_pre_ns
+
+    def segment(self, base: float, period_ns: float, fixed) -> None:
+        """Start a loop segment at ``base``: ``fixed`` periods of
+        ``period_ns``, or the count's when ``fixed`` is None."""
+        self._window(base)
+        if (self.count if fixed is None else fixed) > 1:
+            self._scaled_at = base + period_ns
+            self._passes.append((self._scaled_at, fixed is None))
+        self.segments.append([period_ns, fixed, self.ops, [], ()])
+
+    def tail(self, base: float) -> None:
+        """Start the tail, the rest of the run, at ``base``."""
+        self._window(base)
+        self._tail = self.ops
+
+    def _window(self, base: float) -> None:
+        if self.segments:  # the segment before ends here
+            self.segments[-1][4] = self._closes()
+        self.opened = {}
+        self._scaled_at = None
+        self._start = self.base = base
+        self.ops = []
+        self._passes.append((base, False))
+
+    def _closes(self) -> tuple:
+        last_close = self.bank._last_close
+        return tuple(
+            (row, last_close[row] - self._start)
+            for row, (_t, closed) in self.opened.items()
+            if last_close.get(row) != closed
+        )
+
+    def tap(self, tap: tuple) -> None:
+        """:attr:`Bank.probe_tap` while the run is recorded."""
+        kind = tap[0]
+        bank = self.bank
+        if kind == "touch":
+            row, now_ns = tap[1], tap[2]
+            scaled_at = self._scaled_at
+            if scaled_at is not None and now_ns >= scaled_at:
+                self.ops = self.segments[-1][3]
+                self.base = scaled_at
+                self._scaled_at = None
+            if row not in self.opened:
+                # every session row is touched when it opens, so only
+                # these rows' last close can move
+                self.opened[row] = (now_ns, bank._last_close.get(row))
+            self.ops.append(touch_op(bank, row, now_ns - self.base))
+        elif kind == "event":
+            _tag, event, pattern, times = tap
+            passes = self._passes
+            k = len(passes) - 1
+            while k > 0 and event.t_open_ns < passes[k][0]:
+                k -= 1
+            self.ops.append((
+                "event",
+                trace_event(bank, event, pattern, times, passes[k][1]),
+            ))
+        else:  # copy, sense
+            self.ops.append(tap)
+
+    def finish(self, end_ns: float, stats_linear: Optional[dict] = None) -> Trace:
+        """The recorded run, ending at ``end_ns``; ``stats_linear`` is the
+        per-count part of its counter deltas (the varying segments'
+        scaled-pass deltas ``run_stream`` returns)."""
+        bank = self.bank
+        linear = stats_linear or {}
+        scale = self.count - 1
+        before = self._stats
+        const = {}
+        for key, value in bank.stats.items():
+            delta = value - before[key] - linear.get(key, 0) * scale
+            if delta and key != "refs":
+                const[key] = delta
+        last_pre = bank._last_pre_ns
+        return Trace(
+            segments=self.segments,
+            tail=self._tail,
+            closes=self._closes(),
+            last_pre_ns=(
+                None if last_pre == self._last_pre else last_pre - self._start
+            ),
+            tail_ns=end_ns - self._start,
+            stats_const=const,
+            stats_linear=linear,
+        )

@@ -486,7 +486,7 @@ class MemorySystem:
         )
 
 
-#: shared alone-IPC results, keyed (profile name, config fields, seed);
+#: shared alone-IPC results, keyed (profile, config fields, seed);
 #: also used by Fig25Evaluation, which previously kept its own copy
 _ALONE_IPC_CACHE: dict[tuple, float] = {}
 
@@ -498,7 +498,7 @@ def alone_ipc(
 ) -> float:
     """IPC of one workload running alone, no PuD traffic, no mitigation."""
     config = config or MemSysConfig()
-    key = (profile.name, astuple(config), seed)
+    key = (profile, astuple(config), seed)
     cached = _ALONE_IPC_CACHE.get(key)
     if cached is None:
         mix = WorkloadMix(mix_id=-1, profiles=(profile,))

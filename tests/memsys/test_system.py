@@ -1,5 +1,7 @@
 """Memory-system simulator behavior."""
 
+import dataclasses
+
 import pytest
 
 from repro.memsys import MemSysConfig, MemorySystem, alone_ipc
@@ -21,6 +23,18 @@ class TestBaseline:
         heavy = alone_ipc(profile_by_name("mcf-like"), FAST)
         light = alone_ipc(profile_by_name("gcc-like"), FAST)
         assert heavy < light
+
+    def test_alone_ipc_keys_on_the_whole_profile(self):
+        # a variant that keeps a shipped profile's name must not be served
+        # that profile's cached IPC
+        config = MemSysConfig(horizon_ns=20_000.0)
+        base = profile_by_name("mcf-like")
+        variant = dataclasses.replace(base, mpki=4.0, row_locality=0.9)
+        alone_ipc(base, config)
+        own = MemorySystem(
+            WorkloadMix(mix_id=-1, profiles=(variant,)), None, None, config
+        ).run().ipc_per_core[0]
+        assert alone_ipc(variant, config) == own != alone_ipc(base, config)
 
     def test_shared_slower_than_alone(self):
         mix = build_mixes(1)[0]
