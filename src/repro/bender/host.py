@@ -171,7 +171,6 @@ class _Capture:
         #: ``(name, path) -> n`` path counters the plan increments
         self.counts: dict = {}
         self.refused = False
-        self._frac_before = frozenset(bank._frac)
 
     def tap(self, tap: tuple) -> None:
         """``Bank.probe_tap`` while the run is captured."""
@@ -182,11 +181,12 @@ class _Capture:
             self.recorder.tap(tap)
 
     def ref(self, now_ns: float) -> None:
-        """A REF's flush belongs to the run; its refreshes run live."""
+        """A REF's flush belongs to the run; its refreshes run live.
+
+        A REF with a row open needs no refusal: the bank raises
+        :class:`~repro.dram.errors.TimingError` on it.
+        """
         bank = self.bank
-        if bank._open is not None:
-            self.refused = True
-            return
         bank._flush_pending_event(now_ns)
         recorder = self.recorder
         recorder.ops.append(("ref", now_ns - recorder.base))
@@ -195,22 +195,24 @@ class _Capture:
     def finish(self, end_ns: float) -> bool:
         """Keep the run's trace; False when it cannot be replayed.
 
-        ``gaps`` maps each row the run opens to ``(rel_open_ns, gap_ns,
-        key)``: its gap since its last close before the run, and the gap's
-        plan-key form (``model.aggoff_key``), both None without a close.
+        The run itself ran live, so a row it opened while fractional took
+        its thermal-noise sensing on the full path; a replay requires the
+        opened rows not fractional (``DramBenderHost._replayable``).
+        ``gaps`` maps each row the run opens to ``(rel_open_ns, key)``:
+        the plan-key form (``model.aggoff_key``) of its gap since its last
+        close before the run, None without a close.
         """
-        opened = self.recorder.opened
-        if self.refused or not self._frac_before.isdisjoint(opened):
+        if self.refused:
             return False
         self.trace = self.recorder.finish(end_ns)
         aggoff_key = self.bank.model.aggoff_key
-        self.gaps = {}
-        for row, (now_ns, closed) in opened.items():
-            gap = None if closed is None else now_ns - closed
-            self.gaps[row] = (
-                now_ns - self.start, gap,
-                None if gap is None else aggoff_key(gap),
+        self.gaps = {
+            row: (
+                now_ns - self.start,
+                None if closed is None else aggoff_key(now_ns - closed),
             )
+            for row, (now_ns, closed) in self.recorder.opened.items()
+        }
         return True
 
     def on_act(self, bank: int, row: int, now_ns: float) -> None:
@@ -384,21 +386,22 @@ class DramBenderHost:
         )
 
     def _replayable(self, capture: _Capture) -> bool:
+        """The entry guards of :meth:`_run_entry`: idle banks, no opened
+        row fractional, and one plan-key comparison per opened row (equal
+        gaps have equal keys, so the key alone decides)."""
         bank = capture.bank
         if not self._idle() or not bank._frac.isdisjoint(capture.gaps):
             return False
         start = self.now_ns
         closes = bank._last_close
         aggoff_key = bank.model.aggoff_key
-        for row, (rel, gap, key) in capture.gaps.items():
+        for row, (rel, key) in capture.gaps.items():
             closed = closes.get(row)
-            if closed is None or gap is None:
-                if closed is not None or gap is not None:
-                    return False
-            else:
-                now_gap = start + rel - closed
-                if now_gap != gap and aggoff_key(now_gap) != key:
-                    return False
+            gap_key = (
+                None if closed is None else aggoff_key(start + rel - closed)
+            )
+            if gap_key != key:
+                return False
         return True
 
     def _capture_run(
@@ -406,7 +409,7 @@ class DramBenderHost:
     ) -> None:
         """Run the plan under a :class:`_Capture` of the bank's probe tap
         and TRR hook; keep it for replay unless it was refused (a row
-        left fractional, a REF with a row open)."""
+        left fractional)."""
         self.obs.inc("host.runs", path="capture")
         entry.runs += 1
         capture = _Capture(bank, self.now_ns)

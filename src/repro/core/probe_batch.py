@@ -46,20 +46,21 @@ Three pieces:
 Every unit batches.  A setup the planner cannot prove equivalent is
 refused with a :class:`ValueError` whose message starts with the guard's
 name, so a new caller fails loudly instead of silently slowing down:
-``ref_program`` (``Ref`` advances the bank-global refresh rotor),
 ``multi_victim``, ``trr_attached``, ``program_shape``, ``not_loop_nest``,
-``count_shape`` (programs that are not pure loop nests over one count),
-``uncompilable_stream`` (a body that is not a single-bank ACT/PRE
-stream), ``frac_hazard`` (a session open for a FracDRAM sensing window),
-``no_varying_loop``, ``restore_joint_hazard`` (a first activation that
-could claim the re-initialization write as a CoMRA/multi-copy source),
+``count_shape`` (programs that are not pure loop nests over one count;
+a ``Ref`` at the top level is no loop), ``uncompilable_stream`` (a body
+that is not a single-bank ACT/PRE stream, a ``Ref`` in it included),
+``frac_hazard`` (a session open for a FracDRAM sensing window),
+``restore_joint_hazard`` (a first activation that could claim the
+re-initialization write as a CoMRA/multi-copy source),
 ``clock_sensitive`` (activations reaching rows the unit does not
 re-initialize, whose retention decay would see the engine's continuous
-clock) and ``missing_expected``.  A capture raises too: ``prologue_shape``
-when it starts while the bank holds an open or held-back session, and
-``count_dependent_aggoff`` when its trace cannot express the probe (see
-``_check_aggoff``).  A :class:`DramError` from a program factory
-propagates unchanged.
+clock) and ``missing_expected``.  A program whose loops all have fixed
+counts needs no guard: every probe replays its one trace.  A capture
+raises too: ``prologue_shape`` when it starts while the bank holds an
+open or held-back session, and ``count_dependent_aggoff`` when its trace
+cannot express every count of its shape (see ``_check_aggoff``).  A
+:class:`DramError` from a program factory propagates unchanged.
 
 FracDRAM sensing and SiMRA charge-sharing ties consume a per-bank counter
 that seeds an RNG whose bits land in row data, so every unit whose stream
@@ -69,6 +70,7 @@ executes in declared order (*tie chaining*).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Optional, Sequence
@@ -77,7 +79,7 @@ import numpy as np
 
 from ..bender.compiler import CompiledStream, compile_stream, run_stream
 from ..bender.host import write_data_at_ns, write_stride_ns
-from ..bender.program import Act, Instruction, Loop, Rd, Ref, Wr
+from ..bender.program import Loop
 from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
@@ -278,36 +280,36 @@ def _restore_meta(unit: "_BatchedUnit", trace: Trace) -> list:
     ]
 
 
-def _check_aggoff(trace: Trace, groups: list, start: float, edge: float) -> None:
+def _check_aggoff(
+    trace: Trace, groups: list, count: int, edge: float
+) -> None:
     """Refuse a trace whose tAggOff gaps could change with the probe count.
 
-    ``groups`` holds ``(start, rigid)`` per executed loop segment, then
-    the tail (``rigid``: no varying segment runs before it).  A gap is
-    probe-invariant if it closed in the event's own group, or in a rigid
-    group after the probe ``start``, or if it is past the model's
-    flat-band ``edge`` (cross-probe and cross-varying-segment gaps always
-    are).  Anything else -- a close behind a count-scaled segment, inside
-    the sloped band -- raises :class:`ValueError` (``count_dependent_aggoff``).
+    ``groups`` holds ``(start, scaled_ns)`` per executed loop segment,
+    then the tail: ``scaled_ns`` sums the periods of the varying segments
+    whose scaled pass ran before it.  A gap spanning no such pass is the
+    same at every count; one spanning some grows by their summed period
+    per count, and at count 2, the smallest of its shape, it is shortest.
+    Below the model's flat-band ``edge`` there it could take another plan
+    key at another count, so it raises :class:`ValueError`
+    (``count_dependent_aggoff``).
     """
+    starts = [start for start, _scaled in groups]
     for entry in trace.events():
         event = entry.event
-        k = len(groups) - 1
-        while k > 0 and event.t_open_ns < groups[k][0]:
-            k -= 1
-        group_start, rigid = groups[k]
+        t_open = event.t_open_ns
+        # a session opening at a group's start belongs to that group; a
+        # close there is the last PRE of the group before
+        scaled = groups[max(bisect_right(starts, t_open) - 1, 0)][1]
         for row, gap in event.t_agg_off_ns.items():
-            if gap >= edge:
-                continue
-            t_closed = event.t_open_ns - gap
-            if t_closed >= group_start - 1e-6:
-                continue
-            if rigid and t_closed >= start - 1e-6:
-                continue
-            raise ValueError(
-                f"count_dependent_aggoff: row {row}'s tAggOff gap "
-                f"{gap} ns at the ACT of {event.rows} changes with "
-                "the probe count"
-            )
+            closed = groups[max(bisect_left(starts, t_open - gap) - 1, 0)][1]
+            spanned = scaled - closed
+            if spanned and gap - spanned * (count - 2) < edge:
+                raise ValueError(
+                    f"count_dependent_aggoff: row {row}'s tAggOff gap "
+                    f"{gap} ns at the ACT of {event.rows} changes with "
+                    "the probe count"
+                )
 
 
 def _shape_signature(
@@ -351,24 +353,6 @@ def _frac_hazard(stream: CompiledStream) -> bool:
     return False
 
 
-def _walk_rows(instructions, module) -> Optional[tuple[set[int], set[int]]]:
-    """(activated, touched) physical rows of a program, or None on ``Ref``."""
-    acted: set[int] = set()
-    touched: set[int] = set()
-    stack = list(instructions)
-    while stack:
-        inst = stack.pop()
-        if isinstance(inst, Loop):
-            stack.extend(inst.body)
-        elif isinstance(inst, Ref):
-            return None
-        elif isinstance(inst, Act):
-            acted.add(module.to_physical(inst.row))
-        elif isinstance(inst, (Rd, Wr)):
-            touched.add(module.to_physical(inst.row))
-    return acted, touched | acted
-
-
 def _joint_gaps(loops: Sequence[tuple[CompiledStream, Optional[int]]]) -> list[float]:
     """Every PRE->ACT gap the replayed streams can realize.
 
@@ -400,17 +384,14 @@ def _joint_gaps(loops: Sequence[tuple[CompiledStream, Optional[int]]]) -> list[f
     return gaps
 
 
-def _lower_loops(
-    setup: ProbeSetup, instrs_lo: Sequence[Instruction]
-) -> list[tuple[CompiledStream, Optional[int]]]:
+def _lower_loops(setup: ProbeSetup) -> list[tuple[CompiledStream, Optional[int]]]:
     """Lower the setup's program into compiled loop segments.
 
-    ``instrs_lo`` is the program already built at the low calibration
-    count (``plan_unit`` builds it for the row walk).  A structural miss
-    raises :class:`ValueError` naming the guard that refused the lowering;
-    a :class:`DramError` from the factory propagates.
+    A structural miss raises :class:`ValueError` naming the guard that
+    refused the lowering; a :class:`DramError` from the factory propagates.
     """
     module = setup.module
+    instrs_lo = setup.program_factory(_CAL_COUNTS[0]).instructions
     instrs_hi = setup.program_factory(_CAL_COUNTS[1]).instructions
     if not instrs_lo or len(instrs_lo) != len(instrs_hi):
         raise ValueError(
@@ -445,8 +426,6 @@ def _lower_loops(
                 "sensing window"
             )
         loops.append((stream, fixed))
-    if all(fixed is not None for _stream, fixed in loops):
-        raise ValueError("no_varying_loop: no loop runs the probe count")
     return loops
 
 
@@ -485,14 +464,6 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     module = setup.module
     bank = module.bank(setup.bank)
     row_keys = set(setup.row_data)
-
-    instrs_lo = setup.program_factory(_CAL_COUNTS[0]).instructions
-    walked = _walk_rows(instrs_lo, module)
-    if walked is None:
-        raise ValueError(
-            "ref_program: a Ref advances the bank-global refresh rotor"
-        )
-    acted, touched = walked
     if len(setup.victims) != 1:
         raise ValueError(
             f"multi_victim: the engine searches one victim per setup, "
@@ -500,12 +471,14 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
         )
     if bank.trr is not None:
         raise ValueError("trr_attached: a TRR hook observes every command")
-    loops = _lower_loops(setup, instrs_lo)
+    loops = _lower_loops(setup)
     if _restore_joint_hazard(setup, loops):
         raise ValueError(
             "restore_joint_hazard: the first ACT could claim the last "
             "initialization write as a copy source"
         )
+    # a lowered stream is ACT/PRE only, so its ACTs are every row it touches
+    acted = {row for stream, _fixed in loops for row in stream.act_rows}
 
     # Can any activation in this unit open a multi-row (SiMRA / multi-copy)
     # session?  Only then can decoder groups pull in extra rows or
@@ -557,7 +530,7 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     # via charge sharing
     return _UnitPlan(
         batched=batched,
-        footprint=frozenset(row_keys | touched | group_rows),
+        footprint=frozenset(row_keys | acted | group_rows),
         tie_hazard=may_group,
     )
 
@@ -675,18 +648,22 @@ class BatchedSearchEngine:
         end of the pass.
 
         Leaves the bank as a host ``write_rows`` pass over the snapshot
-        would -- same data, ``_last_*`` bookkeeping, counters and per-row
-        write-session deposits (so victim synergy ordinals advance
-        identically) -- without command dispatch: a row's image is copied
-        only when its data version moved since it was last written
+        would -- same data, per-row restore and close bookkeeping,
+        counters, per-row write-session deposits (so victim synergy
+        ordinals advance identically) and the tie a fractional row's
+        write session takes -- without command dispatch: a row's image is
+        copied only when its data version moved since it was last written
         (copy-on-write), and each row's write-session plan is applied one
         row late (the pipeline's one-command holdback), its steady or
-        cold entry chosen before the row's close is recorded.  Two
+        cold entry chosen before the row's close is recorded.  Three
         write-path details are skipped because they have no surviving
         effect: the per-ACT charge restoration (its decay sees a
         non-positive elapsed time inside a search, and the write and
-        ledger restore overwrite whatever flips it realizes) and the
-        session's PRE->ACT gap (single-row plans ignore it).
+        ledger restore overwrite whatever flips it realizes), the
+        session's PRE->ACT gap (single-row plans ignore it) and the last
+        PRE (no session is held back after the pass, so the probe's first
+        ACT can start no copy and its gap reaches no plan; every probe
+        ends on its own PRE).
         """
         bank = self.bank
         model = bank.model
@@ -724,7 +701,11 @@ class BatchedSearchEngine:
                     if entry.pattern == image_pattern:
                         entry.version = version
             last_restore[row] = t + t_wr_at
-            frac.discard(row)
+            if row in frac:
+                # the write session's ACT senses the fractional row's
+                # thermal noise first, which takes a tie
+                frac.discard(row)
+                bank._tie_counter += 1
             # model.restore_row on the pre-resolved ledger slot, in place
             led_restore(slot)
             last_close[row] = t + stride
@@ -736,7 +717,6 @@ class BatchedSearchEngine:
         stats["acts"] += n
         stats["writes"] += n
         stats["pres"] += n
-        bank._last_pre_ns = t
         return t
 
     def _capture_probe(self, i: int, count: int, sig) -> ProbeResult:
@@ -764,12 +744,11 @@ class BatchedSearchEngine:
                 "prologue_shape: the bank holds an open or held-back "
                 "session, which would land in the probe's re-initialization"
             )
-        T = self.clock
         t = self._restore(unit, unit.meta)
         recorder = TraceRecorder(bank, count)
-        #: ``(start, rigid)`` per executed segment, then the tail
+        #: ``(start, scaled_ns)`` per executed segment, then the tail
         groups: list = []
-        varying = False
+        scaled_ns = 0.0
         linear: dict = {}
         bank.probe_tap = recorder.tap
         try:
@@ -777,15 +756,16 @@ class BatchedSearchEngine:
                 loop_count = count if fixed is None else fixed
                 if loop_count > 0:
                     recorder.segment(t, stream.duration_ns, fixed)
-                    groups.append((t, not varying))
+                    groups.append((t, scaled_ns))
                     deltas = run_stream(bank, stream, t, loop_count)
                     if fixed is None:
                         for key, delta in deltas.items():
                             linear[key] = linear.get(key, 0) + delta
+                        if loop_count > 1:
+                            scaled_ns += stream.duration_ns
                     t += stream.duration_ns * loop_count
-                varying |= fixed is None
             recorder.tail(t)
-            groups.append((t, not varying))
+            groups.append((t, scaled_ns))
             bank.flush(t)
             t += timing.tRP
             bank.act(unit.victim, t)
@@ -801,7 +781,7 @@ class BatchedSearchEngine:
             bank.probe_tap = None
         self.clock = t + timing.tRAS
         trace = recorder.finish(self.clock, linear)
-        _check_aggoff(trace, groups, T, bank.model._AGGOFF_REF_GAP_NS)
+        _check_aggoff(trace, groups, count, bank.model._AGGOFF_REF_GAP_NS)
         unit.traces[sig] = (trace, _restore_meta(unit, trace))
         flips = count_flips(data, unit.expected)
         return ProbeResult(
@@ -824,10 +804,12 @@ class BatchedSearchEngine:
         is a donor-pattern -> unit-pattern substitution (None when the
         images match bytewise) applied to every captured pattern during
         translation.  Divergent rows must classify to definite patterns
-        forming one consistent map; byte-equal rows pin their own pattern
-        to the identity, since ``pi`` acts per *pattern*, not per row.
-        Expected read-back data is not compared: it only feeds per-unit
-        flip counting, which translation recomputes per unit.
+        forming one consistent map.  ``pi`` acts per *pattern*, so it
+        may also remap a byte-equal row's pattern; that costs one guard
+        miss, not a wrong plan, since every translated entry re-checks
+        its pattern on first application.  Expected read-back data is
+        not compared: it only feeds per-unit flip counting, which
+        translation recomputes per unit.
 
         The row decoder is the one place where *which* rows a command
         reaches depends on the address bits, not just the shift: a pair
@@ -865,13 +847,10 @@ class BatchedSearchEngine:
             return None
         images_r = ur.snapshot.images
         images_i = ui.snapshot.images
-        equal_rows = []
-        diverged = []
-        for row in rows_r:
-            if np.array_equal(images_r[row], images_i[row + delta]):
-                equal_rows.append(row)
-            else:
-                diverged.append(row)
+        diverged = [
+            row for row in rows_r
+            if not np.array_equal(images_r[row], images_i[row + delta])
+        ]
         if not diverged:
             return delta, None
         pi: dict = {}
@@ -881,10 +860,6 @@ class BatchedSearchEngine:
             if pa is None or pb is None:
                 return None
             if pi.setdefault(pa, pb) != pb:
-                return None
-        for row in equal_rows:
-            pa = classify_pattern(images_r[row])
-            if pa is not None and pi.setdefault(pa, pa) != pa:
                 return None
         return delta, pi
 

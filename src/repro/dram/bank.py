@@ -127,7 +127,6 @@ class Bank:
         model: DisturbanceModel,
         retention: RetentionModel,
         supports_comra: bool = True,
-        strict: bool = True,
     ) -> None:
         self.index = index
         self.geometry = geometry
@@ -135,7 +134,6 @@ class Bank:
         self.model = model
         self.retention = retention
         self.supports_comra = supports_comra
-        self.strict = strict
 
         self.temperature_c = 80.0
         #: damage multiplier applied to emitted events (loop scaling)
@@ -251,12 +249,10 @@ class Bank:
         if self.trr is not None and not self.trr_act_suppressed:
             self.trr.on_act(self.index, row, now_ns)
         if self._open is not None:
-            if self.strict:
-                raise TimingError(
-                    f"ACT r{row} while bank {self.index} has open row(s) "
-                    f"{self._open.rows}; issue PRE first"
-                )
-            self.pre(now_ns)
+            raise TimingError(
+                f"ACT r{row} while bank {self.index} has open row(s) "
+                f"{self._open.rows}; issue PRE first"
+            )
 
         pre_to_act = None if self._last_pre_ns is None else now_ns - self._last_pre_ns
         pending = self._pending
@@ -569,7 +565,7 @@ class Bank:
     def ref(self, now_ns: float) -> None:
         """Periodic refresh: TRR hook first, then the regular rotor."""
         self.stats["refs"] += 1
-        if self._open is not None and self.strict:
+        if self._open is not None:
             raise TimingError("REF with open row; precharge first")
         self._flush_pending_event(now_ns)
         if self.trr is not None:

@@ -23,7 +23,7 @@ class TimingError(DramError):
     Most timing *violations* are legal in this model (they are the entire
     point of PuD operations); this error is reserved for sequences that are
     ill-formed regardless of timing, such as activating a bank that was never
-    precharged when ``strict`` mode is enabled.
+    precharged, or refreshing it with a row open.
     """
 
 

@@ -35,7 +35,6 @@ class DramModule:
         geometry: Optional[ModuleGeometry] = None,
         timing: TimingParams = DDR4_2400,
         serial: int = 0,
-        strict: bool = True,
     ) -> None:
         self.calibration = calibration
         self.geometry = geometry or ModuleGeometry()
@@ -53,7 +52,6 @@ class DramModule:
                 timing=timing,
                 model=self.model,
                 retention=self.retention,
-                strict=strict,
             )
             for i in range(self.geometry.banks)
         ]

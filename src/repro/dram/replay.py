@@ -317,11 +317,11 @@ class TraceRecorder:
         self._passes.append((base, False))
 
     def _closes(self) -> tuple:
+        # every row a window opens closes inside it: a stream ends on a
+        # PRE, and a run ends on a flush
         last_close = self.bank._last_close
         return tuple(
-            (row, last_close[row] - self._start)
-            for row, (_t, closed) in self.opened.items()
-            if last_close.get(row) != closed
+            (row, last_close[row] - self._start) for row in self.opened
         )
 
     def tap(self, tap: tuple) -> None:
@@ -336,8 +336,8 @@ class TraceRecorder:
                 self.base = scaled_at
                 self._scaled_at = None
             if row not in self.opened:
-                # every session row is touched when it opens, so only
-                # these rows' last close can move
+                # every session row is touched when it opens, so these
+                # are the rows whose last close the window moves
                 self.opened[row] = (now_ns, bank._last_close.get(row))
             self.ops.append(touch_op(bank, row, now_ns - self.base))
         elif kind == "event":

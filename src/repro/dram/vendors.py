@@ -57,14 +57,13 @@ def make_module(
     config_id: str,
     serial: int = 0,
     geometry: Optional[ModuleGeometry] = None,
-    strict: bool = True,
     **geometry_overrides: int,
 ) -> DramModule:
     """Instantiate one simulated module of a Table 2 configuration."""
     calibration = module_calibration(config_id)
     if geometry is None:
         geometry = scaled_geometry(calibration, **geometry_overrides)
-    return DramModule(calibration, geometry=geometry, serial=serial, strict=strict)
+    return DramModule(calibration, geometry=geometry, serial=serial)
 
 
 def build_population(

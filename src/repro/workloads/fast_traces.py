@@ -23,10 +23,9 @@ algorithms in plain Python arithmetic:
 Because this mirrors numpy internals, it could silently diverge on a
 numpy build with different tables or bounded-integer algorithms.  Guard:
 the first construction runs :func:`emulation_matches`, which compares a
-few thousand emulated entries against the scalar ``TraceGenerator``; on
-any mismatch -- or for profiles outside the emulatable envelope --
-instances transparently delegate to the scalar implementation, trading
-speed for unconditional correctness.
+few thousand emulated entries against the scalar ``TraceGenerator``, and
+raises on a mismatch; a profile outside the emulatable envelope raises
+too.  Every shipped profile is inside it.
 
 :class:`TraceTape` records one generator's stream, packed one ``int64``
 per entry, so a stream is generated once and replayed many times: the
@@ -82,19 +81,21 @@ class BatchedTraceGenerator:
         self.working_set_rows = min(working_set_rows, rows_per_bank)
         mean_gap = 1000.0 / profile.mpki
         p = 1.0 / max(1.0, mean_gap)
-        emulatable = (
-            emulation_matches()
-            and p < 0.333333  # numpy switches geometric to its search path
+        if not (
+            p < 0.333333  # numpy switches geometric to its search path
             and _is_pow2(profile.bank_spread)
             and _is_pow2(self.working_set_rows)
-        )
-        self._scalar: Optional[TraceGenerator] = None
-        if not emulatable:
-            self._scalar = TraceGenerator(
-                profile, seed=seed, rows_per_bank=rows_per_bank,
-                working_set_rows=working_set_rows,
+        ):
+            raise ValueError(
+                f"profile {profile.name!r} is outside the emulation "
+                "envelope (mpki below 333.3, power-of-two bank_spread and "
+                "working_set_rows)"
             )
-            return
+        if not emulation_matches():
+            raise RuntimeError(
+                "the trace emulation no longer matches this numpy build's "
+                "TraceGenerator stream"
+            )
         scalar = TraceGenerator(
             profile, seed=seed, rows_per_bank=rows_per_bank,
             working_set_rows=working_set_rows,
@@ -107,8 +108,8 @@ class BatchedTraceGenerator:
         self._last: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _refill(self) -> list[tuple[int, int, int, bool]]:
-        """Compute the next block of entries from bulk raw words.
+    def next_block(self) -> list[tuple[int, int, int, bool]]:
+        """The next ``_BLOCK_ENTRIES`` entries, from bulk raw words.
 
         Replays the exact per-entry draw sequence of
         ``TraceGenerator.__next__``: geometric gap, bank, an optional
@@ -200,15 +201,6 @@ class BatchedTraceGenerator:
         self._half = half
         return out
 
-    def next_block(self) -> list[tuple[int, int, int, bool]]:
-        """The next ``_BLOCK_ENTRIES`` entries of the stream."""
-        if self._scalar is not None:
-            return [
-                (e.gap_instructions, e.bank, e.row, e.is_write)
-                for e in itertools.islice(self._scalar, _BLOCK_ENTRIES)
-            ]
-        return self._refill()
-
 
 #: bit layout of one packed tape entry, low to high: is_write (1 bit),
 #: row (16), bank (8), gap (38)
@@ -292,7 +284,6 @@ def emulation_matches() -> bool:
         batched.profile = probe
         batched.rows_per_bank = 4096
         batched.working_set_rows = 512
-        batched._scalar = None
         batched._bitgen = TraceGenerator(probe, seed=12345)._rng.bit_generator
         batched._p_denom = math.log1p(-probe.mpki / 1000.0)
         batched._words = []

@@ -19,7 +19,7 @@ import os
 from functools import partial
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import make_module
@@ -194,8 +194,32 @@ def assert_same_state(got, ref):
         )
 
 
+def _example(**changes):
+    """A two-sided RowHammer round run four times, with ``changes``."""
+    return dict(
+        dict(
+            kind="rowhammer", sides=2, simra_rows=2, acts_per_trefi=8,
+            dummy_windows=0, t_agg_on_ns=36.0, trr_seed=None,
+            pattern=ALL_PATTERNS[0], runs=4, interludes={},
+        ),
+        **changes,
+    )
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(cases())
+# each interlude where only an entry guard or a replay op keeps the paths
+# equal: a row write before the capture (the capture's idle guard), then
+# before a replay a row read (the replay's idle guard), a temperature
+# step (the trace's temperature check), a fractional row (the fractional
+# guard), a nominal activation (the tAggOff key guard) and a wait past
+# retention (the touch op's retention fallback)
+@example(_example(interludes={1: "write"}))
+@example(_example(interludes={2: "read"}))
+@example(_example(interludes={2: "heat"}))
+@example(_example(interludes={2: "frac"}))
+@example(_example(interludes={2: "touch"}))
+@example(_example(interludes={2: "wait"}))
 def test_replay_matches_full_path(case):
     got = execute(case, replay=True)
     ref = execute(case, replay=False)
@@ -262,3 +286,60 @@ def test_fractional_sensing_never_replays():
     got = execute_frac(replay=True)
     assert_same_state(got, execute_frac(replay=False))
     assert got[3].by_label("host.runs", "path") == {"full": 4, "capture": 1}
+
+
+def _run_lone_row(steps, replay: bool):
+    """Run a lone-row program ``p`` (an ACT of physical row 300, 100.5 ns
+    into the run, held 36 ns) and the interludes ``steps`` names, in
+    order; ``replay=False`` runs a fresh copy of ``p`` every time."""
+    module = make_module(CONFIG)
+    obs = Obs()
+    host = DramBenderHost(module, obs=obs)
+    row = module.to_logical(300)
+    p = (
+        bender_program.ProgramBuilder("p")
+        .act(0, row, 100.5).pre(0, 36.0)
+        .build()
+    )
+    interludes = {
+        "frac": bender_program.ProgramBuilder("frac")
+        .act(0, row).pre(0, 9.0).nop(1_000.0).build(),
+        "hammer": bender_program.ProgramBuilder("hammer").loop(
+            2_000,
+            bender_program.ProgramBuilder()
+            .act(0, module.to_logical(301), 13.5).pre(0, 36.0),
+        ).build(),
+    }
+    for step in steps:
+        if step != "p":
+            host.run(interludes[step])
+        else:
+            host.run(
+                p if replay
+                else bender_program.TestProgram(list(p.instructions), p.name)
+            )
+    return module, None, host, obs
+
+
+def test_replay_repeeks_a_ledger_slot_the_capture_lacked():
+    """Row 300 has no ledger slot when ``p`` is captured; hammering its
+    neighbour gives it one, and the replay's touch op must find it."""
+    steps = ("p", "p", "hammer", "p")
+    got = _run_lone_row(steps, replay=True)
+    assert_same_state(got, _run_lone_row(steps, replay=False))
+    assert got[3].by_label("host.runs", "path") == {
+        "full": 2, "capture": 1, "replay": 1,
+    }
+
+
+def test_capture_may_start_on_a_fractional_row():
+    """The capture runs live, so its lone ACT of a fractional row senses
+    thermal noise (a tie) on the full path; the later runs, on a row no
+    longer fractional, replay."""
+    steps = ("p", "frac", "p", "p", "p")
+    got = _run_lone_row(steps, replay=True)
+    assert_same_state(got, _run_lone_row(steps, replay=False))
+    assert got[0].bank(0)._tie_counter == 1
+    assert got[3].by_label("host.runs", "path") == {
+        "full": 2, "capture": 1, "replay": 2,
+    }

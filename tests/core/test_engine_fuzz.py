@@ -6,8 +6,9 @@ victims at a subarray edge -- each with its own standard data pattern,
 at a random temperature, optionally on a module a host already drove.
 ``run_batched_searches`` must return the whole ``HcFirstResult`` list of
 per-setup ``find_hc_first_repeated`` calls on an identically prepared
-module, and every probe must either replay a captured trace or be the
-capture itself.  SiMRA setups are fuzzed in ``test_simra_replay.py``.
+module and leave the module in the same end state (:func:`end_state`),
+and every probe must either replay a captured trace or be the capture
+itself.  SiMRA setups are fuzzed in ``test_simra_replay.py``.
 
 A second property pins a replayed probe to the capture probe it stands
 for: on RowHammer, RowPress, CoMRA and SiMRA units, replaying a trace
@@ -37,7 +38,7 @@ from repro.core.probe_batch import (
     run_batched_searches,
 )
 from repro.disturbance.calibration import ALL_PATTERNS
-from repro.disturbance.ledger import N_POOLS
+from repro.disturbance.ledger import N_POOLS, NO_HIT
 from repro.dram.bank import SIMRA_BLOCK
 from repro.obs import Obs
 from repro.reveng import discover_group
@@ -150,31 +151,74 @@ def setups_for(module, unit):
 
 
 def build(case):
+    """A fresh module prepared as the case draws it, and its setups."""
     module = make_module(CONFIG)
     module.set_temperature(case["temperature_c"])
     if case["host_block"] is not None:
         base = case["host_block"] * SIMRA_BLOCK
         discover_group(module, base, base + 6)
-    return [
+    return module, [
         setup for unit in case["units"] for setup in setups_for(module, unit)
     ]
+
+
+#: a ledger slot that holds nothing: no pools, hits, side stamps or flips
+EMPTY_SLOT = ([], 0, (NO_HIT, NO_HIT), (0, 0), [])
+
+
+def end_state(module):
+    """What searches leave on ``module``, clock bookkeeping aside (the
+    scalar search rewinds its host clock every probe, the engine keeps
+    one clock): row bytes, the ledger slots that hold state, and per bank
+    the counters, the fractional rows and the tie counter."""
+    ledger = module.ledger
+    slots = {}
+    for slot in range(ledger.size):
+        key = ledger.key_of(slot)
+        state = ledger_state(ledger, key)
+        if state != EMPTY_SLOT:
+            slots[key] = state
+    return dict(
+        data=[
+            {row: data.tobytes() for row, data in bank._data.items()
+             if data.any()}
+            for bank in module.banks
+        ],
+        ledger=slots,
+        stats=[dict(bank.stats) for bank in module.banks],
+        frac=[set(bank._frac) for bank in module.banks],
+        ties=[bank._tie_counter for bank in module.banks],
+    )
+
+
+def scalar_end_state(module):
+    """:func:`end_state` after a scalar search, whose last read session
+    the bank still holds back (the engine emits its own eagerly)."""
+    for bank in module.banks:
+        bank.flush(0.0)
+    return end_state(module)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(cases())
 def test_engine_matches_scalar_search(case):
     obs = Obs()
+    module, setups = build(case)
     got = run_batched_searches(
-        build(case), repeats=case["repeats"],
+        setups, repeats=case["repeats"],
         max_hammers=case["max_hammers"], obs=obs,
     )
+    ref_module, ref_setups = build(case)
     ref = [
         find_hc_first_repeated(
             setup, repeats=case["repeats"], max_hammers=case["max_hammers"]
         )
-        for setup in build(case)
+        for setup in ref_setups
     ]
     assert got == ref
+    got_state, ref_state = end_state(module), scalar_end_state(ref_module)
+    for key in ref_state:
+        assert got_state[key] == ref_state[key], key
     paths = obs.by_label("probe.probes", "path")
     assert set(paths) <= {"interp", "capture"}, paths
     assert paths.get("capture", 0) > 0, paths

@@ -27,6 +27,7 @@ from repro.core.hcfirst import (
     find_hc_first_repeated,
     standard_row_data,
 )
+from repro.bender.host import DramBenderHost
 from repro.core.metrics import Measurement
 from repro.core.probe_batch import (
     GUARD_DISTANCE,
@@ -42,6 +43,8 @@ from repro.dram.errors import AddressError, UnsupportedOperationError
 from repro.obs import Obs
 from repro.reveng import discover_group
 from repro.trr import SamplingTrr
+
+from .test_engine_fuzz import end_state, scalar_end_state
 
 CONFIGS = ("hynix-a-8gb", "samsung-b-16gb")
 MODES = ("oracle", "measured")
@@ -440,6 +443,19 @@ def _with_ref(module):
     return _guard_setup(module, factory)
 
 
+def _ref_in_loop(module):
+    def factory(n):
+        trp = module.timing.tRP
+        a, b = module.to_logical(V - 1), module.to_logical(V + 1)
+        body = (
+            ProgramBuilder()
+            .act(0, a, trp).pre(0, 36.0)
+            .act(0, b, trp).pre(0, 36.0).ref()
+        )
+        return ProgramBuilder().loop(n, body).build()
+    return _guard_setup(module, factory)
+
+
 def _with_trr(module):
     module.attach_trr(SamplingTrr(seed=0))
     return _guard_setup(module, _ds(module))
@@ -471,36 +487,44 @@ def _with_read(module):
     return _guard_setup(module, factory)
 
 
-#: guard name -> a hand-built setup that guard refuses
+#: case name -> (the guard that refuses it, a hand-built setup)
 GUARD_CASES = {
-    "ref_program": _with_ref,
-    "multi_victim": lambda m: _guard_setup(
+    # a Ref advances the bank-global refresh rotor: at the top level it
+    # is no loop, inside a body no ACT/PRE stream
+    "ref_program": ("not_loop_nest", _with_ref),
+    "ref_in_loop": ("uncompilable_stream", _ref_in_loop),
+    "multi_victim": ("multi_victim", lambda m: _guard_setup(
         m, _ds(m), victims=(V, V + 1),
-    ),
-    "trr_attached": _with_trr,
-    "program_shape": lambda m: _guard_setup(
+    )),
+    "trr_attached": ("trr_attached", _with_trr),
+    "program_shape": ("program_shape", lambda m: _guard_setup(
         m, _ds(m, loops=lambda n: [1] * n),
-    ),
-    "not_loop_nest": _open_first,
-    "count_shape": lambda m: _guard_setup(
+    )),
+    "not_loop_nest": ("not_loop_nest", _open_first),
+    "count_shape": ("count_shape", lambda m: _guard_setup(
         m, _ds(m, loops=lambda n: [2 * n]),
-    ),
-    "uncompilable_stream": _with_read,
-    "frac_hazard": lambda m: _guard_setup(m, _ds(m, t_agg_on_ns=9.0)),
-    "no_varying_loop": lambda m: _guard_setup(
-        m, _ds(m, loops=lambda n: [5]),
-    ),
-    "restore_joint_hazard": lambda m: _guard_setup(
+    )),
+    "uncompilable_stream": ("uncompilable_stream", _with_read),
+    "frac_hazard": ("frac_hazard", lambda m: _guard_setup(
+        m, _ds(m, t_agg_on_ns=9.0),
+    )),
+    # inside the multi-row window too, which clock_sensitive also refuses
+    "restore_joint_hazard": ("restore_joint_hazard", lambda m: _guard_setup(
         m, _ds(m, first_slack=3.0),
+    )),
+    # inside the CoMRA window only: no other guard refuses it
+    "restore_joint_hazard_comra": (
+        "restore_joint_hazard",
+        lambda m: _guard_setup(m, _ds(m, first_slack=9.0)),
     ),
-    "clock_sensitive": lambda m: _guard_setup(
+    "clock_sensitive": ("clock_sensitive", lambda m: _guard_setup(
         m, _ds(m),
         row_data=standard_row_data(m, [V - 1], [V], ALL_PATTERNS[0]),
-    ),
-    "missing_expected": lambda m: _guard_setup(
+    )),
+    "missing_expected": ("missing_expected", lambda m: _guard_setup(
         m, _ds(m),
         row_data=standard_row_data(m, [V - 1, V + 1], [], ALL_PATTERNS[0]),
-    ),
+    )),
 }
 
 
@@ -522,7 +546,7 @@ class TestFallbackNarrowing:
         def boom(*args, **kwargs):
             raise TypeError("injected planner bug")
 
-        monkeypatch.setattr(probe_batch, "_walk_rows", boom)
+        monkeypatch.setattr(probe_batch, "_joint_gaps", boom)
         with pytest.raises(TypeError, match="injected planner bug"):
             batched.measure_rowhammer_ds(victims)
 
@@ -553,10 +577,10 @@ class TestFallbackNarrowing:
         # refused while planning: no probe ran, not even the good unit's
         assert obs.total("probe.probes") == 0
 
-    @pytest.mark.parametrize("guard", sorted(GUARD_CASES))
-    def test_guard_raises(self, guard):
-        module = make_module("hynix-a-8gb")
-        setup = GUARD_CASES[guard](module)
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_guard_raises(self, case):
+        guard, make_setup = GUARD_CASES[case]
+        setup = make_setup(make_module("hynix-a-8gb"))
         with pytest.raises(ValueError, match=f"^{guard}: "):
             run_batched_searches([setup])
 
@@ -572,29 +596,78 @@ class TestFallbackNarrowing:
             engine.run()
 
     def test_count_dependent_aggoff_is_refused(self):
-        # the third segment re-activates V - 1 16.5 ns after its close in
-        # the second: inside the model's sloped tAggOff band, and behind a
-        # count-scaled first segment, so not rigid against the probe start
+        # an 18 ns varying segment of V + 1 between two activations of
+        # V - 1: the gap spanning it is 49.5 ns at count 2, inside the
+        # model's sloped tAggOff band, and grows 18 ns per count, so no
+        # one trace of the shape holds every count (the first capture
+        # runs at 1,024, where the gap is flat)
         module = make_module("hynix-a-8gb")
         trp = module.timing.tRP
-        agg = module.to_logical(V - 1)
+        agg, other = module.to_logical(V - 1), module.to_logical(V + 1)
 
         def factory(count):
+            edge = ProgramBuilder().act(0, agg, trp).pre(0, 36.0)
             return (
                 ProgramBuilder()
-                .loop(count, ProgramBuilder().act(0, agg, trp).pre(0, 36.0))
-                .loop(1, ProgramBuilder().act(0, agg, trp).pre(0, 36.0)
-                      .nop(3.0))
-                .loop(1, ProgramBuilder().act(0, agg, trp).pre(0, 36.0))
+                .loop(1, edge)
+                .loop(count, ProgramBuilder().act(0, other, 15.0).pre(0, 3.0))
+                .loop(1, edge)
                 .build()
             )
 
-        setup = _guard_setup(
-            module, factory,
-            row_data=standard_row_data(module, [V - 1], [V], ALL_PATTERNS[0]),
-        )
         with pytest.raises(ValueError, match="^count_dependent_aggoff: "):
-            run_batched_searches([setup])
+            run_batched_searches([_guard_setup(module, factory)])
+
+
+def _engine_and_scalar(prepare, make_setup):
+    """One search on the engine and on the scalar path, each on a fresh
+    module ``prepare`` drove first: ``(result, end_state)`` per path."""
+    out = []
+    for engine in (True, False):
+        module = make_module("hynix-a-8gb")
+        prepare(module)
+        setup = make_setup(module)
+        if engine:
+            (result,) = run_batched_searches([setup])
+            state = end_state(module)
+        else:
+            result = find_hc_first_repeated(setup)
+            state = scalar_end_state(module)
+        out.append((result, state))
+    return out
+
+
+def _frac_row(module, row):
+    """Leave physical ``row`` fractional with one host ACT/PRE."""
+    DramBenderHost(module).run(
+        ProgramBuilder().act(0, module.to_logical(row)).pre(0, 9.0).build()
+    )
+    assert module.bank(0)._frac == {row}
+
+
+class TestEngineEndState:
+    """Searches the engine runs without a guard leave the module where
+    the scalar search does."""
+
+    def test_fixed_count_program_matches_scalar(self):
+        # no loop runs the probe count: every probe replays one trace
+        (got, got_state), (ref, ref_state) = _engine_and_scalar(
+            lambda module: None,
+            lambda m: _guard_setup(m, _ds(m, loops=lambda n: [5])),
+        )
+        assert got == ref
+        assert got_state == ref_state
+
+    def test_restore_of_a_fractional_row_takes_a_tie(self):
+        # the scalar write session's ACT of a fractional row senses
+        # thermal noise (a tie) before its WR overwrites the data
+        (got, got_state), (ref, ref_state) = _engine_and_scalar(
+            lambda module: _frac_row(module, V - 1),
+            lambda m: _guard_setup(m, _ds(m)),
+        )
+        assert got == ref
+        assert ref_state["ties"][0] == 1
+        assert got_state == ref_state
 
 
 def _integration_setups(module, monkeypatch):

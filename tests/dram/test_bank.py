@@ -43,13 +43,10 @@ class TestBasicCommands:
         with pytest.raises(TimingError):
             bank.act(11, 50.0)
 
-    def test_non_strict_act_implicitly_precharges(self, hynix_module):
-        from repro.dram.vendors import make_module as mk
-        module = mk("hynix-a-8gb", strict=False)
-        lenient = module.banks[0]
-        lenient.act(10, 0.0)
-        lenient.act(11, 100.0)  # no error
-        assert lenient._open.rows == (11,)
+    def test_ref_with_open_row_raises(self, bank):
+        bank.act(10, 0.0)
+        with pytest.raises(TimingError):
+            bank.ref(50.0)
 
     def test_stats_accumulate(self, bank):
         bank.read_row_direct(5, 0.0)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from repro.workloads import TraceGenerator, build_mixes
+from repro.workloads import fast_traces
 from repro.workloads.fast_traces import (
     BANK_MASK,
     GAP_SHIFT,
@@ -80,16 +81,21 @@ def test_extend_rejects_fields_wider_than_their_slot(entry) -> None:
     assert [unpack_entry(word) for word in tape.entries] == [(5, 1, 2, True)]
 
 
-def test_tape_over_scalar_fallback_matches() -> None:
-    """A profile outside the emulatable envelope (non-power-of-two bank
-    spread) records the scalar generator's own stream."""
+def test_profile_outside_the_emulation_envelope_raises() -> None:
+    """A non-power-of-two bank spread has no emulated stream, and no
+    scalar one to fall back on."""
     profile = WorkloadProfile(
         "odd-spread", "test", mpki=20.0, row_locality=0.4, bank_spread=3,
     )
-    tape = TraceTape(profile, seed=4)
-    tape.grow()
-    scalar = TraceGenerator(profile, seed=4)
-    assert [unpack_entry(word) for word in tape.entries] == [
-        (e.gap_instructions, e.bank, e.row, e.is_write)
-        for e in itertools.islice(scalar, len(tape.entries))
-    ]
+    with pytest.raises(ValueError, match="outside the emulation envelope"):
+        TraceTape(profile, seed=4)
+
+
+def test_emulation_matches_numpy() -> None:
+    assert fast_traces.emulation_matches()
+
+
+def test_failed_self_check_raises(monkeypatch) -> None:
+    monkeypatch.setattr(fast_traces, "_emulation_ok", False)
+    with pytest.raises(RuntimeError, match="no longer matches"):
+        TraceTape(profile_by_name("mcf-like"))
