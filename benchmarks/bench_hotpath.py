@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks for the compiled command-stream engine.
 
-Each cell times the same workload on the fast host (compiled streams +
-chunked replay) and the reference host (per-instruction interpretation):
+Each cell times the same workload on the fast host (``Loop`` bodies
+replayed as compiled streams) and the reference host (per-instruction
+interpretation):
 
 * ``hammer_loop``   -- TRR-attached double-sided RowHammer loop, the
-  workload the chunked ``on_act_stream`` path was built for.  The
+  workload the batched ``on_act_stream`` path was built for.  The
   speedup here carries a hard >=10x floor (the PR's acceptance bar).
 * ``hcfirst_search`` -- five-repeat HC_first measurement (one search
   whose repeats share a probe memo and bracket warm start) vs five

@@ -62,7 +62,7 @@ class PracHook:
     the RDT many times within one tREFI.
 
     The back-off must fire at the exact event where a counter crosses the
-    RDT, so the host's compiled-chunked path replays a PRAC stretch in
+    RDT, so the host's compiled stream path replays a PRAC stretch in
     segments: multi-period runs only where :meth:`quiet_periods` proves no
     counter can reach the RDT, single periods wherever a crossing is
     possible.  The bound works on the per-period increments the host

@@ -36,6 +36,7 @@ from ..core.patterns import (
     T_AGG_ON_NOMINAL_NS,
     simra_pair_for,
     simra_pair_sandwiching,
+    trefi_window,
 )
 from ..disturbance.calibration import (
     MAX_ACTS_PER_TREFI,
@@ -117,52 +118,33 @@ class AttackSpec:
         timing = module.timing
         trp, tras, trefi = timing.tRP, timing.tRAS, timing.tREFI
         builder = ProgramBuilder(f"{self.name}@{self.config_id}")
-        dummy = module.to_logical(self.dummy)
-
-        def close_window(used_ns: float) -> None:
-            if trefi > used_ns:
-                builder.nop(trefi - used_ns)
-            if not self.postpone_refs:
-                builder.ref()
-
-        def hammer_window() -> None:
-            if self.technique == "comra":
-                src, dst = (module.to_logical(r) for r in self.aggressors)
-                cycles = self.acts_per_trefi // 2
-                for _ in range(cycles):
-                    builder.act(self.bank, src, trp)
-                    builder.pre(self.bank, tras)
-                    builder.act(self.bank, dst, COMRA_DELAY_NS)
-                    builder.pre(self.bank, tras)
-                close_window(cycles * (trp + tras + COMRA_DELAY_NS + tras))
-            elif self.technique == "simra":
-                row_a, row_b = (module.to_logical(r) for r in self.aggressors)
-                ops = self.acts_per_trefi // 2
-                for _ in range(ops):
-                    builder.act(self.bank, row_a, trp)
-                    builder.pre(self.bank, SIMRA_ACT_TO_PRE_NS)
-                    builder.act(self.bank, row_b, SIMRA_PRE_TO_ACT_NS)
-                    builder.pre(self.bank, tras)
-                close_window(
-                    ops * (trp + SIMRA_ACT_TO_PRE_NS + SIMRA_PRE_TO_ACT_NS + tras)
-                )
-            else:
-                rows = [module.to_logical(r) for r in self.aggressors]
-                for slot in range(self.acts_per_trefi):
-                    builder.act(self.bank, rows[slot % len(rows)], trp)
-                    builder.pre(self.bank, T_AGG_ON_NOMINAL_NS)
-                close_window(self.acts_per_trefi * (trp + T_AGG_ON_NOMINAL_NS))
-
-        def dummy_window() -> None:
-            for _ in range(self.acts_per_trefi):
-                builder.act(self.bank, dummy, trp)
-                builder.pre(self.bank, tras)
-            close_window(self.acts_per_trefi * (trp + tras))
-
+        rows = [module.to_logical(r) for r in self.aggressors]
+        acts = self.acts_per_trefi
+        if self.technique == "comra":
+            cycles = acts // 2
+            period = [(rows[0], trp, tras), (rows[1], COMRA_DELAY_NS, tras)]
+            pairs = 2 * cycles
+            used = cycles * (trp + tras + COMRA_DELAY_NS + tras)
+        elif self.technique == "simra":
+            ops = acts // 2
+            period = [
+                (rows[0], trp, SIMRA_ACT_TO_PRE_NS),
+                (rows[1], SIMRA_PRE_TO_ACT_NS, tras),
+            ]
+            pairs = 2 * ops
+            used = ops * (trp + SIMRA_ACT_TO_PRE_NS + SIMRA_PRE_TO_ACT_NS + tras)
+        else:
+            period = [(row, trp, T_AGG_ON_NOMINAL_NS) for row in rows]
+            pairs = acts
+            used = acts * (trp + T_AGG_ON_NOMINAL_NS)
+        ref = not self.postpone_refs
         for _ in range(self.hammer_windows):
-            hammer_window()
+            trefi_window(builder, self.bank, period, pairs, used, trefi, ref)
+        flood = [(module.to_logical(self.dummy), trp, tras)]
         for _ in range(self.dummy_windows):
-            dummy_window()
+            trefi_window(
+                builder, self.bank, flood, acts, acts * (trp + tras), trefi, ref
+            )
         if self.postpone_refs:
             for _ in range(self.windows_per_round):
                 builder.ref()

@@ -1,6 +1,13 @@
 """DRAM Bender-style testing infrastructure (host + program DSL + thermals)."""
 
-from .compiler import ChunkStep, CompiledStream, RunStep, build_plan, compile_stream
+from .compiler import (
+    CompiledStream,
+    LoopStep,
+    RunStep,
+    StreamStep,
+    build_plan,
+    compile_stream,
+)
 from .environment import TemperatureController, Thermocouple
 from .host import DramBenderHost, ProgramResult, ReadRecord
 from .program import (
@@ -18,10 +25,11 @@ from .program import (
 
 __all__ = [
     "Act",
-    "ChunkStep",
     "CompiledStream",
     "DramBenderHost",
+    "LoopStep",
     "RunStep",
+    "StreamStep",
     "build_plan",
     "compile_stream",
     "Instruction",

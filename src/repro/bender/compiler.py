@@ -19,15 +19,13 @@ This module mirrors that split for the simulated pipeline:
   batched probe engine's capture probe both run streams through it.
 
 * :func:`build_plan` turns a whole :class:`TestProgram` into an execution
-  plan.  Periodic prefixes of flat ACT/PRE runs (the shape every hammer
-  window has: ``k`` repetitions of the same ACT/PRE period) become
-  :class:`ChunkStep`\\ s, which the host runs through :func:`run_stream`
-  like a compiled ``Loop`` body, per-run inside REF-delimited windows, so
-  it composes with an attached TRR hook (see ``DramBenderHost``).
-
-A period is only chunkable when it opens with an ACT and closes with a
-PRE: then the bank is precharged at every chunk boundary and the session
-state cannot straddle the clock jump.
+  plan.  Programs state their repetition as ``Loop`` instructions (DRAM
+  Bender's loop instruction), and this is the one place it is lowered:
+  a ``Loop`` whose body compiles becomes a :class:`StreamStep`, which the
+  host runs through :func:`run_stream` per REF-delimited stretch so it
+  composes with an attached TRR hook (see ``DramBenderHost``); any other
+  ``Loop`` becomes a :class:`LoopStep` over its body's plan; everything
+  else is interpreted (:class:`RunStep`).
 """
 
 from __future__ import annotations
@@ -35,18 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from ..dram.bank import STREAM_ACT, STREAM_PRE
 from .program import Act, Instruction, Loop, Nop, Pre, TestProgram
-
-#: minimum repetitions of a period before chunking beats interpretation
-MIN_PERIODS = 4
-#: longest period (in commands) the detector searches for
-MAX_PERIOD = 64
-#: consecutive non-periodic positions scanned before the remainder of a
-#: run is handed to the interpreter wholesale (keeps planning linear)
-SCAN_BUDGET = 64
 
 
 @dataclass
@@ -77,14 +65,23 @@ class RunStep:
 
 
 @dataclass
-class ChunkStep:
-    """Execute ``count`` repetitions of ``stream`` as a scaled chunk."""
+class StreamStep:
+    """Run ``count`` periods of ``stream``: a ``Loop`` whose body compiled."""
 
     stream: CompiledStream
     count: int
 
 
-PlanStep = Union[RunStep, ChunkStep, Loop]
+@dataclass
+class LoopStep:
+    """Repeat ``plan`` ``count`` times: a ``Loop`` whose body did not
+    compile, its body planned in turn."""
+
+    plan: list
+    count: int
+
+
+PlanStep = Union[RunStep, StreamStep, LoopStep]
 
 
 def compile_stream(
@@ -183,122 +180,28 @@ def run_stream(bank, stream: CompiledStream, base_ns: float, count: int) -> dict
     return deltas
 
 
-def _find_periodic_prefix(
-    ops: np.ndarray,
-    banks: np.ndarray,
-    rows: np.ndarray,
-    slacks: np.ndarray,
-) -> Optional[tuple[int, int]]:
-    """Best ``(period, repetitions)`` at position 0, or None.
-
-    Vectorized: for each candidate period ``p`` the self-overlap equality
-    ``x[p:] == x[:-p]`` is computed across all four fields at once; the
-    length of the initial all-True run gives how far the periodicity
-    extends.  Among candidates with at least :data:`MIN_PERIODS`
-    repetitions the one covering the most commands wins (ties favor the
-    shortest period, which maximizes the scaling factor).
-    """
-    n = ops.size
-    if n < 2 * MIN_PERIODS or ops[0] != STREAM_ACT:
-        return None
-    best: Optional[tuple[int, int, int]] = None
-    max_p = min(MAX_PERIOD, n // MIN_PERIODS)
-    for p in range(2, max_p + 1):
-        if ops[p - 1] != STREAM_PRE:
-            continue  # period must close its session at the boundary
-        eq = (
-            (ops[p:] == ops[:-p])
-            & (banks[p:] == banks[:-p])
-            & (rows[p:] == rows[:-p])
-            & (slacks[p:] == slacks[:-p])
-        )
-        m = n if eq.all() else p + int(np.argmin(eq))
-        k = m // p
-        if k < MIN_PERIODS:
-            continue
-        coverage = k * p
-        if best is None or coverage > best[2]:
-            best = (p, k, coverage)
-    if best is None:
-        return None
-    return best[0], best[1]
+def build_plan(program: TestProgram, module) -> list[PlanStep]:
+    """Lower a program into a plan of Run / Stream / Loop steps."""
+    return _plan(program.instructions, module)
 
 
-def _plan_run(
-    run: Sequence[Instruction],
-    module,
-    steps: list,
-    raw: list,
-    flush_raw,
-) -> None:
-    """Chunk the periodic stretches of one maximal ACT/PRE run."""
-    ops = np.fromiter(
-        (STREAM_ACT if isinstance(i, Act) else STREAM_PRE for i in run),
-        dtype=np.int8,
-        count=len(run),
-    )
-    banks = np.fromiter((i.bank for i in run), dtype=np.int32, count=len(run))
-    rows = np.fromiter(
-        (i.row if isinstance(i, Act) else -1 for i in run),
-        dtype=np.int64,
-        count=len(run),
-    )
-    slacks = np.fromiter(
-        (i.slack_ns for i in run), dtype=np.float64, count=len(run)
-    )
-    pos = 0
-    n = len(run)
-    misses = 0
-    while pos < n:
-        if misses >= SCAN_BUDGET:
-            break
-        found = _find_periodic_prefix(
-            ops[pos:], banks[pos:], rows[pos:], slacks[pos:]
-        )
-        stream = None
-        if found is not None:
-            p, k = found
-            stream = compile_stream(run[pos : pos + p], module)
-        if stream is None:
-            raw.append(run[pos])
-            pos += 1
-            misses += 1
-            continue
-        flush_raw()
-        steps.append(ChunkStep(stream, k))
-        pos += p * k
-        misses = 0
-    raw.extend(run[pos:])
-
-
-def build_plan(program: TestProgram, module) -> list:
-    """Lower a program into a plan of Run / Chunk / Loop steps."""
-    steps: list = []
+def _plan(instructions: Sequence[Instruction], module) -> list[PlanStep]:
+    steps: list[PlanStep] = []
     raw: list = []
-
-    def flush_raw() -> None:
+    for instr in instructions:
+        if not isinstance(instr, Loop):
+            raw.append(instr)
+            continue
+        if instr.count == 0:
+            continue
         if raw:
             steps.append(RunStep(tuple(raw)))
-            raw.clear()
-
-    instructions = program.instructions
-    i = 0
-    n = len(instructions)
-    while i < n:
-        instr = instructions[i]
-        if isinstance(instr, Loop):
-            flush_raw()
-            steps.append(instr)
-            i += 1
-            continue
-        if not isinstance(instr, (Act, Pre)):
-            raw.append(instr)
-            i += 1
-            continue
-        j = i
-        while j < n and isinstance(instructions[j], (Act, Pre)):
-            j += 1
-        _plan_run(instructions[i:j], module, steps, raw, flush_raw)
-        i = j
-    flush_raw()
+            raw = []
+        stream = compile_stream(instr.body, module)
+        if stream is not None:
+            steps.append(StreamStep(stream, instr.count))
+        else:
+            steps.append(LoopStep(_plan(instr.body, module), instr.count))
+    if raw:
+        steps.append(RunStep(tuple(raw)))
     return steps

@@ -13,18 +13,21 @@ Two execution paths (see DESIGN.md, "Execution engine"):
 
 * **unrolled** -- per-instruction interpretation; always correct, the
   reference the stream path is tested against (``compile_streams=False``
-  runs everything this way), and the fallback for every ``Loop`` body that
-  does not lower to a stream (several banks, nested loops, RD/WR/REF,
-  NOP-only).
-* **compiled stream** -- periodic ACT/PRE stretches (a ``Loop`` body or a
-  periodic run inside a flat program) are lowered once by
-  :mod:`repro.bender.compiler` into a command stream and executed as one
-  warm-up period (steady-state synergy windows and tAggOff gaps) plus one
-  period whose fault-model ``times`` multiplier carries the remaining
-  repetitions, the clock jumping over the skipped duration.  Valid because
-  damage accrual is linear in the repetition count and the bank is closed
-  at every period boundary.  The passes run *per REF-delimited stretch*,
-  which is what makes them compose with an attached TRR hook:
+  runs everything this way), and the path of every instruction outside a
+  ``Loop`` and of every ``Loop`` whose body does not lower to a stream
+  (several banks, nested loops, RD/WR/REF, NOP-only; its body's own
+  streamable loops still stream).
+* **compiled stream** -- programs state their repetition as ``Loop``
+  instructions, as DRAM Bender's loop instruction does.  A ``Loop`` body
+  of ACT/PRE/NOP on one bank is lowered once per program by
+  :func:`repro.bender.compiler.build_plan` into a command stream and
+  executed as one warm-up period (steady-state synergy windows and
+  tAggOff gaps) plus one period whose fault-model ``times`` multiplier
+  carries the remaining repetitions, the clock jumping over the skipped
+  duration.  Valid because damage accrual is linear in the repetition
+  count and the bank is closed at every period boundary.  The passes run
+  *per REF-delimited stretch*, which is what makes them compose with an
+  attached TRR hook:
   between TRR-capable REFs the sampler's observable state depends only on
   the ACT sequence, so per-ACT callbacks are suppressed during the two
   passes and the hook receives one batched
@@ -55,17 +58,13 @@ from ..dram.module import DramModule
 from ..dram.replay import TraceRecorder
 from ..obs import NULL_OBS
 from .compiler import (
-    ChunkStep,
     CompiledStream,
     RunStep,
+    StreamStep,
     build_plan,
-    compile_stream,
     run_stream,
 )
 from .program import Act, Instruction, Loop, Nop, Pre, Rd, Ref, TestProgram, Wr
-
-#: cache sentinel for loop bodies that do not lower to a stream
-_NO_STREAM = object()
 
 #: ``_ProgramEntry.capture`` sentinel: the program's runs cannot be replayed
 _NO_TRACE = object()
@@ -250,7 +249,7 @@ class DramBenderHost:
     #: default for the ``compile_streams`` constructor argument; benchmarks
     #: flip this to force interpretation in code they don't construct.
     default_compile_streams = True
-    #: plans/streams cached per host before the caches reset
+    #: plans cached per host before the cache resets
     _CACHE_MAX = 64
 
     def __init__(
@@ -267,10 +266,11 @@ class DramBenderHost:
             if compile_streams is None
             else compile_streams
         )
-        #: metrics registry counting which execution path each loop/chunk
-        #: took (``host.loops{path=...}`` / ``host.chunks{path=...}``);
-        #: recorded per loop, never per command, so the disabled default
-        #: costs one no-op call per loop
+        #: metrics registry counting which execution path each loop took
+        #: (``host.loops{path=...}``: ``stream`` or ``unrolled``) and how
+        #: each run went (``host.runs{path=...}``); recorded per loop,
+        #: never per command, so the disabled default costs one no-op
+        #: call per loop
         self.obs = obs if obs is not None else NULL_OBS
         self.now_ns = 0.0
         # Plans are keyed by program identity (programs are mutable, so
@@ -281,7 +281,6 @@ class DramBenderHost:
         # trace.  Callers must not mutate a program's instruction list
         # between runs -- nothing in the repo does.
         self._plans: dict[int, _ProgramEntry] = {}
-        self._loop_streams: dict[Loop, object] = {}
         #: the run being captured, if any
         self._capture: Optional[_Capture] = None
 
@@ -463,11 +462,13 @@ class DramBenderHost:
             cls = step.__class__
             if cls is RunStep:
                 self._execute(step.instructions, result)
-            elif cls is ChunkStep:
-                self._inc("host.chunks", "stream")
+            elif cls is StreamStep:
+                self._inc("host.loops", "stream")
                 self._run_periods(step.stream, step.count)
-            else:  # Loop
-                self._execute_loop(step, result)
+            else:  # LoopStep
+                self._inc("host.loops", "unrolled")
+                for _ in range(step.count):
+                    self._execute_plan(step.plan, result)
 
     def _run_periods(self, stream: CompiledStream, count: int) -> None:
         """Replay ``count`` periods of ``stream``, split where a hook can act.
@@ -524,36 +525,17 @@ class DramBenderHost:
             trr.on_act_stream(stream.bank, stream.act_rows, count)
         self.now_ns = base + stream.duration_ns * count
 
-    def _loop_stream(self, loop: Loop) -> Optional[CompiledStream]:
-        cached = self._loop_streams.get(loop)
-        if cached is not None:
-            return None if cached is _NO_STREAM else cached
-        stream = compile_stream(loop.body, self.module)
-        if len(self._loop_streams) >= self._CACHE_MAX:
-            self._loop_streams.clear()
-        self._loop_streams[loop] = _NO_STREAM if stream is None else stream
-        return stream
-
     # ------------------------------------------------------------------
     def _execute(self, instructions, result: ProgramResult) -> None:
+        """Interpret instructions one by one, unrolling every ``Loop``."""
         for instr in instructions:
             if isinstance(instr, Loop):
-                self._execute_loop(instr, result)
+                if instr.count:
+                    self._inc("host.loops", "unrolled")
+                    for _ in range(instr.count):
+                        self._execute(instr.body, result)
             else:
                 self._step(instr, result)
-
-    def _execute_loop(self, loop: Loop, result: ProgramResult) -> None:
-        if loop.count == 0:
-            return
-        if self.compile_streams:
-            stream = self._loop_stream(loop)
-            if stream is not None:
-                self._inc("host.loops", "stream")
-                self._run_periods(stream, loop.count)
-                return
-        self._inc("host.loops", "unrolled")
-        for _ in range(loop.count):
-            self._execute(loop.body, result)
 
     # ------------------------------------------------------------------
     def _step(self, instr: Instruction, result: ProgramResult) -> None:

@@ -311,6 +311,38 @@ def simra_hammer(
 # ----------------------------------------------------------------------
 # §7: N-sided TRR-bypass pattern (after U-TRR)
 # ----------------------------------------------------------------------
+def trefi_window(
+    builder: ProgramBuilder,
+    bank: int,
+    period: Sequence[tuple[int, float, float]],
+    pairs: int,
+    used_ns: float,
+    trefi: float,
+    ref: bool = True,
+) -> None:
+    """Append one tREFI window of ``pairs`` ACT/PRE pairs to ``builder``.
+
+    ``period`` lists one ``(logical row, ACT slack, PRE slack)`` per pair,
+    and the pairs cycle through it: the whole periods become one ``Loop``
+    and the pairs left over follow it flat.  A NOP pads the window from
+    ``used_ns`` (the caller's own arithmetic for the commands' duration)
+    to ``trefi``, and a REF closes it unless ``ref`` is False (postponed
+    refreshes).
+    """
+    reps, rest = divmod(pairs, len(period))
+    if reps:
+        body = ProgramBuilder()
+        for row, act_ns, pre_ns in period:
+            body.act(bank, row, act_ns).pre(bank, pre_ns)
+        builder.loop(reps, body)
+    for row, act_ns, pre_ns in period[:rest]:
+        builder.act(bank, row, act_ns).pre(bank, pre_ns)
+    if trefi > used_ns:
+        builder.nop(trefi - used_ns)
+    if ref:
+        builder.ref()
+
+
 def n_sided_trr_pattern(
     module: DramModule,
     aggressors: Sequence[int],
@@ -331,27 +363,13 @@ def n_sided_trr_pattern(
     trp = module.timing.tRP
     trefi = module.timing.tREFI
     builder = ProgramBuilder(f"trr-{len(aggressors)}sided")
-    agg_logical = [_logical(module, a) for a in aggressors]
-    dummy_logical = _logical(module, dummy)
-
-    def hammer_window(rows: Sequence[int]) -> None:
-        issued = 0
-        slot = 0
-        while issued < acts_per_trefi:
-            row = rows[slot % len(rows)]
-            builder.act(bank, row, trp)
-            builder.pre(bank, t_agg_on_ns)
-            issued += 1
-            slot += 1
-        used = acts_per_trefi * (trp + t_agg_on_ns)
-        if trefi > used:
-            builder.nop(trefi - used)
-        builder.ref()
-
+    used = acts_per_trefi * (trp + t_agg_on_ns)
+    hammer = [(_logical(module, a), trp, t_agg_on_ns) for a in aggressors]
+    flood = [(_logical(module, dummy), trp, t_agg_on_ns)]
     for _ in range(windows):
-        hammer_window(agg_logical)
+        trefi_window(builder, bank, hammer, acts_per_trefi, used, trefi)
     for _ in range(dummy_windows):
-        hammer_window([dummy_logical])
+        trefi_window(builder, bank, flood, acts_per_trefi, used, trefi)
     return builder.build()
 
 
@@ -370,29 +388,17 @@ def comra_trr_pattern(
     builder = ProgramBuilder("trr-comra")
     src = _logical(module, victim - 1)
     dst = _logical(module, victim + 1)
-    dummy_logical = _logical(module, dummy)
-
     cycles = acts_per_trefi // 2  # each CoMRA cycle issues two ACTs
-    for _ in range(cycles):
-        builder.act(bank, src, trp)
-        builder.pre(bank, tras)
-        builder.act(bank, dst, COMRA_DELAY_NS)
-        builder.pre(bank, tras)
-    used = cycles * (trp + tras + COMRA_DELAY_NS + tras)
-    if trefi > used:
-        builder.nop(trefi - used)
-    builder.ref()
-
+    trefi_window(
+        builder, bank, [(src, trp, tras), (dst, COMRA_DELAY_NS, tras)],
+        2 * cycles, cycles * (trp + tras + COMRA_DELAY_NS + tras), trefi,
+    )
+    flood = [(_logical(module, dummy), trp, tras)]
     for _ in range(dummy_windows):
-        issued = 0
-        while issued < acts_per_trefi:
-            builder.act(bank, dummy_logical, trp)
-            builder.pre(bank, tras)
-            issued += 1
-        used = acts_per_trefi * (trp + tras)
-        if trefi > used:
-            builder.nop(trefi - used)
-        builder.ref()
+        trefi_window(
+            builder, bank, flood, acts_per_trefi,
+            acts_per_trefi * (trp + tras), trefi,
+        )
     return builder.build()
 
 
@@ -410,27 +416,18 @@ def simra_trr_pattern(
     trefi = module.timing.tREFI
     builder = ProgramBuilder(f"trr-simra{pair.count}")
     a, b = _logical(module, pair.row_a), _logical(module, pair.row_b)
-    dummy_logical = _logical(module, dummy)
-
     ops = acts_per_trefi // 2
-    for _ in range(ops):
-        builder.act(bank, a, trp)
-        builder.pre(bank, SIMRA_ACT_TO_PRE_NS)
-        builder.act(bank, b, SIMRA_PRE_TO_ACT_NS)
-        builder.pre(bank, tras)
-    used = ops * (trp + SIMRA_ACT_TO_PRE_NS + SIMRA_PRE_TO_ACT_NS + tras)
-    if trefi > used:
-        builder.nop(trefi - used)
-    builder.ref()
-
+    trefi_window(
+        builder, bank,
+        [(a, trp, SIMRA_ACT_TO_PRE_NS), (b, SIMRA_PRE_TO_ACT_NS, tras)],
+        2 * ops,
+        ops * (trp + SIMRA_ACT_TO_PRE_NS + SIMRA_PRE_TO_ACT_NS + tras),
+        trefi,
+    )
+    flood = [(_logical(module, dummy), trp, tras)]
     for _ in range(dummy_windows):
-        issued = 0
-        while issued < acts_per_trefi:
-            builder.act(bank, dummy_logical, trp)
-            builder.pre(bank, tras)
-            issued += 1
-        used = acts_per_trefi * (trp + tras)
-        if trefi > used:
-            builder.nop(trefi - used)
-        builder.ref()
+        trefi_window(
+            builder, bank, flood, acts_per_trefi,
+            acts_per_trefi * (trp + tras), trefi,
+        )
     return builder.build()

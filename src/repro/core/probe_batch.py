@@ -53,9 +53,10 @@ that is not a single-bank ACT/PRE stream, a ``Ref`` in it included),
 ``frac_hazard`` (a session open for a FracDRAM sensing window),
 ``restore_joint_hazard`` (a first activation that could claim the
 re-initialization write as a CoMRA/multi-copy source),
-``clock_sensitive`` (activations reaching rows the unit does not
-re-initialize, whose retention decay would see the engine's continuous
-clock) and ``missing_expected``.  A program whose loops all have fixed
+``varying_joint_hazard`` (an activation after a varying loop that could
+open a copy at some probe counts only), ``clock_sensitive`` (activations
+reaching rows the unit does not re-initialize, whose retention decay
+would see the engine's continuous clock) and ``missing_expected``.  A program whose loops all have fixed
 counts needs no guard: every probe replays its one trace.  A capture
 raises too: ``prologue_shape`` when it starts while the bank holds an
 open or held-back session, and ``count_dependent_aggoff`` when its trace
@@ -429,6 +430,16 @@ def _lower_loops(setup: ProbeSetup) -> list[tuple[CompiledStream, Optional[int]]
     return loops
 
 
+def _copy_window(setup: ProbeSetup, gap: float) -> bool:
+    """True when an ACT ``gap`` ns after a PRE could open a copy: the CoMRA
+    window, or the multi-copy join window on a SiMRA-capable module."""
+    module = setup.module
+    return 0.0 < gap < module.timing.tRP and (
+        module.bank(setup.bank).supports_comra
+        or (module.model.supports_simra and gap <= _MULTI_ACT_GAP_NS)
+    )
+
+
 def _restore_joint_hazard(
     setup: ProbeSetup, loops: Sequence[tuple[CompiledStream, Optional[int]]]
 ) -> bool:
@@ -441,15 +452,35 @@ def _restore_joint_hazard(
     cannot run such a unit.  Every standard pattern leads with a full-tRP
     slack and stays eligible.
     """
-    module = setup.module
-    bank = module.bank(setup.bank)
     for stream, fixed in loops:
         if fixed == 0:
             continue  # never executed first; counts are otherwise >= 1
-        gap = stream.offset_list[0]
-        return 0.0 < gap < module.timing.tRP and (
-            bank.supports_comra
-            or (module.model.supports_simra and gap <= _MULTI_ACT_GAP_NS)
+        return _copy_window(setup, stream.offset_list[0])
+    return False
+
+
+def _varying_joint_hazard(
+    setup: ProbeSetup, loops: Sequence[tuple[CompiledStream, Optional[int]]]
+) -> bool:
+    """True when the ACT after a varying segment could open a copy.
+
+    After a scaled pass the bank's last PRE lies ``count - 2`` periods
+    before the real one, so the joint gap is the true one only at counts
+    1 and 2 and grows by the varying period per count: a copy the next
+    segment's first ACT opens at count 2 is gone at larger counts, and a
+    trace captured at one count replays another without it.
+    """
+    varying_tail: Optional[float] = None
+    for stream, fixed in loops:
+        if fixed == 0:
+            continue
+        if varying_tail is not None and _copy_window(
+            setup, varying_tail + stream.offset_list[0]
+        ):
+            return True
+        varying_tail = (
+            stream.duration_ns - stream.offset_list[-1] if fixed is None
+            else None
         )
     return False
 
@@ -476,6 +507,11 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
         raise ValueError(
             "restore_joint_hazard: the first ACT could claim the last "
             "initialization write as a copy source"
+        )
+    if _varying_joint_hazard(setup, loops):
+        raise ValueError(
+            "varying_joint_hazard: the ACT after a varying loop could open "
+            "a copy at some probe counts only"
         )
     # a lowered stream is ACT/PRE only, so its ACTs are every row it touches
     acted = {row for stream, _fixed in loops for row in stream.act_rows}

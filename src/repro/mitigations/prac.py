@@ -9,17 +9,22 @@ PuD breaks PRAC's one-ACT-one-counter assumption: a SiMRA operation
 activates up to 32 rows with two ACT commands.  Following the paper we
 place counters in a dedicated mat (Panopticon) -- counters co-located with
 the data rows would be destroyed by SiMRA's overwriting (§8.2 footnote 8)
--- and provide two counter-update organizations:
+-- and model two counter-update organizations with one
+:class:`PracConfig` flag, ``sequential_updates``:
 
-* :class:`PracAreaOptimized` (PRAC-AO) -- one incrementer, sequential
-  updates: a SiMRA-32 op blocks the bank for 32 x tRC (~1.5 us).
-* :class:`PracPerformanceOptimized` (PRAC-PO) -- N incrementers, all
+* PRAC-AO (area-optimized, ``sequential_updates=True``) -- one
+  incrementer: an op touching N rows blocks the bank for (N - 1) x tRC
+  more (a SiMRA-32 op ~1.5 us, see :meth:`PracConfig.update_latency_ns`).
+* PRAC-PO (performance-optimized, the default) -- N incrementers, all
   counters update within tRC.
 
-Both accept a *weighted counting* configuration (PRAC-PO-WC): instead of
-lowering the RDT to SiMRA's worst-case HC_first (~20, PRAC-PO-Naive), each
-operation type adds its equivalent RowHammer damage: SiMRA counts as
-4K/20 = 200 hammers, CoMRA as 4K/400 = 10 (§8.2).
+Either may use *weighted counting*: instead of lowering the RDT to
+SiMRA's worst-case HC_first (~20), each operation type adds its
+equivalent RowHammer damage: SiMRA counts as 4K/20 = 200 hammers, CoMRA
+as 4K/400 = 10 (§8.2).  The evaluated variants are
+:meth:`PracConfig.po_naive` (PRAC-PO-Naive: parallel, unweighted, RDT
+20), :meth:`PracConfig.po_weighted` (PRAC-PO-WC) and
+:meth:`PracConfig.ao_weighted` (PRAC-AO-WC).
 """
 
 from __future__ import annotations

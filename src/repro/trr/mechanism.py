@@ -77,7 +77,7 @@ class SamplingTrr:
         :meth:`on_act` calls: the bounded FIFO's final content is the last
         ``window`` elements of the repeated sequence, which this builds
         directly (a rotation of ``rows``) instead of appending one by one.
-        The batched host path calls this once per compiled chunk, between
+        The host's stream path calls this once per stream run, between
         REFs, so the buffer a TRR-capable REF samples from is
         bit-identical to the unrolled execution's.
         """

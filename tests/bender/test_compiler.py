@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.attack import synthesize_attacks
 from repro.bender.compiler import (
-    ChunkStep,
+    LoopStep,
     RunStep,
+    StreamStep,
     build_plan,
     compile_stream,
     run_stream,
 )
-from repro.bender.program import Loop, Nop, ProgramBuilder, Ref
+from repro.bender.program import Act, Loop, Nop, Pre, ProgramBuilder, Ref
 from repro.core import patterns
 from repro.dram import make_module
 from repro.dram.bank import STREAM_ACT, STREAM_PRE
@@ -135,41 +137,77 @@ class TestRunStream:
             assert deltas["acts"] == len(stream.act_rows)
 
 
+def _interpreted_commands(plan) -> int:
+    """ACT/PRE commands a plan leaves to per-instruction interpretation."""
+    total = 0
+    for step in plan:
+        if isinstance(step, RunStep):
+            total += sum(isinstance(i, (Act, Pre)) for i in step.instructions)
+        elif isinstance(step, LoopStep):
+            total += step.count * _interpreted_commands(step.plan)
+    return total
+
+
+VICTIM = 2 * 96 + 40
+
+#: every §7 round pattern
+TRR_PATTERNS = {
+    "n-sided": lambda module: patterns.n_sided_trr_pattern(
+        module, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+        windows=2, dummy_windows=2,
+    ),
+    "comra": lambda module: patterns.comra_trr_pattern(
+        module, VICTIM, VICTIM + 30, dummy_windows=2
+    ),
+    "simra": lambda module: patterns.simra_trr_pattern(
+        module, patterns.simra_pair_for(module, 64, 4), 140, dummy_windows=2
+    ),
+}
+
+
 class TestBuildPlan:
-    def test_flat_trr_pattern_chunks_windows(self, module):
-        victim = 2 * 96 + 40
-        program = patterns.n_sided_trr_pattern(
-            module, (victim - 1, victim + 1), victim + 30,
-            windows=1, dummy_windows=2,
-        )
+    @pytest.mark.parametrize("name", sorted(TRR_PATTERNS))
+    def test_trr_windows_are_stream_steps(self, module, name):
+        program = TRR_PATTERNS[name](module)
         plan = build_plan(program, module)
-        chunks = [s for s in plan if isinstance(s, ChunkStep)]
-        assert len(chunks) >= 3  # one per tREFI window
-        # chunked commands dominate the plan (NOP/REF separators stay raw)
-        chunked = sum(len(c.stream.op_list) * c.count for c in chunks)
-        raw = sum(
-            len(s.instructions) for s in plan if isinstance(s, RunStep)
-        )
-        assert chunked > 10 * raw
-        # the aggressor window alternates two rows -> period of 4 commands
-        assert len(chunks[0].stream.op_list) == 4
+        assert _interpreted_commands(plan) == 0
+        streams = [s for s in plan if isinstance(s, StreamStep)]
+        windows = sum(isinstance(i, Ref) for i in program.instructions)
+        assert len(streams) == windows  # one per tREFI window
+        assert sum(
+            len(s.stream.act_rows) * s.count for s in streams
+        ) == sum(isinstance(i, Act) for i in program.flattened())
 
-    def test_chunk_periods_close_their_session(self, module):
-        victim = 2 * 96 + 40
-        program = patterns.n_sided_trr_pattern(
-            module, (victim - 1, victim + 1), victim + 30,
-            windows=1, dummy_windows=1,
-        )
-        for step in build_plan(program, module):
-            if isinstance(step, ChunkStep):
-                assert step.stream.op_list[0] == STREAM_ACT
-                assert step.stream.op_list[-1] == STREAM_PRE
+    def test_synthesized_rounds_leave_nothing_interpreted(self, module):
+        for spec in synthesize_attacks(module):
+            plan = build_plan(spec.build_round(module), module)
+            assert _interpreted_commands(plan) == 0, spec.name
+            assert any(isinstance(s, StreamStep) for s in plan), spec.name
 
-    def test_loops_pass_through(self, module):
-        program = patterns.double_sided_rowhammer(module, 2 * 96 + 40, 100)
+    def test_stream_periods_close_their_session(self, module):
+        for name in sorted(TRR_PATTERNS):
+            for step in build_plan(TRR_PATTERNS[name](module), module):
+                if isinstance(step, StreamStep):
+                    assert step.stream.op_list[0] == STREAM_ACT
+                    assert step.stream.op_list[-1] == STREAM_PRE
+
+    def test_streamable_loop_becomes_stream_step(self, module):
+        program = patterns.double_sided_rowhammer(module, VICTIM, 100)
         plan = build_plan(program, module)
         assert len(plan) == 1
-        assert isinstance(plan[0], Loop)
+        assert isinstance(plan[0], StreamStep)
+        assert plan[0].count == 100
+        assert list(plan[0].stream.act_rows) == [VICTIM - 1, VICTIM + 1]
+
+    def test_unstreamable_loop_keeps_its_body_plan(self, module):
+        inner = ProgramBuilder().loop(3, ProgramBuilder(
+        ).act(0, 5, 13.5).pre(0, 36.0)).ref()
+        program = ProgramBuilder().loop(2, inner).loop(0, inner).build()
+        (step,) = build_plan(program, module)  # the empty loop is dropped
+        assert isinstance(step, LoopStep) and step.count == 2
+        stream, refs = step.plan
+        assert isinstance(stream, StreamStep) and stream.count == 3
+        assert isinstance(refs, RunStep) and refs.instructions == (Ref(0.0),)
 
     def test_aperiodic_run_stays_raw(self, module):
         builder = ProgramBuilder("aperiodic")
@@ -180,18 +218,12 @@ class TestBuildPlan:
         assert all(isinstance(step, RunStep) for step in plan)
 
     def test_plan_covers_every_instruction(self, module):
-        victim = 2 * 96 + 40
-        program = patterns.comra_trr_pattern(
-            module, victim, victim + 30, dummy_windows=1
-        )
+        program = TRR_PATTERNS["comra"](module)
         plan = build_plan(program, module)
         covered = 0
         for step in plan:
-            if isinstance(step, ChunkStep):
-                # chunked runs are NOP-free, so every command is an op
-                covered += len(step.stream.op_list) * step.count
-            elif isinstance(step, RunStep):
+            if isinstance(step, RunStep):
                 covered += len(step.instructions)
-            else:
+            else:  # one Loop each
                 covered += 1
         assert covered == len(program.instructions)

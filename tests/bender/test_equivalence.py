@@ -1,4 +1,4 @@
-"""Compiled/chunked execution must be indistinguishable from unrolled.
+"""Compiled stream execution must be indistinguishable from unrolled.
 
 Every case runs the same program twice on freshly instantiated modules:
 once on the reference host (``compile_streams=False``, pure
@@ -63,7 +63,6 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
         "bank": dict(bank.stats),
         "refreshes": refreshes,
         "now_ns": host.now_ns,
-        "chunks": obs.by_label("host.chunks", "path"),
         "loops": obs.by_label("host.loops", "path"),
     }
 
@@ -98,8 +97,7 @@ def _compare(program_factory, setup_rows, victims, hook_factory, rounds=1):
     if hook_factory in PRAC_HOOKS.values():
         # back-offs fired, and the fast host never fell back to interpreting
         assert fast["trr"]["rfms"] > 0
-        assert fast["chunks"].get("stream", 0) + fast["loops"].get("stream", 0) > 0
-        assert "unrolled" not in fast["chunks"]
+        assert fast["loops"].get("stream", 0) > 0
         assert "unrolled" not in fast["loops"]
     return fast
 
@@ -196,9 +194,10 @@ class TestLoopBodies:
 
 
 class TestFlatTrrPrograms:
-    """§7 patterns: flat ACT/PRE windows with embedded REFs, TRR attached.
+    """§7 patterns: one ACT/PRE ``Loop`` per tREFI window, REFs between
+    them, TRR attached.
 
-    These exercise the periodic-run chunking *and* the batched
+    These exercise the window streams *and* the batched
     ``on_act_stream``: targeted-refresh equality requires the sampler's
     buffer (content and emptiness) to match the unrolled run at every
     TRR-capable REF, i.e. the RNG draw sequences must be bit-identical.
@@ -263,7 +262,7 @@ class TestFlatTrrPrograms:
     @pytest.mark.parametrize("pattern", ["n-sided", "comra", "simra"])
     @pytest.mark.parametrize("mitigation", PRAC_HOOKS)
     def test_prac(self, mitigation, pattern):
-        """§8.2 PRAC over the same patterns: chunked windows replay in
+        """§8.2 PRAC over the same patterns: window streams replay in
         segments, and every back-off lands where unrolled puts it."""
         if pattern == "n-sided":
             program = lambda m: patterns.n_sided_trr_pattern(  # noqa: E731
@@ -289,5 +288,5 @@ class TestFlatTrrPrograms:
             )
             victims = (victim,)
         fast = _compare(program, setup, victims, PRAC_HOOKS[mitigation], rounds=6)
-        assert fast["chunks"]["stream"] > 0
+        assert fast["loops"]["stream"] > 0
 

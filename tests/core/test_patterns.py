@@ -91,3 +91,20 @@ class TestTrrPatterns:
         )
         acts = sum(1 for i in program.flattened() if isinstance(i, Act))
         assert acts == 156
+
+    def test_window_remainder_follows_its_loop(self, hynix_module):
+        # 8 ACTs over 3 aggressors: two whole periods in a Loop, then the
+        # first two aggressors flat, in the order the rows cycle
+        from repro.bender.program import Act, Loop, Nop, Ref
+        rows = [50, 52, 54]
+        program = patterns.n_sided_trr_pattern(
+            hynix_module, rows, dummy=80, acts_per_trefi=8, dummy_windows=0
+        )
+        loop, *rest = program.instructions
+        assert isinstance(loop, Loop) and loop.count == 2
+        logical = [hynix_module.to_logical(r) for r in rows]
+        assert [i.row for i in loop.body if isinstance(i, Act)] == logical
+        assert [i.row for i in rest if isinstance(i, Act)] == logical[:2]
+        assert isinstance(rest[-2], Nop) and isinstance(rest[-1], Ref)
+        acts = [i.row for i in program.flattened() if isinstance(i, Act)]
+        assert acts == [logical[k % 3] for k in range(8)]

@@ -487,6 +487,18 @@ def _with_read(module):
     return _guard_setup(module, factory)
 
 
+def _varying_joint(module):
+    """``loop(count, ACT V - 2 / PRE) + loop(1, ACT V - 1 3 ns later / PRE)``."""
+    trp = module.timing.tRP
+    low, high = module.to_logical(V - 2), module.to_logical(V - 1)
+    return lambda n: (
+        ProgramBuilder()
+        .loop(n, ProgramBuilder().act(0, low, trp).pre(0, 36.0))
+        .loop(1, ProgramBuilder().act(0, high, 3.0).pre(0, 36.0))
+        .build()
+    )
+
+
 #: case name -> (the guard that refuses it, a hand-built setup)
 GUARD_CASES = {
     # a Ref advances the bank-global refresh rotor: at the top level it
@@ -517,6 +529,11 @@ GUARD_CASES = {
         "restore_joint_hazard",
         lambda m: _guard_setup(m, _ds(m, first_slack=9.0)),
     ),
+    # a copy-window ACT after the varying loop: no other guard refuses it
+    "varying_joint_hazard": ("varying_joint_hazard", lambda m: _guard_setup(
+        m, _varying_joint(m),
+        row_data=standard_row_data(m, [V - 2, V - 1], [V], ALL_PATTERNS[0]),
+    )),
     "clock_sensitive": ("clock_sensitive", lambda m: _guard_setup(
         m, _ds(m),
         row_data=standard_row_data(m, [V - 1], [V], ALL_PATTERNS[0]),
@@ -594,6 +611,22 @@ class TestFallbackNarrowing:
         assert module.bank(0)._pending is not None
         with pytest.raises(ValueError, match="^prologue_shape: "):
             engine.run()
+
+    @pytest.mark.parametrize("config_id", CONFIGS)
+    def test_copy_after_varying_loop_is_refused(self, config_id):
+        # the ACT 3 ns after the varying loop opens a CoMRA copy (Samsung)
+        # or a multi-row activation (SK Hynix) on the scalar host at
+        # count 2 but not at 1,024, so a trace captured at 1,024 would
+        # replay count 2 without it
+        module = make_module(config_id)
+        setup = _guard_setup(
+            module, _varying_joint(module),
+            row_data=standard_row_data(
+                module, [V - 2, V - 1], [V], ALL_PATTERNS[0]
+            ),
+        )
+        with pytest.raises(ValueError, match="^varying_joint_hazard: "):
+            run_batched_searches([setup])
 
     def test_count_dependent_aggoff_is_refused(self):
         # an 18 ns varying segment of V + 1 between two activations of
