@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..bender.host import DramBenderHost
+from ..core.metrics import count_flips
 from ..disturbance.calibration import DataPattern, FlipDirection
 from ..disturbance.distributions import stable_seed
 from ..dram.module import DramModule
@@ -148,7 +149,7 @@ def _count_flips(
         spec.bank, [module.to_logical(v) for v in spec.victims]
     )
     for data in read.values():
-        flips += int((np.unpackbits(data) != np.unpackbits(expected)).sum())
+        flips += count_flips(data, expected)
     return flips
 
 

@@ -37,6 +37,7 @@ from ..core.patterns import (
     simra_pair_for,
     simra_pair_sandwiching,
     trefi_window,
+    victims_of,
 )
 from ..disturbance.calibration import (
     MAX_ACTS_PER_TREFI,
@@ -242,14 +243,6 @@ def synthesize_schedule(
 # ----------------------------------------------------------------------
 # Per-module attack portfolio
 # ----------------------------------------------------------------------
-def _victims_of(module: DramModule, activated: tuple[int, ...]) -> tuple[int, ...]:
-    victims: set[int] = set()
-    for row in activated:
-        for distance in (1, 2):
-            victims.update(module.geometry.neighbors(row, distance))
-    return tuple(sorted(victims - set(activated)))
-
-
 def _sandwich_center(module: DramModule, sentinel: int | None, fallback: int) -> int:
     """A victim row with a valid same-subarray double-sided sandwich."""
     center = sentinel if sentinel is not None else fallback
@@ -304,7 +297,7 @@ def synthesize_attacks(
             bank=bank,
             aggressors=aggressors,
             activated=activated,
-            victims=_victims_of(module, activated),
+            victims=tuple(victims_of(module, activated)),
             dummy=dummy,
             data_pattern=pattern,
             dummy_windows=dummy_windows,

@@ -22,6 +22,7 @@ from ..bender.host import DramBenderHost
 from ..bender.program import TestProgram
 from ..disturbance.calibration import DataPattern
 from ..dram.module import DramModule
+from .metrics import count_flips
 
 #: Search gives up beyond this hammer count (no bitflip observable within a
 #: refresh window on the weakest tested configuration needs ~5M hammers).
@@ -96,10 +97,7 @@ def run_probe(setup: ProbeSetup, count: int, host: Optional[DramBenderHost] = No
     for victim in setup.victims:
         data = read_back[setup.module.to_logical(victim)]
         expected = setup.victim_expected(victim)
-        n = int(
-            (np.unpackbits(np.asarray(data, dtype=np.uint8))
-             != np.unpackbits(np.asarray(expected, dtype=np.uint8))).sum()
-        )
+        n = count_flips(data, expected)
         if n:
             flipped.append(victim)
         flips += n

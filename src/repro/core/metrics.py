@@ -18,6 +18,16 @@ from ..disturbance.calibration import DataPattern, Mechanism
 from ..dram.organization import SubarrayRegion
 
 
+def count_flips(data: np.ndarray, expected: np.ndarray) -> int:
+    """Number of bits in which two byte buffers differ."""
+    if np.array_equal(data, expected):
+        return 0
+    diff = np.bitwise_xor(
+        np.asarray(data, dtype=np.uint8), np.asarray(expected, dtype=np.uint8)
+    )
+    return int(np.unpackbits(diff).sum())
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One HC_first measurement for one victim row."""

@@ -37,6 +37,16 @@ def _logical(module: DramModule, physical_row: int) -> int:
     return module.to_logical(physical_row)
 
 
+def victims_of(module: DramModule, rows: Sequence[int]) -> list[int]:
+    """Rows at distance 1 or 2 from any of ``rows`` (the model's blast
+    radius), ``rows`` themselves excluded, in ascending order."""
+    victims: set[int] = set()
+    for row in rows:
+        for distance in (1, 2):
+            victims.update(module.geometry.neighbors(row, distance))
+    return sorted(victims - set(rows))
+
+
 # ----------------------------------------------------------------------
 # RowHammer / RowPress
 # ----------------------------------------------------------------------

@@ -18,9 +18,8 @@ Three pieces:
   order -- exactly the scalar order.  Disjoint components interleave
   freely: nothing either can do is visible to the other before its next
   re-initialization, so any interleaving replays the same per-row event
-  sequences.  :func:`plan_batches` exposes the resulting rounds (one unit
-  per component per round); adjacent victims always land in different
-  batches.
+  sequences.  :func:`plan_components` computes the components; adjacent
+  victims always share one.
 
 * **Search engine** -- each fused unit runs the same
   :func:`~repro.core.hcfirst.hc_first_search` coroutine as the scalar
@@ -99,6 +98,7 @@ from .hcfirst import (
     ProbeSetup,
     hc_first_search,
 )
+from .metrics import count_flips
 
 #: blast radius around every activated/written row: the disturbance model
 #: deposits damage up to distance 2 from an aggressor
@@ -111,16 +111,6 @@ _CAL_COUNTS = (2, 3)
 #: upper edge of the multi-row activation trigger windows (SiMRA open and
 #: multi-copy joins both require a PRE->ACT gap of at most 6 ns)
 _MULTI_ACT_GAP_NS = 6.0
-
-
-def count_flips(data: np.ndarray, expected: np.ndarray) -> int:
-    """Bit difference count; identical to the scalar unpackbits compare."""
-    if np.array_equal(data, expected):
-        return 0
-    diff = np.bitwise_xor(
-        np.asarray(data, dtype=np.uint8), np.asarray(expected, dtype=np.uint8)
-    )
-    return int(np.unpackbits(diff).sum())
 
 
 def blast_rows(rows: Sequence[int], guard: int = GUARD_DISTANCE) -> frozenset[int]:
@@ -167,24 +157,6 @@ def plan_components(
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return [groups[root] for root in sorted(groups)]
-
-
-def plan_batches(
-    blasts: Sequence[frozenset[int]],
-    chained: Sequence[int] = (),
-) -> list[list[int]]:
-    """Concurrent rounds: the k-th unit of every component forms batch k.
-
-    Units inside one component never share a batch (they must run
-    sequentially), so adjacent victims -- whose blast sets necessarily
-    intersect -- always land in different batches.
-    """
-    components = plan_components(blasts, chained)
-    depth = max((len(c) for c in components), default=0)
-    return [
-        [component[k] for component in components if len(component) > k]
-        for k in range(depth)
-    ]
 
 
 @dataclass
@@ -584,12 +556,9 @@ class BatchedSearchEngine:
         if not setups:
             raise ValueError("no probe setups")
         #: metrics registry; the default no-op registry keeps the probe
-        #: loop overhead at one empty method call per probe
+        #: loop overhead at one empty method call per probe and reads no
+        #: clock for the ``probe.stage.*`` timers
         self.obs = obs if obs is not None else NULL_OBS
-        #: per-stage wall time in seconds (capture / translate /
-        #: replay_snapshot / replay_kernel), accumulated only when the
-        #: registry records; None skips the clock reads entirely
-        self.stages: Optional[dict] = {} if self.obs.enabled else None
         module = setups[0].module
         bank_index = setups[0].bank
         for setup in setups:
@@ -648,7 +617,7 @@ class BatchedSearchEngine:
         """
         unit = self.units[i]
         obs = self.obs
-        stages = self.stages
+        timed = obs.enabled
         sig = _shape_signature(unit.loops, count)
         cached = unit.traces.get(sig)
         donor = self._donor[i] if cached is None else None
@@ -656,28 +625,22 @@ class BatchedSearchEngine:
             r, delta, pi = donor
             donor_cached = self.units[r].traces.get(sig)
             if donor_cached is not None:
-                t0 = perf_counter() if stages is not None else 0.0
+                t0 = perf_counter() if timed else 0.0
                 trace = self._translate_trace(donor_cached[0], delta, pi)
                 cached = unit.traces[sig] = (
                     trace, _restore_meta(unit, trace)
                 )
-                if stages is not None:
-                    self._charge_stage("translate", t0)
+                if timed:
+                    obs.observe_s("probe.stage.translate", perf_counter() - t0)
         if cached is None:
             obs.inc("probe.probes", path="capture")
-            t0 = perf_counter() if stages is not None else 0.0
+            t0 = perf_counter() if timed else 0.0
             result = self._capture_probe(i, count, sig)
-            if stages is not None:
-                self._charge_stage("capture", t0)
+            if timed:
+                obs.observe_s("probe.stage.capture", perf_counter() - t0)
             return result
         obs.inc("probe.probes", path="interp")
         return self._replay_probe_fast(i, count, *cached)
-
-    def _charge_stage(self, key: str, t0: float) -> float:
-        """Add the time since ``t0`` to stage ``key``; returns the clock."""
-        now = perf_counter()
-        self.stages[key] = self.stages.get(key, 0.0) + now - t0
-        return now
 
     def _restore(self, unit: _BatchedUnit, meta: list) -> float:
         """Re-initialize the unit's rows at the engine clock; returns the
@@ -1002,11 +965,14 @@ class BatchedSearchEngine:
         command pipeline."""
         unit = self.units[i]
         bank = self.bank
-        stages = self.stages
-        t_stage = perf_counter() if stages is not None else 0.0
+        obs = self.obs
+        timed = obs.enabled
+        t_stage = perf_counter() if timed else 0.0
         t = self._restore(unit, meta)
-        if stages is not None:
-            t_stage = self._charge_stage("replay_snapshot", t_stage)
+        if timed:
+            now = perf_counter()
+            obs.observe_s("probe.stage.replay_snapshot", now - t_stage)
+            t_stage = now
         bank_versions = bank._data_version
         victim = unit.victim
         # after the re-initialization the victim's data equals its snapshot
@@ -1023,8 +989,8 @@ class BatchedSearchEngine:
             flips = 0
         else:
             flips = count_flips(bank._row_data(victim), unit.expected)
-        if stages is not None:
-            self._charge_stage("replay_kernel", t_stage)
+        if timed:
+            obs.observe_s("probe.stage.replay_kernel", perf_counter() - t_stage)
         return ProbeResult(
             count, flips, (victim,) if flips else ()
         )
@@ -1072,8 +1038,8 @@ def run_batched_searches(
     trace cannot express the probe raises mid-run.
 
     ``obs`` (a :class:`repro.obs.Obs`) records the probe path taken per
-    probe (``probe.probes{path=capture|interp}``) and the per-stage wall
-    time as ``probe.stage.<key>`` timers: ``capture``
+    probe (``probe.probes{path=capture|interp}``) and each probe's
+    per-stage wall time as ``probe.stage.<key>`` timers: ``capture``
     (tap-instrumented probes through the command pipeline), ``translate``
     (trace translation onto shifted units), ``replay_snapshot`` (a
     replay's re-initialization: snapshot restore and ledger bookkeeping) and
@@ -1083,14 +1049,6 @@ def run_batched_searches(
     """
     if not setups:
         return []
-    obs = obs if obs is not None else NULL_OBS
-    engine = BatchedSearchEngine(
-        setups,
-        repeats=repeats,
-        max_hammers=max_hammers,
-        obs=obs,
-    )
-    results = engine.run()
-    for key, seconds in (engine.stages or {}).items():
-        obs.observe_s(f"probe.stage.{key}", seconds)
-    return results
+    return BatchedSearchEngine(
+        setups, repeats=repeats, max_hammers=max_hammers, obs=obs
+    ).run()

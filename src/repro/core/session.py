@@ -16,6 +16,14 @@ one (enforced by ``tests/core/test_probe_batch.py``).  The scalar search
 is the tests' oracle; the engine exists purely to amortize probe replays
 across victims, and refuses a setup it cannot prove equivalent with a
 ``ValueError`` naming the guard instead of falling back.
+
+Every primitive measures its victims under their worst-case data pattern
+(WCDP, §4.2) unless the caller passes one.  One place resolves it:
+:meth:`CharacterizationSession._measure_requests` fills every request left
+without a pattern before it builds a probe, through :meth:`_wcdps` --
+one vectorized oracle pass per mechanism over the uncached victims in
+``'oracle'`` mode, the paper's four-pattern comparison per request in
+``'measured'`` mode.
 """
 
 from __future__ import annotations
@@ -61,13 +69,18 @@ class CombinedResult:
 @dataclass
 class _ProbeRequest:
     """One list entry of a ``measure_*`` call: its victims, aggressors,
-    program and data pattern, reified so a whole list can run batched."""
+    program and data pattern, reified so a whole list can run batched.
+
+    A None ``pattern`` stands for the WCDP of ``victims[0]`` under
+    ``mechanism``; :meth:`CharacterizationSession._measure_requests`
+    resolves it.
+    """
 
     victims: tuple
     aggressors: tuple
     program_factory: Callable[[int], TestProgram]
     mechanism: Mechanism
-    pattern: DataPattern
+    pattern: Optional[DataPattern]
     params: dict
 
 
@@ -142,12 +155,10 @@ class CharacterizationSession:
         return bases
 
     def sample_simra_pairs(
-        self,
-        n_rows: int,
-        style: str = "double-sided",
-        include_sentinel: bool = True,
+        self, n_rows: int, include_sentinel: bool = True
     ) -> list[patterns.SimraAddressPair]:
-        """Randomly sample ``scale.simra_groups`` groups per tested region.
+        """Randomly sample ``scale.simra_groups`` double-sided groups per
+        tested region.
 
         The paper samples 100 random groups per (subarray, N); group choice
         is deterministic per module so reruns test the same groups.
@@ -156,12 +167,12 @@ class CharacterizationSession:
         population means.
         """
         bases = self.simra_blocks()
-        rng = rng_for(self.module.label, "simra-groups", n_rows, style)
+        rng = rng_for(self.module.label, "simra-groups", n_rows, "double-sided")
         chosen = rng.choice(
             len(bases), size=min(self.scale.simra_groups, len(bases)), replace=False
         )
         pairs = []
-        if include_sentinel and style == "double-sided" and n_rows != 32:
+        if include_sentinel and n_rows != 32:
             # Deterministically include the group sandwiching the module's
             # most vulnerable SiMRA victim: the scaled stand-in for the
             # paper's exhaustive 100-groups-per-subarray sampling, which
@@ -178,8 +189,7 @@ class CharacterizationSession:
             try:
                 pairs.append(
                     patterns.simra_pair_for(
-                        self.module, bases[index], n_rows, style,
-                        anchor_offset=anchor,
+                        self.module, bases[index], n_rows, anchor_offset=anchor
                     )
                 )
             except AddressError:
@@ -195,26 +205,33 @@ class CharacterizationSession:
         ``scale.wcdp_mode='oracle'`` consults the fault model;
         ``'measured'`` runs the paper's four-pattern HC_first comparison.
         """
-        if self.scale.wcdp_mode == "oracle":
-            key = (victim, mechanism)
-            cached = self._wcdp_cache.get(key)
-            if cached is None:
-                cached = self.module.model.worst_case_pattern(
-                    self.bank, victim, mechanism
-                )
-                self._wcdp_cache[key] = cached
-            return cached
-        return self.measure_wcdp(victim, mechanism)
+        return self._wcdps([(victim, mechanism)])[0]
+
+    def _wcdps(
+        self, keys: Sequence[tuple[int, Mechanism]]
+    ) -> list[DataPattern]:
+        """WCDP per ``(victim, mechanism)`` key, in order.
+
+        ``'oracle'`` mode resolves each mechanism's uncached victims in
+        one :meth:`prefetch_wcdp` pass and reads the cache; ``'measured'``
+        mode runs :meth:`measure_wcdp` per key, in list order.
+        """
+        if self.scale.wcdp_mode != "oracle":
+            return [self.measure_wcdp(v, mechanism) for v, mechanism in keys]
+        misses: dict[Mechanism, list[int]] = {}
+        for key in keys:
+            if key not in self._wcdp_cache:
+                misses.setdefault(key[1], []).append(key[0])
+        for mechanism, victims in misses.items():
+            self.prefetch_wcdp(victims, mechanism)
+        return [self._wcdp_cache[key] for key in keys]
 
     def prefetch_wcdp(
         self, victims: Sequence[int], mechanism: Mechanism
     ) -> None:
-        """Resolve many victims' oracle WCDPs in one vectorized pass.
-
-        Experiments that sweep a victim list call this once up front; the
-        per-victim :meth:`wcdp` calls inside the sweep then hit the cache
-        instead of re-deriving each pattern row by row.  No-op in
-        ``'measured'`` mode, where WCDP comes from real HC_first searches.
+        """Resolve many victims' oracle WCDPs in one vectorized pass into
+        the session cache.  No-op in ``'measured'`` mode, where WCDP comes
+        from real HC_first searches.
         """
         if self.scale.wcdp_mode != "oracle":
             return
@@ -230,23 +247,20 @@ class CharacterizationSession:
             self._wcdp_cache[(victim, mechanism)] = pattern
 
     def rank_victims(
-        self,
-        victims: Sequence[int],
-        mechanism: Mechanism,
-        simra_count: int = 4,
+        self, victims: Sequence[int], mechanism: Mechanism
     ) -> list[int]:
         """Victims ordered weakest first by the vectorized HC_first oracle.
 
         Lets scaled-down experiments spend their measurement budget on the
         most vulnerable rows (the ones the paper's exhaustive sweeps would
         report) instead of an arbitrary prefix of the candidate list.
-        Ties keep the input order (stable sort).
+        Ties keep the input order (stable sort); SiMRA ranks at 4 rows.
         """
         victims = list(victims)
         if not victims:
             return []
         hc = self.module.model.reference_hcfirst_array(
-            self.bank, victims, mechanism, simra_count=simra_count
+            self.bank, victims, mechanism
         )
         order = np.argsort(hc, kind="stable")
         return [victims[int(i)] for i in order]
@@ -305,23 +319,21 @@ class CharacterizationSession:
             params=dict(request.params),
         )
 
-    def _prefetch(
-        self, victims: list[int], pattern: Optional[DataPattern],
-        mechanism: Mechanism,
-    ) -> None:
-        """Resolve a victim batch's WCDPs in one pass when they are needed."""
-        if pattern is None:
-            self.prefetch_wcdp(victims, mechanism)
-
     def _measure_requests(
         self, requests: Sequence[Optional[_ProbeRequest]]
     ) -> list[list[Measurement]]:
         """Run requests and group the Measurements back per request.
 
-        A None request (nothing measurable) yields an empty group.  The
-        flattened (request, victim) searches all run through the batched
-        probe engine in one call.
+        A None request (nothing measurable) yields an empty group.  Every
+        request without a data pattern first gets its first victim's WCDP
+        (:meth:`_wcdps`, the session's one WCDP resolution point).  The
+        flattened (request, victim) searches then all run through the
+        batched probe engine in one call.
         """
+        pending = [r for r in requests if r is not None and r.pattern is None]
+        resolved = self._wcdps([(r.victims[0], r.mechanism) for r in pending])
+        for request, pattern in zip(pending, resolved):
+            request.pattern = pattern
         flat = [
             (index, victim)
             for index, request in enumerate(requests)
@@ -349,8 +361,6 @@ class CharacterizationSession:
         pattern: Optional[DataPattern] = None,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
     ) -> _ProbeRequest:
-        pattern = pattern or self.wcdp(victim, Mechanism.ROWHAMMER)
-
         def factory(count: int) -> TestProgram:
             return patterns.double_sided_rowhammer(
                 self.module, victim, count, bank=self.bank, t_agg_on_ns=t_agg_on_ns
@@ -369,75 +379,48 @@ class CharacterizationSession:
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
     ) -> list[Measurement]:
         """Double-sided RowHammer: one Measurement per victim."""
-        victims = list(victims)
-        self._prefetch(victims, pattern, Mechanism.ROWHAMMER)
         requests = [
             self._rowhammer_ds_request(v, pattern, t_agg_on_ns) for v in victims
         ]
         return [g[0] for g in self._measure_requests(requests)]
 
-    def _rowhammer_ss_request(
-        self,
-        aggressor: int,
-        pattern: Optional[DataPattern] = None,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
-    ) -> _ProbeRequest:
-        victims = list(self.module.geometry.neighbors(aggressor, 1))
-        pattern = pattern or self.wcdp(victims[0], Mechanism.ROWHAMMER)
-
-        def factory(count: int) -> TestProgram:
-            return patterns.single_sided_rowhammer(
-                self.module, aggressor, count, bank=self.bank,
-                t_agg_on_ns=t_agg_on_ns,
-            )
-
-        return _ProbeRequest(
-            tuple(victims), (aggressor,), factory,
-            Mechanism.ROWHAMMER, pattern,
-            dict(t_agg_on_ns=t_agg_on_ns, sided="single"),
-        )
-
     def measure_rowhammer_ss(
-        self,
-        aggressors: Sequence[int],
-        pattern: Optional[DataPattern] = None,
-        t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
+        self, aggressors: Sequence[int]
     ) -> list[list[Measurement]]:
-        """Single-sided RowHammer; per aggressor, each adjacent victim."""
-        return self._measure_requests([
-            self._rowhammer_ss_request(a, pattern, t_agg_on_ns)
-            for a in aggressors
-        ])
+        """Single-sided RowHammer at nominal tAggON; per aggressor, each
+        adjacent victim."""
+        requests = []
+        for aggressor in aggressors:
+            def factory(count: int, aggressor=aggressor) -> TestProgram:
+                return patterns.single_sided_rowhammer(
+                    self.module, aggressor, count, bank=self.bank
+                )
 
-    def _far_ds_request(
-        self,
-        row_a: int,
-        row_b: int,
-        pattern: Optional[DataPattern] = None,
-    ) -> _ProbeRequest:
-        victims = list(self.module.geometry.neighbors(row_a, 1))
-        pattern = pattern or self.wcdp(victims[0], Mechanism.ROWHAMMER)
-
-        def factory(count: int) -> TestProgram:
-            return patterns.far_double_sided_rowhammer(
-                self.module, row_a, row_b, count, bank=self.bank
-            )
-
-        return _ProbeRequest(
-            tuple(victims), (row_a, row_b), factory,
-            Mechanism.ROWHAMMER, pattern, dict(sided="far-double"),
-        )
+            requests.append(_ProbeRequest(
+                tuple(self.module.geometry.neighbors(aggressor, 1)),
+                (aggressor,), factory, Mechanism.ROWHAMMER, None,
+                dict(t_agg_on_ns=patterns.T_AGG_ON_NOMINAL_NS, sided="single"),
+            ))
+        return self._measure_requests(requests)
 
     def measure_far_ds_rowhammer(
-        self,
-        row_pairs: Sequence[tuple[int, int]],
-        pattern: Optional[DataPattern] = None,
+        self, row_pairs: Sequence[tuple[int, int]]
     ) -> list[list[Measurement]]:
         """Fig. 7's control: two distant aggressors at nominal timing, per
         (row_a, row_b) pair the victims adjacent to ``row_a``."""
-        return self._measure_requests([
-            self._far_ds_request(a, b, pattern) for a, b in row_pairs
-        ])
+        requests = []
+        for row_a, row_b in row_pairs:
+            def factory(count: int, row_a=row_a, row_b=row_b) -> TestProgram:
+                return patterns.far_double_sided_rowhammer(
+                    self.module, row_a, row_b, count, bank=self.bank
+                )
+
+            requests.append(_ProbeRequest(
+                tuple(self.module.geometry.neighbors(row_a, 1)),
+                (row_a, row_b), factory, Mechanism.ROWHAMMER, None,
+                dict(sided="far-double"),
+            ))
+        return self._measure_requests(requests)
 
     # -- CoMRA ------------------------------------------------------------
     def _comra_ds_request(
@@ -448,8 +431,6 @@ class CharacterizationSession:
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
         reverse: bool = False,
     ) -> _ProbeRequest:
-        pattern = pattern or self.wcdp(victim, Mechanism.COMRA)
-
         def factory(count: int) -> TestProgram:
             return patterns.double_sided_comra(
                 self.module, victim, count, bank=self.bank,
@@ -473,48 +454,19 @@ class CharacterizationSession:
         reverse: bool = False,
     ) -> list[Measurement]:
         """Double-sided CoMRA: one Measurement per victim."""
-        victims = list(victims)
-        self._prefetch(victims, pattern, Mechanism.COMRA)
         requests = [
             self._comra_ds_request(v, pattern, pre_to_act_ns, t_agg_on_ns, reverse)
             for v in victims
         ]
         return [g[0] for g in self._measure_requests(requests)]
 
-    def _comra_ss_request(
-        self,
-        src: int,
-        dst: int,
-        pattern: Optional[DataPattern] = None,
-        pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
-        victims: Optional[Sequence[int]] = None,
-    ) -> _ProbeRequest:
-        if victims is None:
-            victims = list(self.module.geometry.neighbors(src, 1))
-        else:
-            victims = list(victims)
-        pattern = pattern or self.wcdp(victims[0], Mechanism.COMRA)
-
-        def factory(count: int) -> TestProgram:
-            return patterns.single_sided_comra(
-                self.module, src, dst, count, bank=self.bank,
-                pre_to_act_ns=pre_to_act_ns,
-            )
-
-        return _ProbeRequest(
-            tuple(victims), (src, dst), factory,
-            Mechanism.COMRA, pattern,
-            dict(pre_to_act_ns=pre_to_act_ns, sided="single"),
-        )
-
     def measure_comra_ss(
         self,
         row_pairs: Sequence[tuple[int, int]],
-        pattern: Optional[DataPattern] = None,
-        pre_to_act_ns: float = patterns.COMRA_DELAY_NS,
         victims: Optional[Sequence[Optional[Sequence[int]]]] = None,
     ) -> list[list[Measurement]]:
-        """Single-sided CoMRA over (src, dst) pairs.
+        """Single-sided CoMRA at the nominal violated PRE->ACT delay over
+        (src, dst) pairs.
 
         ``victims`` optionally pins the measured victims per pair (parallel
         to ``row_pairs``; None entries fall back to ``src``'s neighbors).
@@ -522,10 +474,21 @@ class CharacterizationSession:
         row_pairs = list(row_pairs)
         if victims is None:
             victims = [None] * len(row_pairs)
-        return self._measure_requests([
-            self._comra_ss_request(src, dst, pattern, pre_to_act_ns, chosen)
-            for (src, dst), chosen in zip(row_pairs, victims)
-        ])
+        requests = []
+        for (src, dst), chosen in zip(row_pairs, victims):
+            if chosen is None:
+                chosen = self.module.geometry.neighbors(src, 1)
+
+            def factory(count: int, src=src, dst=dst) -> TestProgram:
+                return patterns.single_sided_comra(
+                    self.module, src, dst, count, bank=self.bank
+                )
+
+            requests.append(_ProbeRequest(
+                tuple(chosen), (src, dst), factory, Mechanism.COMRA, None,
+                dict(pre_to_act_ns=patterns.COMRA_DELAY_NS, sided="single"),
+            ))
+        return self._measure_requests(requests)
 
     # -- SiMRA ------------------------------------------------------------
     def _simra_ds_request(
@@ -549,7 +512,6 @@ class CharacterizationSession:
             victims = tuple(chosen)
         if not victims:
             return None
-        pattern = pattern or self.wcdp(victims[0], Mechanism.SIMRA)
 
         def factory(count: int) -> TestProgram:
             return patterns.simra_hammer(
@@ -594,64 +556,49 @@ class CharacterizationSession:
             for pair, chosen in zip(pairs, victims)
         ])
 
-    def _simra_ss_request(
-        self,
-        pair: patterns.SimraAddressPair,
-        pattern: Optional[DataPattern] = None,
-        act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
-        pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
-    ) -> Optional[_ProbeRequest]:
-        geometry = self.module.geometry
-        edge_victims = []
-        for candidate in (min(pair.group) - 1, max(pair.group) + 1):
-            if (
-                0 <= candidate < geometry.rows_per_bank
-                and geometry.same_subarray(candidate, min(pair.group))
-                and candidate not in pair.group
-            ):
-                edge_victims.append(candidate)
-        if not edge_victims:
-            return None
-        pattern = pattern or self.wcdp(edge_victims[0], Mechanism.SIMRA)
-
-        def factory(count: int) -> TestProgram:
-            return patterns.simra_hammer(
-                self.module, pair, count, bank=self.bank,
-                act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns,
-            )
-
-        return _ProbeRequest(
-            tuple(edge_victims), tuple(pair.group), factory,
-            Mechanism.SIMRA, pattern,
-            dict(n_rows=pair.count, sided="single",
-                 act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns),
-        )
-
     def measure_simra_ss(
-        self,
-        pairs: Sequence[patterns.SimraAddressPair],
-        pattern: Optional[DataPattern] = None,
-        act_to_pre_ns: float = patterns.SIMRA_ACT_TO_PRE_NS,
-        pre_to_act_ns: float = patterns.SIMRA_PRE_TO_ACT_NS,
+        self, pairs: Sequence[patterns.SimraAddressPair]
     ) -> list[list[Measurement]]:
-        """Single-sided SiMRA: per group, the victims bordering it.
+        """Single-sided SiMRA at the nominal violated delays: per group,
+        the victims bordering it.
 
         A group with no measurable edge victim yields an empty list in its
         slot.
         """
-        return self._measure_requests([
-            self._simra_ss_request(pair, pattern, act_to_pre_ns, pre_to_act_ns)
-            for pair in pairs
-        ])
+        geometry = self.module.geometry
+        requests: list[Optional[_ProbeRequest]] = []
+        for pair in pairs:
+            low, high = min(pair.group), max(pair.group)
+            edge_victims = tuple(
+                candidate for candidate in (low - 1, high + 1)
+                if 0 <= candidate < geometry.rows_per_bank
+                and geometry.same_subarray(candidate, low)
+                and candidate not in pair.group
+            )
+            if not edge_victims:
+                requests.append(None)
+                continue
+
+            def factory(count: int, pair=pair) -> TestProgram:
+                return patterns.simra_hammer(
+                    self.module, pair, count, bank=self.bank
+                )
+
+            requests.append(_ProbeRequest(
+                edge_victims, tuple(pair.group), factory, Mechanism.SIMRA,
+                None,
+                dict(n_rows=pair.count, sided="single",
+                     act_to_pre_ns=patterns.SIMRA_ACT_TO_PRE_NS,
+                     pre_to_act_ns=patterns.SIMRA_PRE_TO_ACT_NS),
+            ))
+        return self._measure_requests(requests)
 
     # -- §6 combined patterns ----------------------------------------------
     def _pair_sandwiching(
-        self, victim: int, n_rows: int = 2
+        self, victim: int
     ) -> Optional[patterns.SimraAddressPair]:
-        """A SiMRA pair whose activated rows sandwich ``victim``."""
-        return patterns.simra_pair_sandwiching(
-            self.module, victim, n_rows, self.bank
-        )
+        """A SiMRA-2 pair whose activated rows sandwich ``victim``."""
+        return patterns.simra_pair_sandwiching(self.module, victim, 2, self.bank)
 
     def combined_victims(self) -> list[int]:
         """Candidate victims usable for every §6 phase (RH, CoMRA, SiMRA-2).
@@ -665,45 +612,24 @@ class CharacterizationSession:
             if self._pair_sandwiching(victim) is not None
         ]
 
-    def _combined_request(
-        self,
-        victim: int,
-        pattern: DataPattern,
-        prefix_instructions: list,
-    ) -> _ProbeRequest:
-        def factory(count: int) -> TestProgram:
-            tail = patterns.double_sided_rowhammer(
-                self.module, victim, count, bank=self.bank
-            )
-            return TestProgram(
-                prefix_instructions + tail.instructions, "combined"
-            )
-
-        return _ProbeRequest(
-            (victim,), (victim - 1, victim + 1), factory,
-            Mechanism.ROWHAMMER, pattern, {},
-        )
-
     def measure_combined(
         self,
         victims: Sequence[int],
         comra_fraction: float = 0.0,
         simra_fraction: float = 0.0,
-        pattern: Optional[DataPattern] = None,
     ) -> list[Optional[CombinedResult]]:
         """§6 procedure: pre-hammer with CoMRA/SiMRA, finish with RowHammer.
 
-        Stage-decomposed: all RowHammer-alone searches run as one batch,
-        then the CoMRA / SiMRA characterization phases over the victims
-        that survive each stage's found-guard, then the combined searches.
-        A victim's slot is None when a needed phase has no measurable
-        HC_first.
+        Every phase writes each victim's RowHammer WCDP.  Stage-decomposed:
+        all RowHammer-alone searches run as one batch, then the CoMRA /
+        SiMRA characterization phases over the victims that survive each
+        stage's found-guard, then the combined searches.  A victim's slot
+        is None when a needed phase has no measurable HC_first.
         """
         victims = list(victims)
-        self._prefetch(victims, pattern, Mechanism.ROWHAMMER)
-        resolved = {
-            v: pattern or self.wcdp(v, Mechanism.ROWHAMMER) for v in victims
-        }
+        resolved = dict(zip(
+            victims, self._wcdps([(v, Mechanism.ROWHAMMER) for v in victims])
+        ))
         results: dict[int, Optional[CombinedResult]] = {v: None for v in victims}
 
         rh_requests = [
@@ -769,13 +695,21 @@ class CharacterizationSession:
                     )
                 )
                 fractions["simra"] = simra_fraction
-            prefix_instructions = [
+            prefix = [
                 instr for program in prefix_programs
                 for instr in program.instructions
             ]
-            final_requests.append(
-                self._combined_request(v, resolved[v], prefix_instructions)
-            )
+
+            def factory(count: int, v=v, prefix=prefix) -> TestProgram:
+                tail = patterns.double_sided_rowhammer(
+                    self.module, v, count, bank=self.bank
+                )
+                return TestProgram(prefix + tail.instructions, "combined")
+
+            final_requests.append(_ProbeRequest(
+                (v,), (v - 1, v + 1), factory,
+                Mechanism.ROWHAMMER, resolved[v], {},
+            ))
             final_meta.append((v, fractions))
         measured = self._measure_requests(final_requests)
         for (v, fractions), group in zip(final_meta, measured):

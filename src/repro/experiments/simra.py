@@ -13,7 +13,7 @@ from typing import Optional
 from ..core import patterns
 from ..core.metrics import ChangeDistribution, DistributionSummary
 from ..core.scale import ExperimentScale
-from ..disturbance.calibration import ALL_PATTERNS, Mechanism
+from ..disturbance.calibration import ALL_PATTERNS
 from ..dram.errors import AddressError
 from ..dram.organization import REGION_ORDER
 from .base import ExperimentResult, found_values, simra_sessions
@@ -35,9 +35,6 @@ def run_fig13(scale: Optional[ExperimentScale] = None) -> ExperimentResult:
     for session in sessions:
         for count in DS_COUNTS:
             pairs = session.sample_simra_pairs(count)
-            sandwiched = [v for pair in pairs for v in pair.sandwiched_victims()]
-            session.prefetch_wcdp(sandwiched, Mechanism.SIMRA)
-            session.prefetch_wcdp(sandwiched, Mechanism.ROWHAMMER)
             found_ms = [
                 m
                 for group in session.measure_simra_ds(pairs, max_victims=2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..bender.host import DramBenderHost
 from ..core import patterns
-from ..core.probe_batch import count_flips
+from ..core.metrics import count_flips
 from ..core.scale import ExperimentScale
 from ..disturbance.calibration import DataPattern, Mechanism
 from ..dram.module import DramModule
@@ -82,14 +82,6 @@ def _weakest_victim(
     return int(interior[best])
 
 
-def _victims_of(module: DramModule, aggressors: list[int]) -> list[int]:
-    victims: set[int] = set()
-    for aggressor in aggressors:
-        for distance in (1, 2):
-            victims.update(module.geometry.neighbors(aggressor, distance))
-    return sorted(victims - set(aggressors))
-
-
 def _run_technique(
     module: DramModule,
     technique: str,
@@ -126,7 +118,7 @@ def _run_technique(
             style = "double-sided" if n_rows != 32 else "single-sided"
             pair = patterns.simra_pair_for(module, (base // 32) * 32, n_rows, style)
         aggressors = list(pair.group)
-        victims = _victims_of(module, aggressors)
+        victims = patterns.victims_of(module, aggressors)
         expected = _initialize(
             host, module, aggressors, victims, DataPattern.ALL_ZEROS, bank
         )
@@ -142,7 +134,7 @@ def _run_technique(
     elif technique == "comra-2sided":
         victim_center = comra_weakest if comra_weakest is not None else base + 1
         aggressors = [victim_center - 1, victim_center + 1]
-        victims = _victims_of(module, aggressors)
+        victims = patterns.victims_of(module, aggressors)
         expected = _initialize(
             host, module, aggressors, victims, DataPattern.CHECKER_AA, bank
         )
@@ -161,7 +153,7 @@ def _run_technique(
         n_sided = int(technique.split("-")[1])
         anchor = (rh_weakest - 1) if rh_weakest is not None else base
         aggressors = [anchor + 2 * i for i in range(n_sided)]
-        victims = _victims_of(module, aggressors)
+        victims = patterns.victims_of(module, aggressors)
         expected = _initialize(
             host, module, aggressors, victims, DataPattern.CHECKER_AA, bank
         )

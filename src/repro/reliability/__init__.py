@@ -39,7 +39,6 @@ from .oracle import (
     CorruptionOracle,
     CorruptionTotals,
     KernelReport,
-    popcount_diff,
 )
 from .workloads import (
     SIMRA_WORKLOADS,
@@ -68,7 +67,6 @@ __all__ = [
     "CorruptionOracle",
     "CorruptionTotals",
     "KernelReport",
-    "popcount_diff",
     "SIMRA_WORKLOADS",
     "WORKLOAD_NAMES",
     "Kernel",

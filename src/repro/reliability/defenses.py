@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import Corrector, CorruptionOracle, popcount_diff
+from ..core.metrics import count_flips
+from .oracle import Corrector, CorruptionOracle
 from .workloads import Kernel, Workload
 
 #: SEC Hamming geometry: 8 check bits protect 128 data bits
@@ -220,7 +221,7 @@ class VerifyRetry(Defense):
             repaired = False
             for _ in range(1 + MAX_RETRIES):
                 actual = engine.read(row)
-                bits = popcount_diff(expected, actual)
+                bits = count_flips(actual, expected)
                 if bits == 0:
                     break
                 if not repaired:

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..core.metrics import count_flips
 from ..disturbance.calibration import DataPattern, Mechanism
 from ..dram.module import DramModule
 
@@ -41,11 +42,6 @@ from ..dram.module import DramModule
 #: (corrected_actual, corrected_words, miscorrected_words) -- the hook an
 #: ECC defense uses to scrub the read path before classification
 Corrector = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, int]]
-
-
-def popcount_diff(expected: np.ndarray, actual: np.ndarray) -> int:
-    """Number of differing bits between two byte buffers."""
-    return int(np.unpackbits(np.bitwise_xor(expected, actual)).sum())
 
 
 @dataclass
@@ -156,7 +152,7 @@ class CorruptionOracle:
                 actual, corrected, miscorrected = corrector(expected, actual)
                 report.corrected_words += corrected
                 report.miscorrected_words += miscorrected
-            bits = popcount_diff(expected, actual)
+            bits = count_flips(actual, expected)
             if bits:
                 if row in kernel.result_rows:
                     report.result_bits += bits

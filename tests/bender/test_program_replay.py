@@ -105,7 +105,7 @@ def round_program(module, case):
     nbytes = geometry.row_bytes
     pattern = case["pattern"]
     rows = {a: pattern.fill(nbytes) for a in aggressors}
-    for victim in trr_bypass._victims_of(module, aggressors):
+    for victim in patterns.victims_of(module, aggressors):
         rows[victim] = pattern.negated.fill(nbytes)
     return program, rows
 

@@ -28,13 +28,11 @@ from repro.core.hcfirst import (
     standard_row_data,
 )
 from repro.bender.host import DramBenderHost
-from repro.core.metrics import Measurement
+from repro.core.metrics import Measurement, count_flips
 from repro.core.probe_batch import (
     GUARD_DISTANCE,
     BatchedSearchEngine,
     blast_rows,
-    count_flips,
-    plan_batches,
     plan_components,
     run_batched_searches,
 )
@@ -118,24 +116,16 @@ class TestPlanner:
     def test_disjoint_victims_share_a_batch(self):
         blasts = [blast_rows([100]), blast_rows([200]), blast_rows([300])]
         assert plan_components(blasts) == [[0], [1], [2]]
-        assert plan_batches(blasts) == [[0, 1, 2]]
 
     def test_adjacent_victims_land_in_different_batches(self):
         victims = [100, 101, 102, 200]
         blasts = [blast_rows([v]) for v in victims]
         # 100/101/102 overlap transitively -> one sequential component
         assert plan_components(blasts) == [[0, 1, 2], [3]]
-        batches = plan_batches(blasts)
-        assert batches == [[0, 3], [1], [2]]
-        for batch in batches:
-            rows = [victims[i] for i in batch]
-            for i, a in enumerate(rows):
-                for b in rows[i + 1:]:
-                    assert abs(a - b) > 2 * GUARD_DISTANCE
 
     def test_chained_units_run_sequentially(self):
         blasts = [blast_rows([100]), blast_rows([200]), blast_rows([300])]
-        assert plan_batches(blasts, chained=(0, 2)) == [[0, 1], [2]]
+        assert plan_components(blasts, chained=(0, 2)) == [[0, 2], [1]]
 
     def test_component_preserves_declared_order(self):
         blasts = [blast_rows([102]), blast_rows([100]), blast_rows([101])]

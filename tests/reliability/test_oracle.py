@@ -5,7 +5,8 @@ import pytest
 
 from repro.disturbance.calibration import DataPattern, Mechanism
 from repro.dram import make_module
-from repro.reliability import CorruptionOracle, Kernel, popcount_diff, sec_correct
+from repro.core.metrics import count_flips
+from repro.reliability import CorruptionOracle, Kernel, sec_correct
 
 
 def _flip_bits(data, n):
@@ -87,7 +88,7 @@ class TestInjectedClassification:
         kernel = _kernel(result_rows=frozenset({20}))
         report = oracle.checkpoint(kernel, {}, now_ns=0.0)
         assert report.silent_bits == 0
-        assert popcount_diff(oracle.shadow[20], bank.backdoor_read(20)) == 0
+        assert count_flips(oracle.shadow[20], bank.backdoor_read(20)) == 0
 
     def test_corrector_scrubs_single_bit_results(self, oracle_env):
         """A SEC corrector repairs 1-bit words before classification."""
@@ -109,7 +110,7 @@ class TestSecCorrect:
         actual[16] ^= 0x80
         out, corrected, miscorrected = sec_correct(expected, actual)
         assert corrected == 2 and miscorrected == 0
-        assert popcount_diff(expected, out) == 0
+        assert count_flips(expected, out) == 0
 
     def test_multi_bit_word_miscorrects(self):
         expected = np.zeros(16, np.uint8)  # one 128-bit word
@@ -118,10 +119,10 @@ class TestSecCorrect:
         out, corrected, miscorrected = sec_correct(expected, actual)
         assert corrected == 0 and miscorrected == 1
         # SEC flipped a third, previously-clean bit: damage grew
-        assert popcount_diff(expected, out) == 3
+        assert count_flips(expected, out) == 3
 
     def test_clean_input_untouched(self):
         expected = np.arange(32, dtype=np.uint8)
         out, corrected, miscorrected = sec_correct(expected, expected.copy())
         assert corrected == 0 and miscorrected == 0
-        assert popcount_diff(expected, out) == 0
+        assert count_flips(expected, out) == 0
