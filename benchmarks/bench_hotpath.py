@@ -55,7 +55,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.attack.gauntlet import run_cell  # noqa: E402
-from repro.attack.synthesis import synthesize_attacks  # noqa: E402
+from repro.attack.synthesis import AttackSpec, synthesize_attacks  # noqa: E402
 from repro.bender.host import DramBenderHost  # noqa: E402
 from repro.core import patterns  # noqa: E402
 from repro.core.hcfirst import (  # noqa: E402
@@ -63,7 +63,8 @@ from repro.core.hcfirst import (  # noqa: E402
     find_hc_first_repeated,
     standard_row_data,
 )
-from repro.disturbance import Mechanism  # noqa: E402
+from repro.disturbance import DataPattern, Mechanism  # noqa: E402
+from repro.disturbance.calibration import MAX_ACTS_PER_TREFI  # noqa: E402
 from repro.dram import make_module  # noqa: E402
 from repro.memsys import (  # noqa: E402
     MemSysConfig,
@@ -228,8 +229,6 @@ def bench_trr_rounds(smoke: bool, repeats: int) -> dict:
     adds it up; its hit ordinals count that pass once, so they are not
     compared).
     """
-    from repro.experiments.trr_bypass import ACTS_PER_TREFI
-
     rounds = 40 if smoke else 400
 
     def run(fast: bool) -> tuple:
@@ -238,9 +237,12 @@ def bench_trr_rounds(smoke: bool, repeats: int) -> dict:
         module.attach_trr(trr)
         base = module.geometry.rows_per_subarray + 32
         pair = patterns.simra_pair_for(module, (base // 32) * 32, 2)
-        program = patterns.simra_trr_pattern(
-            module, pair, base + 64, acts_per_trefi=ACTS_PER_TREFI
-        )
+        program = AttackSpec(
+            name="trr-simra2", technique="simra", config_id=CONFIG, bank=0,
+            aggressors=(pair.row_a, pair.row_b), activated=pair.group,
+            victims=(), dummy=base + 64, data_pattern=DataPattern.ALL_ZEROS,
+            dummy_windows=3, n_rows=2,
+        ).build_round(module)
         host = DramBenderHost(module, compile_streams=fast)
         for _ in range(rounds):
             host.run(program)
@@ -271,7 +273,7 @@ def bench_trr_rounds(smoke: bool, repeats: int) -> dict:
     fast_s = _timeit(lambda: run(True), repeats)
     ref_s = _timeit(lambda: run(False), max(1, repeats // 2))
     return {"fast_s": fast_s, "ref_s": ref_s, "speedup": ref_s / fast_s,
-            "params": {"rounds": rounds, "acts_per_trefi": ACTS_PER_TREFI}}
+            "params": {"rounds": rounds, "acts_per_trefi": MAX_ACTS_PER_TREFI}}
 
 
 def bench_population_scan(smoke: bool, repeats: int) -> dict:

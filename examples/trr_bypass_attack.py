@@ -9,28 +9,28 @@
 Run:  python examples/trr_bypass_attack.py
 """
 
-import numpy as np
-
-from repro import DataPattern, ExperimentScale, make_module
+from repro import DataPattern, make_module
+from repro.attack.synthesis import AttackSpec
 from repro.bender.host import DramBenderHost
 from repro.core import patterns
 from repro.reveng import RetentionProfiler, TrrProber
 from repro.trr import SamplingTrr
 
 
-def count_victim_flips(module, host, victims, expected):
-    flips = 0
-    for victim in victims:
-        logical = module.to_logical(victim)
-        data = host.read_rows(0, [logical])[logical]
-        flips += int((np.unpackbits(data) != np.unpackbits(expected)).sum())
-    return flips
+def run_attack(module, spec, hammers):
+    """Initialize the spec's rows, repeat its §7 round (one hammer window,
+    three dummy-flood windows) for ``hammers`` hammers, count victim flips."""
+    host = DramBenderHost(module)
+    spec.initialize_rows(host)
+    program = spec.build_round(module)
+    for _ in range(hammers // spec.hammers_per_round):
+        host.run(program)
+    return spec.victim_flips(host)
 
 
 def main() -> None:
     module = make_module("hynix-a-8gb")
     module.attach_trr(SamplingTrr(seed=7))
-    nbytes = module.geometry.row_bytes
 
     print("Step 1: probe the TRR mechanism (U-TRR methodology)")
     profiler = RetentionProfiler(module)
@@ -45,38 +45,26 @@ def main() -> None:
     hammers = 60_000
 
     print("\nStep 2: double-sided RowHammer under TRR")
-    host = DramBenderHost(module)
     center = 96 + 33
-    aggressors = [center - 1, center + 1]
-    victims = [center]
-    host.write_rows(0, {
-        module.to_logical(a): DataPattern.CHECKER_AA.fill(nbytes)
-        for a in aggressors
-    })
-    expected = DataPattern.CHECKER_55.fill(nbytes)
-    host.write_rows(0, {module.to_logical(center): expected})
-    rounds = hammers // 78
-    program = patterns.n_sided_trr_pattern(module, aggressors, dummy=center + 60)
-    for _ in range(rounds):
-        host.run(program)
-    rh_flips = count_victim_flips(module, host, victims, expected)
+    rowhammer = AttackSpec(
+        name="rowhammer", technique="rowhammer", config_id=module.config_id,
+        bank=0, aggressors=(center - 1, center + 1),
+        activated=(center - 1, center + 1), victims=(center,),
+        dummy=center + 60, data_pattern=DataPattern.CHECKER_AA,
+        dummy_windows=3,
+    )
+    rh_flips = run_attack(module, rowhammer, hammers)
     print(f"  {hammers} hammers through the sampler -> {rh_flips} bitflips")
 
     print("\nStep 3: SiMRA under the same TRR (two ACTs per 16-row op)")
-    host = DramBenderHost(module)
     pair = patterns.simra_pair_for(module, 96 + 32, 16)
-    simra_victims = list(pair.sandwiched_victims())
-    host.write_rows(0, {
-        module.to_logical(r): DataPattern.ALL_ZEROS.fill(nbytes)
-        for r in pair.group
-    })
-    expected = DataPattern.ALL_ONES.fill(nbytes)
-    host.write_rows(0, {module.to_logical(v): expected for v in simra_victims})
-    ops_per_round = 78
-    program = patterns.simra_trr_pattern(module, pair, dummy=pair.row_a + 60)
-    for _ in range(hammers // ops_per_round):
-        host.run(program)
-    simra_flips = count_victim_flips(module, host, simra_victims, expected)
+    simra = AttackSpec(
+        name="simra16", technique="simra", config_id=module.config_id,
+        bank=0, aggressors=(pair.row_a, pair.row_b), activated=pair.group,
+        victims=pair.sandwiched_victims(), dummy=pair.row_a + 60,
+        data_pattern=DataPattern.ALL_ZEROS, dummy_windows=3, n_rows=16,
+    )
+    simra_flips = run_attack(module, simra, hammers)
     print(f"  {hammers} SiMRA ops through the sampler -> {simra_flips} bitflips")
 
     if rh_flips == 0:

@@ -18,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..bender.host import DramBenderHost
-from ..core.metrics import count_flips
-from ..disturbance.calibration import DataPattern, FlipDirection
+from ..disturbance.calibration import FlipDirection
 from ..disturbance.distributions import stable_seed
 from ..dram.module import DramModule
 from ..dram.vendors import make_module
@@ -105,24 +102,6 @@ class CellResult:
         }
 
 
-def _initialize(
-    host: DramBenderHost,
-    module: DramModule,
-    spec: AttackSpec,
-) -> np.ndarray:
-    """Write the attack's data pattern; returns the expected victim bytes."""
-    nbytes = module.geometry.row_bytes
-    rows = {
-        module.to_logical(row): spec.data_pattern.fill(nbytes)
-        for row in spec.activated
-    }
-    expected = spec.data_pattern.negated.fill(nbytes)
-    for victim in spec.victims:
-        rows[module.to_logical(victim)] = expected
-    host.write_rows(spec.bank, rows)
-    return expected
-
-
 def _damage_crossed(module: DramModule, spec: AttackSpec) -> bool:
     """Non-destructive peek: has any victim earned a flip already?
 
@@ -136,21 +115,6 @@ def _damage_crossed(module: DramModule, spec: AttackSpec) -> bool:
             if model.coupled_damage(spec.bank, victim, direction) >= 1.0:
                 return True
     return False
-
-
-def _count_flips(
-    host: DramBenderHost,
-    module: DramModule,
-    spec: AttackSpec,
-    expected: np.ndarray,
-) -> int:
-    flips = 0
-    read = host.read_rows(
-        spec.bank, [module.to_logical(v) for v in spec.victims]
-    )
-    for data in read.values():
-        flips += count_flips(data, expected)
-    return flips
 
 
 def run_cell(
@@ -195,7 +159,7 @@ def run_cell(
     module.attach_trr(hook)
     try:
         host = DramBenderHost(module)
-        expected = _initialize(host, module, spec)
+        spec.initialize_rows(host)
         round_program = spec.build_round(module)
         start_ns = host.now_ns
         rounds = spec.rounds_for_budget(act_budget)
@@ -210,7 +174,7 @@ def run_cell(
         cell.hammers_issued = cell.rounds_run * spec.hammers_per_round
         cell.acts_issued = cell.rounds_run * spec.acts_per_round
         cell.duration_ns = host.now_ns - start_ns
-        cell.flips = _count_flips(host, module, spec, expected)
+        cell.flips = spec.victim_flips(host)
     finally:
         module.attach_trr(None)
 

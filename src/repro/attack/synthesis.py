@@ -28,7 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..bender.host import DramBenderHost
 from ..bender.program import ProgramBuilder, TestProgram
+from ..core.hcfirst import standard_row_data
+from ..core.metrics import count_flips
 from ..core.patterns import (
     COMRA_DELAY_NS,
     SIMRA_ACT_TO_PRE_NS,
@@ -91,9 +94,10 @@ class AttackSpec:
 
     @property
     def hammers_per_window(self) -> int:
-        """Hammers per window: every technique spends two ACTs per hammer
-        (a double-sided pass, a CoMRA cycle, or a SiMRA trigger)."""
-        return self.acts_per_trefi // 2
+        """Hammers per window: one hammer issues one ACT per aggressor (a
+        RowHammer pass over the aggressors, a CoMRA cycle, or a SiMRA
+        trigger)."""
+        return self.acts_per_trefi // len(self.aggressors)
 
     @property
     def hammers_per_round(self) -> int:
@@ -105,6 +109,28 @@ class AttackSpec:
 
     def rounds_for_budget(self, act_budget: int) -> int:
         return max(1, int(act_budget) // self.acts_per_round)
+
+    # -- row setup and read-back ---------------------------------------
+    def initialize_rows(self, host: DramBenderHost) -> None:
+        """§4.2 initialization: the activated rows hold the data pattern,
+        the victims its negation."""
+        module = host.module
+        rows = standard_row_data(
+            module, self.activated, self.victims, self.data_pattern
+        )
+        host.write_rows(
+            self.bank, {module.to_logical(r): data for r, data in rows.items()}
+        )
+
+    def victim_flips(self, host: DramBenderHost) -> int:
+        """Read the victims back and count the bits that left the
+        negated data pattern."""
+        module = host.module
+        expected = self.data_pattern.negated.fill(module.geometry.row_bytes)
+        read = host.read_rows(
+            self.bank, [module.to_logical(v) for v in self.victims]
+        )
+        return sum(count_flips(data, expected) for data in read.values())
 
     # -- program construction ------------------------------------------
     def build_round(self, module: DramModule) -> TestProgram:

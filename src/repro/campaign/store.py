@@ -55,11 +55,12 @@ CORE_SUBSYSTEMS = (
 
 #: extra subpackages specific experiments execute: editing one of these
 #: must invalidate the listed experiments' artifacts (and, thanks to the
-#: scoping, *only* theirs).  fig24 attaches ``repro.trr``; fig25 simulates
+#: scoping, *only* theirs).  fig24 builds its rounds from the attack
+#: synthesis's ``AttackSpec`` and attaches ``repro.trr``; fig25 simulates
 #: through ``repro.memsys`` (which pulls mitigations + workloads); the
 #: attack gauntlet exercises synthesis, the mitigation hooks and the TRR.
 EXPERIMENT_SUBSYSTEM_DEPS: dict[str, tuple[str, ...]] = {
-    "fig24": ("trr",),
+    "fig24": ("attack", "trr"),
     "fig25": ("memsys", "mitigations", "workloads"),
     "attack_surface": ("attack", "mitigations", "trr"),
     "pud_reliability": ("memsys", "mitigations", "pud", "reliability",

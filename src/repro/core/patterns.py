@@ -11,7 +11,8 @@ Patterns implemented (paper figure):
 * far double-sided RowHammer (Fig. 7)
 * double/single-sided CoMRA, both copy directions (Figs. 3, 9, 10)
 * SiMRA-N, double- and single-sided address pairs (Figs. 12-19)
-* the N-sided TRR-bypass pattern with a dummy row (§7)
+* one tREFI window of the §7 TRR-bypass round, which
+  :meth:`repro.attack.synthesis.AttackSpec.build_round` assembles
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def simra_hammer(
 
 
 # ----------------------------------------------------------------------
-# §7: N-sided TRR-bypass pattern (after U-TRR)
+# §7: the tREFI window of a TRR-bypass round (after U-TRR)
 # ----------------------------------------------------------------------
 def trefi_window(
     builder: ProgramBuilder,
@@ -351,93 +352,3 @@ def trefi_window(
         builder.nop(trefi - used_ns)
     if ref:
         builder.ref()
-
-
-def n_sided_trr_pattern(
-    module: DramModule,
-    aggressors: Sequence[int],
-    dummy: int,
-    bank: int = 0,
-    acts_per_trefi: int = 156,
-    windows: int = 1,
-    dummy_windows: int = 3,
-    t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
-) -> TestProgram:
-    """One round of the custom §7 pattern: hammer N aggressors for one
-    refresh window, then flood the TRR sampler with a dummy row for
-    ``dummy_windows`` windows so its victims absorb the targeted refreshes.
-
-    REF commands are embedded at the tREFI cadence, as the memory
-    controller would issue them.
-    """
-    trp = module.timing.tRP
-    trefi = module.timing.tREFI
-    builder = ProgramBuilder(f"trr-{len(aggressors)}sided")
-    used = acts_per_trefi * (trp + t_agg_on_ns)
-    hammer = [(_logical(module, a), trp, t_agg_on_ns) for a in aggressors]
-    flood = [(_logical(module, dummy), trp, t_agg_on_ns)]
-    for _ in range(windows):
-        trefi_window(builder, bank, hammer, acts_per_trefi, used, trefi)
-    for _ in range(dummy_windows):
-        trefi_window(builder, bank, flood, acts_per_trefi, used, trefi)
-    return builder.build()
-
-
-def comra_trr_pattern(
-    module: DramModule,
-    victim: int,
-    dummy: int,
-    bank: int = 0,
-    acts_per_trefi: int = 156,
-    dummy_windows: int = 3,
-) -> TestProgram:
-    """§7 CoMRA variant: fill the aggressor window with CoMRA cycles."""
-    trp = module.timing.tRP
-    tras = module.timing.tRAS
-    trefi = module.timing.tREFI
-    builder = ProgramBuilder("trr-comra")
-    src = _logical(module, victim - 1)
-    dst = _logical(module, victim + 1)
-    cycles = acts_per_trefi // 2  # each CoMRA cycle issues two ACTs
-    trefi_window(
-        builder, bank, [(src, trp, tras), (dst, COMRA_DELAY_NS, tras)],
-        2 * cycles, cycles * (trp + tras + COMRA_DELAY_NS + tras), trefi,
-    )
-    flood = [(_logical(module, dummy), trp, tras)]
-    for _ in range(dummy_windows):
-        trefi_window(
-            builder, bank, flood, acts_per_trefi,
-            acts_per_trefi * (trp + tras), trefi,
-        )
-    return builder.build()
-
-
-def simra_trr_pattern(
-    module: DramModule,
-    pair: SimraAddressPair,
-    dummy: int,
-    bank: int = 0,
-    acts_per_trefi: int = 156,
-    dummy_windows: int = 3,
-) -> TestProgram:
-    """§7 SiMRA variant: each op issues only two ACTs the sampler can see."""
-    trp = module.timing.tRP
-    tras = module.timing.tRAS
-    trefi = module.timing.tREFI
-    builder = ProgramBuilder(f"trr-simra{pair.count}")
-    a, b = _logical(module, pair.row_a), _logical(module, pair.row_b)
-    ops = acts_per_trefi // 2
-    trefi_window(
-        builder, bank,
-        [(a, trp, SIMRA_ACT_TO_PRE_NS), (b, SIMRA_PRE_TO_ACT_NS, tras)],
-        2 * ops,
-        ops * (trp + SIMRA_ACT_TO_PRE_NS + SIMRA_PRE_TO_ACT_NS + tras),
-        trefi,
-    )
-    flood = [(_logical(module, dummy), trp, tras)]
-    for _ in range(dummy_windows):
-        trefi_window(
-            builder, bank, flood, acts_per_trefi,
-            acts_per_trefi * (trp + tras), trefi,
-        )
-    return builder.build()

@@ -1,10 +1,11 @@
 """§7 experiment: PuDHammer in the presence of in-DRAM TRR (Fig. 24).
 
 The tested SK Hynix module ships a sampling-based TRR; the experiment runs
-the U-TRR-derived N-sided pattern (aggressor window + dummy-flood windows,
-REFs at the tREFI cadence) for RowHammer and CoMRA, and the two-ACT SiMRA
-trigger for SiMRA, counting victim bitflips with and without the TRR
-mechanism attached.
+the U-TRR-derived round of :class:`~repro.attack.synthesis.AttackSpec`
+(one aggressor window + three dummy-flood windows, REFs at the tREFI
+cadence) with N-sided RowHammer, CoMRA cycles or the two-ACT SiMRA
+trigger, counting victim bitflips with and without the TRR mechanism
+attached.
 
 "Without TRR" runs disable refresh entirely (the §3.1 methodology), so
 those hammering loops replay as compiled host streams; "with TRR" runs
@@ -13,53 +14,20 @@ replay the full command stream including REFs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from ..attack.synthesis import AttackSpec
 from ..bender.host import DramBenderHost
 from ..core import patterns
-from ..core.metrics import count_flips
 from ..core.scale import ExperimentScale
 from ..disturbance.calibration import DataPattern, Mechanism
 from ..dram.module import DramModule
 from ..dram.vendors import make_module
 from ..trr.mechanism import SamplingTrr
 from .base import ExperimentResult
-
-#: §7: at most 156 ACTs fit in one tREFI for the tested module.
-ACTS_PER_TREFI = 156
-
-
-def _count_flips(
-    host: DramBenderHost,
-    module: DramModule,
-    victims: list[int],
-    expected: np.ndarray,
-    bank: int = 0,
-) -> int:
-    flips = 0
-    read = host.read_rows(bank, [module.to_logical(v) for v in victims])
-    for data in read.values():
-        flips += count_flips(data, expected)
-    return flips
-
-
-def _initialize(
-    host: DramBenderHost,
-    module: DramModule,
-    aggressors: list[int],
-    victims: list[int],
-    pattern: DataPattern,
-    bank: int = 0,
-) -> np.ndarray:
-    nbytes = module.geometry.row_bytes
-    rows = {module.to_logical(a): pattern.fill(nbytes) for a in aggressors}
-    expected = pattern.negated.fill(nbytes)
-    for victim in victims:
-        rows[module.to_logical(victim)] = expected
-    host.write_rows(bank, rows)
-    return expected
 
 
 def _weakest_victim(
@@ -97,19 +65,19 @@ def _run_technique(
     at their weakest victims, double-sided SiMRA uses a group sandwiching
     its weakest victim, and 32-row SiMRA (necessarily contiguous, footnote
     3) uses a block far from them.
+
+    With TRR the attack repeats the spec's round (one hammer window, three
+    dummy-flood windows); without it, a plain hammer loop of ``hammers``.
     """
     bank = 0
-    rh_weakest = _weakest_victim(module, Mechanism.ROWHAMMER, bank)
-    comra_weakest = _weakest_victim(module, Mechanism.COMRA, bank)
-    simra_weakest = _weakest_victim(module, Mechanism.SIMRA, bank)
     base = module.geometry.rows_per_subarray + 32  # subarray 1 interior
-    dummy = base + 64
 
-    module.attach_trr(SamplingTrr(seed=seed) if with_trr else None)
-    host = DramBenderHost(module)
-
+    n_rows = 0
+    pattern = DataPattern.CHECKER_AA
     if technique.startswith("simra"):
+        kind = "simra"
         n_rows = int(technique.split("-")[1])
+        simra_weakest = _weakest_victim(module, Mechanism.SIMRA, bank)
         if n_rows != 32 and simra_weakest is not None:
             pair = patterns.simra_pair_sandwiching(module, simra_weakest, n_rows, bank)
         else:
@@ -117,67 +85,51 @@ def _run_technique(
         if pair is None:
             style = "double-sided" if n_rows != 32 else "single-sided"
             pair = patterns.simra_pair_for(module, (base // 32) * 32, n_rows, style)
-        aggressors = list(pair.group)
-        victims = patterns.victims_of(module, aggressors)
-        expected = _initialize(
-            host, module, aggressors, victims, DataPattern.ALL_ZEROS, bank
-        )
-        if with_trr:
-            round_program = patterns.simra_trr_pattern(
-                module, pair, dummy, bank, acts_per_trefi=ACTS_PER_TREFI
-            )
-            ops_per_round = ACTS_PER_TREFI // 2
-            for _ in range(max(1, hammers // ops_per_round)):
-                host.run(round_program)
-        else:
-            host.run(patterns.simra_hammer(module, pair, hammers, bank))
+        aggressors, activated = (pair.row_a, pair.row_b), pair.group
+        pattern = DataPattern.ALL_ZEROS
+        plain = partial(patterns.simra_hammer, module, pair)
     elif technique == "comra-2sided":
-        victim_center = comra_weakest if comra_weakest is not None else base + 1
-        aggressors = [victim_center - 1, victim_center + 1]
-        victims = patterns.victims_of(module, aggressors)
-        expected = _initialize(
-            host, module, aggressors, victims, DataPattern.CHECKER_AA, bank
-        )
-        if with_trr:
-            round_program = patterns.comra_trr_pattern(
-                module, victim_center, dummy, bank, acts_per_trefi=ACTS_PER_TREFI
-            )
-            ops_per_round = ACTS_PER_TREFI // 2
-            for _ in range(max(1, hammers // ops_per_round)):
-                host.run(round_program)
-        else:
-            host.run(
-                patterns.double_sided_comra(module, victim_center, hammers, bank)
-            )
+        kind = "comra"
+        comra_weakest = _weakest_victim(module, Mechanism.COMRA, bank)
+        center = comra_weakest if comra_weakest is not None else base + 1
+        aggressors = activated = (center - 1, center + 1)
+        plain = partial(patterns.double_sided_comra, module, center)
     elif technique.startswith("rowhammer"):
+        kind = "rowhammer"
         n_sided = int(technique.split("-")[1])
+        rh_weakest = _weakest_victim(module, Mechanism.ROWHAMMER, bank)
         anchor = (rh_weakest - 1) if rh_weakest is not None else base
-        aggressors = [anchor + 2 * i for i in range(n_sided)]
-        victims = patterns.victims_of(module, aggressors)
-        expected = _initialize(
-            host, module, aggressors, victims, DataPattern.CHECKER_AA, bank
-        )
-        if with_trr:
-            round_program = patterns.n_sided_trr_pattern(
-                module, aggressors, dummy, bank, acts_per_trefi=ACTS_PER_TREFI
-            )
-            acts_per_agg_per_round = ACTS_PER_TREFI // len(aggressors)
-            for _ in range(max(1, hammers // acts_per_agg_per_round)):
-                host.run(round_program)
+        aggressors = activated = tuple(anchor + 2 * i for i in range(n_sided))
+        if n_sided == 2:
+            plain = partial(patterns.double_sided_rowhammer, module, anchor + 1)
         else:
-            if n_sided == 2:
-                program = patterns.double_sided_rowhammer(
-                    module, aggressors[0] + 1, hammers, bank
-                )
-            else:
-                program = patterns.single_sided_rowhammer(
-                    module, aggressors[0], hammers, bank
-                )
-            host.run(program)
+            plain = partial(patterns.single_sided_rowhammer, module, anchor)
     else:
         raise ValueError(f"unknown technique {technique!r}")
+    spec = AttackSpec(
+        name=technique,
+        technique=kind,
+        config_id=module.config_id,
+        bank=bank,
+        aggressors=aggressors,
+        activated=activated,
+        victims=tuple(patterns.victims_of(module, activated)),
+        dummy=base + 64,
+        data_pattern=pattern,
+        dummy_windows=3,
+        n_rows=n_rows,
+    )
 
-    flips = _count_flips(host, module, victims, expected, bank)
+    module.attach_trr(SamplingTrr(seed=seed) if with_trr else None)
+    host = DramBenderHost(module)
+    spec.initialize_rows(host)
+    if with_trr:
+        round_program = spec.build_round(module)
+        for _ in range(max(1, hammers // spec.hammers_per_round)):
+            host.run(round_program)
+    else:
+        host.run(plain(hammers, bank))
+    flips = spec.victim_flips(host)
     module.attach_trr(None)
     return flips
 

@@ -1,5 +1,7 @@
 """Attack synthesis: schedule search, program construction, portfolio."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attack import (
@@ -124,3 +126,14 @@ class TestPortfolio:
         assert comra.acts_per_round == comra.windows_per_round * 156
         assert comra.rounds_for_budget(24_960) == 24_960 // comra.acts_per_round
         assert comra.rounds_for_budget(1) == 1  # at least one round
+
+    def test_one_hammer_activates_every_aggressor_once(self, hynix_specs):
+        # a single-sided RowHammer hammer is one ACT, so a window holds
+        # one hammer per ACT; every synthesized spec has two aggressors
+        single = replace(
+            hynix_specs[0], aggressors=hynix_specs[0].aggressors[:1]
+        )
+        assert single.hammers_per_window == single.acts_per_trefi == 156
+        for spec in hynix_specs:
+            assert len(spec.aggressors) == 2, spec.name
+            assert spec.hammers_per_round == 78, spec.name

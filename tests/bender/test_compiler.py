@@ -16,6 +16,8 @@ from repro.core import patterns
 from repro.dram import make_module
 from repro.dram.bank import STREAM_ACT, STREAM_PRE
 
+from ..trr_rounds import trr_round
+
 
 @pytest.fixture()
 def module():
@@ -150,18 +152,24 @@ def _interpreted_commands(plan) -> int:
 
 VICTIM = 2 * 96 + 40
 
+def _simra_round(module):
+    pair = patterns.simra_pair_for(module, 64, 4)
+    return trr_round(
+        module, "simra", (pair.row_a, pair.row_b), 140, dummy_windows=2
+    )
+
+
 #: every §7 round pattern
 TRR_PATTERNS = {
-    "n-sided": lambda module: patterns.n_sided_trr_pattern(
-        module, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
-        windows=2, dummy_windows=2,
+    "n-sided": lambda module: trr_round(
+        module, "rowhammer", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+        hammer_windows=2, dummy_windows=2,
     ),
-    "comra": lambda module: patterns.comra_trr_pattern(
-        module, VICTIM, VICTIM + 30, dummy_windows=2
+    "comra": lambda module: trr_round(
+        module, "comra", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+        dummy_windows=2,
     ),
-    "simra": lambda module: patterns.simra_trr_pattern(
-        module, patterns.simra_pair_for(module, 64, 4), 140, dummy_windows=2
-    ),
+    "simra": _simra_round,
 }
 
 

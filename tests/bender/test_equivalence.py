@@ -22,6 +22,8 @@ from repro.mitigations.prac import PracConfig
 from repro.obs import Obs
 from repro.trr import SamplingTrr
 
+from ..trr_rounds import trr_round
+
 CONFIG = "hynix-a-8gb"
 VICTIM = 2 * 96 + 40
 
@@ -205,9 +207,9 @@ class TestFlatTrrPrograms:
 
     def test_n_sided(self):
         fast = _compare(
-            lambda m: patterns.n_sided_trr_pattern(
-                m, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
-                windows=2, dummy_windows=2,
+            lambda m: trr_round(
+                m, "rowhammer", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+                hammer_windows=2, dummy_windows=2,
             ),
             _hammer_setup((-1, 1, 30)),
             (VICTIM,),
@@ -218,8 +220,9 @@ class TestFlatTrrPrograms:
 
     def test_comra_pattern(self):
         fast = _compare(
-            lambda m: patterns.comra_trr_pattern(
-                m, VICTIM, VICTIM + 30, dummy_windows=2
+            lambda m: trr_round(
+                m, "comra", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+                dummy_windows=2,
             ),
             _hammer_setup((-1, 1, 30)),
             (VICTIM,),
@@ -234,8 +237,9 @@ class TestFlatTrrPrograms:
         pair = patterns.simra_pair_for(module, block_base, 4)
         victim = pair.sandwiched_victims()[0]
         fast = _compare(
-            lambda m: patterns.simra_trr_pattern(
-                m, pair, victim + 40, dummy_windows=2
+            lambda m: trr_round(
+                m, "simra", (pair.row_a, pair.row_b), victim + 40,
+                dummy_windows=2,
             ),
             _hammer_setup(
                 tuple(r - victim for r in pair.group) + (40,), (victim,), victim
@@ -248,9 +252,9 @@ class TestFlatTrrPrograms:
 
     def test_weighted_trr(self):
         fast = _compare(
-            lambda m: patterns.n_sided_trr_pattern(
-                m, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
-                windows=2, dummy_windows=2,
+            lambda m: trr_round(
+                m, "rowhammer", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+                hammer_windows=2, dummy_windows=2,
             ),
             _hammer_setup((-1, 1, 30)),
             (VICTIM,),
@@ -265,14 +269,15 @@ class TestFlatTrrPrograms:
         """§8.2 PRAC over the same patterns: window streams replay in
         segments, and every back-off lands where unrolled puts it."""
         if pattern == "n-sided":
-            program = lambda m: patterns.n_sided_trr_pattern(  # noqa: E731
-                m, (VICTIM - 1, VICTIM + 1), VICTIM + 30,
-                windows=2, dummy_windows=1,
+            program = lambda m: trr_round(  # noqa: E731
+                m, "rowhammer", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+                hammer_windows=2, dummy_windows=1,
             )
             setup, victims = _hammer_setup((-1, 1, 30)), (VICTIM,)
         elif pattern == "comra":
-            program = lambda m: patterns.comra_trr_pattern(  # noqa: E731
-                m, VICTIM, VICTIM + 30, dummy_windows=1
+            program = lambda m: trr_round(  # noqa: E731
+                m, "comra", (VICTIM - 1, VICTIM + 1), VICTIM + 30,
+                dummy_windows=1,
             )
             setup, victims = _hammer_setup((-1, 1, 30)), (VICTIM,)
         else:
@@ -280,8 +285,9 @@ class TestFlatTrrPrograms:
                 make_module(CONFIG), (VICTIM // 32) * 32, 4
             )
             victim = pair.sandwiched_victims()[0]
-            program = lambda m: patterns.simra_trr_pattern(  # noqa: E731
-                m, pair, victim + 40, dummy_windows=1
+            program = lambda m: trr_round(  # noqa: E731
+                m, "simra", (pair.row_a, pair.row_b), victim + 40,
+                dummy_windows=1,
             )
             setup = _hammer_setup(
                 tuple(r - victim for r in pair.group) + (40,), (victim,), victim

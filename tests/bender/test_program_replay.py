@@ -26,11 +26,17 @@ from repro import make_module
 from repro.bender import program as bender_program
 from repro.bender.host import DramBenderHost
 from repro.core import patterns
-from repro.disturbance.calibration import ALL_PATTERNS, Mechanism
+from repro.disturbance.calibration import (
+    ALL_PATTERNS,
+    MAX_ACTS_PER_TREFI,
+    Mechanism,
+)
 from repro.disturbance.ledger import N_POOLS
 from repro.experiments import trr_bypass
 from repro.obs import Obs
 from repro.trr import SamplingTrr
+
+from ..trr_rounds import trr_round
 
 CONFIG = "hynix-a-8gb"
 
@@ -77,31 +83,37 @@ def round_program(module, case):
     base = geometry.rows_per_subarray + 32
     dummy = base + 64
     kind = case["kind"]
+    acts = case["acts_per_trefi"]
     if kind == "simra":
         n_rows = case["simra_rows"]
         style = "single-sided" if n_rows == 32 else "double-sided"
         pair = patterns.simra_pair_for(module, (base // 32) * 32, n_rows, style)
         aggressors = list(pair.group)
-        program = patterns.simra_trr_pattern(
-            module, pair, dummy, acts_per_trefi=case["acts_per_trefi"],
-            dummy_windows=case["dummy_windows"],
+        program = trr_round(
+            module, "simra", (pair.row_a, pair.row_b), dummy,
+            acts_per_trefi=acts, dummy_windows=case["dummy_windows"],
         )
     elif kind == "comra":
         victim = trr_bypass._weakest_victim(module, Mechanism.COMRA) or base + 1
         aggressors = [victim - 1, victim + 1]
-        program = patterns.comra_trr_pattern(
-            module, victim, dummy, acts_per_trefi=case["acts_per_trefi"],
-            dummy_windows=case["dummy_windows"],
+        program = trr_round(
+            module, "comra", aggressors, dummy,
+            acts_per_trefi=acts, dummy_windows=case["dummy_windows"],
         )
     else:
         weakest = trr_bypass._weakest_victim(module, Mechanism.ROWHAMMER)
         anchor = weakest - 1 if weakest is not None else base
         aggressors = [anchor + 2 * i for i in range(case["sides"])]
-        program = patterns.n_sided_trr_pattern(
-            module, aggressors, dummy, acts_per_trefi=case["acts_per_trefi"],
-            dummy_windows=case["dummy_windows"],
-            t_agg_on_ns=case["t_agg_on_ns"],
-        )
+        # AttackSpec rounds keep rows open for the nominal row-on time; the
+        # drawn one builds the same windows by hand, dummy flood included
+        trp, t_on = module.timing.tRP, case["t_agg_on_ns"]
+        builder = bender_program.ProgramBuilder("trr-rowhammer")
+        for rows in [aggressors] + [[dummy]] * case["dummy_windows"]:
+            patterns.trefi_window(
+                builder, 0, [(module.to_logical(r), trp, t_on) for r in rows],
+                acts, acts * (trp + t_on), module.timing.tREFI,
+            )
+        program = builder.build()
     nbytes = geometry.row_bytes
     pattern = case["pattern"]
     rows = {a: pattern.fill(nbytes) for a in aggressors}
@@ -252,7 +264,7 @@ def test_fig24_cell_paths(monkeypatch):
     rounds = 40
     flips = trr_bypass._run_technique(
         make_module(CONFIG), "simra-16", True,
-        hammers=rounds * (trr_bypass.ACTS_PER_TREFI // 2), seed=0,
+        hammers=rounds * (MAX_ACTS_PER_TREFI // 2), seed=0,
     )
     assert obs.by_label("host.runs", "path") == {
         "full": 1, "capture": 1, "replay": rounds - 2,

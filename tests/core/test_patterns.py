@@ -7,6 +7,8 @@ from repro.core import patterns
 from repro.dram import make_module
 from repro.dram.errors import AddressError
 
+from ..trr_rounds import trr_round
+
 
 class TestRowHammerPatterns:
     def test_double_sided_command_count(self, hynix_module):
@@ -78,16 +80,18 @@ class TestSimraPairs:
 class TestTrrPatterns:
     def test_n_sided_issues_refs(self, hynix_module):
         from repro.bender.program import Ref
-        program = patterns.n_sided_trr_pattern(
-            hynix_module, [50, 52], dummy=80, windows=1, dummy_windows=3
+        program = trr_round(
+            hynix_module, "rowhammer", [50, 52], dummy=80,
+            hammer_windows=1, dummy_windows=3,
         )
         refs = sum(1 for i in program.flattened() if isinstance(i, Ref))
         assert refs == 4
 
     def test_window_act_budget(self, hynix_module):
         from repro.bender.program import Act
-        program = patterns.n_sided_trr_pattern(
-            hynix_module, [50, 52], dummy=80, windows=1, dummy_windows=0
+        program = trr_round(
+            hynix_module, "rowhammer", [50, 52], dummy=80,
+            hammer_windows=1, dummy_windows=0,
         )
         acts = sum(1 for i in program.flattened() if isinstance(i, Act))
         assert acts == 156
@@ -97,8 +101,9 @@ class TestTrrPatterns:
         # first two aggressors flat, in the order the rows cycle
         from repro.bender.program import Act, Loop, Nop, Ref
         rows = [50, 52, 54]
-        program = patterns.n_sided_trr_pattern(
-            hynix_module, rows, dummy=80, acts_per_trefi=8, dummy_windows=0
+        program = trr_round(
+            hynix_module, "rowhammer", rows, dummy=80, acts_per_trefi=8,
+            dummy_windows=0,
         )
         loop, *rest = program.instructions
         assert isinstance(loop, Loop) and loop.count == 2

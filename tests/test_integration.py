@@ -22,6 +22,8 @@ from repro.pud import PudEngine
 from repro.reveng import boundary_scan, discover_group
 from repro.trr import SamplingTrr
 
+from .trr_rounds import trr_round
+
 
 @pytest.fixture(scope="module")
 def module():
@@ -86,7 +88,10 @@ class TestFullWorkflow:
         host.write_rows(0, rows)
 
         # hammer with REFs flowing (TRR active the whole time)
-        program = patterns.simra_trr_pattern(module, pair, dummy=150)
+        program = trr_round(
+            module, "simra", (pair.row_a, pair.row_b), dummy=150,
+            dummy_windows=3,
+        )
         for _ in range(60):
             host.run(program)
         flips = 0
