@@ -57,6 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.attack.gauntlet import run_cell  # noqa: E402
 from repro.attack.synthesis import AttackSpec, synthesize_attacks  # noqa: E402
 from repro.bender.host import DramBenderHost  # noqa: E402
+from repro.bender.program import COUNT  # noqa: E402
 from repro.core import patterns  # noqa: E402
 from repro.core.hcfirst import (  # noqa: E402
     ProbeSetup,
@@ -164,9 +165,7 @@ def bench_hcfirst_search(smoke: bool, repeats: int) -> dict:
         pattern = module.model.worst_case_pattern(0, VICTIM, Mechanism.ROWHAMMER)
         return ProbeSetup(
             module=module,
-            program_factory=lambda n: patterns.double_sided_rowhammer(
-                module, VICTIM, n
-            ),
+            program=patterns.double_sided_rowhammer(module, VICTIM, COUNT),
             row_data=standard_row_data(
                 module, [VICTIM - 1, VICTIM + 1], [VICTIM], pattern
             ),

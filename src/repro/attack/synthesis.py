@@ -26,7 +26,7 @@ HC_first row), and the module's calibration minima parameterize the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..bender.host import DramBenderHost
 from ..bender.program import ProgramBuilder, TestProgram
@@ -239,10 +239,12 @@ def schedule_score(
 
 def synthesize_schedule(
     hc_first: float,
+    hammers_per_window: int,
     acts_per_trefi: int = MAX_ACTS_PER_TREFI,
     max_dummy_windows: int = 4,
 ) -> tuple[int, bool, float, float]:
-    """Search (dummy_windows, postpone_refs) for the best evasion schedule.
+    """Search (dummy_windows, postpone_refs) for the best evasion schedule
+    of a window of ``hammers_per_window`` hammers.
 
     Returns ``(dummy_windows, postpone_refs, expected_samples, score)``.
     The search is deterministic; ties prefer fewer dummy windows and no
@@ -256,9 +258,8 @@ def synthesize_schedule(
             samples = expected_aggressor_samples(
                 1, dummy_windows, acts_per_trefi, postpone
             )
-            hammers = acts_per_trefi // 2
             acts = (1 + dummy_windows) * acts_per_trefi
-            score = schedule_score(samples, hammers, acts, hc_first)
+            score = schedule_score(samples, hammers_per_window, acts, hc_first)
             if best is None or score > best[0] + 1e-12:
                 best = (score, dummy_windows, postpone, samples)
     assert best is not None
@@ -306,17 +307,7 @@ def synthesize_attacks(
         synchronized: bool,
         n_rows: int = 0,
     ) -> AttackSpec:
-        if synchronized:
-            dummy_windows, postpone, samples, score = synthesize_schedule(
-                hc_first, acts_per_trefi
-            )
-        else:
-            dummy_windows, postpone = 0, False
-            samples = expected_aggressor_samples(1, 0, acts_per_trefi, False)
-            score = schedule_score(
-                samples, acts_per_trefi // 2, acts_per_trefi, hc_first
-            )
-        return AttackSpec(
+        spec = AttackSpec(
             name=name,
             technique=technique,
             config_id=module.config_id,
@@ -326,12 +317,22 @@ def synthesize_attacks(
             victims=tuple(victims_of(module, activated)),
             dummy=dummy,
             data_pattern=pattern,
-            dummy_windows=dummy_windows,
-            postpone_refs=postpone,
             acts_per_trefi=acts_per_trefi,
             n_rows=n_rows,
-            expected_samples_per_round=samples,
-            sync_score=score,
+        )
+        if synchronized:
+            dummy_windows, postpone, samples, score = synthesize_schedule(
+                hc_first, spec.hammers_per_window, acts_per_trefi
+            )
+        else:
+            dummy_windows, postpone = 0, False
+            samples = expected_aggressor_samples(1, 0, acts_per_trefi, False)
+            score = schedule_score(
+                samples, spec.hammers_per_window, acts_per_trefi, hc_first
+            )
+        return replace(
+            spec, dummy_windows=dummy_windows, postpone_refs=postpone,
+            expected_samples_per_round=samples, sync_score=score,
         )
 
     rh_center = _sandwich_center(

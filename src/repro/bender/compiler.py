@@ -181,7 +181,8 @@ def run_stream(bank, stream: CompiledStream, base_ns: float, count: int) -> dict
 
 
 def build_plan(program: TestProgram, module) -> list[PlanStep]:
-    """Lower a program into a plan of Run / Stream / Loop steps."""
+    """Lower a program into a plan of Run / Stream / Loop steps; an
+    unbound template (see :meth:`TestProgram.bind`) raises ValueError."""
     return _plan(program.instructions, module)
 
 
@@ -192,6 +193,8 @@ def _plan(instructions: Sequence[Instruction], module) -> list[PlanStep]:
         if not isinstance(instr, Loop):
             raw.append(instr)
             continue
+        if not isinstance(instr.count, int):
+            raise ValueError(f"loop count {instr.count.name!r} is unbound")
         if instr.count == 0:
             continue
         if raw:

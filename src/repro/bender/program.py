@@ -6,7 +6,8 @@ accuracy.  This module mirrors that programming model: a
 :class:`TestProgram` is a list of instructions, each carrying the slack (in
 nanoseconds, quantized to the 1.5 ns command-bus granularity) since the
 previous instruction.  ``Loop`` repeats a body a fixed number of times --
-the construct the host's fast path exploits.
+the construct the host's fast path exploits.  A count of :data:`COUNT`
+makes the program a template that :meth:`TestProgram.bind` completes.
 
 Addresses are *logical* (memory-controller visible), exactly what the real
 infrastructure sends; the device's row decoder applies the vendor mapping.
@@ -75,14 +76,28 @@ class Nop:
 
 
 @dataclass(frozen=True)
-class Loop:
-    """Repeat ``body`` ``count`` times."""
+class Param:
+    """A named loop count left open until :meth:`TestProgram.bind`."""
 
-    count: int
+    name: str
+
+
+#: The hammer count of an HC_first probe: a template's loops that repeat
+#: once per hammer run ``COUNT`` times, and each probe binds it.
+COUNT = Param("count")
+
+Count = Union[int, Param]
+
+
+@dataclass(frozen=True)
+class Loop:
+    """Repeat ``body`` ``count`` times (an ``int``, or :data:`COUNT`)."""
+
+    count: Count
     body: tuple["Instruction", ...]
 
     def __post_init__(self) -> None:
-        if self.count < 0:
+        if isinstance(self.count, int) and self.count < 0:
             raise ValueError("loop count must be non-negative")
 
     @cached_property
@@ -97,6 +112,13 @@ class Loop:
 
 
 Instruction = Union[Act, Pre, Rd, Wr, Ref, Nop, Loop]
+
+
+def _bind(instructions: Sequence[Instruction], count: int) -> list[Instruction]:
+    return [
+        Loop(count if i.count is COUNT else i.count, tuple(_bind(i.body, count)))
+        if isinstance(i, Loop) else i for i in instructions
+    ]
 
 
 def _iter_flat(instructions: Sequence[Instruction]):
@@ -145,6 +167,10 @@ class TestProgram:
         """Number of DDR4 commands issued (NOPs excluded)."""
         return _count_commands(self.instructions)
 
+    def bind(self, count: int) -> "TestProgram":
+        """A copy with every :data:`COUNT` loop repeated ``count`` times."""
+        return TestProgram(_bind(self.instructions, count), self.name)
+
     def flattened(self):
         """Iterate primitive instructions with loops unrolled (slow path)."""
         return _iter_flat(self.instructions)
@@ -190,7 +216,7 @@ class ProgramBuilder:
         self._instructions.append(Nop(quantize_to_bender_cycles(slack_ns)))
         return self
 
-    def loop(self, count: int, body_builder: "ProgramBuilder") -> "ProgramBuilder":
+    def loop(self, count: Count, body_builder: "ProgramBuilder") -> "ProgramBuilder":
         self._instructions.append(Loop(count, tuple(body_builder._instructions)))
         return self
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
@@ -39,13 +39,14 @@ FIRST_GUESS = 1024
 class ProbeSetup:
     """Everything needed to run one hammer-count probe.
 
-    ``program_factory(count)`` builds the hammer program; ``row_data`` maps
-    *physical* rows to their initialization bytes; ``victims`` are the
-    physical rows checked for flips.
+    ``program`` is the hammer program as a template, run as
+    ``program.bind(count)``; ``row_data`` maps *physical* rows to their
+    initialization bytes; ``victims`` are the physical rows checked for
+    flips.
     """
 
     module: DramModule
-    program_factory: Callable[[int], TestProgram]
+    program: TestProgram
     row_data: dict[int, np.ndarray]
     victims: Sequence[int]
     bank: int = 0
@@ -88,7 +89,7 @@ def run_probe(setup: ProbeSetup, count: int, host: Optional[DramBenderHost] = No
     }
     host.write_rows(setup.bank, logical)
     if count > 0:
-        host.run(setup.program_factory(count))
+        host.run(setup.program.bind(count))
     read_back = host.read_rows(
         setup.bank, [setup.module.to_logical(v) for v in setup.victims]
     )

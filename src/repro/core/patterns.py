@@ -1,7 +1,8 @@
 """Hammer-pattern program builders (the paper's access patterns).
 
 Each function builds a :class:`~repro.bender.program.TestProgram` that
-hammers aggressors for ``count`` iterations.  Inputs are *physical* row
+hammers aggressors for ``count`` iterations (``COUNT`` builds a probe
+template, see :mod:`repro.bender.program`).  Inputs are *physical* row
 addresses (characterization happens after reverse engineering the mapping,
 §3.2); the builders translate to logical addresses for the command stream.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..bender.program import ProgramBuilder, TestProgram
+from ..bender.program import Count, ProgramBuilder, TestProgram
 from ..dram.bank import SIMRA_BLOCK, SIMRA_BLOCK_BITS
 from ..dram.errors import AddressError
 from ..dram.module import DramModule
@@ -54,7 +55,7 @@ def victims_of(module: DramModule, rows: Sequence[int]) -> list[int]:
 def double_sided_rowhammer(
     module: DramModule,
     victim: int,
-    count: int,
+    count: Count,
     bank: int = 0,
     t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
 ) -> TestProgram:
@@ -81,7 +82,7 @@ def double_sided_rowhammer(
 def single_sided_rowhammer(
     module: DramModule,
     aggressor: int,
-    count: int,
+    count: Count,
     bank: int = 0,
     t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
 ) -> TestProgram:
@@ -96,7 +97,7 @@ def far_double_sided_rowhammer(
     module: DramModule,
     row_a: int,
     row_b: int,
-    count: int,
+    count: Count,
     bank: int = 0,
     t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
 ) -> TestProgram:
@@ -124,7 +125,7 @@ def comra_cycle(
     module: DramModule,
     src: int,
     dst: int,
-    count: int,
+    count: Count,
     bank: int = 0,
     pre_to_act_ns: float = COMRA_DELAY_NS,
     t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
@@ -150,7 +151,7 @@ def comra_cycle(
 def double_sided_comra(
     module: DramModule,
     victim: int,
-    count: int,
+    count: Count,
     bank: int = 0,
     pre_to_act_ns: float = COMRA_DELAY_NS,
     t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
@@ -172,7 +173,7 @@ def single_sided_comra(
     module: DramModule,
     src: int,
     dst: int,
-    count: int,
+    count: Count,
     bank: int = 0,
     pre_to_act_ns: float = COMRA_DELAY_NS,
     t_agg_on_ns: float = T_AGG_ON_NOMINAL_NS,
@@ -298,7 +299,7 @@ def simra_pair_sandwiching(
 def simra_hammer(
     module: DramModule,
     pair: SimraAddressPair,
-    count: int,
+    count: Count,
     bank: int = 0,
     act_to_pre_ns: float = SIMRA_ACT_TO_PRE_NS,
     pre_to_act_ns: float = SIMRA_PRE_TO_ACT_NS,

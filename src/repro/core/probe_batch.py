@@ -45,22 +45,23 @@ Three pieces:
 Every unit batches.  A setup the planner cannot prove equivalent is
 refused with a :class:`ValueError` whose message starts with the guard's
 name, so a new caller fails loudly instead of silently slowing down:
-``multi_victim``, ``trr_attached``, ``program_shape``, ``not_loop_nest``,
-``count_shape`` (programs that are not pure loop nests over one count;
-a ``Ref`` at the top level is no loop), ``uncompilable_stream`` (a body
-that is not a single-bank ACT/PRE stream, a ``Ref`` in it included),
+``multi_victim``, ``trr_attached``, ``not_loop_nest`` (a template that
+is empty or not a flat sequence of loops; a ``Ref`` or ACT at the top
+level is no loop), ``uncompilable_stream`` (a body that is not a
+single-bank ACT/PRE stream, a ``Ref`` or nested loop in it included),
 ``frac_hazard`` (a session open for a FracDRAM sensing window),
 ``restore_joint_hazard`` (a first activation that could claim the
 re-initialization write as a CoMRA/multi-copy source),
 ``varying_joint_hazard`` (an activation after a varying loop that could
 open a copy at some probe counts only), ``clock_sensitive`` (activations
 reaching rows the unit does not re-initialize, whose retention decay
-would see the engine's continuous clock) and ``missing_expected``.  A program whose loops all have fixed
-counts needs no guard: every probe replays its one trace.  A capture
-raises too: ``prologue_shape`` when it starts while the bank holds an
-open or held-back session, and ``count_dependent_aggoff`` when its trace
-cannot express every count of its shape (see ``_check_aggoff``).  A
-:class:`DramError` from a program factory propagates unchanged.
+would see the engine's continuous clock) and ``missing_expected``.  A
+loop varies with the probe count exactly when its count is ``COUNT``; a
+template whose loops all have fixed counts needs no guard: every probe
+replays its one trace.  A capture raises too: ``prologue_shape`` when it
+starts while the bank holds an open or held-back session, and
+``count_dependent_aggoff`` when its trace cannot express every count of
+its shape (see ``_check_aggoff``).
 
 FracDRAM sensing and SiMRA charge-sharing ties consume a per-bank counter
 that seeds an RNG whose bits land in row data, so every unit whose stream
@@ -79,7 +80,7 @@ import numpy as np
 
 from ..bender.compiler import CompiledStream, compile_stream, run_stream
 from ..bender.host import write_data_at_ns, write_stride_ns
-from ..bender.program import Loop
+from ..bender.program import COUNT, Loop
 from ..disturbance.model import classify_pattern
 from ..dram.bank import STREAM_ACT, STREAM_PRE, Bank
 from ..dram.commands import ActivationEvent
@@ -103,10 +104,6 @@ from .metrics import count_flips
 #: blast radius around every activated/written row: the disturbance model
 #: deposits damage up to distance 2 from an aggressor
 GUARD_DISTANCE = 2
-
-#: calibration counts used to separate fixed loop counts from the ones
-#: driven by the probe count
-_CAL_COUNTS = (2, 3)
 
 #: upper edge of the multi-row activation trigger windows (SiMRA open and
 #: multi-copy joins both require a PRE->ACT gap of at most 6 ns)
@@ -358,36 +355,22 @@ def _joint_gaps(loops: Sequence[tuple[CompiledStream, Optional[int]]]) -> list[f
 
 
 def _lower_loops(setup: ProbeSetup) -> list[tuple[CompiledStream, Optional[int]]]:
-    """Lower the setup's program into compiled loop segments.
+    """Lower the setup's template into compiled loop segments, one per
+    top-level ``Loop``; ``fixed`` is None where the count is ``COUNT``.
 
     A structural miss raises :class:`ValueError` naming the guard that
-    refused the lowering; a :class:`DramError` from the factory propagates.
+    refused the lowering.
     """
     module = setup.module
-    instrs_lo = setup.program_factory(_CAL_COUNTS[0]).instructions
-    instrs_hi = setup.program_factory(_CAL_COUNTS[1]).instructions
-    if not instrs_lo or len(instrs_lo) != len(instrs_hi):
+    instructions = setup.program.instructions
+    if not instructions or not all(isinstance(i, Loop) for i in instructions):
         raise ValueError(
-            "program_shape: the program's top level changes with the count"
+            "not_loop_nest: the program is not a flat nest of loops"
         )
     loops: list[tuple[CompiledStream, Optional[int]]] = []
-    for inst_lo, inst_hi in zip(instrs_lo, instrs_hi):
-        if not (
-            isinstance(inst_lo, Loop) and isinstance(inst_hi, Loop)
-            and inst_lo.body == inst_hi.body
-        ):
-            raise ValueError(
-                "not_loop_nest: the program is not a flat nest of loops"
-            )
-        if inst_lo.count == inst_hi.count:
-            fixed: Optional[int] = inst_lo.count
-        elif (inst_lo.count, inst_hi.count) == _CAL_COUNTS:
-            fixed = None
-        else:
-            raise ValueError(
-                "count_shape: a loop count is neither fixed nor the probe count"
-            )
-        stream = compile_stream(inst_lo.body, module)
+    for inst in instructions:
+        fixed = None if inst.count is COUNT else inst.count
+        stream = compile_stream(inst.body, module)
         if stream is None or stream.bank != setup.bank:
             raise ValueError(
                 "uncompilable_stream: a loop body is not a single-bank "
@@ -461,8 +444,7 @@ def plan_unit(setup: ProbeSetup) -> _UnitPlan:
     """Lower one probe setup for the batched engine.
 
     Raises :class:`ValueError` whose message starts with the name of the
-    guard that refuses the setup (see the module docstring); a
-    :class:`DramError` from the program factory propagates unchanged.
+    guard that refuses the setup (see the module docstring).
     """
     module = setup.module
     bank = module.bank(setup.bank)

@@ -94,7 +94,8 @@ class ExperimentScale:
 
     @classmethod
     def paper(cls) -> "ExperimentScale":
-        """Paper-scale instance counts (hours of runtime)."""
+        """Paper-scale instance counts (table1 to fig23 take ~15-20 min
+        on one core of a shared 2-vCPU container, fig25 ~3 min)."""
         return cls(
             modules_per_config=2,
             subarrays=(0, 1, 2, 3, 4, 5),

@@ -29,13 +29,13 @@ one vectorized oracle pass per mechanism over the uncached victims in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..bender.environment import TemperatureController
-from ..bender.program import TestProgram
+from ..bender.program import COUNT, TestProgram
 from ..disturbance.calibration import ALL_PATTERNS, DataPattern, Mechanism
 from ..disturbance.distributions import rng_for
 from ..dram.bank import SIMRA_BLOCK
@@ -69,7 +69,8 @@ class CombinedResult:
 @dataclass
 class _ProbeRequest:
     """One list entry of a ``measure_*`` call: its victims, aggressors,
-    program and data pattern, reified so a whole list can run batched.
+    program template (its hammer loops run :data:`COUNT` times) and data
+    pattern, reified so a whole list can run batched.
 
     A None ``pattern`` stands for the WCDP of ``victims[0]`` under
     ``mechanism``; :meth:`CharacterizationSession._measure_requests`
@@ -78,7 +79,7 @@ class _ProbeRequest:
 
     victims: tuple
     aggressors: tuple
-    program_factory: Callable[[int], TestProgram]
+    program: TestProgram
     mechanism: Mechanism
     pattern: Optional[DataPattern]
     params: dict
@@ -267,21 +268,25 @@ class CharacterizationSession:
 
     def measure_wcdp(self, victim: int, mechanism: Mechanism) -> DataPattern:
         """Measure WCDP the way the paper does: four coarse searches,
-        one per data pattern, run as one call."""
+        one per data pattern, run as one call, each hammering a
+        double-sided sandwich of ``victim``.  A victim without one (a
+        subarray edge row, or no SiMRA-2 pair) gets ``ALL_PATTERNS[0]``
+        (EXPERIMENTS.md says why)."""
+        request = None
         if mechanism is Mechanism.SIMRA:
             pair = self._pair_sandwiching(victim)
-            if pair is None:
-                return ALL_PATTERNS[0]
-
-            def request(pattern):
-                return self._simra_ds_request(pair, pattern, victims=(victim,))
-        elif mechanism is Mechanism.COMRA:
-            def request(pattern):
-                return self._comra_ds_request(victim, pattern)
-        else:
-            def request(pattern):
-                return self._rowhammer_ds_request(victim, pattern)
-        groups = self._measure_requests([request(p) for p in ALL_PATTERNS])
+            if pair is not None:
+                request = self._simra_ds_request(pair, victims=(victim,))
+        elif len(self.module.geometry.neighbors(victim, 1)) == 2:
+            if mechanism is Mechanism.COMRA:
+                request = self._comra_ds_request(victim)
+            else:
+                request = self._rowhammer_ds_request(victim)
+        if request is None:
+            return ALL_PATTERNS[0]
+        groups = self._measure_requests(
+            [replace(request, pattern=p) for p in ALL_PATTERNS]
+        )
         best_pattern = ALL_PATTERNS[0]
         best_hc = math.inf
         for pattern, (m,) in zip(ALL_PATTERNS, groups):
@@ -299,7 +304,7 @@ class CharacterizationSession:
         )
         return ProbeSetup(
             module=self.module,
-            program_factory=request.program_factory,
+            program=request.program,
             row_data=row_data,
             victims=[victim],
             bank=self.bank,
@@ -361,13 +366,11 @@ class CharacterizationSession:
         pattern: Optional[DataPattern] = None,
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
     ) -> _ProbeRequest:
-        def factory(count: int) -> TestProgram:
-            return patterns.double_sided_rowhammer(
-                self.module, victim, count, bank=self.bank, t_agg_on_ns=t_agg_on_ns
-            )
-
+        program = patterns.double_sided_rowhammer(
+            self.module, victim, COUNT, bank=self.bank, t_agg_on_ns=t_agg_on_ns
+        )
         return _ProbeRequest(
-            (victim,), (victim - 1, victim + 1), factory,
+            (victim,), (victim - 1, victim + 1), program,
             Mechanism.ROWHAMMER, pattern,
             dict(t_agg_on_ns=t_agg_on_ns, sided="double"),
         )
@@ -391,14 +394,13 @@ class CharacterizationSession:
         adjacent victim."""
         requests = []
         for aggressor in aggressors:
-            def factory(count: int, aggressor=aggressor) -> TestProgram:
-                return patterns.single_sided_rowhammer(
-                    self.module, aggressor, count, bank=self.bank
-                )
-
             requests.append(_ProbeRequest(
                 tuple(self.module.geometry.neighbors(aggressor, 1)),
-                (aggressor,), factory, Mechanism.ROWHAMMER, None,
+                (aggressor,),
+                patterns.single_sided_rowhammer(
+                    self.module, aggressor, COUNT, bank=self.bank
+                ),
+                Mechanism.ROWHAMMER, None,
                 dict(t_agg_on_ns=patterns.T_AGG_ON_NOMINAL_NS, sided="single"),
             ))
         return self._measure_requests(requests)
@@ -410,14 +412,13 @@ class CharacterizationSession:
         (row_a, row_b) pair the victims adjacent to ``row_a``."""
         requests = []
         for row_a, row_b in row_pairs:
-            def factory(count: int, row_a=row_a, row_b=row_b) -> TestProgram:
-                return patterns.far_double_sided_rowhammer(
-                    self.module, row_a, row_b, count, bank=self.bank
-                )
-
             requests.append(_ProbeRequest(
                 tuple(self.module.geometry.neighbors(row_a, 1)),
-                (row_a, row_b), factory, Mechanism.ROWHAMMER, None,
+                (row_a, row_b),
+                patterns.far_double_sided_rowhammer(
+                    self.module, row_a, row_b, COUNT, bank=self.bank
+                ),
+                Mechanism.ROWHAMMER, None,
                 dict(sided="far-double"),
             ))
         return self._measure_requests(requests)
@@ -431,15 +432,13 @@ class CharacterizationSession:
         t_agg_on_ns: float = patterns.T_AGG_ON_NOMINAL_NS,
         reverse: bool = False,
     ) -> _ProbeRequest:
-        def factory(count: int) -> TestProgram:
-            return patterns.double_sided_comra(
-                self.module, victim, count, bank=self.bank,
-                pre_to_act_ns=pre_to_act_ns, t_agg_on_ns=t_agg_on_ns,
-                reverse=reverse,
-            )
-
+        program = patterns.double_sided_comra(
+            self.module, victim, COUNT, bank=self.bank,
+            pre_to_act_ns=pre_to_act_ns, t_agg_on_ns=t_agg_on_ns,
+            reverse=reverse,
+        )
         return _ProbeRequest(
-            (victim,), (victim - 1, victim + 1), factory,
+            (victim,), (victim - 1, victim + 1), program,
             Mechanism.COMRA, pattern,
             dict(pre_to_act_ns=pre_to_act_ns, t_agg_on_ns=t_agg_on_ns,
                  reverse=reverse, sided="double"),
@@ -478,14 +477,12 @@ class CharacterizationSession:
         for (src, dst), chosen in zip(row_pairs, victims):
             if chosen is None:
                 chosen = self.module.geometry.neighbors(src, 1)
-
-            def factory(count: int, src=src, dst=dst) -> TestProgram:
-                return patterns.single_sided_comra(
-                    self.module, src, dst, count, bank=self.bank
-                )
-
             requests.append(_ProbeRequest(
-                tuple(chosen), (src, dst), factory, Mechanism.COMRA, None,
+                tuple(chosen), (src, dst),
+                patterns.single_sided_comra(
+                    self.module, src, dst, COUNT, bank=self.bank
+                ),
+                Mechanism.COMRA, None,
                 dict(pre_to_act_ns=patterns.COMRA_DELAY_NS, sided="single"),
             ))
         return self._measure_requests(requests)
@@ -512,16 +509,13 @@ class CharacterizationSession:
             victims = tuple(chosen)
         if not victims:
             return None
-
-        def factory(count: int) -> TestProgram:
-            return patterns.simra_hammer(
-                self.module, pair, count, bank=self.bank,
-                act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns,
-                t_agg_on_ns=t_agg_on_ns,
-            )
-
+        program = patterns.simra_hammer(
+            self.module, pair, COUNT, bank=self.bank,
+            act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns,
+            t_agg_on_ns=t_agg_on_ns,
+        )
         return _ProbeRequest(
-            tuple(victims), tuple(pair.group), factory,
+            tuple(victims), tuple(pair.group), program,
             Mechanism.SIMRA, pattern,
             dict(n_rows=pair.count, act_to_pre_ns=act_to_pre_ns,
                  pre_to_act_ns=pre_to_act_ns, t_agg_on_ns=t_agg_on_ns,
@@ -578,15 +572,10 @@ class CharacterizationSession:
             if not edge_victims:
                 requests.append(None)
                 continue
-
-            def factory(count: int, pair=pair) -> TestProgram:
-                return patterns.simra_hammer(
-                    self.module, pair, count, bank=self.bank
-                )
-
             requests.append(_ProbeRequest(
-                edge_victims, tuple(pair.group), factory, Mechanism.SIMRA,
-                None,
+                edge_victims, tuple(pair.group),
+                patterns.simra_hammer(self.module, pair, COUNT, bank=self.bank),
+                Mechanism.SIMRA, None,
                 dict(n_rows=pair.count, sided="single",
                      act_to_pre_ns=patterns.SIMRA_ACT_TO_PRE_NS,
                      pre_to_act_ns=patterns.SIMRA_PRE_TO_ACT_NS),
@@ -679,35 +668,25 @@ class CharacterizationSession:
         final_requests = []
         final_meta = []
         for v in alive:
-            prefix_programs: list[TestProgram] = []
+            program = TestProgram(name="combined")
             fractions: dict[str, float] = {}
             if comra_fraction > 0:
                 count = max(1, int(comra_fraction * comra_hc[v] * 0.999))
-                prefix_programs.append(
-                    patterns.double_sided_comra(self.module, v, count, bank=self.bank)
-                )
+                program.instructions += patterns.double_sided_comra(
+                    self.module, v, count, bank=self.bank
+                ).instructions
                 fractions["comra"] = comra_fraction
             if simra_fraction > 0:
                 count = max(1, int(simra_fraction * simra_hc[v] * 0.999))
-                prefix_programs.append(
-                    patterns.simra_hammer(
-                        self.module, simra_pairs[v], count, bank=self.bank
-                    )
-                )
+                program.instructions += patterns.simra_hammer(
+                    self.module, simra_pairs[v], count, bank=self.bank
+                ).instructions
                 fractions["simra"] = simra_fraction
-            prefix = [
-                instr for program in prefix_programs
-                for instr in program.instructions
-            ]
-
-            def factory(count: int, v=v, prefix=prefix) -> TestProgram:
-                tail = patterns.double_sided_rowhammer(
-                    self.module, v, count, bank=self.bank
-                )
-                return TestProgram(prefix + tail.instructions, "combined")
-
+            program.instructions += patterns.double_sided_rowhammer(
+                self.module, v, COUNT, bank=self.bank
+            ).instructions
             final_requests.append(_ProbeRequest(
-                (v,), (v - 1, v + 1), factory,
+                (v,), (v - 1, v + 1), program,
                 Mechanism.ROWHAMMER, resolved[v], {},
             ))
             final_meta.append((v, fractions))

@@ -43,11 +43,16 @@ class TestSamplerModel:
         assert evasive > sampled
 
 
+#: hammers per window of a two-aggressor attack at the default 156 ACTs
+#: per tREFI
+HAMMERS = 78
+
+
 class TestScheduleSearch:
     def test_comra_search_discovers_postponed_flood(self):
         # CoMRA needs ~1885 clean hammers (~25 rounds): only the fully
         # evasive schedule survives that long
-        dummy_windows, postpone, samples, score = synthesize_schedule(1885)
+        dummy_windows, postpone, samples, score = synthesize_schedule(1885, HAMMERS)
         assert (dummy_windows, postpone) == (3, True)
         assert samples == 0.0
         assert score > 0.0
@@ -55,18 +60,20 @@ class TestScheduleSearch:
     def test_simra_search_prefers_cheap_single_window(self):
         # SiMRA's HC_first (~26) fits inside one 78-hammer window, so the
         # un-flooded schedule wins on ACT efficiency despite being sampled
-        dummy_windows, postpone, samples, score = synthesize_schedule(26)
+        dummy_windows, postpone, samples, score = synthesize_schedule(26, HAMMERS)
         assert dummy_windows == 0
         assert not postpone
         assert samples > 0.0
 
     def test_search_is_deterministic(self):
-        assert synthesize_schedule(1885) == synthesize_schedule(1885)
+        assert synthesize_schedule(1885, HAMMERS) == synthesize_schedule(
+            1885, HAMMERS
+        )
 
     def test_postponement_respects_ddr4_limit(self):
         for hc in (26, 400, 1885, 25_000):
             dummy_windows, postpone, _, _ = synthesize_schedule(
-                hc, max_dummy_windows=10
+                hc, HAMMERS, max_dummy_windows=10
             )
             if postpone:
                 assert dummy_windows + 1 <= MAX_POSTPONED_REFS

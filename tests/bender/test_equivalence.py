@@ -36,7 +36,7 @@ def _flip_bits(read_back: dict, expected: np.ndarray) -> set:
     return flips
 
 
-def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1):
+def _execute(build_program, setup_rows, victims, hook_factory, fast, rounds=1):
     """One side of an equivalence comparison, on a fresh module."""
     module = make_module(CONFIG)
     hook = hook_factory(module) if hook_factory else None
@@ -54,7 +54,7 @@ def _execute(program_factory, setup_rows, victims, hook_factory, fast, rounds=1)
     host = DramBenderHost(module, compile_streams=fast, obs=obs)
     rows, expected = setup_rows(module)
     host.write_rows(0, {module.to_logical(r): d for r, d in rows.items()})
-    program = program_factory(module)
+    program = build_program(module)
     for _ in range(rounds):
         host.run(program)
     read_back = host.read_rows(0, [module.to_logical(v) for v in victims])
@@ -92,9 +92,9 @@ def _hammer_setup(aggressor_offsets, victims=(VICTIM,), base=VICTIM):
     return setup
 
 
-def _compare(program_factory, setup_rows, victims, hook_factory, rounds=1):
-    fast = _execute(program_factory, setup_rows, victims, hook_factory, True, rounds)
-    ref = _execute(program_factory, setup_rows, victims, hook_factory, False, rounds)
+def _compare(build_program, setup_rows, victims, hook_factory, rounds=1):
+    fast = _execute(build_program, setup_rows, victims, hook_factory, True, rounds)
+    ref = _execute(build_program, setup_rows, victims, hook_factory, False, rounds)
     _assert_equivalent(fast, ref)
     if hook_factory in PRAC_HOOKS.values():
         # back-offs fired, and the fast host never fell back to interpreting

@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.bender.program import Act, Loop, Nop, Pre, ProgramBuilder, Rd, Wr
+from repro import make_module
+from repro.bender.compiler import build_plan
+from repro.bender.program import (
+    COUNT,
+    Act,
+    Loop,
+    Nop,
+    Pre,
+    ProgramBuilder,
+    Rd,
+    Wr,
+)
 
 
 class TestBuilder:
@@ -43,3 +54,37 @@ class TestBuilder:
     def test_negative_loop_count_rejected(self):
         with pytest.raises(ValueError):
             Loop(-1, ())
+
+
+class TestBind:
+    def test_binds_every_count_loop(self):
+        body = ProgramBuilder().act(0, 1, 13.5).pre(0, 36.0)
+        template = ProgramBuilder("t").loop(COUNT, body).build()
+        program = template.bind(7)
+        assert program.instructions == [Loop(7, tuple(body._instructions))]
+        assert program.name == "t"
+        # the template itself stays unbound
+        assert template.instructions[0].count is COUNT
+
+    def test_nested_and_fixed_loops_left_alone(self):
+        inner = ProgramBuilder().act(0, 1, 1.5).pre(0, 1.5)
+        outer = ProgramBuilder().nop(3.0).loop(5, inner)
+        template = (
+            ProgramBuilder()
+            .loop(2, inner)
+            .loop(COUNT, outer)
+            .loop(COUNT, ProgramBuilder().loop(COUNT, inner))
+            .build()
+        )
+        fixed, varying, nested = template.bind(4).instructions
+        assert fixed == template.instructions[0]
+        assert varying == Loop(4, tuple(outer._instructions))
+        assert nested == Loop(4, (Loop(4, tuple(inner._instructions)),))
+
+    def test_build_plan_refuses_an_unbound_program(self):
+        module = make_module("hynix-a-8gb")
+        body = ProgramBuilder().act(0, 1, 13.5).pre(0, 36.0)
+        template = ProgramBuilder().loop(2, body).loop(COUNT, body).build()
+        with pytest.raises(ValueError, match="'count' is unbound"):
+            build_plan(template, module)
+        assert build_plan(template.bind(3), module)

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import make_module
+from repro.bender.program import COUNT
 from repro.core import patterns
 from repro.core.hcfirst import (
     DEFAULT_MAX_HAMMERS,
@@ -107,17 +108,15 @@ def setups_for(module, unit):
         if not geometry.same_subarray(victim - 1, victim + 1):
             return []  # the adjacent-victim draw crossed an edge
         t_on = unit["t_on"] if kind == "rowpress" else 36.0
-
-        def factory(count):
-            if kind == "comra":
-                return patterns.double_sided_comra(module, victim, count)
-            return patterns.double_sided_rowhammer(
-                module, victim, count, t_agg_on_ns=t_on
+        if kind == "comra":
+            program = patterns.double_sided_comra(module, victim, COUNT)
+        else:
+            program = patterns.double_sided_rowhammer(
+                module, victim, COUNT, t_agg_on_ns=t_on
             )
-
         aggressors = [victim - 1, victim + 1]
         return [ProbeSetup(
-            module, factory,
+            module, program,
             standard_row_data(module, aggressors, [victim], pattern),
             [victim],
         )]
@@ -126,23 +125,18 @@ def setups_for(module, unit):
         aggressor = 2 * victim - aggressor
     if kind == "ss":
         aggressors = [aggressor]
-
-        def factory(count):
-            return patterns.single_sided_rowhammer(module, aggressor, count)
+        program = patterns.single_sided_rowhammer(module, aggressor, COUNT)
     else:  # far: a second aggressor FAR_DISTANCE rows away
         other = aggressor + FAR_DISTANCE
         if not geometry.same_subarray(aggressor, other):
             other = aggressor - FAR_DISTANCE
         aggressors = [aggressor, other]
-
-        def factory(count):
-            return patterns.far_double_sided_rowhammer(
-                module, aggressor, other, count
-            )
-
+        program = patterns.far_double_sided_rowhammer(
+            module, aggressor, other, COUNT
+        )
     return [
         ProbeSetup(
-            module, factory,
+            module, program,
             standard_row_data(module, aggressors, [v], pattern),
             [v],
         )
@@ -277,29 +271,23 @@ def replay_setup(module, case):
             for k, row in enumerate(pair.group)
         }
         row_data[victim] = row_patterns[0].negated.fill(nbytes)
-
-        def factory(count):
-            return patterns.simra_hammer(module, pair, count)
-
-        return ProbeSetup(module, factory, row_data, (victim,))
+        program = patterns.simra_hammer(module, pair, COUNT)
+        return ProbeSetup(module, program, row_data, (victim,))
     # drawn inside a subarray, so both neighbors share it
     victim = case["victim"]
-    kind = case["kind"]
-
-    def factory(count):
-        if kind == "comra":
-            return patterns.double_sided_comra(module, victim, count)
-        t_on = case["t_on"] if kind == "rowpress" else 36.0
-        return patterns.double_sided_rowhammer(
-            module, victim, count, t_agg_on_ns=t_on
+    if case["kind"] == "comra":
+        program = patterns.double_sided_comra(module, victim, COUNT)
+    else:
+        t_on = case["t_on"] if case["kind"] == "rowpress" else 36.0
+        program = patterns.double_sided_rowhammer(
+            module, victim, COUNT, t_agg_on_ns=t_on
         )
-
     row_data = {
         victim - 1: row_patterns[0].fill(nbytes),
         victim + 1: row_patterns[-1].fill(nbytes),
         victim: row_patterns[0].negated.fill(nbytes),
     }
-    return ProbeSetup(module, factory, row_data, [victim])
+    return ProbeSetup(module, program, row_data, [victim])
 
 
 def ledger_state(ledger, key):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bender.program import COUNT
 from repro.core import patterns
 from repro.core.hcfirst import (
     ProbeSetup,
@@ -17,7 +18,7 @@ def make_setup(module, victim, pattern=None):
     pattern = pattern or module.model.worst_case_pattern(0, victim, Mechanism.ROWHAMMER)
     return ProbeSetup(
         module=module,
-        program_factory=lambda n: patterns.double_sided_rowhammer(module, victim, n),
+        program=patterns.double_sided_rowhammer(module, victim, COUNT),
         row_data=standard_row_data(module, [victim - 1, victim + 1], [victim], pattern),
         victims=[victim],
     )

@@ -19,7 +19,7 @@ import pytest
 from repro import ExperimentScale, make_module
 from repro.core import CharacterizationSession, patterns
 from repro.core import session as session_module
-from repro.bender.program import Act, Pre, ProgramBuilder, Ref
+from repro.bender.program import COUNT, Act, Pre, ProgramBuilder, Ref
 from repro.core.hcfirst import (
     DEFAULT_MAX_HAMMERS,
     HcFirstResult,
@@ -37,7 +37,7 @@ from repro.core.probe_batch import (
     run_batched_searches,
 )
 from repro.disturbance.calibration import ALL_PATTERNS, Mechanism
-from repro.dram.errors import AddressError, UnsupportedOperationError
+from repro.dram.errors import AddressError
 from repro.obs import Obs
 from repro.reveng import discover_group
 from repro.trr import SamplingTrr
@@ -154,9 +154,7 @@ def _rowhammer_setups(module):
         )
         setups.append(ProbeSetup(
             module=module,
-            program_factory=lambda n, v=victim: patterns.double_sided_rowhammer(
-                module, v, n
-            ),
+            program=patterns.double_sided_rowhammer(module, victim, COUNT),
             row_data=standard_row_data(
                 module, [victim - 1, victim + 1], [victim], pattern
             ),
@@ -398,52 +396,47 @@ class TestMeasuredWcdp:
 V = 200
 
 
-def _hammer(module, count, rows, t_agg_on_ns=36.0, first_slack=None,
-            loops=None):
-    """``loops`` (default: one loop of ``count``) over ACT/PRE pairs on
-    the physical ``rows``."""
+def _hammer(module, rows, t_agg_on_ns=36.0, first_slack=None, loops=(COUNT,)):
+    """A template: ``loops`` (default: one loop of ``COUNT``) over ACT/PRE
+    pairs on the physical ``rows``."""
     trp = module.timing.tRP
     body = ProgramBuilder()
     for k, row in enumerate(rows):
         slack = first_slack if k == 0 and first_slack is not None else trp
         body.act(0, module.to_logical(row), slack).pre(0, t_agg_on_ns)
     program = ProgramBuilder()
-    for loop_count in (count,) if loops is None else loops(count):
+    for loop_count in loops:
         program.loop(loop_count, body)
     return program.build()
 
 
-def _guard_setup(module, factory, victims=(V,), row_data=None):
+def _guard_setup(module, program, victims=(V,), row_data=None):
     if row_data is None:
         row_data = standard_row_data(
             module, [V - 1, V + 1], [V], ALL_PATTERNS[0]
         )
-    return ProbeSetup(module, factory, row_data, victims)
+    return ProbeSetup(module, program, row_data, victims)
 
 
 def _ds(module, **kwargs):
-    return lambda n: _hammer(module, n, [V - 1, V + 1], **kwargs)
+    return _hammer(module, [V - 1, V + 1], **kwargs)
 
 
 def _with_ref(module):
-    def factory(n):
-        program = _ds(module)(n)
-        program.instructions.append(Ref())
-        return program
-    return _guard_setup(module, factory)
+    program = _ds(module)
+    program.instructions.append(Ref())
+    return _guard_setup(module, program)
 
 
 def _ref_in_loop(module):
-    def factory(n):
-        trp = module.timing.tRP
-        a, b = module.to_logical(V - 1), module.to_logical(V + 1)
-        body = (
-            ProgramBuilder()
-            .act(0, a, trp).pre(0, 36.0)
-            .act(0, b, trp).pre(0, 36.0).ref()
-        )
-        return ProgramBuilder().loop(n, body).build()
-    return _guard_setup(module, factory)
+    trp = module.timing.tRP
+    a, b = module.to_logical(V - 1), module.to_logical(V + 1)
+    body = (
+        ProgramBuilder()
+        .act(0, a, trp).pre(0, 36.0)
+        .act(0, b, trp).pre(0, 36.0).ref()
+    )
+    return _guard_setup(module, ProgramBuilder().loop(COUNT, body).build())
 
 
 def _with_trr(module):
@@ -452,38 +445,33 @@ def _with_trr(module):
 
 
 def _open_first(module):
-    # an ACT/PRE pair ahead of the loop: same length at both calibration
-    # counts, but not a flat nest of loops
-    def factory(n):
-        program = _ds(module)(n)
-        program.instructions[:0] = [
-            Act(0, module.to_logical(V - 1), module.timing.tRP),
-            Pre(0, 36.0),
-        ]
-        return program
-    return _guard_setup(module, factory)
+    # an ACT/PRE pair ahead of the loop: not a flat nest of loops
+    program = _ds(module)
+    program.instructions[:0] = [
+        Act(0, module.to_logical(V - 1), module.timing.tRP),
+        Pre(0, 36.0),
+    ]
+    return _guard_setup(module, program)
 
 
 def _with_read(module):
-    def factory(n):
-        trp = module.timing.tRP
-        a, b = module.to_logical(V - 1), module.to_logical(V + 1)
-        body = (
-            ProgramBuilder()
-            .act(0, a, trp).rd(0, a, module.timing.tRCD).pre(0, 36.0)
-            .act(0, b, trp).pre(0, 36.0)
-        )
-        return ProgramBuilder().loop(n, body).build()
-    return _guard_setup(module, factory)
+    trp = module.timing.tRP
+    a, b = module.to_logical(V - 1), module.to_logical(V + 1)
+    body = (
+        ProgramBuilder()
+        .act(0, a, trp).rd(0, a, module.timing.tRCD).pre(0, 36.0)
+        .act(0, b, trp).pre(0, 36.0)
+    )
+    return _guard_setup(module, ProgramBuilder().loop(COUNT, body).build())
 
 
 def _varying_joint(module):
-    """``loop(count, ACT V - 2 / PRE) + loop(1, ACT V - 1 3 ns later / PRE)``."""
+    """``loop(COUNT, ACT V - 2 / PRE) + loop(1, ACT V - 1 3 ns later / PRE)``."""
     trp = module.timing.tRP
     low, high = module.to_logical(V - 2), module.to_logical(V - 1)
-    return lambda n: (
+    return (
         ProgramBuilder()
-        .loop(n, ProgramBuilder().act(0, low, trp).pre(0, 36.0))
+        .loop(COUNT, ProgramBuilder().act(0, low, trp).pre(0, 36.0))
         .loop(1, ProgramBuilder().act(0, high, 3.0).pre(0, 36.0))
         .build()
     )
@@ -499,12 +487,9 @@ GUARD_CASES = {
         m, _ds(m), victims=(V, V + 1),
     )),
     "trr_attached": ("trr_attached", _with_trr),
-    "program_shape": ("program_shape", lambda m: _guard_setup(
-        m, _ds(m, loops=lambda n: [1] * n),
-    )),
     "not_loop_nest": ("not_loop_nest", _open_first),
-    "count_shape": ("count_shape", lambda m: _guard_setup(
-        m, _ds(m, loops=lambda n: [2 * n]),
+    "empty_program": ("not_loop_nest", lambda m: _guard_setup(
+        m, ProgramBuilder().build(),
     )),
     "uncompilable_stream": ("uncompilable_stream", _with_read),
     "frac_hazard": ("frac_hazard", lambda m: _guard_setup(
@@ -539,9 +524,9 @@ class TestFallbackNarrowing:
     """Fallback narrowing, taken to its end: nothing falls back.
 
     A setup the engine cannot prove equivalent raises a ``ValueError``
-    naming the refusing guard, a factory's :class:`DramError` propagates
-    unchanged, and an injected planner or compiler bug propagates as
-    itself -- none of them silently runs a slower path.
+    naming the refusing guard, a pattern builder's :class:`DramError`
+    propagates unchanged, and an injected planner or compiler bug
+    propagates as itself -- none of them silently runs a slower path.
     """
 
     def test_injected_planner_bug_raises(self, monkeypatch):
@@ -570,18 +555,15 @@ class TestFallbackNarrowing:
         with pytest.raises(RuntimeError, match="injected lowering bug"):
             batched.measure_rowhammer_ds(victims)
 
-    def test_factory_dram_error_propagates(self):
-        module = make_module("hynix-a-8gb")
-        good = _guard_setup(module, _ds(module))
-
-        def denied(count):
-            raise UnsupportedOperationError("chip family rejects this")
-
-        refused = _guard_setup(module, denied)
+    def test_builder_dram_error_propagates(self):
         obs = Obs()
-        with pytest.raises(UnsupportedOperationError, match="rejects this"):
-            run_batched_searches([good, refused], obs=obs)
-        # refused while planning: no probe ran, not even the good unit's
+        session = _session("hynix-a-8gb", obs=obs)
+        good = session.candidate_victims()[0]
+        edge = session.module.geometry.rows_per_subarray - 1
+        with pytest.raises(AddressError, match="no same-subarray sandwich"):
+            session.measure_rowhammer_ds([good, edge], pattern=ALL_PATTERNS[0])
+        # refused while building the templates: no probe ran, not even
+        # the good victim's
         assert obs.total("probe.probes") == 0
 
     @pytest.mark.parametrize("case", sorted(GUARD_CASES))
@@ -628,18 +610,16 @@ class TestFallbackNarrowing:
         trp = module.timing.tRP
         agg, other = module.to_logical(V - 1), module.to_logical(V + 1)
 
-        def factory(count):
-            edge = ProgramBuilder().act(0, agg, trp).pre(0, 36.0)
-            return (
-                ProgramBuilder()
-                .loop(1, edge)
-                .loop(count, ProgramBuilder().act(0, other, 15.0).pre(0, 3.0))
-                .loop(1, edge)
-                .build()
-            )
-
+        edge = ProgramBuilder().act(0, agg, trp).pre(0, 36.0)
+        program = (
+            ProgramBuilder()
+            .loop(1, edge)
+            .loop(COUNT, ProgramBuilder().act(0, other, 15.0).pre(0, 3.0))
+            .loop(1, edge)
+            .build()
+        )
         with pytest.raises(ValueError, match="^count_dependent_aggoff: "):
-            run_batched_searches([_guard_setup(module, factory)])
+            run_batched_searches([_guard_setup(module, program)])
 
 
 def _engine_and_scalar(prepare, make_setup):
@@ -676,7 +656,7 @@ class TestEngineEndState:
         # no loop runs the probe count: every probe replays one trace
         (got, got_state), (ref, ref_state) = _engine_and_scalar(
             lambda module: None,
-            lambda m: _guard_setup(m, _ds(m, loops=lambda n: [5])),
+            lambda m: _guard_setup(m, _ds(m, loops=(5,))),
         )
         assert got == ref
         assert got_state == ref_state

@@ -5,6 +5,7 @@ import pytest
 from repro import make_module
 from repro.core import CharacterizationSession, ExperimentScale, patterns
 from repro.disturbance import Mechanism
+from repro.disturbance.calibration import ALL_PATTERNS
 from repro.obs import Obs
 
 
@@ -93,6 +94,39 @@ class TestMeasurements:
         assert m.mechanism is Mechanism.COMRA
         assert m.vendor == "SK Hynix"
         assert m.params["sided"] == "double"
+
+
+class TestMeasuredWcdpWithoutSandwich:
+    """Measured-mode WCDP hammers a double-sided sandwich of the victim.
+    A victim without one -- row 0, or the last and first rows of a
+    subarray (95 and 96 here) -- gets ``ALL_PATTERNS[0]``, as SiMRA
+    victims without a sandwiching pair always did, instead of raising.
+    Paper-scale fig07 and fig10 reach such victims through the
+    single-sided sweeps."""
+
+    @pytest.fixture()
+    def session(self, hynix_module):
+        scale = ExperimentScale.default().with_overrides(wcdp_mode="measured")
+        return CharacterizationSession(hynix_module, scale, obs=Obs())
+
+    @pytest.mark.parametrize("victim", (0, 95, 96))
+    @pytest.mark.parametrize(
+        "mechanism", (Mechanism.ROWHAMMER, Mechanism.COMRA)
+    )
+    def test_edge_victim_gets_first_pattern(self, session, victim, mechanism):
+        assert session.measure_wcdp(victim, mechanism) is ALL_PATTERNS[0]
+        assert session.obs.total("probe.probes") == 0
+
+    @pytest.mark.parametrize("call", (
+        lambda s: s.measure_comra_ss([(1, 41)]),
+        lambda s: s.measure_rowhammer_ss([1]),
+        lambda s: s.measure_far_ds_rowhammer([(1, 41)]),
+    ), ids=("comra_ss", "rowhammer_ss", "far_ds_rowhammer"))
+    def test_single_sided_sweep_over_row_zero(self, session, call):
+        (group,) = call(session)
+        assert [m.victim for m in group] == [0, 2]
+        # the request's pattern is its first victim's (row 0's) WCDP
+        assert all(m.pattern is ALL_PATTERNS[0] for m in group)
 
 
 def _far_pairs(session, n=4):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import make_module
+from repro.bender.program import COUNT
 from repro.core import patterns
 from repro.core.hcfirst import ProbeSetup, find_hc_first_repeated
 from repro.core.probe_batch import run_batched_searches
@@ -40,14 +41,11 @@ def pair_setup(module, row_a, row_b, row_data, victim,
     """A SiMRA hammer setup on the ACT pair ``(row_a, row_b)``."""
     group = module.banks[0].simra_group(row_a, row_b)
     pair = patterns.SimraAddressPair(row_a, row_b, group)
-
-    def factory(count):
-        return patterns.simra_hammer(
-            module, pair, count,
-            act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns,
-        )
-
-    return ProbeSetup(module, factory, row_data, (victim,))
+    program = patterns.simra_hammer(
+        module, pair, COUNT,
+        act_to_pre_ns=act_to_pre_ns, pre_to_act_ns=pre_to_act_ns,
+    )
+    return ProbeSetup(module, program, row_data, (victim,))
 
 
 def simra_setup(module, block, n_rows, anchor, row_patterns, victim_pattern,
