@@ -52,7 +52,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# the scan-loop memory system, fig25_mix_sweep's reference side, lives
+# with the other test oracles in tests/memsys/oracles.py
+sys.path.insert(1, str(ROOT))
 
 from repro.attack.gauntlet import run_cell  # noqa: E402
 from repro.attack.synthesis import AttackSpec, synthesize_attacks  # noqa: E402
@@ -67,14 +71,11 @@ from repro.core.hcfirst import (  # noqa: E402
 from repro.disturbance import DataPattern, Mechanism  # noqa: E402
 from repro.disturbance.calibration import MAX_ACTS_PER_TREFI  # noqa: E402
 from repro.dram import make_module  # noqa: E402
-from repro.memsys import (  # noqa: E402
-    MemSysConfig,
-    MemorySystem,
-    ScanLoopMemorySystem,
-)
+from repro.memsys import MemSysConfig, MemorySystem  # noqa: E402
 from repro.obs import Obs  # noqa: E402
 from repro.trr import SamplingTrr  # noqa: E402
 from repro.workloads import PudWorkloadConfig, build_mixes  # noqa: E402
+from tests.memsys.oracles import ScanLoopMemorySystem  # noqa: E402
 
 CONFIG = "hynix-a-8gb"
 VICTIM = 2 * 96 + 40
@@ -317,12 +318,14 @@ def bench_population_scan(smoke: bool, repeats: int) -> dict:
 
 
 def bench_fig25_mix_sweep(smoke: bool, repeats: int) -> dict:
-    """Event-queue memory-system engine vs the frozen scan-loop reference.
+    """``MemorySystem`` (the C event-loop kernel) vs the scan-loop oracle.
 
     A scaled-down Fig. 25 sweep: workload mixes x PuD periods under
     weighted-PRAC, identical ``SimResult`` streams on both engines.  The
-    event engine replays one set of trace tapes per mix across its
-    periods, as ``Fig25Evaluation`` does.
+    kernel side replays one set of trace tapes per mix across its
+    periods, as ``Fig25Evaluation`` does; the reference is
+    ``ScanLoopMemorySystem`` from ``tests/memsys/oracles.py``, with scalar
+    per-entry trace generation.
     """
     from repro.memsys.system import mix_tapes
     from repro.mitigations import PracConfig

@@ -193,9 +193,7 @@ def _plan(instructions: Sequence[Instruction], module) -> list[PlanStep]:
         if not isinstance(instr, Loop):
             raw.append(instr)
             continue
-        if not isinstance(instr.count, int):
-            raise ValueError(f"loop count {instr.count.name!r} is unbound")
-        if instr.count == 0:
+        if instr.bound_count == 0:
             continue
         if raw:
             steps.append(RunStep(tuple(raw)))

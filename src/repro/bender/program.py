@@ -110,6 +110,14 @@ class Loop:
         """
         return _duration(self.body)
 
+    @property
+    def bound_count(self) -> int:
+        """``count``; a :data:`COUNT` loop not yet bound by
+        :meth:`TestProgram.bind` raises ValueError naming the parameter."""
+        if isinstance(self.count, Param):
+            raise ValueError(f"loop count {self.count.name!r} is unbound")
+        return self.count
+
 
 Instruction = Union[Act, Pre, Rd, Wr, Ref, Nop, Loop]
 
@@ -124,7 +132,7 @@ def _bind(instructions: Sequence[Instruction], count: int) -> list[Instruction]:
 def _iter_flat(instructions: Sequence[Instruction]):
     for instr in instructions:
         if isinstance(instr, Loop):
-            for _ in range(instr.count):
+            for _ in range(instr.bound_count):
                 yield from _iter_flat(instr.body)
         else:
             yield instr
@@ -134,7 +142,7 @@ def _duration(instructions: Sequence[Instruction]) -> float:
     total = 0.0
     for instr in instructions:
         if isinstance(instr, Loop):
-            total += instr.count * instr.body_duration_ns
+            total += instr.bound_count * instr.body_duration_ns
         else:
             total += instr.slack_ns
     return total
@@ -144,7 +152,7 @@ def _count_commands(instructions: Sequence[Instruction]) -> int:
     total = 0
     for instr in instructions:
         if isinstance(instr, Loop):
-            total += instr.count * _count_commands(instr.body)
+            total += instr.bound_count * _count_commands(instr.body)
         elif not isinstance(instr, Nop):
             total += 1
     return total

@@ -31,7 +31,7 @@ from typing import IO, Optional, Sequence
 from ..core.scale import ExperimentScale
 from ..experiments import EXPERIMENTS, run_experiment
 from ..experiments.base import ExperimentResult
-from ..obs import NULL_OBS, AnyObs, Obs
+from ..obs import AnyObs, Obs
 from .events import (
     CACHE_HIT,
     CAMPAIGN_FINISHED,

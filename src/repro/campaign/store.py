@@ -68,6 +68,21 @@ EXPERIMENT_SUBSYSTEM_DEPS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: source files a fingerprint digests: the Python modules and the C
+#: kernels they compile (``memsys/eventloop.c``)
+SOURCE_SUFFIXES = (".py", ".c")
+
+
+def _source_digest(package_root: Path, paths) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in paths if p.suffix in SOURCE_SUFFIXES):
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
 @lru_cache(maxsize=None)
 def subsystem_fingerprint(name: str) -> str:
     """Digest of one ``repro`` subpackage's sources.
@@ -78,16 +93,10 @@ def subsystem_fingerprint(name: str) -> str:
     """
     package_root = Path(__file__).resolve().parent.parent
     if name:
-        paths = sorted((package_root / name).rglob("*.py"))
+        paths = (package_root / name).rglob("*")
     else:
-        paths = sorted(package_root.glob("*.py"))
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()[:16]
+        paths = package_root.glob("*")
+    return _source_digest(package_root, paths)
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +111,8 @@ def code_fingerprint(experiment_id: Optional[str] = None) -> str:
 
     With no ``experiment_id`` -- or an id the registry does not know,
     where no dependency claim can be trusted -- the digest covers every
-    ``.py`` file under ``src/repro``, so stale artifacts from older code
-    can never be served.
+    source file (:data:`SOURCE_SUFFIXES`) under ``src/repro``, so stale
+    artifacts from older code can never be served.
     """
     if experiment_id is not None:
         from ..experiments import EXPERIMENTS
@@ -121,13 +130,7 @@ def code_fingerprint(experiment_id: Optional[str] = None) -> str:
                 digest.update(subsystem_fingerprint(name).encode())
             return digest.hexdigest()[:16]
     package_root = Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
-        digest.update(str(path.relative_to(package_root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()[:16]
+    return _source_digest(package_root, package_root.rglob("*"))
 
 
 @dataclass(frozen=True)

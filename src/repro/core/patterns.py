@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..bender.program import Count, ProgramBuilder, TestProgram
-from ..dram.bank import SIMRA_BLOCK, SIMRA_BLOCK_BITS
+from ..dram.bank import SIMRA_BLOCK
 from ..dram.errors import AddressError
 from ..dram.module import DramModule
 

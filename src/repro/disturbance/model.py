@@ -35,8 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..dram.commands import ActivationEvent
-from ..dram.errors import CalibrationError
-from ..dram.organization import ModuleGeometry, REGION_ORDER
+from ..dram.organization import ModuleGeometry
 from .calibration import (
     ALL_PATTERNS,
     COMRA_PROB_BETTER,

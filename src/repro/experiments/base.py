@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from ..core.scale import ExperimentScale
 from ..core.session import CharacterizationSession
 from ..disturbance.calibration import Vendor
-from ..dram.module import DramModule
 from ..dram.vendors import build_population
 
 #: One representative module configuration per vendor, used by experiments

@@ -9,7 +9,7 @@ bitflip; report the RowHammer-phase count against RowHammer alone.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.scale import ExperimentScale
-from ..disturbance.calibration import MODULE_CALIBRATIONS, Mechanism
+from ..disturbance.calibration import MODULE_CALIBRATIONS
 from .base import ExperimentResult, found_values, population_sessions
 
 

@@ -6,7 +6,6 @@ from .evaluation import (
     average_overhead,
     overhead_by_period,
 )
-from .reference import ScanLoopMemorySystem
 from .system import MemSysConfig, MemorySystem, SimResult, alone_ipc
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "MemorySystem",
     "MixOutcome",
     "SimResult",
-    "ScanLoopMemorySystem",
     "alone_ipc",
     "average_overhead",
     "overhead_by_period",

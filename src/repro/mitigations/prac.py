@@ -147,13 +147,13 @@ class PracCounters:
         self.warm_start = warm_start
         self._counters: dict[int, int] = {}
         self._pending_backoff: Optional[BackOffEvent] = None
-        self._act_weight = config.weight_for(OpClass.ACT)
         self.stats = {"updates": 0, "backoffs": 0, "rfms": 0}
 
     def _initial(self, row: int) -> int:
         if not self.warm_start:
             return 0
-        # stable per-(bank, row) phase, cheap enough for the hot path
+        # stable per-(bank, row) phase; memsys/eventloop.c computes the
+        # same value for the memory-system kernel
         phase = ((row * 0x9E3779B1 + self.bank * 0x85EBCA77) >> 7) & 0xFFFF
         return int(phase / 0x10000 * 0.9 * self.config.rdt)
 
@@ -217,22 +217,6 @@ class PracCounters:
             if value != old:
                 out[row] = value - old
         return out
-
-    def record_act(self, row: int) -> None:
-        """Single-row ACT fast path for the memory-system hot loop.
-
-        Equivalent to ``record([row], OpClass.ACT)`` minus the latency
-        computation, which is always zero for a single row.
-        """
-        value = self._counters.get(row)
-        if value is None:
-            value = self._initial(row)
-        value += self._act_weight
-        self._counters[row] = value
-        self.stats["updates"] += 1
-        if value >= self.config.rdt and self._pending_backoff is None:
-            self._pending_backoff = BackOffEvent(self.bank, row, value)
-            self.stats["backoffs"] += 1
 
     def serve_rfm(self) -> list[int]:
         """The controller issued RFM: refresh victims, clear hot counters.

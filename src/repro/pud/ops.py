@@ -16,7 +16,7 @@ interaction PuDHammer characterizes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

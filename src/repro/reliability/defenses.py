@@ -27,7 +27,7 @@ op period, and the trace cores' IPC loss is the reported overhead.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np

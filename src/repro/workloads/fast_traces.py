@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 
 from ._ziggurat import FE_DOUBLE, KE_DOUBLE, WE_DOUBLE, ZIGGURAT_EXP_R
 from .profiles import WorkloadProfile
-from .traces import TraceGenerator
+from .traces import ROWS_PER_BANK, TraceGenerator
 
 import math
 
@@ -73,7 +73,7 @@ class BatchedTraceGenerator:
         self,
         profile: WorkloadProfile,
         seed: int = 0,
-        rows_per_bank: int = 4096,
+        rows_per_bank: int = ROWS_PER_BANK,
         working_set_rows: int = 512,
     ) -> None:
         self.profile = profile
@@ -203,7 +203,7 @@ class BatchedTraceGenerator:
 
 
 #: bit layout of one packed tape entry, low to high: is_write (1 bit),
-#: row (16), bank (8), gap (38)
+#: row (16), bank (8), gap (38); memsys/eventloop.c reads the same layout
 ROW_SHIFT = 1
 BANK_SHIFT = 17
 GAP_SHIFT = 25
@@ -282,7 +282,7 @@ def emulation_matches() -> bool:
         scalar = TraceGenerator(probe, seed=12345)
         batched = BatchedTraceGenerator.__new__(BatchedTraceGenerator)
         batched.profile = probe
-        batched.rows_per_bank = 4096
+        batched.rows_per_bank = ROWS_PER_BANK
         batched.working_set_rows = 512
         batched._bitgen = TraceGenerator(probe, seed=12345)._rng.bit_generator
         batched._p_denom = math.log1p(-probe.mpki / 1000.0)

@@ -5,10 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from ..disturbance.distributions import rng_for
 from .profiles import WorkloadProfile
+
+#: rows per bank a trace addresses by default; the memory-system kernel
+#: sizes its PRAC counter table to it
+ROWS_PER_BANK = 4096
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class TraceGenerator:
         self,
         profile: WorkloadProfile,
         seed: int = 0,
-        rows_per_bank: int = 4096,
+        rows_per_bank: int = ROWS_PER_BANK,
         working_set_rows: int = 512,
     ) -> None:
         self.profile = profile

@@ -4,6 +4,8 @@ import pytest
 
 from repro import make_module
 from repro.bender.compiler import build_plan
+from repro.bender.host import DramBenderHost
+from repro.core import patterns
 from repro.bender.program import (
     COUNT,
     Act,
@@ -88,3 +90,24 @@ class TestBind:
         with pytest.raises(ValueError, match="'count' is unbound"):
             build_plan(template, module)
         assert build_plan(template.bind(3), module)
+
+    def test_unbound_template_properties_name_the_parameter(self):
+        template = patterns.double_sided_rowhammer(
+            make_module("hynix-a-8gb"), 200, COUNT
+        )
+        for read in (
+            lambda: template.duration_ns,
+            lambda: template.command_count,
+            lambda: list(template.flattened()),
+        ):
+            with pytest.raises(ValueError, match="'count' is unbound"):
+                read()
+
+    @pytest.mark.parametrize("compile_streams", [True, False])
+    def test_both_host_paths_refuse_an_unbound_template(self, compile_streams):
+        module = make_module("hynix-a-8gb")
+        host = DramBenderHost(module, compile_streams=compile_streams)
+        template = patterns.double_sided_rowhammer(module, 200, COUNT)
+        with pytest.raises(ValueError, match="'count' is unbound"):
+            host.run(template)
+        assert host.run(template.bind(3)).end_ns > 0

@@ -1,9 +1,15 @@
 """Content-addressed artifact store."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import ExperimentScale
 from repro.campaign import (
     EXPERIMENT_SUBSYSTEM_DEPS,
@@ -127,6 +133,29 @@ class TestScopedFingerprints:
         names = ["", "trr", "mitigations", "attack", "dram"]
         digests = [subsystem_fingerprint(n) for n in names]
         assert len(set(digests)) == len(digests)
+
+    def test_kernel_source_keys_the_memsys_experiments(self, tmp_path):
+        # digest a copy of the package whose C kernel source was edited
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        source = copy / "memsys" / "eventloop.c"
+        source.write_text(source.read_text() + "/* edited */\n")
+        ids = ("fig25", "pud_reliability", "table1", None)
+        edited = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.campaign import code_fingerprint; "
+             f"print(*(code_fingerprint(i) for i in {ids!r}))"],
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        fig25, pud_reliability, table1, unscoped = edited
+        assert fig25 != code_fingerprint("fig25")
+        assert pud_reliability != code_fingerprint("pud_reliability")
+        assert unscoped != code_fingerprint()
+        assert table1 == code_fingerprint("table1")
 
     def test_prune_respects_scoped_keys(self, store):
         small = ExperimentScale.small()

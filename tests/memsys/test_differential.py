@@ -1,9 +1,11 @@
-"""Randomized differential test: event engine vs the scan-loop reference.
+"""Randomized differential test: the C kernel vs both Python oracles.
 
-The scan loop picks each bank's next request by ``min()`` over
-``(issue_ns, seq)`` and retires completions from a time-ordered heap, so
-it checks the event engine's FIFO bank queues and bank-carried
-completions independently, at random points well off the golden grid.
+``MemorySystem`` runs the event loop in C; ``EventLoopMemorySystem`` is
+the Python loop it was ported from, and the scan loop picks each bank's
+next request by ``min()`` over ``(issue_ns, seq)`` and retires
+completions from a time-ordered heap, so it checks the FIFO bank queues
+and bank-carried completions independently.  All three run at random
+points well off the golden grid, bank counts included.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from dataclasses import asdict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.memsys import MemSysConfig, MemorySystem, ScanLoopMemorySystem
+from repro.memsys import MemSysConfig, MemorySystem
 from repro.mitigations import PracConfig
 from repro.workloads import PUD_PERIODS_NS, PudWorkloadConfig, build_mixes
+
+from .oracles import EventLoopMemorySystem, ScanLoopMemorySystem
 
 MIXES = build_mixes(8)
 
@@ -43,15 +47,20 @@ EXAMPLES = (
     horizon_ns=st.floats(10_000.0, 60_000.0),
     frfcfs_cap=st.integers(0, 8),
     mlp=st.integers(1, 8),
+    banks=st.sampled_from((1, 2, 3, 8, 16, 64)),
 )
 def test_event_engine_matches_scan_loop(
-    mix_id, period, prac, seed, horizon_ns, frfcfs_cap, mlp
+    mix_id, period, prac, seed, horizon_ns, frfcfs_cap, mlp, banks
 ) -> None:
-    config = MemSysConfig(horizon_ns=horizon_ns, frfcfs_cap=frfcfs_cap, mlp=mlp)
+    config = MemSysConfig(
+        horizon_ns=horizon_ns, frfcfs_cap=frfcfs_cap, mlp=mlp, banks=banks
+    )
     pud = PudWorkloadConfig(period_ns=period) if period is not None else None
-    results = [
+    kernel, *oracles = [
         engine(MIXES[mix_id], pud=pud, prac=PRACS[prac], config=config,
                seed=seed).run()
-        for engine in (MemorySystem, ScanLoopMemorySystem)
+        for engine in (MemorySystem, EventLoopMemorySystem,
+                       ScanLoopMemorySystem)
     ]
-    assert asdict(results[0]) == asdict(results[1])
+    for ref in oracles:
+        assert asdict(kernel) == asdict(ref)

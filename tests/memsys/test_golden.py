@@ -1,10 +1,11 @@
-"""Golden-fixture tests for the event-queue memory-system engine.
+"""Golden-fixture tests for the memory-system engines.
 
 ``golden_simresults.json`` was recorded from the original scan-loop
 ``MemorySystem.run`` implementation immediately before it was replaced
-by the event-queue engine.  Both the fast engine and the retained
-reference implementation must reproduce it bit-for-bit -- exact float
-equality, no tolerances.
+by the event-queue engine.  The C kernel behind ``MemorySystem`` and
+both Python oracles (the event loop it was ported from and the scan
+loop) must reproduce it bit-for-bit -- exact float equality, no
+tolerances.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.memsys import MemSysConfig, MemorySystem, ScanLoopMemorySystem
+from repro.memsys import MemSysConfig, MemorySystem
 from repro.mitigations import PracConfig
 from repro.workloads import PudWorkloadConfig, build_mixes
+
+from .oracles import EventLoopMemorySystem, ScanLoopMemorySystem
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_simresults.json").read_text()
@@ -30,6 +33,7 @@ PRACS = {
 
 ENGINES = {
     "event-queue": MemorySystem,
+    "python-event-loop": EventLoopMemorySystem,
     "scan-loop": ScanLoopMemorySystem,
 }
 
@@ -73,15 +77,15 @@ def test_engines_agree_off_golden_grid() -> None:
     ]:
         pud = PudWorkloadConfig(period_ns=period) if period else None
         config = MemSysConfig(horizon_ns=horizon)
-        fast = MemorySystem(
-            mixes[mix_id], pud=pud, prac=PRACS[prac_name], config=config,
-            seed=mix_id + 13,
-        ).run()
-        ref = ScanLoopMemorySystem(
-            mixes[mix_id], pud=pud, prac=PRACS[prac_name], config=config,
-            seed=mix_id + 13,
-        ).run()
-        assert fast.ipc_per_core == ref.ipc_per_core
-        assert fast.pud_ops_completed == ref.pud_ops_completed
-        assert fast.backoffs == ref.backoffs
-        assert fast.requests_served == ref.requests_served
+        kernel, *oracles = [
+            engine(
+                mixes[mix_id], pud=pud, prac=PRACS[prac_name], config=config,
+                seed=mix_id + 13,
+            ).run()
+            for engine in ENGINES.values()
+        ]
+        for ref in oracles:
+            assert kernel.ipc_per_core == ref.ipc_per_core
+            assert kernel.pud_ops_completed == ref.pud_ops_completed
+            assert kernel.backoffs == ref.backoffs
+            assert kernel.requests_served == ref.requests_served

@@ -1,4 +1,9 @@
-"""Systems replaying one shared tape set match systems with private tapes."""
+"""Systems replaying one shared tape set match systems with private tapes.
+
+The kernel hands a tape back to Python to grow whenever a core reaches
+its end, then resumes the visit; a shared tape makes later runs start
+with some of it recorded, so their grow-and-resume points fall elsewhere.
+"""
 
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ def _run(mix, run, tapes=None):
         seed=mix.mix_id, tapes=tapes,
     )
     if tapes is not None:
-        assert all(core.tape is tape for core, tape in zip(system.cores, tapes))
+        assert all(own is tape for own, tape in zip(system.tapes, tapes))
     return asdict(system.run())
 
 
