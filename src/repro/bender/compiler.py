@@ -147,9 +147,11 @@ def run_stream(bank, stream: CompiledStream, base_ns: float, count: int) -> dict
     exact because every offset is a multiple of the 1.5 ns bus cycle.  The
     scaled pass carries the damage of periods 2..count but counts only
     one period of commands, so the bank counters are topped up with its
-    deltas times ``count - 2``.  Returns those per-period counter deltas
-    (empty when ``count < 2``); the bank ends as ``count`` periods run one
-    by one through ``execute_stream`` would leave its counters.
+    deltas times ``count - 2``, and its last PRE moves ``count - 2``
+    periods on to where the last period's lies.  Returns those per-period
+    counter deltas (empty when ``count < 2``); the bank ends as ``count``
+    periods run one by one through ``execute_stream`` would leave its
+    counters and last PRE.
     """
     bank.execute_stream(
         stream.op_list, stream.row_list, stream.offset_list, base_ns
@@ -177,6 +179,7 @@ def run_stream(bank, stream: CompiledStream, base_ns: float, count: int) -> dict
     if count > 2:
         for key, delta in deltas.items():
             stats[key] += delta * (count - 2)
+        bank._last_pre_ns += stream.duration_ns * (count - 2)
     return deltas
 
 

@@ -69,7 +69,7 @@ EXPERIMENT_SUBSYSTEM_DEPS: dict[str, tuple[str, ...]] = {
 
 
 #: source files a fingerprint digests: the Python modules and the C
-#: kernels they compile (``memsys/eventloop.c``)
+#: kernels they compile (``memsys/eventloop.c``, ``dram/replay.c``)
 SOURCE_SUFFIXES = (".py", ".c")
 
 

@@ -91,6 +91,7 @@ from ..dram.replay import (
     touch_op,
     trace_event,
 )
+from ..native import replay_kernel
 from ..obs import NULL_OBS
 from .hcfirst import (
     DEFAULT_MAX_HAMMERS,
@@ -644,61 +645,16 @@ class BatchedSearchEngine:
         session's PRE->ACT gap (single-row plans ignore it) and the last
         PRE (no session is held back after the pass, so the probe's first
         ACT can start no copy and its gap reaches no plan; every probe
-        ends on its own PRE).
+        ends on its own PRE).  Runs in the compiled replay kernel
+        (``restore_rows`` in ``dram/replay.c``); the image copy is
+        ``Bank._write_image``.
         """
-        bank = self.bank
-        model = bank.model
         timing = self.module.timing
-        t_wr_at = write_data_at_ns(timing)
-        stride = write_stride_ns(timing)
         snapshot = unit.snapshot
-        bank_versions = bank._data_version
-        versions = snapshot.versions
-        images = snapshot.images
-        last_restore = bank._last_restore
-        last_close = bank._last_close
-        frac = bank._frac
-        led_restore = model.ledger.restore
-        apply_plan = model._apply_plan
-        t = self.clock
-        pending_entry = None
-        for (row, slot, entries, image_pattern), (steady, cold) in zip(
-            meta, unit.writes
-        ):
-            if pending_entry is not None:
-                # a restored row's data equals its snapshot image when its
-                # deferred write event fires, so the plan resolved for the
-                # image's pattern is valid without a version/pattern check
-                apply_plan(pending_entry.plan, pending_entry.times)
-            pending_entry = steady if row in last_close else cold
-            if bank_versions.get(row, 0) != versions.get(row):
-                bank._row_data(row)[:] = images[row]
-                bank._bump_version(row)
-                version = bank_versions[row]
-                versions[row] = version
-                # the row now holds its image again: event entries whose
-                # plan is for the image's pattern are valid at this version
-                for entry in entries:
-                    if entry.pattern == image_pattern:
-                        entry.version = version
-            last_restore[row] = t + t_wr_at
-            if row in frac:
-                # the write session's ACT senses the fractional row's
-                # thermal noise first, which takes a tie
-                frac.discard(row)
-                bank._tie_counter += 1
-            # model.restore_row on the pre-resolved ledger slot, in place
-            led_restore(slot)
-            last_close[row] = t + stride
-            t += stride
-        if pending_entry is not None:
-            apply_plan(pending_entry.plan, pending_entry.times)
-        stats = bank.stats
-        n = len(meta)
-        stats["acts"] += n
-        stats["writes"] += n
-        stats["pres"] += n
-        return t
+        return replay_kernel().restore_rows(
+            self.bank, meta, unit.writes, snapshot.versions, snapshot.images,
+            self.clock, write_data_at_ns(timing), write_stride_ns(timing),
+        )
 
     def _capture_probe(self, i: int, count: int, sig) -> ProbeResult:
         """Run one probe through the command pipeline with a

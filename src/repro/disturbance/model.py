@@ -36,6 +36,7 @@ import numpy as np
 
 from ..dram.commands import ActivationEvent
 from ..dram.organization import ModuleGeometry
+from ..native import replay_kernel
 from .calibration import (
     ALL_PATTERNS,
     COMRA_PROB_BETTER,
@@ -535,43 +536,15 @@ class DisturbanceModel:
         return plan, key
 
     def _apply_plan(self, plan: list, times: float) -> None:
-        led = self.ledger
-        dmg = led.dmg
-        hits_mv = led.hits_mv
-        side_mv = led.side_mv
-        orders = led.pool_order
-        for slot, side, p_dom, p_oth, inc_dom, inc_oth, penalty in plan:
-            hits = hits_mv[slot] + 1
-            hits_mv[slot] = hits
-            s2 = slot + slot
-            if side is None:
-                # sandwiched double-sided hit: both wordlines toggle
-                side_mv[s2] = hits
-                side_mv[s2 + 1] = hits
-                scale = times
-            else:
-                if side < 0:
-                    side_mv[s2] = hits
-                    other = side_mv[s2 + 1]
-                else:
-                    side_mv[s2 + 1] = hits
-                    other = side_mv[s2]
-                # NO_HIT sentinel makes the window test False without a
-                # presence check (hits - NO_HIT is astronomically large)
-                scale = (
-                    times if hits - other <= SYNERGY_HIT_WINDOW
-                    else times / penalty
-                )
-            order = orders[slot]
-            base = slot * N_POOLS
-            if p_dom not in order:
-                order.append(p_dom)
-            i = base + p_dom
-            dmg[i] = dmg[i] + inc_dom * scale
-            if p_oth not in order:
-                order.append(p_oth)
-            i = base + p_oth
-            dmg[i] = dmg[i] + inc_oth * scale
+        """Deposit ``plan`` at ``times``: per entry, bump the victim's hit
+        ordinal, stamp the side it was hit from, and add both pools'
+        increments, divided by the single-sided penalty unless the
+        victim's other side was hit within ``SYNERGY_HIT_WINDOW`` hits (a
+        sandwiched entry stamps both sides and takes no penalty).  A
+        slot's pools enter ``pool_order`` on first deposit.  Runs in the
+        compiled replay kernel (``dram/replay.c``), which replay and the
+        probe engine's re-initialization call directly."""
+        replay_kernel().apply_plan(self.ledger, plan, times)
 
     def _plan_entry(
         self,

@@ -20,7 +20,7 @@ host's run is all tail.  Each pass holds ops, in application order:
   (``act_to_pre`` only lets the engine's translation recompute the
   partial set).
 
-:func:`run_ops` hands any other op to its caller's ``other(op, base)``
+:meth:`Trace.replay` hands any other op to its caller's ``other(op, base)``
 handler (the host's REF and TRR ops).  The trace also keeps what the ops
 do not leave: ``_last_close`` moves, the last PRE and counter deltas.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..disturbance.ledger import N_POOLS
+from ..native import replay_kernel
 
 
 @dataclass(slots=True)
@@ -114,87 +114,6 @@ def apply_event(bank, entry: TraceEvent, times: float) -> None:
     bank.model._apply_plan(entry.plan, times)
 
 
-def run_ops(
-    bank, ops: list, base: float, scaled_times: float = 0.0, other=None
-) -> None:
-    """Re-apply ``ops`` on ``bank``, times relative to ``base``.
-
-    State-identical to the captured command pipeline: the same restores
-    and plan applications in the same order.  The version-match common
-    case of the event guard is inlined (one dict probe); only guard
-    misses call :func:`apply_event`.
-    """
-    model = bank.model
-    apply_plan = model._apply_plan
-    dv_get = bank._data_version.get
-    last_restore = bank._last_restore
-    restore_full = bank._restore_row
-    led = model.ledger
-    dmg = led.dmg
-    flips_mv = led.flips_mv
-    pool_order = led.pool_order
-    flipped = led.flipped
-    for op in ops:
-        tag = op[0]
-        if tag == "event":
-            entry = op[1]
-            times = scaled_times if entry.scaled else entry.times
-            if dv_get(entry.row0, 0) == entry.version:
-                apply_plan(entry.plan, times)
-                continue
-            apply_event(bank, entry, times)
-            # a re-resolved plan may allocate ledger slots, and growth
-            # swaps the buffers behind the views
-            dmg = led.dmg
-            flips_mv = led.flips_mv
-        elif tag == "touch":
-            # _restore_row where nothing observable can happen --
-            # retention below threshold and damage below the realize
-            # early-out -- reduces to the model's ledger restore
-            # (pool_order keeps the reference dict's insertion order, so
-            # the guard sum accumulates in the identical float sequence)
-            row = op[1]
-            t = base + op[2]
-            last = last_restore.get(row)
-            if last is not None and t - last > op[4]:
-                restore_full(row, t)
-                continue
-            slot = op[3]
-            if slot is None:
-                slot = led.peek(bank.index, row)
-                if slot is None:
-                    last_restore[row] = t
-                    continue
-            order = pool_order[slot]
-            if order:
-                pool_base = slot * N_POOLS
-                total = 0.0
-                for pool in order:
-                    total += dmg[pool_base + pool]
-                if total >= 0.999:
-                    restore_full(row, t)
-                    continue
-                for pool in order:
-                    dmg[pool_base + pool] = 0.0
-                order.clear()
-            s2 = slot + slot
-            flips_mv[s2] = 0
-            flips_mv[s2 + 1] = 0
-            cells = flipped[slot]
-            if cells:
-                cells.clear()
-            last_restore[row] = t
-        elif tag == "copy":
-            bank._row_data(op[2])[:] = bank._row_data(op[1])
-            bank._bump_version(op[2])
-        elif tag == "sense":
-            bank._sense_group(op[1], op[2], op[3])
-        else:
-            other(op, base)
-            dmg = led.dmg
-            flips_mv = led.flips_mv
-
-
 @dataclass(slots=True)
 class Trace:
     """One recorded run, re-applied at any start time and count.
@@ -236,32 +155,22 @@ class Trace:
         """Re-apply the run on ``bank`` from ``base`` at ``count``; returns
         the run's end.
 
-        ``count`` must give every segment the pass shape it was recorded
-        with (one pass, or two); ``other`` handles the caller's own ops
-        (see :func:`run_ops`).
+        Each segment runs its warm ops at its start and, when it runs
+        ``n > 1`` periods (``fixed``, or ``count`` when None), its scaled
+        ops a period later with scaled events at ``count - 1`` times; the
+        next window starts ``n`` periods on.  Then the tail; then the
+        closes, the last PRE and the counter deltas.  ``count`` must give
+        every segment the pass shape it was recorded with (one pass, or
+        two); ``other(op, base)`` handles the caller's own ops.
+
+        Runs in the compiled kernel (``replay.c``): the same restores and
+        plan applications in the same order as the captured command
+        pipeline.  The version-match common case of the event guard is
+        inlined; guard misses go to :func:`apply_event`, and a touch whose
+        row is past its retention threshold, or whose damage reaches the
+        realize early-out, to the full ``Bank._restore_row``.
         """
-        scaled_times = count - 1.0
-        last_close = bank._last_close
-        for period, fixed, warm_ops, scaled_ops, closes in self.segments:
-            n = count if fixed is None else fixed
-            run_ops(bank, warm_ops, base, scaled_times, other)
-            if n > 1:
-                run_ops(bank, scaled_ops, base + period, scaled_times, other)
-            for row, rel in closes:
-                last_close[row] = base + rel
-            base += period * n
-        run_ops(bank, self.tail, base, scaled_times, other)
-        for row, rel in self.closes:
-            last_close[row] = base + rel
-        if self.last_pre_ns is not None:
-            bank._last_pre_ns = base + self.last_pre_ns
-        stats = bank.stats
-        for key, value in self.stats_const.items():
-            stats[key] += value
-        if count > 1:
-            for key, value in self.stats_linear.items():
-                stats[key] += value * (count - 1)
-        return base + self.tail_ns
+        return replay_kernel().replay(self, bank, base, count, other)
 
 
 class TraceRecorder:

@@ -1,46 +1,37 @@
 """Build, cache and call the memory-system event loop (``eventloop.c``).
 
 The kernel is compiled on the first :func:`simulate` call, never at
-import, and loaded through :mod:`ctypes`.  The shared library is cached
-beside the source, in this package's ``__pycache__``, under a name keyed
-by the source's hash, the compiler flags and the platform tag, so a
-checkout compiles once and every later process (campaign workers
-included) loads the cached build.  The build is written to a temporary
-file and moved into place with ``os.replace``, so concurrent first runs
-cannot read a half-written library.  Without a cached build, and without
-a C compiler or a writable cache directory, :func:`simulate` raises
+import, through :mod:`repro.native` (one compiler lookup, one build
+cache, one publish step for every kernel), and loaded through
+:mod:`ctypes`.  Without a cached build, and without a C compiler or a
+writable cache directory, :func:`simulate` raises
 :class:`KernelBuildError`; there is no Python fallback.
-
-The flags keep Python's floating-point results: ``-ffp-contract=off``
-forbids fused multiply-adds, and ``-ffast-math`` is never passed.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
 import sysconfig
-import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
+
+from .. import native
+
+#: the shared build's names, looked up here at call time (tests replace
+#: ``find_compiler``, ``_compile`` and ``CACHE_DIR`` on this module)
+KernelBuildError = native.KernelBuildError
+find_compiler = native.find_compiler
 
 SOURCE = Path(__file__).with_name("eventloop.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 #: where builds are cached
-CACHE_DIR = Path(__file__).with_name("__pycache__")
+CACHE_DIR = native.CACHE_DIR
 #: cores and banks per system: the kernel's visit sets are 64-bit masks
 MAX_UNITS = 64
 
 _ROW_RANGE = -2
 _NO_MEMORY = -3
-
-
-class KernelBuildError(RuntimeError):
-    """The event-loop kernel could not be compiled."""
 
 
 class Sim(ctypes.Structure):
@@ -83,55 +74,16 @@ class Sim(ctypes.Structure):
     ]
 
 
-def find_compiler() -> Optional[str]:
-    """Path of the first C compiler on ``PATH``, or None."""
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path is not None:
-            return path
-    return None
-
-
 def _compile(compiler: str, output: Path) -> None:
-    proc = subprocess.run(
-        [compiler, *CFLAGS, "-o", str(output), str(SOURCE)],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise KernelBuildError(
-            f"compiling {SOURCE.name} failed:\n{proc.stderr[-3000:]}"
-        )
+    native.compile_source(compiler, CFLAGS, SOURCE, output)
 
 
 def library_path() -> Path:
     """The compiled kernel, built into :data:`CACHE_DIR` on a cache miss."""
-    key = hashlib.sha256(SOURCE.read_bytes())
-    key.update("\0".join(CFLAGS + (sysconfig.get_platform(),)).encode())
-    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
-    path = CACHE_DIR / f"eventloop-{key.hexdigest()[:16]}{suffix}"
-    if path.exists():
-        return path
-    compiler = find_compiler()
-    if compiler is None:
-        raise KernelBuildError(
-            "the memory-system simulator needs a C compiler (cc, gcc or "
-            f"clang on PATH) to build {SOURCE.name}, and none was found"
-        )
-    try:
-        CACHE_DIR.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(suffix=suffix, dir=CACHE_DIR)
-    except OSError as exc:
-        raise KernelBuildError(
-            f"cannot write the {SOURCE.name} build to {CACHE_DIR}: {exc}"
-        ) from exc
-    os.close(fd)
-    try:
-        _compile(compiler, Path(tmp_name))
-        os.replace(tmp_name, path)
-    finally:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-    return path
+    return native.cached_build(
+        SOURCE, CFLAGS, sysconfig.get_config_var("SHLIB_SUFFIX") or ".so",
+        CACHE_DIR, find_compiler, _compile,
+    )
 
 
 @lru_cache(maxsize=None)

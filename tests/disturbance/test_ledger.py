@@ -19,7 +19,9 @@ mapped back to rows via ``ledger.key_of``, pool indices via
 ``POOL_KEYS``): plan *construction* is covered by the scalar-equivalence
 suites; what is frozen here is the hot-state machinery the ledger
 replaced -- accumulation, synergy windows, restore, eta contraction and
-flip realization (including the pre-vectorization per-cell walk).
+flip realization (including the pre-vectorization per-cell walk).  The
+model's ``_apply_plan`` is the compiled replay kernel's (``dram/replay.c``),
+so the twin checks the C plan application too.
 """
 
 from __future__ import annotations
