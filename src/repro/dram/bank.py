@@ -154,9 +154,6 @@ class Bank:
             1, round(timing.tREFW / timing.tREFI)
         )
         self._tie_counter = 0
-        #: ``(group, copy_src) -> (active rows, versions)`` of the last
-        #: identity verdict of :meth:`_sense_group`
-        self._sense_memo: dict = {}
         self._comra_context: Optional[_PendingClose] = None
         #: rows whose cells sit at ~VDD/2 (FracDRAM fractional values)
         self._frac: set[int] = set()
@@ -453,33 +450,18 @@ class Bank:
         cache and the probe engine's copy-on-write restore, event version
         guards and ``flips_by_version`` read-back.  It also
         keeps replayed SiMRA events on the engine's version-hit path.
-
-        The verdict is memoized per ``(group, copy_src)`` with the active
-        rows and the data versions it was reached at: versions are
-        faithful change counters, so equal versions mean equal bytes, and
-        a repeat sensing skips the byte comparison.  Fractional marks move
-        no version, so the ``_frac`` test runs every time.
         """
         active = [row for row in group if row not in partial_rows]
         if not active:
             return
         row_data = self._row_data
         frac = self._frac
-        src = active[0] if copy_src is None else copy_src
-        version = self._data_version.get
-        seen = (
-            tuple(active), version(src, 0),
-            *[version(row, 0) for row in active],
-        )
-        key = (group, copy_src)
-        if frac.isdisjoint(active):
-            if self._sense_memo.get(key) == seen:
-                return
-            source_bytes = row_data(src).tobytes()
-            if all(row_data(row).tobytes() == source_bytes for row in active):
-                self._sense_memo[key] = seen
-                return
-        source = row_data(src)
+        source = row_data(active[0] if copy_src is None else copy_src)
+        source_bytes = source.tobytes()
+        if frac.isdisjoint(active) and all(
+            row_data(row).tobytes() == source_bytes for row in active
+        ):
+            return
         if copy_src is not None:
             source_data = source.copy()
             for row in active:

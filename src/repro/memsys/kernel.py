@@ -24,7 +24,7 @@ KernelBuildError = native.KernelBuildError
 find_compiler = native.find_compiler
 
 SOURCE = Path(__file__).with_name("eventloop.c")
-CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+CFLAGS = native.CFLAGS
 #: where builds are cached
 CACHE_DIR = native.CACHE_DIR
 #: cores and banks per system: the kernel's visit sets are 64-bit masks

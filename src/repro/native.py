@@ -3,8 +3,9 @@
 Each kernel is compiled on first use, never at import, with the C
 compiler found on ``PATH``.  The build is cached in this package's
 ``__pycache__`` under a name keyed by the source's hash, the compiler
-flags, the platform tag and any extra key the kernel adds (the Python
-headers and extension suffix, for an extension module), so a checkout
+flags (an extension module's include the Python headers) and the
+platform tag, and ending in the kernel's file suffix (an extension
+module's carries the interpreter's ``EXT_SUFFIX``), so a checkout
 compiles once and every later process (campaign workers included) loads
 the cached build.  The build is written to a temporary file and moved
 into place with ``os.replace``, so concurrent first runs cannot read a
@@ -12,9 +13,9 @@ half-written library.  Without a cached build, and without a C compiler
 or a writable cache directory, a build raises :class:`KernelBuildError`;
 no kernel has a Python fallback.
 
-Every kernel keeps Python's floating-point results: its flags carry
-``-ffp-contract=off`` (no fused multiply-adds), and ``-ffast-math`` is
-never passed.
+Every kernel keeps Python's floating-point results: it builds with
+:data:`CFLAGS`, which carry ``-ffp-contract=off`` (no fused
+multiply-adds), and ``-ffast-math`` is never passed.
 
 Two kernels use it: the memory-system event loop
 (:mod:`repro.memsys.kernel`, loaded through :mod:`ctypes`) and the
@@ -38,9 +39,10 @@ from typing import Callable, Optional, Sequence
 #: where builds are cached
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 
+#: every kernel's flags; the extension adds the Python include directory
+CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+
 REPLAY_SOURCE = Path(__file__).parent / "dram" / "replay.c"
-#: the extension's flags; the include directory joins them at build time
-REPLAY_CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 
 
 class KernelBuildError(RuntimeError):
@@ -77,7 +79,6 @@ def cached_build(
     cache_dir: Path,
     find: Callable[[], Optional[str]],
     build: Callable[[str, Path], None],
-    key: Sequence[str] = (),
 ) -> Path:
     """The compiled ``source``, built into ``cache_dir`` on a cache miss.
 
@@ -85,9 +86,7 @@ def cached_build(
     so a kernel module can route both through names its tests replace.
     """
     digest = hashlib.sha256(source.read_bytes())
-    digest.update(
-        "\0".join((*flags, sysconfig.get_platform(), *key)).encode()
-    )
+    digest.update("\0".join((*flags, sysconfig.get_platform())).encode())
     path = cache_dir / f"{source.stem}-{digest.hexdigest()[:16]}{suffix}"
     if path.exists():
         return path
@@ -115,8 +114,8 @@ def cached_build(
 
 
 def replay_flags() -> tuple[str, ...]:
-    """:data:`REPLAY_CFLAGS` plus this interpreter's include directory."""
-    return REPLAY_CFLAGS + ("-I" + sysconfig.get_paths()["include"],)
+    """:data:`CFLAGS` plus this interpreter's include directory."""
+    return CFLAGS + ("-I" + sysconfig.get_paths()["include"],)
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +129,6 @@ def replay_kernel():
         lambda compiler, output: compile_source(
             compiler, flags, REPLAY_SOURCE, output
         ),
-        key=(suffix,),
     )
     name = "repro.dram._replay"
     spec = spec_from_loader(name, ExtensionFileLoader(name, str(path)))

@@ -15,9 +15,13 @@ bank counters, the clock, every targeted refresh (rows and timestamp)
 and which rows hold which damage pools.
 
 Damage *values* are not compared on the random draws: the two-pass
-stream is known to leave unrolled in two ways, which
+stream is known to leave unrolled in three ways, which
 :data:`KNOWN_DIVERGENCES` pins as strict expected failures (damage to
-rel 1e-12 there), and either would fail most draws.
+rel 1e-12 there): the scaled residue on activated rows and the
+unflushed synergy window, either of which would fail most draws, and
+the scaled pass's session absorbed into a multi-row activation right
+after a loop, which the draws avoid by starting every loop period at
+tRP or later.
 """
 
 from __future__ import annotations

@@ -180,23 +180,9 @@ class TestSenseGroup:
         bank._sense_group(self.GROUP, frozenset(), copy_src)
         assert self._state(bank, self.GROUP) == before
 
-    @pytest.mark.parametrize("copy_src", (None, 0))
-    def test_repeat_verdict_reads_no_row(self, bank, copy_src):
-        """A second sensing at the same data versions answers from the
-        memo: no row's bytes are fetched, let alone compared."""
-        for row in self.GROUP:
-            _fill(bank, row, 0x5A)
-        bank._sense_group(self.GROUP, frozenset(), copy_src)
-        reads = []
-        row_data = bank._row_data
-        bank._row_data = lambda row: reads.append(row) or row_data(row)
-        try:
-            bank._sense_group(self.GROUP, frozenset(), copy_src)
-        finally:
-            del bank._row_data
-        assert reads == []
-
-    def test_row_write_between_sensings_defeats_the_memo(self, bank):
+    def test_row_write_between_sensings_is_sensed(self, bank):
+        """A write after an identity verdict makes the next sensing
+        compare bytes again, not repeat the verdict."""
         for row in self.GROUP:
             _fill(bank, row, 0xFF)
         bank._sense_group(self.GROUP, frozenset(), None)  # identity verdict
