@@ -28,9 +28,11 @@ both views share memory.
 Bit-identity with the dict implementation needs one extra structure:
 ``pool_order[slot]`` lists the pools of a slot in first-deposit order,
 mirroring dict key insertion order.  Reference code summed
-``damage.values()`` and built ``{mech for mech, _ in damage}`` -- both
-orders are reproduced exactly by iterating ``pool_order``, so guard
-sums and eta contractions accumulate in the identical float sequence.
+``damage.values()``; iterating ``pool_order`` reproduces that order
+exactly, so guard sums accumulate in the identical float sequence.  Eta
+contractions visit a slot's mechanisms in :data:`MECHANISMS` order: a set
+of ``str``-Enum members would iterate in an order that follows the
+process's hash seed.
 """
 
 from __future__ import annotations

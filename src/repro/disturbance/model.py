@@ -55,19 +55,10 @@ from .distributions import (
     MixtureRatio,
     fit_lognormal_min_avg,
     log_interp,
-    normal_cdf,
     rng_for,
     solve_ratio_lognormal,
 )
-from .ledger import (
-    DIR_INDEX,
-    DamageLedger,
-    MECH_INDEX,
-    N_POOLS,
-    POOL_INDEX,
-    POOL_KEYS,
-    POOL_MECHS,
-)
+from .ledger import DIR_INDEX, DamageLedger, N_POOLS, POOL_INDEX, POOL_KEYS
 from .population import PopulationTable, sample_population
 
 #: Opposite-neighbor hits within this many victim-hit events count as
@@ -358,35 +349,14 @@ class DisturbanceModel:
         mechanism transfer is *direction-agnostic*: pre-hammering damage
         acts through shared trap sites regardless of which polarity it
         would itself flip (SiMRA's 1->0 pre-hammering still softens cells
-        toward RowHammer's 0->1 flips, Obs. 23).
+        toward RowHammer's 0->1 flips, Obs. 23).  Mechanisms are visited
+        in ledger ``MECHANISMS`` order, so the float sums do not depend on
+        the process's hash seed.  Runs in the compiled kernel
+        (``dram/replay.c``).
         """
-        led = self.ledger
-        slot = led.peek(bank, row)
-        if slot is None:
-            return 0.0
-        order = led.pool_order[slot]
-        if not order:
-            return 0.0
-        prof = self.profile(bank, row)
-        dmg = led.dmg
-        base = slot * N_POOLS
-        d_i = DIR_INDEX[direction]
-        d_o = d_i ^ 1
-        best = 0.0
-        # pool_order reproduces the reference dict's key insertion order,
-        # so this set iterates identically to {m for (m, _) in damage}
-        mechanisms = {POOL_MECHS[p] for p in order}
-        for mech in mechanisms:
-            own_base = base + MECH_INDEX[mech] * 2
-            coupled = dmg[own_base + d_i]
-            for other in mechanisms:
-                if other is mech:
-                    continue
-                eta = prof.eta.get((other, mech), 0.0)
-                oth_base = base + MECH_INDEX[other] * 2
-                coupled += eta * (dmg[oth_base + d_i] + dmg[oth_base + d_o])
-            best = max(best, coupled)
-        return best
+        return replay_kernel().coupled_damage(
+            self, bank, row, DIR_INDEX[direction]
+        )
 
     # ------------------------------------------------------------------
     # Event application
@@ -829,99 +799,26 @@ class DisturbanceModel:
 
         Returns the number of bits flipped by this call.  Idempotent at a
         fixed damage level: flips already applied are tracked per direction.
+        A row whose pools sum below 0.999 cannot flip and returns at once.
+        Per direction whose :meth:`coupled_damage` reaches 1.0, the first
+        ``_flip_target - already`` vulnerable cells of the row's cached
+        :meth:`_flip_order` permutation flip, skipping cells that flipped
+        since the last restore (their charge moved, so they cannot chatter
+        back under the opposite direction's damage).  Runs in the compiled
+        kernel (``dram/replay.c``).
         """
-        led = self.ledger
-        slot = led.peek(bank, row)
-        if slot is None:
-            return 0
-        order = led.pool_order[slot]
-        if not order:
-            return 0
-        # Cheap early-out: no direction can have crossed its threshold if
-        # even the eta-free damage total is far below 1.  pool_order keeps
-        # the reference dict's insertion order, so the float accumulation
-        # sequence matches sum(damage.values()) exactly.
-        dmg = led.dmg
-        base = slot * N_POOLS
-        total = 0.0
-        for pool in order:
-            total += dmg[base + pool]
-        if total < 0.999:
-            return 0
-        prof = self.profile(bank, row)
-        total_new = 0
-        bits = None
-        flips_mv = led.flips_mv
-        s2 = slot + slot
-        flipped_cells = led.flipped[slot]
-        for direction in FlipDirection:
-            effective = self.coupled_damage(bank, row, direction)
-            if effective < 1.0:
-                continue
-            if bits is None:
-                bits = np.unpackbits(data)
-            target = self._flip_target(prof, effective)
-            already = flips_mv[s2 + DIR_INDEX[direction]]
-            needed = target - already
-            if needed <= 0:
-                continue
-            flipped = self._flip_cells(
-                bank, row, bits, direction, needed, flipped_cells
-            )
-            flips_mv[s2 + DIR_INDEX[direction]] = already + flipped
-            total_new += flipped
-        if total_new and bits is not None:
-            data[:] = np.packbits(bits)
-        return total_new
+        return replay_kernel().realize_flips(self, bank, row, data)
 
     def _flip_target(self, prof: RowProfile, effective_damage: float) -> int:
         """How many cells of a direction should have flipped at this damage.
 
-        Per-cell thresholds are lognormal around the row threshold: the
-        weakest cell flips at damage 1.0, and the flip count follows the
-        threshold CDF above that (drives Fig. 24's flip-count scale).
+        Per-cell thresholds are lognormal around the row threshold,
+        centered 2.5 sigma above it: the weakest cell flips at damage 1.0
+        (CDF ~ 0.6%), and the flip count follows the threshold CDF above
+        that (drives Fig. 24's flip-count scale), at least one.  Runs in
+        the compiled kernel with libm's ``log`` and ``erf``.
         """
-        sigma = self.vendor_cal.cell_sigma
-        # Center the per-cell threshold distribution 2.5 sigma above the
-        # row threshold: the weakest cell flips at damage 1.0 (CDF ~ 0.6%),
-        # and counts ramp along the lognormal CDF as damage grows.
-        quantile = normal_cdf((math.log(effective_damage) - 2.5 * sigma) / sigma)
-        extra = int(prof.weak_cells * quantile)
-        return max(1, extra)
-
-    def _flip_cells(
-        self,
-        bank: int,
-        row: int,
-        bits: np.ndarray,
-        direction: FlipDirection,
-        needed: int,
-        already_flipped: set[int],
-    ) -> int:
-        """Flip the first ``needed`` vulnerable cells in this row's order.
-
-        ``already_flipped`` cells are off limits: a cell that flipped since
-        the last restore has moved its charge and cannot chatter back under
-        the opposite-direction damage within the same epoch.
-        """
-        order = self._flip_order(bank, row, direction)
-        # Vectorized selection: candidate mask over the cached permutation,
-        # first `needed` survivors -- the same flip set as walking `order`
-        # cell by cell with per-cell `in`-checks.
-        candidates = bits[order] == direction.vulnerable_bit
-        if already_flipped:
-            blocked = np.zeros(bits.shape[0], dtype=bool)
-            blocked[list(already_flipped)] = True
-            candidates &= ~blocked[order]
-        picks = np.flatnonzero(candidates)
-        if picks.size > needed:
-            picks = picks[:needed]
-        if picks.size == 0:
-            return 0
-        cells = order[picks]
-        bits[cells] ^= 1
-        already_flipped.update(map(int, cells))
-        return int(cells.size)
+        return replay_kernel().flip_target(self, prof, effective_damage)
 
     def _flip_order(self, bank: int, row: int, direction: FlipDirection) -> np.ndarray:
         key = (bank, row, direction)

@@ -28,6 +28,7 @@ import numpy as np
 from ..disturbance.calibration import DataPattern
 from ..disturbance.model import DisturbanceModel, classify_pattern
 from ..disturbance.retention import RetentionModel
+from ..native import replay_kernel
 from .commands import ActivationEvent
 from .errors import TimingError
 from .organization import ModuleGeometry
@@ -236,19 +237,18 @@ class Bank:
     # Charge restoration: flips materialize, damage clears
     # ------------------------------------------------------------------
     def _restore_row(self, row: int, now_ns: float) -> None:
-        if self.probe_tap is not None:
-            self.probe_tap(("touch", row, now_ns))
-        data = self._row_data(row)
-        changed = 0
-        last = self._last_restore.get(row)
-        if last is not None:
-            elapsed = now_ns - last
-            changed += self.retention.apply_decay(self.index, row, elapsed, data)
-        changed += self.model.realize_flips(self.index, row, data)
-        self.model.restore_row(self.index, row)
-        if changed:
-            self._bump_version(row)
-        self._last_restore[row] = now_ns
+        """Restore ``row``'s charge at ``now_ns``.
+
+        Taps the touch, decays the cells retention lost since the last
+        restore, realizes the flips the accumulated damage earned
+        (:meth:`DisturbanceModel.realize_flips`), clears the row's damage
+        and records the restore; a row whose bytes changed gets a new data
+        version.  Runs in the compiled kernel (``dram/replay.c``), which
+        calls back into Python only for the tap, a row with no data yet,
+        cache misses and ``RetentionModel.apply_decay`` past the row's
+        retention time.
+        """
+        replay_kernel().restore_row(self, row, now_ns)
 
     # ------------------------------------------------------------------
     # Commands

@@ -1,23 +1,34 @@
-/* Trace replay, deposit-plan application and probe re-initialization.
+/* Trace replay, deposit-plan application, probe re-initialization and
+   charge restoration.
 
    A CPython extension module (repro.dram._replay), compiled on first use
-   and loaded by repro.native.replay_kernel.  It runs the four hot loops of
-   the batched probe engine and the host's program replay:
+   and loaded by repro.native.replay_kernel.  It runs the hot loops of the
+   batched probe engine, the host's program replay and the bank's charge
+   restoration:
 
-   apply_plan    DisturbanceModel._apply_plan: one deposit plan applied to
-                 the DamageLedger (emission, re-initialization and replay
-                 all call this one implementation);
-   run_ops       one pass of ops of a repro.dram.replay.Trace (internal);
-   replay        Trace.replay: loop segments, closes, last PRE, counters;
-   restore_rows  BatchedSearchEngine._restore: a unit's re-initialization.
+   apply_plan     DisturbanceModel._apply_plan: one deposit plan applied
+                  to the DamageLedger (emission, re-initialization and
+                  replay all call this one implementation);
+   run_ops        one pass of ops of a repro.dram.replay.Trace (internal);
+   replay         Trace.replay: loop segments, closes, last PRE, counters;
+   restore_rows   BatchedSearchEngine._restore: a unit's re-initialization;
+   restore_row    Bank._restore_row: retention decay, flip realization and
+                  the ledger restore of one charge restoration;
+   realize_flips  DisturbanceModel.realize_flips, coupled_damage and
+                  _flip_target, which restore_row runs on its row.
 
    Each keeps the exact operation sequence of the Python it replaced (kept
    as the test oracles in tests/dram/oracles.py): the same double
    operations in the same order, a slot's pools summed in pool_order
-   order, and no fused multiply-adds (-ffp-contract=off, never
-   -ffast-math).  Everything else stays Python and is reached by
-   callbacks: event guard misses (repro.dram.replay.apply_event),
-   Bank._restore_row (retention decay and flip realization),
+   order, its mechanisms coupled in MECHANISMS order, and no fused
+   multiply-adds (-ffp-contract=off, never -ffast-math).  The flip target
+   calls libm's log and erf, which CPython's math.log and math.erf return
+   unchanged.  Everything else stays Python and is reached by callbacks:
+   event guard misses (repro.dram.replay.apply_event), the probe tap,
+   Bank._row_data on a row with no data, RetentionModel.retention_ns and
+   DisturbanceModel.profile / _flip_order on their cache misses,
+   RetentionModel.apply_decay past a row's retention time,
+   Bank._restore_row (a replayed touch that may decay or flip),
    Bank._copy_row, Bank._sense_group, Bank._write_image (the
    copy-on-write image restore) and the caller's own ops (the host's REF
    and TRR ops).  A callback may allocate ledger slots, and growth swaps
@@ -26,13 +37,22 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 
-/* set by init(): the model's synergy window, the ledger's pools per slot
-   and the guard-miss handler */
+#define MAX_MECHS 8
+
+/* set by init(): the model's synergy window, the ledger's pools per slot,
+   the guard-miss handler, the ledger's mechanism and direction orders
+   (a slot's pools are (mechanism, direction) row-major), each
+   direction's vulnerable bit and the (other, mech) eta keys */
 static long long synergy_window = 0;
 static Py_ssize_t n_pools = 0;
 static PyObject *apply_event_fn = NULL;
+static Py_ssize_t n_mechs = 0;
+static PyObject *directions = NULL;
+static int vulnerable_bit[2];
+static PyObject *eta_keys[MAX_MECHS][MAX_MECHS];
 
 static PyObject *zero;
 static PyObject *s_event, *s_touch, *s_copy, *s_sense;
@@ -46,6 +66,10 @@ static PyObject *s_model, *s_ledger, *s_index, *s_data_version,
 static PyObject *s_trace_last_pre_ns, *s_segments, *s_tail, *s_closes,
     *s_tail_ns, *s_stats_const, *s_stats_linear, *s_acts, *s_writes,
     *s_pres;
+static PyObject *s_probe_tap, *s_data, *s_row_data, *s_retention,
+    *s_retention_dict, *s_retention_ns, *s_apply_decay, *s_profiles,
+    *s_profile, *s_flip_orders, *s_flip_order, *s_vendor_cal, *s_cell_sigma,
+    *s_weak_cells, *s_eta, *s_vulnerable_bit;
 
 /* ------------------------------------------------------------------ */
 /* conversions                                                          */
@@ -59,6 +83,17 @@ static inline double as_double(PyObject *obj)
 
 #define FAILED_DOUBLE(x) ((x) == -1.0 && PyErr_Occurred())
 #define FAILED_INDEX(x) ((x) == -1 && PyErr_Occurred())
+
+static PyObject *dict_attr(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value != NULL && !PyDict_Check(value)) {
+        PyErr_Format(PyExc_TypeError, "%s.%U must be a dict",
+                     Py_TYPE(obj)->tp_name, name);
+        Py_CLEAR(value);
+    }
+    return value;
+}
 
 static int set_float(PyObject *dict, PyObject *key, double value)
 {
@@ -309,6 +344,312 @@ static int apply_plan(ledger_t *led, PyObject *plan, double times)
 }
 
 /* ------------------------------------------------------------------ */
+/* flip realization                                                     */
+/* ------------------------------------------------------------------ */
+
+/* the dict value at key, or call() on a miss (new reference; *called set
+   when it ran) */
+static PyObject *cached(PyObject *owner, PyObject *dict_name, PyObject *key,
+                        PyObject *method, PyObject *const *args,
+                        size_t nargs, int *called)
+{
+    PyObject *dict = dict_attr(owner, dict_name);
+    if (dict == NULL)
+        return NULL;
+    PyObject *value = PyDict_GetItemWithError(dict, key);
+    Py_XINCREF(value);
+    Py_DECREF(dict);
+    if (value != NULL || PyErr_Occurred())
+        return value;
+    *called = 1;
+    return PyObject_VectorcallMethod(method, args, nargs, NULL);
+}
+
+/* the model's profile of the row keyed (bank, row): model._profiles,
+   model.profile() on a miss */
+static PyObject *row_profile(PyObject *model, PyObject *key, int *called)
+{
+    PyObject *args[3] = {model, PyTuple_GET_ITEM(key, 0),
+                         PyTuple_GET_ITEM(key, 1)};
+    return cached(model, s_profiles, key, s_profile, args, 3, called);
+}
+
+/* a slot's mechanisms and the eta couplings between them */
+typedef struct {
+    int n;                              /* mechanisms with a pool */
+    int mech[MAX_MECHS];                /* in MECHANISMS order */
+    double eta[MAX_MECHS][MAX_MECHS];   /* [other][mech], by position */
+} coupling_t;
+
+static int coupling_load(coupling_t *c, PyObject *order, PyObject *prof)
+{
+    int present[MAX_MECHS] = {0};
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(order); k++) {
+        long pool = pool_index(PyList_GET_ITEM(order, k));
+        if (pool < 0)
+            return -1;
+        present[pool / 2] = 1;
+    }
+    c->n = 0;
+    for (int m = 0; m < n_mechs; m++)
+        if (present[m])
+            c->mech[c->n++] = m;
+    if (c->n < 2)
+        return 0;
+    PyObject *eta = dict_attr(prof, s_eta);
+    if (eta == NULL)
+        return -1;
+    int status = 0;
+    for (int o = 0; o < c->n && status == 0; o++) {
+        for (int m = 0; m < c->n; m++) {
+            if (o == m)
+                continue;
+            PyObject *value = PyDict_GetItemWithError(
+                eta, eta_keys[c->mech[o]][c->mech[m]]);
+            double v = value == NULL ? 0.0 : as_double(value);
+            if ((value == NULL && PyErr_Occurred()) || FAILED_DOUBLE(v)) {
+                status = -1;
+                break;
+            }
+            c->eta[o][m] = v;
+        }
+    }
+    Py_DECREF(eta);
+    return status;
+}
+
+/* DisturbanceModel.coupled_damage on a slot's pools, direction d: the max
+   over mechanisms of the own pool plus the eta-weighted pools of the
+   others */
+static double coupled(const coupling_t *c, const double *dmg, int d)
+{
+    double best = 0.0;
+    for (int m = 0; m < c->n; m++) {
+        double value = dmg[2 * c->mech[m] + d];
+        for (int o = 0; o < c->n; o++) {
+            if (o == m)
+                continue;
+            const double *other = dmg + 2 * c->mech[o];
+            value += c->eta[o][m] * (other[d] + other[d ^ 1]);
+        }
+        if (value > best)
+            best = value;
+    }
+    return best;
+}
+
+/* DisturbanceModel._flip_target: how many cells of a direction have
+   flipped at this damage -- per-cell thresholds lognormal, centered
+   2.5 sigma above the row threshold; -1 with an exception set */
+static long long flip_target(double weak_cells, double sigma,
+                             double effective)
+{
+    if (!(effective > 0.0) && !isnan(effective)) {
+        PyErr_SetString(PyExc_ValueError, "math domain error");
+        return -1;
+    }
+    double x = (log(effective) - 2.5 * sigma) / sigma;
+    double quantile = 0.5 * (1.0 + erf(x / sqrt(2.0)));
+    double extra = weak_cells * quantile;
+    if (isnan(extra)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cannot convert float NaN to integer");
+        return -1;
+    }
+    if (!(fabs(extra) < 9.0e18)) {
+        PyErr_SetString(PyExc_OverflowError, "flip target out of range");
+        return -1;
+    }
+    long long target = (long long)extra;
+    return target < 1 ? 1 : target;
+}
+
+/* the profile's weak cells and the vendor's cell sigma */
+static int target_inputs(PyObject *model, PyObject *prof, double *weak_cells,
+                         double *sigma)
+{
+    PyObject *weak = PyObject_GetAttr(prof, s_weak_cells);
+    if (weak == NULL)
+        return -1;
+    *weak_cells = as_double(weak);
+    Py_DECREF(weak);
+    if (FAILED_DOUBLE(*weak_cells))
+        return -1;
+    PyObject *vendor = PyObject_GetAttr(model, s_vendor_cal);
+    if (vendor == NULL)
+        return -1;
+    PyObject *cell_sigma = PyObject_GetAttr(vendor, s_cell_sigma);
+    Py_DECREF(vendor);
+    if (cell_sigma == NULL)
+        return -1;
+    *sigma = as_double(cell_sigma);
+    Py_DECREF(cell_sigma);
+    return FAILED_DOUBLE(*sigma) ? -1 : 0;
+}
+
+/* DisturbanceModel._flip_cells: walk the row's flip order for direction
+   d and flip its first `needed` vulnerable cells that are not in the
+   slot's flipped set, adding them to it.  Cell i is bit 7 - (i & 7) of
+   byte i >> 3 (np.unpackbits order).  The count, or -1 */
+static long long flip_cells(PyObject *model, PyObject *key, int d,
+                            unsigned char *bytes, Py_ssize_t nbytes,
+                            long long needed, PyObject *flipped_cells,
+                            int *called)
+{
+    PyObject *lookup = PyTuple_Pack(3, PyTuple_GET_ITEM(key, 0),
+                                    PyTuple_GET_ITEM(key, 1),
+                                    PyTuple_GET_ITEM(directions, d));
+    if (lookup == NULL)
+        return -1;
+    PyObject *args[4] = {model, PyTuple_GET_ITEM(lookup, 0),
+                         PyTuple_GET_ITEM(lookup, 1),
+                         PyTuple_GET_ITEM(lookup, 2)};
+    PyObject *order = cached(model, s_flip_orders, lookup, s_flip_order,
+                             args, 4, called);
+    Py_DECREF(lookup);
+    if (order == NULL)
+        return -1;
+    Py_buffer view;
+    int status = PyObject_GetBuffer(order, &view,
+                                    PyBUF_FORMAT | PyBUF_C_CONTIGUOUS);
+    Py_DECREF(order);
+    if (status < 0)
+        return -1;
+    long long flipped = -1;
+    const char *fmt = view.format == NULL ? "B" : view.format;
+    if (*fmt == '<' || *fmt == '=' || *fmt == '@')
+        fmt++;
+    if (view.itemsize != 8 || view.ndim != 1
+        || (strcmp(fmt, "l") != 0 && strcmp(fmt, "q") != 0)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a flip order must be a 1-d int64 array");
+        goto done;
+    }
+    const int64_t *cells = view.buf;
+    Py_ssize_t n = view.len / 8;
+    int vulnerable = vulnerable_bit[d];
+    int check = PySet_GET_SIZE(flipped_cells) > 0;
+    flipped = 0;
+    for (Py_ssize_t k = 0; k < n && flipped < needed; k++) {
+        int64_t cell = cells[k];
+        if (cell < 0 || (cell >> 3) >= nbytes) {
+            PyErr_Format(PyExc_IndexError, "cell %lld out of range",
+                         (long long)cell);
+            flipped = -1;
+            break;
+        }
+        unsigned char mask = (unsigned char)(0x80u >> (cell & 7));
+        if (((bytes[cell >> 3] & mask) != 0) != vulnerable)
+            continue;
+        PyObject *cell_obj = PyLong_FromLongLong(cell);
+        if (cell_obj == NULL) {
+            flipped = -1;
+            break;
+        }
+        int skip = check ? PySet_Contains(flipped_cells, cell_obj) : 0;
+        if (skip == 0) {
+            bytes[cell >> 3] ^= mask;
+            skip = PySet_Add(flipped_cells, cell_obj);
+            flipped++;
+        }
+        Py_DECREF(cell_obj);
+        if (skip < 0) {
+            flipped = -1;
+            break;
+        }
+    }
+done:
+    PyBuffer_Release(&view);
+    return flipped;
+}
+
+/* the ledger slot keyed (bank, row), or -1 (an exception set on error) */
+static Py_ssize_t slot_of(const ledger_t *led, PyObject *key)
+{
+    PyObject *slot = PyDict_GetItemWithError(led->slots, key);
+    return slot == NULL ? -1 : slot_index(led, slot);
+}
+
+/* DisturbanceModel.realize_flips on the row keyed (bank, row): flip the
+   cells the damage earned into data's bytes; the count, or -1 */
+static long long realize(PyObject *model, PyObject *ledger, ledger_t *led,
+                         PyObject *key, PyObject *data)
+{
+    Py_ssize_t slot = slot_of(led, key);
+    if (slot < 0)
+        return PyErr_Occurred() ? -1 : 0;
+    PyObject *order = PyList_GET_ITEM(led->pool_order, slot);
+    Py_ssize_t n = PyList_GET_SIZE(order);
+    if (n == 0)
+        return 0;
+    /* no direction can have crossed its threshold if even the eta-free
+       damage total is far below 1 */
+    const double *dmg = led->dmg + slot * n_pools;
+    double total = 0.0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        long pool = pool_index(PyList_GET_ITEM(order, k));
+        if (pool < 0)
+            return -1;
+        total += dmg[pool];
+    }
+    if (total < 0.999)
+        return 0;
+
+    int called = 0;
+    PyObject *prof = row_profile(model, key, &called);
+    if (prof == NULL || (called && ledger_load(led, ledger) < 0)) {
+        Py_XDECREF(prof);
+        return -1;
+    }
+    long long result = -1, total_new = 0;
+    int have_view = 0;
+    double weak_cells, sigma;
+    Py_buffer view;
+    coupling_t c;
+    if (coupling_load(&c, PyList_GET_ITEM(led->pool_order, slot), prof) < 0
+        || target_inputs(model, prof, &weak_cells, &sigma) < 0)
+        goto done;
+    for (int d = 0; d < 2; d++) {
+        double effective = coupled(&c, led->dmg + slot * n_pools, d);
+        if (effective < 1.0)
+            continue;
+        if (!have_view) {
+            if (PyObject_GetBuffer(data, &view,
+                                   PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+                goto done;
+            have_view = 1;
+            if (view.itemsize != 1 || view.format == NULL
+                || strcmp(view.format, "B") != 0) {
+                PyErr_SetString(PyExc_TypeError,
+                                "row data must be contiguous uint8");
+                goto done;
+            }
+        }
+        long long target = flip_target(weak_cells, sigma, effective);
+        if (target < 0)
+            goto done;
+        long long already = led->flips[2 * slot + d];
+        long long needed = target - already;
+        if (needed <= 0)
+            continue;
+        called = 0;
+        long long flipped = flip_cells(
+            model, key, d, view.buf, view.len, needed,
+            PyList_GET_ITEM(led->flipped, slot), &called);
+        if (flipped < 0 || (called && ledger_load(led, ledger) < 0))
+            goto done;
+        led->flips[2 * slot + d] = already + flipped;
+        total_new += flipped;
+    }
+    result = total_new;
+done:
+    if (have_view)
+        PyBuffer_Release(&view);
+    Py_DECREF(prof);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 /* the bank a replay runs on                                            */
 /* ------------------------------------------------------------------ */
 
@@ -334,15 +675,6 @@ static void bank_release(bank_t *b)
     ledger_release(&b->led);
 }
 
-static PyObject *dict_attr(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value != NULL && !PyDict_Check(value)) {
-        PyErr_Format(PyExc_TypeError, "bank.%U must be a dict", name);
-        Py_CLEAR(value);
-    }
-    return value;
-}
 
 static int bank_load(bank_t *b, PyObject *bank)
 {
@@ -389,6 +721,136 @@ static int restore_full(bank_t *b, PyObject *row, double t)
         return -1;
     int status = call_bank(b, s_restore_row, row, t_obj, NULL);
     Py_DECREF(t_obj);
+    return status;
+}
+
+/* Bank._restore_row's retention step: RetentionModel.apply_decay on the
+   row keyed (bank, row), called only once the time since its last
+   restore is past its retention time (retention._retention,
+   retention_ns() on a miss), since decay_count is 0 until then.  Bits
+   decayed, or -1 */
+static long long decay(PyObject *bank, PyObject *key, PyObject *now,
+                       PyObject *last, PyObject *data)
+{
+    PyObject *retention = PyObject_GetAttr(bank, s_retention);
+    if (retention == NULL)
+        return -1;
+    int called = 0;
+    PyObject *args[5] = {retention, PyTuple_GET_ITEM(key, 0),
+                         PyTuple_GET_ITEM(key, 1), NULL, data};
+    PyObject *limit = cached(retention, s_retention_dict, key,
+                             s_retention_ns, args, 3, &called);
+    PyObject *elapsed = limit == NULL ? NULL : PyNumber_Subtract(now, last);
+    int within = elapsed == NULL
+        ? -1 : PyObject_RichCompareBool(elapsed, limit, Py_LE);
+    long long decayed = within == 1 ? 0 : -1;
+    if (within == 0) {
+        args[3] = elapsed;
+        PyObject *result = PyObject_VectorcallMethod(s_apply_decay, args, 5,
+                                                     NULL);
+        if (result != NULL) {
+            decayed = PyLong_AsLongLong(result);
+            Py_DECREF(result);
+        }
+    }
+    Py_XDECREF(limit);
+    Py_XDECREF(elapsed);
+    Py_DECREF(retention);
+    return decayed;
+}
+
+/* Bank._restore_row(row, now): tap the touch, decay what retention lost,
+   realize the flips the damage earned, restore the row's ledger slot and
+   record the restore; a row whose bytes changed gets a new data version */
+static int restore_row(PyObject *bank, PyObject *row, PyObject *now)
+{
+    int status = -1;
+    long long changed = 0;
+    PyObject *data = NULL, *index = NULL, *key = NULL, *last_restore = NULL,
+             *last = NULL, *model = NULL, *ledger = NULL;
+    ledger_t led = {0};
+
+    PyObject *tap = PyObject_GetAttr(bank, s_probe_tap);
+    if (tap == NULL)
+        return -1;
+    if (tap != Py_None) {
+        PyObject *touch = PyTuple_Pack(3, s_touch, row, now);
+        PyObject *result = touch == NULL
+            ? NULL : PyObject_CallOneArg(tap, touch);
+        Py_XDECREF(touch);
+        if (result == NULL) {
+            Py_DECREF(tap);
+            return -1;
+        }
+        Py_DECREF(result);
+    }
+    Py_DECREF(tap);
+
+    PyObject *rows = dict_attr(bank, s_data);
+    if (rows == NULL)
+        return -1;
+    data = PyDict_GetItemWithError(rows, row);
+    Py_XINCREF(data);
+    Py_DECREF(rows);
+    if (data == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        PyObject *args[2] = {bank, row};
+        data = PyObject_VectorcallMethod(s_row_data, args, 2, NULL);
+        if (data == NULL)
+            return -1;
+    }
+    index = PyObject_GetAttr(bank, s_index);
+    key = index == NULL ? NULL : PyTuple_Pack(2, index, row);
+    last_restore = key == NULL ? NULL : dict_attr(bank, s_last_restore);
+    if (last_restore == NULL)
+        goto done;
+    last = PyDict_GetItemWithError(last_restore, row);
+    Py_XINCREF(last);
+    if (last == NULL && PyErr_Occurred())
+        goto done;
+    if (last != NULL && (changed = decay(bank, key, now, last, data)) < 0)
+        goto done;
+
+    model = PyObject_GetAttr(bank, s_model);
+    ledger = model == NULL ? NULL : PyObject_GetAttr(model, s_ledger);
+    if (ledger == NULL || ledger_load(&led, ledger) < 0)
+        goto done;
+    long long flipped = realize(model, ledger, &led, key, data);
+    if (flipped < 0)
+        goto done;
+    changed += flipped;
+    Py_ssize_t slot = slot_of(&led, key);
+    if (slot < 0 ? PyErr_Occurred() != NULL : ledger_restore(&led, slot) < 0)
+        goto done;
+    if (changed) {
+        PyObject *versions = dict_attr(bank, s_data_version);
+        if (versions == NULL)
+            goto done;
+        PyObject *have = PyDict_GetItemWithError(versions, row);
+        PyObject *next = NULL;
+        if (have != NULL || !PyErr_Occurred()) {
+            PyObject *one = PyLong_FromLong(1);
+            if (one != NULL)
+                next = PyNumber_Add(have == NULL ? zero : have, one);
+            Py_XDECREF(one);
+        }
+        int set = next == NULL ? -1 : PyDict_SetItem(versions, row, next);
+        Py_XDECREF(next);
+        Py_DECREF(versions);
+        if (set < 0)
+            goto done;
+    }
+    status = PyDict_SetItem(last_restore, row, now);
+done:
+    ledger_release(&led);
+    Py_XDECREF(data);
+    Py_XDECREF(index);
+    Py_XDECREF(key);
+    Py_XDECREF(last_restore);
+    Py_XDECREF(last);
+    Py_XDECREF(model);
+    Py_XDECREF(ledger);
     return status;
 }
 
@@ -633,17 +1095,51 @@ static PyObject *k_init(PyObject *self, PyObject *const *args,
                         Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs != 3) {
+    if (nargs != 5) {
         PyErr_SetString(PyExc_TypeError,
-                        "init(synergy_window, n_pools, apply_event)");
+                        "init(synergy_window, n_pools, apply_event, "
+                        "mechanisms, directions)");
         return NULL;
     }
     long long window = PyLong_AsLongLong(args[0]);
     Py_ssize_t pools = PyLong_AsSsize_t(args[1]);
     if (FAILED_INDEX(window) || FAILED_INDEX(pools))
         return NULL;
+    PyObject *mechs = args[3], *dirs = args[4];
+    if (!PyTuple_Check(mechs) || !PyTuple_Check(dirs)
+        || PyTuple_GET_SIZE(dirs) != 2 || PyTuple_GET_SIZE(mechs) > MAX_MECHS
+        || PyTuple_GET_SIZE(mechs) * 2 != pools) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the pools must be (mechanism, direction) pairs "
+                        "over two directions");
+        return NULL;
+    }
+    int bits[2];
+    for (int d = 0; d < 2; d++) {
+        PyObject *bit = PyObject_GetAttr(PyTuple_GET_ITEM(dirs, d),
+                                         s_vulnerable_bit);
+        if (bit == NULL)
+            return NULL;
+        bits[d] = PyObject_IsTrue(bit);
+        Py_DECREF(bit);
+        if (bits[d] < 0)
+            return NULL;
+    }
+    Py_ssize_t n = PyTuple_GET_SIZE(mechs);
+    for (Py_ssize_t o = 0; o < n; o++)
+        for (Py_ssize_t m = 0; m < n; m++) {
+            PyObject *pair = PyTuple_Pack(2, PyTuple_GET_ITEM(mechs, o),
+                                          PyTuple_GET_ITEM(mechs, m));
+            if (pair == NULL)
+                return NULL;
+            Py_XSETREF(eta_keys[o][m], pair);
+        }
     synergy_window = window;
     n_pools = pools;
+    n_mechs = n;
+    vulnerable_bit[0] = bits[0];
+    vulnerable_bit[1] = bits[1];
+    Py_XSETREF(directions, Py_NewRef(dirs));
     Py_XSETREF(apply_event_fn, Py_NewRef(args[2]));
     Py_RETURN_NONE;
 }
@@ -982,14 +1478,125 @@ done:
     return result;
 }
 
+static PyObject *k_restore_row(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "restore_row(bank, row, now_ns)");
+        return NULL;
+    }
+    if (ready() < 0 || restore_row(args[0], args[1], args[2]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* the model's ledger, loaded, and the (bank, row) key */
+static int model_load(PyObject *model, PyObject *bank, PyObject *row,
+                      PyObject **ledger, ledger_t *led, PyObject **key)
+{
+    *key = NULL;
+    *ledger = PyObject_GetAttr(model, s_ledger);
+    if (*ledger == NULL || ledger_load(led, *ledger) < 0)
+        return -1;
+    *key = PyTuple_Pack(2, bank, row);
+    return *key == NULL ? -1 : 0;
+}
+
+static PyObject *k_realize_flips(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "realize_flips(model, bank, row, data)");
+        return NULL;
+    }
+    if (ready() < 0)
+        return NULL;
+    PyObject *ledger, *key, *result = NULL;
+    ledger_t led = {0};
+    if (model_load(args[0], args[1], args[2], &ledger, &led, &key) == 0) {
+        long long flipped = realize(args[0], ledger, &led, key, args[3]);
+        if (flipped >= 0)
+            result = PyLong_FromLongLong(flipped);
+    }
+    ledger_release(&led);
+    Py_XDECREF(ledger);
+    Py_XDECREF(key);
+    return result;
+}
+
+static PyObject *k_coupled_damage(PyObject *self, PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "coupled_damage(model, bank, row, direction index)");
+        return NULL;
+    }
+    if (ready() < 0)
+        return NULL;
+    long d = PyLong_AsLong(args[3]);
+    if (FAILED_INDEX(d))
+        return NULL;
+    if (d != 0 && d != 1) {
+        PyErr_Format(PyExc_IndexError, "direction %ld out of range", d);
+        return NULL;
+    }
+    PyObject *ledger, *key, *prof = NULL, *result = NULL;
+    ledger_t led = {0};
+    if (model_load(args[0], args[1], args[2], &ledger, &led, &key) < 0)
+        goto done;
+    Py_ssize_t slot = slot_of(&led, key);
+    if (slot < 0 || !PyList_GET_SIZE(PyList_GET_ITEM(led.pool_order, slot))) {
+        if (!PyErr_Occurred())
+            result = PyFloat_FromDouble(0.0);
+        goto done;
+    }
+    int called = 0;
+    prof = row_profile(args[0], key, &called);
+    if (prof == NULL || (called && ledger_load(&led, ledger) < 0))
+        goto done;
+    coupling_t c;
+    if (coupling_load(&c, PyList_GET_ITEM(led.pool_order, slot), prof) == 0)
+        result = PyFloat_FromDouble(
+            coupled(&c, led.dmg + slot * n_pools, (int)d));
+done:
+    ledger_release(&led);
+    Py_XDECREF(ledger);
+    Py_XDECREF(key);
+    Py_XDECREF(prof);
+    return result;
+}
+
+static PyObject *k_flip_target(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "flip_target(model, prof, effective_damage)");
+        return NULL;
+    }
+    double weak_cells, sigma, effective = as_double(args[2]);
+    if (FAILED_DOUBLE(effective)
+        || target_inputs(args[0], args[1], &weak_cells, &sigma) < 0)
+        return NULL;
+    long long target = flip_target(weak_cells, sigma, effective);
+    return target < 0 ? NULL : PyLong_FromLongLong(target);
+}
+
 /* ------------------------------------------------------------------ */
 /* module                                                               */
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
     {"init", (PyCFunction)(void (*)(void))k_init, METH_FASTCALL,
-     "init(synergy_window, n_pools, apply_event): the constants the "
-     "kernel shares with Python, and the guard-miss handler."},
+     "init(synergy_window, n_pools, apply_event, mechanisms, directions): "
+     "the constants the kernel shares with Python, and the guard-miss "
+     "handler."},
     {"apply_plan", (PyCFunction)(void (*)(void))k_apply_plan, METH_FASTCALL,
      "apply_plan(ledger, plan, times): DisturbanceModel._apply_plan."},
     {"replay", (PyCFunction)(void (*)(void))k_replay, METH_FASTCALL,
@@ -998,12 +1605,27 @@ static PyMethodDef methods[] = {
      METH_FASTCALL,
      "restore_rows(bank, meta, writes, versions, images, clock, t_wr_at, "
      "stride) -> end ns: BatchedSearchEngine._restore."},
+    {"restore_row", (PyCFunction)(void (*)(void))k_restore_row,
+     METH_FASTCALL, "restore_row(bank, row, now_ns): Bank._restore_row."},
+    {"realize_flips", (PyCFunction)(void (*)(void))k_realize_flips,
+     METH_FASTCALL,
+     "realize_flips(model, bank, row, data) -> bits flipped: "
+     "DisturbanceModel.realize_flips."},
+    {"coupled_damage", (PyCFunction)(void (*)(void))k_coupled_damage,
+     METH_FASTCALL,
+     "coupled_damage(model, bank, row, direction index) -> damage: "
+     "DisturbanceModel.coupled_damage."},
+    {"flip_target", (PyCFunction)(void (*)(void))k_flip_target,
+     METH_FASTCALL,
+     "flip_target(model, prof, effective_damage) -> cells: "
+     "DisturbanceModel._flip_target."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_replay",
-    "Trace replay, deposit-plan application and probe re-initialization.",
+    "Trace replay, deposit-plan application, probe re-initialization and "
+    "charge restoration.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 
@@ -1033,6 +1655,14 @@ PyMODINIT_FUNC PyInit__replay(void)
         {&s_closes, "closes"}, {&s_tail_ns, "tail_ns"},
         {&s_stats_const, "stats_const"}, {&s_stats_linear, "stats_linear"},
         {&s_acts, "acts"}, {&s_writes, "writes"}, {&s_pres, "pres"},
+        {&s_probe_tap, "probe_tap"}, {&s_data, "_data"},
+        {&s_row_data, "_row_data"}, {&s_retention, "retention"},
+        {&s_retention_dict, "_retention"}, {&s_retention_ns, "retention_ns"},
+        {&s_apply_decay, "apply_decay"}, {&s_profiles, "_profiles"},
+        {&s_profile, "profile"}, {&s_flip_orders, "_flip_orders"},
+        {&s_flip_order, "_flip_order"}, {&s_vendor_cal, "vendor_cal"},
+        {&s_cell_sigma, "cell_sigma"}, {&s_weak_cells, "weak_cells"},
+        {&s_eta, "eta"}, {&s_vulnerable_bit, "vulnerable_bit"},
     };
     for (size_t k = 0; k < sizeof(names) / sizeof(names[0]); k++)
         if (intern(names[k].slot, names[k].text) < 0)

@@ -135,9 +135,11 @@ def replay_kernel():
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
 
-    from .disturbance.ledger import N_POOLS
+    from .disturbance.ledger import DIRECTIONS, MECHANISMS, N_POOLS
     from .disturbance.model import SYNERGY_HIT_WINDOW
     from .dram.replay import apply_event
 
-    module.init(SYNERGY_HIT_WINDOW, N_POOLS, apply_event)
+    module.init(
+        SYNERGY_HIT_WINDOW, N_POOLS, apply_event, MECHANISMS, DIRECTIONS
+    )
     return module

@@ -31,7 +31,7 @@ import pytest
 
 from repro.disturbance import ALL_PATTERNS
 from repro.disturbance.calibration import FlipDirection
-from repro.disturbance.ledger import DIR_INDEX, POOL_KEYS
+from repro.disturbance.ledger import DIR_INDEX, MECHANISMS, POOL_KEYS
 from repro.disturbance.model import SYNERGY_HIT_WINDOW
 from repro.dram import make_module
 from repro.dram.commands import ActivationEvent
@@ -114,7 +114,10 @@ class DictRowStateReference:
             else FlipDirection.ONE_TO_ZERO
         )
         best = 0.0
-        mechanisms = {mech for (mech, _) in damage}
+        # the ledger's mechanism order: a set of str-Enum members would
+        # iterate in an order that follows the process's hash seed
+        present = {mech for (mech, _) in damage}
+        mechanisms = [mech for mech in MECHANISMS if mech in present]
         for mech in mechanisms:
             coupled = damage.get((mech, direction), 0.0)
             for other in mechanisms:

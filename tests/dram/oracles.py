@@ -1,21 +1,38 @@
-"""The Python bodies of the replay kernel's four loops (``dram/replay.c``).
+"""The Python bodies of the replay kernel's loops (``dram/replay.c``).
 
-They are the reference the kernel is tested against: ``apply_plan`` is
-``DisturbanceModel._apply_plan``, ``run_ops`` and ``replay`` are
-``Trace.replay`` and its per-pass loop, and ``restore`` is
-``BatchedSearchEngine._restore``, each as it ran in Python before it moved
-to C.  :func:`python_kernel` installs all four on the classes, so a module
-built inside it runs the pure-Python pipeline end to end.
+They are the reference the kernel is tested against, each as it ran in
+Python before it moved to C: ``apply_plan`` is
+``DisturbanceModel._apply_plan``; ``run_ops`` and ``replay`` are
+``Trace.replay`` and its per-pass loop; ``restore`` is
+``BatchedSearchEngine._restore``; ``restore_row`` is
+``Bank._restore_row``; ``realize_flips``, ``coupled_damage``,
+``flip_target`` and ``flip_cells`` are ``DisturbanceModel.realize_flips``
+and its helpers (``coupled_damage`` visiting mechanisms in ledger
+``MECHANISMS`` order, which does not depend on the hash seed).
+:func:`python_kernel` installs them all on the classes, so a module built
+inside it runs the pure-Python pipeline end to end.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+
+import numpy as np
 
 from repro.bender.host import write_data_at_ns, write_stride_ns
 from repro.core.probe_batch import BatchedSearchEngine
-from repro.disturbance.ledger import N_POOLS
+from repro.disturbance.calibration import FlipDirection
+from repro.disturbance.distributions import normal_cdf
+from repro.disturbance.ledger import (
+    DIR_INDEX,
+    MECH_INDEX,
+    MECHANISMS,
+    N_POOLS,
+    POOL_MECHS,
+)
 from repro.disturbance.model import SYNERGY_HIT_WINDOW, DisturbanceModel
+from repro.dram.bank import Bank
 from repro.dram.replay import Trace, apply_event
 
 
@@ -201,21 +218,146 @@ def restore(engine, unit, meta: list) -> float:
     return t
 
 
+def restore_row(bank, row: int, now_ns: float) -> None:
+    if bank.probe_tap is not None:
+        bank.probe_tap(("touch", row, now_ns))
+    data = bank._row_data(row)
+    changed = 0
+    last = bank._last_restore.get(row)
+    if last is not None:
+        elapsed = now_ns - last
+        changed += bank.retention.apply_decay(bank.index, row, elapsed, data)
+    changed += bank.model.realize_flips(bank.index, row, data)
+    bank.model.restore_row(bank.index, row)
+    if changed:
+        bank._bump_version(row)
+    bank._last_restore[row] = now_ns
+
+
+def coupled_damage(model, bank: int, row: int, direction) -> float:
+    led = model.ledger
+    slot = led.peek(bank, row)
+    if slot is None:
+        return 0.0
+    order = led.pool_order[slot]
+    if not order:
+        return 0.0
+    prof = model.profile(bank, row)
+    dmg = led.dmg
+    base = slot * N_POOLS
+    d_i = DIR_INDEX[direction]
+    d_o = d_i ^ 1
+    best = 0.0
+    present = {POOL_MECHS[p] for p in order}
+    mechanisms = [mech for mech in MECHANISMS if mech in present]
+    for mech in mechanisms:
+        own_base = base + MECH_INDEX[mech] * 2
+        coupled = dmg[own_base + d_i]
+        for other in mechanisms:
+            if other is mech:
+                continue
+            eta = prof.eta.get((other, mech), 0.0)
+            oth_base = base + MECH_INDEX[other] * 2
+            coupled += eta * (dmg[oth_base + d_i] + dmg[oth_base + d_o])
+        best = max(best, coupled)
+    return best
+
+
+def realize_flips(model, bank: int, row: int, data) -> int:
+    led = model.ledger
+    slot = led.peek(bank, row)
+    if slot is None:
+        return 0
+    order = led.pool_order[slot]
+    if not order:
+        return 0
+    dmg = led.dmg
+    base = slot * N_POOLS
+    total = 0.0
+    for pool in order:
+        total += dmg[base + pool]
+    if total < 0.999:
+        return 0
+    prof = model.profile(bank, row)
+    total_new = 0
+    bits = None
+    flips_mv = led.flips_mv
+    s2 = slot + slot
+    flipped_cells = led.flipped[slot]
+    for direction in FlipDirection:
+        effective = model.coupled_damage(bank, row, direction)
+        if effective < 1.0:
+            continue
+        if bits is None:
+            bits = np.unpackbits(data)
+        target = model._flip_target(prof, effective)
+        already = flips_mv[s2 + DIR_INDEX[direction]]
+        needed = target - already
+        if needed <= 0:
+            continue
+        flipped = model._flip_cells(
+            bank, row, bits, direction, needed, flipped_cells
+        )
+        flips_mv[s2 + DIR_INDEX[direction]] = already + flipped
+        total_new += flipped
+    if total_new and bits is not None:
+        data[:] = np.packbits(bits)
+    return total_new
+
+
+def flip_target(model, prof, effective_damage: float) -> int:
+    sigma = model.vendor_cal.cell_sigma
+    quantile = normal_cdf((math.log(effective_damage) - 2.5 * sigma) / sigma)
+    extra = int(prof.weak_cells * quantile)
+    return max(1, extra)
+
+
+def flip_cells(
+    model, bank: int, row: int, bits, direction, needed: int,
+    already_flipped: set,
+) -> int:
+    order = model._flip_order(bank, row, direction)
+    candidates = bits[order] == direction.vulnerable_bit
+    if already_flipped:
+        blocked = np.zeros(bits.shape[0], dtype=bool)
+        blocked[list(already_flipped)] = True
+        candidates &= ~blocked[order]
+    picks = np.flatnonzero(candidates)
+    if picks.size > needed:
+        picks = picks[:needed]
+    if picks.size == 0:
+        return 0
+    cells = order[picks]
+    bits[cells] ^= 1
+    already_flipped.update(map(int, cells))
+    return int(cells.size)
+
+
+#: (class, attribute, oracle) for every body the kernel runs
+ORACLES = (
+    (DisturbanceModel, "_apply_plan", apply_plan),
+    (Trace, "replay", replay),
+    (BatchedSearchEngine, "_restore", restore),
+    (Bank, "_restore_row", restore_row),
+    (DisturbanceModel, "realize_flips", realize_flips),
+    (DisturbanceModel, "coupled_damage", coupled_damage),
+    (DisturbanceModel, "_flip_target", flip_target),
+    (DisturbanceModel, "_flip_cells", flip_cells),
+)
+
+
 @contextmanager
 def python_kernel():
-    """Run the four loops in Python while the block runs: every module,
-    engine and trace inside it uses the oracles instead of the kernel."""
-    saved = (
-        DisturbanceModel._apply_plan, Trace.replay,
-        BatchedSearchEngine._restore,
-    )
-    DisturbanceModel._apply_plan = apply_plan
-    Trace.replay = replay
-    BatchedSearchEngine._restore = restore
+    """Run the kernel's bodies in Python while the block runs: every
+    module, engine and trace inside it uses the oracles instead."""
+    saved = [(cls, name, cls.__dict__.get(name)) for cls, name, _ in ORACLES]
+    for cls, name, oracle in ORACLES:
+        setattr(cls, name, oracle)
     try:
         yield
     finally:
-        (
-            DisturbanceModel._apply_plan, Trace.replay,
-            BatchedSearchEngine._restore,
-        ) = saved
+        for cls, name, method in saved:
+            if method is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, method)

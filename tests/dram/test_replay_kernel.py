@@ -1,8 +1,10 @@
 """Differential fuzz: the compiled replay kernel against its Python oracle.
 
-``dram/replay.c`` runs ``DisturbanceModel._apply_plan``, ``Trace.replay``
-and ``BatchedSearchEngine._restore``; ``tests/dram/oracles.py`` keeps the
-Python bodies they replaced.  Every property here runs one drawn case
+``dram/replay.c`` runs ``DisturbanceModel._apply_plan``, ``Trace.replay``,
+``BatchedSearchEngine._restore``, ``Bank._restore_row`` and
+``DisturbanceModel.realize_flips`` with ``coupled_damage`` and
+``_flip_target``; ``tests/dram/oracles.py`` keeps the Python bodies they
+replaced.  Every property here runs one drawn case
 twice on fresh modules, once on the kernel and once inside
 :func:`~tests.dram.oracles.python_kernel`, and compares the whole end
 state exactly (:func:`full_state`): every ledger array bitwise, the
@@ -10,7 +12,7 @@ per-slot pool orders and flip sets, row bytes and data versions, the
 restore, close and last-PRE bookkeeping, the tie counter and the
 counters.
 
-Three sources of traces:
+Three sources of traces, and one of single restorations:
 
 * the batched probe engine on the engine fuzz's search cases, and on its
   capture-then-replay probe pairs (SiMRA group sensing included);
@@ -25,6 +27,15 @@ Three sources of traces:
   ledger slots on a ledger started at a small capacity (growth inside a
   callback), and a caller op that raises (the exception propagates, with
   the same partial state on both sides).
+* one charge restoration of a drawn row state (``Bank._restore_row``, or
+  ``realize_flips`` on a copy of the row): pools of one to three
+  mechanisms in a drawn first-deposit order, each below the realize
+  early-out, just over threshold or far over it (a flip target above the
+  row's candidates), drawn applied-flip counts and flip sets, all-0x00,
+  all-0xFF, random or missing row data, a row with no ledger slot, a last
+  restore within or past the retention time (the decay callback) and a
+  probe tap.  Both directions' ``coupled_damage``, the call's result,
+  the tap's records and the model's lazy caches are compared too.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from __future__ import annotations
 import os
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,8 +54,8 @@ from repro.bender.program import Loop
 from repro.core import patterns
 from repro.core.hcfirst import DEFAULT_MAX_HAMMERS
 from repro.core.probe_batch import run_batched_searches
-from repro.disturbance.calibration import ALL_PATTERNS
-from repro.disturbance.ledger import DamageLedger
+from repro.disturbance.calibration import ALL_PATTERNS, FlipDirection
+from repro.disturbance.ledger import N_POOLS, DamageLedger
 from repro.dram.replay import TraceRecorder, touch_op
 
 from ..bender import test_program_replay as host_fuzz
@@ -353,6 +365,146 @@ def test_touch_of_a_row_without_a_slot():
         got, ref = twins(_window_run, _window(grow=grow))
         assert got == ref
         assert LONE_ROW in dict(got[1]["banks"][0]["last_restore"])
+
+
+# -- one charge restoration ---------------------------------------------------
+
+@st.composite
+def restores(draw):
+    rows = make_module(CONFIG).geometry.rows_per_subarray
+    pools = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
+    # per pool: below the realize early-out, just over threshold, or far
+    # over it (a flip target above the row's candidates)
+    damage = st.one_of(
+        st.floats(0.0, 0.6), st.floats(0.9, 2.0), st.floats(2.0, 1e4),
+    )
+    return dict(
+        row=draw(st.integers(0, 2)) * rows + draw(st.integers(0, rows - 1)),
+        # (pool, damage) in first-deposit order: both directions of each
+        # drawn mechanism, or only one
+        pools=draw(st.permutations([
+            (2 * mech + d, draw(damage))
+            for mech in sorted(pools)
+            for d in draw(st.sampled_from(((0,), (1,), (0, 1))))
+        ])),
+        slot=draw(st.booleans()),
+        flips=(draw(st.integers(0, 60)), draw(st.integers(0, 60))),
+        flipped=draw(st.lists(st.integers(0, 1023), max_size=40)),
+        data=draw(st.one_of(
+            st.none(), st.sampled_from((0x00, 0xFF)),
+            st.binary(min_size=128, max_size=128),
+        )),
+        # the last restore: none, within the row's retention time, or past
+        # it (the decay callback)
+        last=draw(st.sampled_from((None, 0.5, 1.7, 3.2))),
+        tap=draw(st.booleans()),
+        # realize_flips on a copy of the row instead of a restore
+        direct=draw(st.booleans()),
+    )
+
+
+def _restore_run(case):
+    """Set the drawn row state up on a fresh module and restore the row
+    (or realize its flips on a copy); returns the coupled damage of both
+    directions, the call's result and bytes, the tap's records, the full
+    state and the model's lazy caches."""
+    module = make_module(CONFIG)
+    bank, model, led = module.bank(0), module.model, module.ledger
+    row = case["row"]
+    if case["data"] is not None:
+        data = case["data"]
+        if isinstance(data, int):
+            data = bytes([data]) * module.geometry.row_bytes
+        bank._row_data(row)[:] = np.frombuffer(data, dtype=np.uint8)
+    if case["slot"]:
+        slot = led.slot(bank.index, row)
+        for pool, value in case["pools"]:
+            led.pool_order[slot].append(pool)
+            led.dmg[slot * N_POOLS + pool] = value
+        led.flips_mv[2 * slot], led.flips_mv[2 * slot + 1] = case["flips"]
+        led.flipped[slot].update(case["flipped"])
+    now = 1e9
+    if case["last"] is not None:
+        retention = module.retention.retention_ns(bank.index, row)
+        bank._last_restore[row] = now - case["last"] * retention
+    taps = []
+    if case["tap"]:
+        bank.probe_tap = taps.append
+    coupled = [
+        model.coupled_damage(bank.index, row, d) for d in FlipDirection
+    ]
+    if case["direct"]:
+        data = bank.backdoor_read(row)
+        result = model.realize_flips(bank.index, row, data), data.tobytes()
+    else:
+        result = bank._restore_row(row, now)
+    bank.probe_tap = None
+    caches = (
+        list(model._profiles), list(model._flip_orders),
+        list(module.retention._retention),
+    )
+    return coupled, result, taps, full_state(module), caches
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(restores())
+def test_restores_match_the_oracle(case):
+    got, ref = twins(_restore_run, case)
+    assert got == ref
+
+
+def _restore_case(**changes):
+    case = dict(
+        row=40, pools=[(1, 3.0)], slot=True, flips=(0, 0), flipped=[],
+        data=0x00, last=None, tap=False, direct=False,
+    )
+    case.update(changes)
+    return case
+
+
+@pytest.mark.parametrize("mechs", [1, 2, 3])
+def test_restore_flips_coupled_mechanisms(mechs):
+    """Pools of one to three mechanisms: the flips the coupled damage
+    earns land in the row, on both sides alike."""
+    pools = [(2 * m + d, 1.5) for m in range(mechs) for d in (0, 1)]
+    got, ref = twins(_restore_run, _restore_case(pools=pools, data=0xAA))
+    assert got == ref
+    coupled, _result, _taps, state, _caches = got
+    assert min(coupled) >= 1.5
+    assert state["banks"][0]["versions"] == [(40, 1)]
+
+
+def test_restore_decays_past_retention():
+    got, ref = twins(
+        _restore_run, _restore_case(pools=[(1, 0.1)], data=0xFF, last=3.2)
+    )
+    assert got == ref
+    assert got[3]["banks"][0]["versions"] == [(40, 1)]
+
+
+def test_realize_beyond_the_candidates():
+    """A flip target above the vulnerable cells left: a 0->1 pool far
+    over threshold on a row whose only zeros are each byte's last bit,
+    half of them already flipped this epoch.  Every other zero flips."""
+    case = _restore_case(
+        pools=[(1, 1e4)], data=0xFE, direct=True,
+        flipped=list(range(7, 1024, 16)),
+    )
+    got, ref = twins(_restore_run, case)
+    assert got == ref
+    flipped, data = got[1]
+    assert flipped == 64
+    assert data == bytes([0xFE, 0xFF]) * 64
+
+
+def test_restore_taps_a_row_without_data_or_slot():
+    got, ref = twins(
+        _restore_run, _restore_case(slot=False, data=None, tap=True)
+    )
+    assert got == ref
+    _coupled, result, taps, state, _caches = got
+    assert result is None and taps == [("touch", 40, 1e9)]
+    assert state["banks"][0]["last_restore"] == [(40, 1e9)]
 
 
 def test_missing_compiler_raises(monkeypatch, tmp_path):
