@@ -12,8 +12,8 @@ interpretation):
   whose repeats share a probe memo and bracket warm start) vs five
   independent one-repeat searches.
 * ``gauntlet_cell`` -- one attack-gauntlet cell (synchronized attack
-  under sampling TRR) with ``DramBenderHost.default_compile_streams``
-  toggled, i.e. the end-to-end attack_surface hot path.
+  under sampling TRR) with every host's ``compile_streams`` toggled,
+  i.e. the end-to-end attack_surface hot path.
 * ``prac_gauntlet_cell`` -- the same toggle on sync-simra16 under
   PRAC-PO-WC: compiled streams replayed in segments split where a
   back-off can fire, against per-command interpretation.
@@ -48,6 +48,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from functools import partialmethod
 from pathlib import Path
 
 import numpy as np
@@ -109,14 +110,15 @@ def _timeit(fn, repeats: int) -> float:
 
 @contextmanager
 def _compile_streams(enabled: bool):
-    """Set ``DramBenderHost.default_compile_streams`` for hosts built by
-    code the bench does not construct itself (False = interpretation)."""
-    previous = DramBenderHost.default_compile_streams
-    DramBenderHost.default_compile_streams = enabled
+    """Build every ``DramBenderHost`` with ``compile_streams=enabled``
+    (False = interpretation), hosts built by code the bench does not
+    construct itself included."""
+    init = DramBenderHost.__init__
+    DramBenderHost.__init__ = partialmethod(init, compile_streams=enabled)
     try:
         yield
     finally:
-        DramBenderHost.default_compile_streams = previous
+        DramBenderHost.__init__ = init
 
 
 @contextmanager

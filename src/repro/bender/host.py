@@ -246,9 +246,6 @@ def _trace_bank(instructions) -> Optional[int]:
 class DramBenderHost:
     """Executes test programs against one simulated module."""
 
-    #: default for the ``compile_streams`` constructor argument; benchmarks
-    #: flip this to force interpretation in code they don't construct.
-    default_compile_streams = True
     #: plans cached per host before the cache resets
     _CACHE_MAX = 64
 
@@ -256,16 +253,12 @@ class DramBenderHost:
         self,
         module: DramModule,
         enforce_refresh_window: bool = False,
-        compile_streams: Optional[bool] = None,
+        compile_streams: bool = True,
         obs=None,
     ) -> None:
         self.module = module
         self.enforce_refresh_window = enforce_refresh_window
-        self.compile_streams = (
-            self.default_compile_streams
-            if compile_streams is None
-            else compile_streams
-        )
+        self.compile_streams = compile_streams
         #: metrics registry counting which execution path each loop took
         #: (``host.loops{path=...}``: ``stream`` or ``unrolled``) and how
         #: each run went (``host.runs{path=...}``); recorded per loop,

@@ -8,22 +8,22 @@ the channel while the RFM's preventive refreshes run.
 
 The run loop is a single global event heap -- core-ready, bank-free,
 PuD-arrival, and stall-release events -- so idle banks and MLP-blocked
-cores are never scanned.  It runs in C (``eventloop.c``, built and
-loaded by :mod:`.kernel`); this module fills its inputs and reads its
-results.  The loop visits exactly the time points the original scan
-loop visited and runs the same phase order within each -- inject cores
-in id order, deliver PuD arrivals, schedule free banks in index order
-under one snapshotted issue floor, then retire due completions -- so
-fixed-seed ``SimResult``s are bit-identical to it (see
-``tests/memsys/golden_simresults.json``).  The scan loop and the Python
-event loop the kernel was ported from live on in ``tests/memsys`` as
-differential oracles.  Three facts keep the per-request work small:
+cores are never scanned.  It runs in C (``eventloop.c``, an extension
+module built and loaded by :func:`repro.native.eventloop_kernel`); this
+module passes its inputs and reads its results.  The loop visits exactly
+the time points the original scan loop visited and runs the same phase
+order within each -- inject cores in id order, deliver PuD arrivals,
+schedule free banks in index order under one snapshotted issue floor,
+then retire due completions -- so fixed-seed ``SimResult``s are
+bit-identical to it (see ``tests/memsys/golden_simresults.json``).  The
+scan loop and the Python event loop the kernel was ported from live on
+in ``tests/memsys`` as differential oracles.  Three facts keep the per-request work small:
 
 * **Trace tapes.**  Cores read packed :class:`TraceTape` records through
   private cursors, so the Fig. 25 sweep generates each mix's four
   ``(profile, seed)`` streams once and replays them in all of the mix's
   runs (:func:`mix_tapes`).  The kernel reads each tape's buffer in
-  place and hands back to Python to :meth:`TraceTape.grow` it.
+  place and calls :meth:`TraceTape.grow` when a core reaches its end.
 * **FIFO bank queues.**  The scan loop picks by ``min()`` over
   ``(issue_ns, seq)``.  Every request enters its bank queue at the visit
   time ``now``: CPU requests are issued at ``now``, and a PuD arrival is
@@ -56,13 +56,16 @@ from dataclasses import astuple, dataclass
 from time import perf_counter
 from typing import Optional, Sequence
 
-from . import kernel
 from ..mitigations.prac import OpClass, PracConfig
+from ..native import eventloop_kernel
 from ..obs import NULL_OBS
 from ..workloads.fast_traces import TraceTape
 from ..workloads.mixes import PudWorkloadConfig, WorkloadMix
 from ..workloads.profiles import WorkloadProfile
 from ..workloads.traces import ROWS_PER_BANK
+
+#: cores and banks per system: the kernel's visit sets are 64-bit masks
+MAX_UNITS = 64
 
 
 @dataclass
@@ -153,11 +156,11 @@ class MemorySystem:
             raise ValueError("tapes do not record this mix's trace streams")
         self.tapes = list(tapes)
         banks = self.config.banks
-        if not 1 <= banks <= kernel.MAX_UNITS:
-            raise ValueError(f"banks must be 1..{kernel.MAX_UNITS}, not {banks}")
-        if len(self.tapes) > kernel.MAX_UNITS:
+        if not 1 <= banks <= MAX_UNITS:
+            raise ValueError(f"banks must be 1..{MAX_UNITS}, not {banks}")
+        if len(self.tapes) > MAX_UNITS:
             raise ValueError(
-                f"at most {kernel.MAX_UNITS} cores, not {len(self.tapes)}"
+                f"at most {MAX_UNITS} cores, not {len(self.tapes)}"
             )
         if pud is not None and not (
             0 <= pud.target_bank < banks and pud.period_ns > 0
@@ -174,56 +177,45 @@ class MemorySystem:
         config = self.config
         pud = self.pud
         prac = self.prac
-        sim = kernel.Sim(
-            horizon_ns=config.horizon_ns,
-            peak_ipc=config.peak_ipc,
-            t_hit_ns=config.t_hit_ns,
-            t_miss_ns=config.t_miss_ns,
-            t_conflict_ns=config.t_conflict_ns,
-            t_backoff_ns=config.t_backoff_ns,
-            t_pud_ns=config.t_simra_ns + config.t_comra_ns,
-            mlp=config.mlp,
-            frfcfs_cap=config.frfcfs_cap,
-            n_banks=config.banks,
-            n_cores=len(self.tapes),
-            counter_rows=ROWS_PER_BANK,
-        )
+        pud_args = prac_args = None
         if pud is not None:
-            sim.has_pud = 1
-            sim.pud_period_ns = pud.period_ns
-            sim.pud_bank = pud.target_bank
-            sim.pud_rows = pud.simra_rows
+            pud_args = (pud.period_ns, pud.target_bank, pud.simra_rows)
         if prac is not None:
-            sim.has_prac = 1
-            sim.rdt = prac.rdt
-            sim.act_weight = prac.weight_for(OpClass.ACT)
-            sim.simra_weight = prac.weight_for(OpClass.SIMRA)
-            sim.comra_weight = prac.weight_for(OpClass.COMRA)
-            if pud is not None:
-                sim.simra_latency_ns = prac.update_latency_ns(pud.simra_rows)
-                # the CoMRA half activates two rows (COMRA_ROWS in the C)
-                sim.comra_latency_ns = prac.update_latency_ns(2)
-        kernel.simulate(sim, self.tapes)
+            # the CoMRA half activates two rows (COMRA_ROWS in the C)
+            latencies = (0.0, 0.0) if pud is None else (
+                prac.update_latency_ns(pud.simra_rows),
+                prac.update_latency_ns(2),
+            )
+            prac_args = (
+                prac.rdt, prac.weight_for(OpClass.ACT),
+                prac.weight_for(OpClass.SIMRA), prac.weight_for(OpClass.COMRA),
+                *latencies,
+            )
+        retired, requests, served, pud_ops, backoffs = eventloop_kernel().run(
+            config.horizon_ns, config.peak_ipc, config.t_hit_ns,
+            config.t_miss_ns, config.t_conflict_ns, config.t_backoff_ns,
+            config.t_simra_ns + config.t_comra_ns, config.mlp,
+            config.frfcfs_cap, config.banks, ROWS_PER_BANK, pud_args,
+            prac_args, self.tapes,
+        )
         stats = self.stats
-        stats["requests"] = sim.requests
-        stats["pud_ops"] = sim.pud_ops
-        stats["backoffs"] = sim.backoffs
+        stats["requests"] = requests
+        stats["pud_ops"] = pud_ops
+        stats["backoffs"] = backoffs
         obs = self.obs
         if obs.enabled:
             obs.observe_s("memsys.run_s", perf_counter() - t_wall)
-            obs.inc("memsys.requests", sim.requests)
-            obs.inc("memsys.requests_served", sim.served)
-            obs.inc("memsys.pud_ops", sim.pud_ops)
-            obs.inc("memsys.backoffs", sim.backoffs)
+            obs.inc("memsys.requests", requests)
+            obs.inc("memsys.requests_served", served)
+            obs.inc("memsys.pud_ops", pud_ops)
+            obs.inc("memsys.backoffs", backoffs)
         elapsed = max(config.horizon_ns, 1.0)
         return SimResult(
-            ipc_per_core=[
-                sim.retired[i] / elapsed for i in range(len(self.tapes))
-            ],
-            pud_ops_completed=sim.pud_ops,
-            backoffs=sim.backoffs,
+            ipc_per_core=[count / elapsed for count in retired],
+            pud_ops_completed=pud_ops,
+            backoffs=backoffs,
             elapsed_ns=elapsed,
-            requests_served=sim.served,
+            requests_served=served,
         )
 
 

@@ -22,10 +22,10 @@ algorithms in plain Python arithmetic:
 
 Because this mirrors numpy internals, it could silently diverge on a
 numpy build with different tables or bounded-integer algorithms.  Guard:
-the first construction runs :func:`emulation_matches`, which compares a
-few thousand emulated entries against the scalar ``TraceGenerator``, and
-raises on a mismatch; a profile outside the emulatable envelope raises
-too.  Every shipped profile is inside it.
+the first :class:`TraceTape` runs :func:`emulation_matches`, which
+compares a few thousand emulated entries against the scalar
+``TraceGenerator``, and raises on a mismatch; a profile outside the
+emulatable envelope raises too.  Every shipped profile is inside it.
 
 :class:`TraceTape` records one generator's stream, packed one ``int64``
 per entry, so a stream is generated once and replayed many times: the
@@ -41,6 +41,7 @@ import itertools
 from array import array
 from typing import Iterable, Optional
 
+from ..disturbance.distributions import rng_for
 from ._ziggurat import FE_DOUBLE, KE_DOUBLE, WE_DOUBLE, ZIGGURAT_EXP_R
 from .profiles import WorkloadProfile
 from .traces import ROWS_PER_BANK, TraceGenerator
@@ -91,16 +92,8 @@ class BatchedTraceGenerator:
                 "envelope (mpki below 333.3, power-of-two bank_spread and "
                 "working_set_rows)"
             )
-        if not emulation_matches():
-            raise RuntimeError(
-                "the trace emulation no longer matches this numpy build's "
-                "TraceGenerator stream"
-            )
-        scalar = TraceGenerator(
-            profile, seed=seed, rows_per_bank=rows_per_bank,
-            working_set_rows=working_set_rows,
-        )
-        self._bitgen = scalar._rng.bit_generator
+        # TraceGenerator's own stream
+        self._bitgen = rng_for("trace", profile.name, seed).bit_generator
         self._p_denom = math.log1p(-p)
         self._words: list[int] = []
         self._pos = 0
@@ -238,6 +231,11 @@ class TraceTape:
         self.seed = seed
         self.entries = array("q")
         self._source = BatchedTraceGenerator(profile, seed=seed)
+        if not emulation_matches():
+            raise RuntimeError(
+                "the trace emulation no longer matches this numpy build's "
+                "TraceGenerator stream"
+            )
 
     def grow(self) -> None:
         """Record the generator's next block of entries."""
@@ -280,16 +278,7 @@ def emulation_matches() -> bool:
             row_locality=0.5, bank_spread=4, read_fraction=0.67,
         )
         scalar = TraceGenerator(probe, seed=12345)
-        batched = BatchedTraceGenerator.__new__(BatchedTraceGenerator)
-        batched.profile = probe
-        batched.rows_per_bank = ROWS_PER_BANK
-        batched.working_set_rows = 512
-        batched._bitgen = TraceGenerator(probe, seed=12345)._rng.bit_generator
-        batched._p_denom = math.log1p(-probe.mpki / 1000.0)
-        batched._words = []
-        batched._pos = 0
-        batched._half = None
-        batched._last = {}
+        batched = BatchedTraceGenerator(probe, seed=12345)
         try:
             emulated: list[tuple[int, int, int, bool]] = []
             while len(emulated) < _SELFCHECK_ENTRIES:

@@ -1,5 +1,7 @@
 """Gauntlet harness: the acceptance matrix, determinism, blocked cells."""
 
+from functools import partialmethod
+
 import pytest
 
 from repro.attack import run_cell, run_gauntlet, synthesize_attacks
@@ -138,11 +140,13 @@ class TestHarness:
     ):
         """PRAC cells replay on compiled streams, split at back-offs; the
         reported row must equal the per-command interpreter's."""
+        init = DramBenderHost.__init__
         for spec in hynix_specs.values():
             rows = []
             for compile_streams in (True, False):
                 monkeypatch.setattr(
-                    DramBenderHost, "default_compile_streams", compile_streams
+                    DramBenderHost, "__init__",
+                    partialmethod(init, compile_streams=compile_streams),
                 )
                 rows.append(
                     run_cell("hynix-a-8gb", spec, mitigation, PRAC_BUDGET).to_row()

@@ -48,7 +48,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import make_module, native
+from repro import make_module
 from repro.bender.compiler import compile_stream, run_stream
 from repro.bender.program import Loop
 from repro.core import patterns
@@ -505,12 +505,3 @@ def test_restore_taps_a_row_without_data_or_slot():
     _coupled, result, taps, state, _caches = got
     assert result is None and taps == [("touch", 40, 1e9)]
     assert state["banks"][0]["last_restore"] == [(40, 1e9)]
-
-
-def test_missing_compiler_raises(monkeypatch, tmp_path):
-    """No compiler and no cached build: loading the kernel raises, as the
-    memory-system kernel does; there is no Python fallback."""
-    monkeypatch.setattr(native, "find_compiler", lambda: None)
-    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
-    with pytest.raises(native.KernelBuildError, match="C compiler"):
-        native.replay_kernel.__wrapped__()

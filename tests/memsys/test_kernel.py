@@ -1,4 +1,7 @@
-"""The C event-loop kernel: its limits, its build cache, mid-visit tape growth."""
+"""The C event-loop kernel: its limits and its tape growth.
+
+Its build cache is tested with the replay kernel's in ``tests/test_native.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +9,11 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.memsys import MemSysConfig, MemorySystem, kernel
+from repro.memsys import MemSysConfig, MemorySystem
 from repro.memsys.system import mix_tapes
 from repro.mitigations import PracConfig
 from repro.workloads import PudWorkloadConfig, WorkloadMix, build_mixes
+from repro.workloads.fast_traces import TraceTape
 
 from .oracles import EventLoopMemorySystem
 
@@ -54,8 +58,8 @@ def test_row_outside_the_counter_table_raises() -> None:
 
 def test_tape_end_mid_visit_resumes_the_visit() -> None:
     """Zero-gap writes make one core read many entries in one visit; the
-    hand-packed prefix ends mid-visit, so the kernel hands the tape back
-    to grow in the middle of phase 1 and must resume exactly there."""
+    hand-packed prefix ends mid-visit, so the kernel grows the tape in the
+    middle of phase 1 and must go on exactly there."""
     def prefixed():
         tapes = mix_tapes(MIX)
         for core, tape in enumerate(tapes):
@@ -69,42 +73,28 @@ def test_tape_end_mid_visit_resumes_the_visit() -> None:
     assert asdict(ours) == asdict(ref)
 
 
-def test_missing_compiler_raises(monkeypatch, tmp_path) -> None:
-    monkeypatch.setattr(kernel, "find_compiler", lambda: None)
-    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path)
-    with pytest.raises(kernel.KernelBuildError, match="C compiler"):
-        kernel.library_path()
-    # and a run with nothing cached raises too, instead of falling back
-    kernel.load.cache_clear()
-    try:
-        with pytest.raises(kernel.KernelBuildError, match="C compiler"):
-            MemorySystem(MIX, None, None, SHORT).run()
-    finally:
-        kernel.load.cache_clear()
+def test_grow_exception_propagates(monkeypatch) -> None:
+    tapes = mix_tapes(MIX)
+
+    def failing(tape):
+        raise ZeroDivisionError("no more trace")
+
+    monkeypatch.setattr(TraceTape, "grow", failing)
+    with pytest.raises(ZeroDivisionError, match="no more trace"):
+        MemorySystem(MIX, None, None, SHORT, tapes=tapes).run()
+    # every tape buffer was released: the arrays can resize again
+    for tape in tapes:
+        tape.entries.append(0)
 
 
-def test_unwritable_cache_dir_raises(monkeypatch, tmp_path) -> None:
-    # a path below a regular file can never be created, whoever runs it
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    monkeypatch.setattr(kernel, "CACHE_DIR", blocker / "cache")
-    with pytest.raises(kernel.KernelBuildError, match="cannot write"):
-        kernel.library_path()
-
-
-def test_second_load_reuses_the_cached_build(monkeypatch, tmp_path) -> None:
-    builds = []
-    compile_ = kernel._compile
-
-    def counting(compiler, output):
-        builds.append(output)
-        compile_(compiler, output)
-
-    monkeypatch.setattr(kernel, "_compile", counting)
-    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path)
-    first = kernel.library_path()
-    second = kernel.library_path()
-    assert first == second and first.exists()
-    assert len(builds) == 1
-    # the temporary build file was moved into place, nothing left behind
-    assert sorted(tmp_path.iterdir()) == [first]
+def test_tape_that_did_not_grow_raises(monkeypatch) -> None:
+    tapes = mix_tapes(MIX)
+    # cores 0 and 1 read one entry each; core 2's empty tape is the first
+    # to need growth
+    for tape in tapes[:2] + tapes[3:]:
+        tape.extend([(1, 0, 3, False)])
+    monkeypatch.setattr(TraceTape, "grow", lambda tape: None)
+    with pytest.raises(RuntimeError, match="trace tape 2 did not grow"):
+        MemorySystem(MIX, None, None, SHORT, tapes=tapes).run()
+    for tape in tapes:
+        tape.entries.append(0)
